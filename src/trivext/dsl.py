@@ -288,10 +288,6 @@ def parse_presentation(text: str) -> Presentation:
                         nilpotency_bound=bound)
 
 
-def _coeff_text(c, field) -> str:
-    return field.to_str(c)
-
-
 def _expr_text(terms) -> str:
     parts = []
     for i, (c, p) in enumerate(terms):

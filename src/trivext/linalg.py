@@ -102,9 +102,6 @@ class GroundField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def to_str(self, a) -> str:
-        return str(a)
-
 
 QQ = GroundField(0)
 
@@ -293,9 +290,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)
-
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
 
     def rank(self) -> int:
         eng = SparseRank(self.field.p)

@@ -59,9 +59,6 @@ class Quiver:
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index[name]]
 
-    def arrows_from(self, vertex: str):
-        return [a for a in self.arrows if a.source == vertex]
-
     def __eq__(self, other):
         return (isinstance(other, Quiver) and self.vertices == other.vertices
                 and self.arrows == other.arrows)

@@ -63,12 +63,6 @@ class TrivialExtensionData:
         d = self.base.dim
         return k + d if k < d else k - d
 
-    def part_of(self, k: int) -> str:
-        return "A" if k < self.base.dim else "DA"
-
-    def old_arrows(self):
-        return [rep for rep in self.T.arrows if not rep.is_new]
-
     def new_arrow_reps(self):
         return [rep for rep in self.T.arrows if rep.is_new]
 

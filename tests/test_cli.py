@@ -124,7 +124,10 @@ def test_verdict_hh_check_cap_exit(capsys, dual_file, monkeypatch):
     monkeypatch.setenv("TRIVEXT_DIM_CAP", "10")
     code, out, _ = run(capsys, "verdict", dual_file, "--extend", "--hh-check", "4")
     assert code == 4
-    assert json.loads(out)["result"]["hh_check"]["truncated_at"] is not None
+    hh_check = json.loads(out)["result"]["hh_check"]
+    assert hh_check["truncated_at"] is not None
+    # degrees cut off by the cap corroborate nothing
+    assert hh_check["corroborates_infinite"] is None
 
 
 def test_cartan_command(capsys, a2_file):

@@ -1,0 +1,106 @@
+"""The structural checks behind `FDAlgebra.validate`, against perturbed
+structure tables and an all-triples reference for associativity."""
+
+import copy
+import random
+
+import pytest
+
+from trivext.algebra import AlgebraBuildError
+
+SMALL = ["semisimple_k", "dual_numbers", "local_two_loops", "semisimple_k2",
+         "nakayama_cycle_2", "nakayama_cycle_3", "path_a2"]  # dim T(A) <= 16
+PERTURBATIONS_PER_ALGEBRA = 52
+
+
+def associative_on_all_triples(X) -> bool:
+    """Reference: (b_i b_j) b_k == b_i (b_j b_k) on all d^3 basis triples."""
+    for i in range(X.dim):
+        ei = X.basis_element(i)
+        for j in range(X.dim):
+            left = X.table[i][j]
+            for k in range(X.dim):
+                lhs = X.multiply(left, X.basis_element(k))
+                rhs = X.multiply(ei, X.table[j][k])
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def perturbed(X, i, j, k):
+    """A copy of X with 1 added to coordinate k of b_i * b_j."""
+    f = X.field
+    Y = copy.copy(X)
+    Y.table = [list(row) for row in X.table]
+    entry = dict(X.table[i][j])
+    value = f.add(entry.get(k, f.zero()), f.one())
+    if value:
+        entry[k] = value
+    else:
+        del entry[k]
+    Y.table[i][j] = entry
+    return Y
+
+
+def small_algebras(algebras, extensions):
+    for name in SMALL:
+        yield name, algebras[name]
+        yield f"T({name})", extensions[name].T
+
+
+def test_small_corpus_selection(extensions):
+    assert sorted(SMALL) == sorted(n for n, tri in extensions.items()
+                                   if tri.T.dim <= 16)
+
+
+def test_generator_check_agrees_with_all_triples(algebras, extensions):
+    rng = random.Random(20151030)
+    outcomes = []
+    for name, X in small_algebras(algebras, extensions):
+        assert X.check_associativity() and associative_on_all_triples(X), name
+        for _ in range(PERTURBATIONS_PER_ALGEBRA):
+            i, j, k = (rng.randrange(X.dim) for _ in range(3))
+            Y = perturbed(X, i, j, k)
+            want = associative_on_all_triples(Y)
+            assert Y.check_associativity() == want, (name, i, j, k)
+            outcomes.append(want)
+    # both verdicts occur, so the agreement is not vacuous
+    assert outcomes.count(True) and outcomes.count(False)
+
+
+def test_perturbation_at_non_generator_pair_is_caught(extensions):
+    # e_v* is no generator of T(dual_numbers), and e_v* * e_v* = 0 because
+    # DA * DA = 0; the generator triples never read that entry directly
+    T = extensions["dual_numbers"].T
+    e_star = T.basis_labels.index("e_v*")
+    gens = set(T.idempotent_indices) | {rep.basis_index for rep in T.arrows}
+    assert e_star not in gens and T.table[e_star][e_star] == {}
+    for k in range(T.dim):
+        Y = perturbed(T, e_star, e_star, k)
+        assert not associative_on_all_triples(Y)
+        assert not Y.check_associativity(), T.basis_labels[k]
+
+
+def test_idempotent_check_catches_perturbation(algebras):
+    A = algebras["dual_numbers"]
+    e = A.idempotent_indices[0]
+    assert A.check_idempotents()
+    assert not perturbed(A, e, e, e).check_idempotents()  # e * e = 2 e
+
+
+def test_peirce_check_catches_perturbation(algebras):
+    A = algebras["path_a2"]
+    a = A.basis_labels.index("a")
+    e2 = A.basis_labels.index("e_2")
+    assert A.check_peirce()
+    # a = e_2 a e_1, so a * e_2 must vanish
+    assert not perturbed(A, a, e2, a).check_peirce()
+
+
+def test_validate_rejects_arrows_that_do_not_generate(extensions):
+    T = copy.deepcopy(extensions["dual_numbers"].T)
+    T.arrows = [rep for rep in T.arrows if not rep.is_new]
+    assert T.check_idempotents() and T.check_peirce()
+    with pytest.raises(AlgebraBuildError, match="generate") as err:
+        T.validate()
+    assert "associative" not in str(err.value)
