@@ -124,9 +124,6 @@ class FDAlgebra:
             v[k] = c
         return v
 
-    def from_dense(self, v) -> dict:
-        return {k: c for k, c in enumerate(v) if c}
-
     def radical_basis_indices(self) -> list[int]:
         idem = set(self.idempotent_indices)
         return [k for k in range(self.dim) if k not in idem]
@@ -225,7 +222,8 @@ class FDAlgebra:
 
 
 class Subspace:
-    """A subspace of the underlying vector space of an algebra."""
+    """A subspace of the underlying vector space of an algebra; vectors are
+    sparse dicts {basis index: coefficient}."""
 
     def __init__(self, algebra: FDAlgebra, vectors=()):
         self.algebra = algebra
@@ -234,8 +232,6 @@ class Subspace:
             self.add(v)
 
     def add(self, vec) -> bool:
-        if isinstance(vec, dict):
-            vec = self.algebra.to_dense(vec)
         return self.echelon.add(vec)
 
     @property
@@ -243,15 +239,10 @@ class Subspace:
         return self.echelon.rank
 
     def contains(self, vec) -> bool:
-        if isinstance(vec, dict):
-            vec = self.algebra.to_dense(vec)
         return self.echelon.contains(vec)
 
-    def basis_dense(self) -> list[list]:
-        return self.echelon.basis()
-
     def basis_sparse(self) -> list[dict]:
-        return [self.algebra.from_dense(v) for v in self.echelon.basis()]
+        return self.echelon.basis()
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.echelon.contains(v) for v in other.echelon.rows)
@@ -265,22 +256,14 @@ class Subspace:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    out = Subspace(a.algebra)
-    for v in a.echelon.rows:
-        out.add(list(v))
-    for v in b.echelon.rows:
-        out.add(list(v))
-    return out
+    return Subspace(a.algebra, a.echelon.rows + b.echelon.rows)
 
 
 def span_products(left: Subspace, right: Subspace) -> Subspace:
     """The span of all products x*y with x in `left`, y in `right`."""
     A = left.algebra
-    out = Subspace(A)
-    for x in left.basis_sparse():
-        for y in right.basis_sparse():
-            out.add(A.multiply(x, y))
-    return out
+    return Subspace(A, (A.multiply(x, y) for x in left.echelon.rows
+                        for y in right.echelon.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +281,7 @@ class _SliceQuotient:
 
 
 def _relation_slice_vectors(field, relations, groups, w, path_index):
-    """Ideal vectors p * rho * q of total weight w, as dense coordinate
+    """Ideal vectors p * rho * q of total weight w, as sparse coordinate
     vectors on the weight-w paths."""
     vectors = []
     weights = sorted(groups)
@@ -314,12 +297,11 @@ def _relation_slice_vectors(field, relations, groups, w, path_index):
                 for p in groups[wp]:
                     if p.start != rel.end:
                         continue
-                    vec = [field.zero()] * len(path_index)
+                    vec: dict = {}
                     for c, t in rel.terms:
-                        full = compose(p, compose(t, q))
-                        vec[path_index[full.label()]] = field.add(
-                            vec[path_index[full.label()]], c)
-                    if any(vec):
+                        k = path_index[compose(p, compose(t, q)).label()]
+                        vec[k] = field.add(vec.get(k, field.zero()), c)
+                    if any(vec.values()):
                         vectors.append(vec)
     return vectors
 
@@ -392,15 +374,15 @@ def _build_bounded(pres: Presentation):
                     continue
                 if q_path.length + min_len + p_path.length > N:
                     continue
-                vec = [f.zero()] * len(order)
+                vec: dict = {}
                 for c, t in rel.terms:
                     total = q_path.length + t.length + p_path.length
                     if total > N:
                         continue  # truncated: lies in the N+1st radical power
                     full = compose(p_path, compose(t, q_path))
                     k = path_index[full.label()]
-                    vec[k] = f.add(vec[k], c)
-                if any(vec):
+                    vec[k] = f.add(vec.get(k, f.zero()), c)
+                if any(vec.values()):
                     ech.add(vec)
     pivots = set(ech.pivots)
     basis_positions = [k for k in range(len(order)) if k not in pivots]
@@ -466,14 +448,8 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
             if w >= cutoff or w not in slices:
                 return {}
             sl = slices[w]
-            vec = [f.zero()] * len(sl.paths)
-            vec[sl.index[path.label()]] = f.one()
-            res = sl.echelon.reduce(vec)
-            out = {}
-            for k in sl.basis_positions:
-                if res[k]:
-                    out[global_index[sl.paths[k].label()]] = res[k]
-            return out
+            res = sl.echelon.reduce({sl.index[path.label()]: f.one()})
+            return {global_index[sl.paths[k].label()]: res[k] for k in sorted(res)}
     else:
         order, path_index, ech, basis_positions = _build_bounded(pres)
         basis_paths = [order[k] for k in basis_positions]
@@ -483,14 +459,8 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
         def normal_form(path: Path) -> dict:
             if path.length > N:
                 return {}
-            vec = [f.zero()] * len(order)
-            vec[path_index[path.label()]] = f.one()
-            res = ech.reduce(vec)
-            out = {}
-            for k in basis_positions:
-                if res[k]:
-                    out[global_index[order[k].label()]] = res[k]
-            return out
+            res = ech.reduce({path_index[path.label()]: f.one()})
+            return {global_index[order[k].label()]: res[k] for k in sorted(res)}
 
     global_index = {p.label(): k for k, p in enumerate(basis_paths)}
     labels = [p.label() for p in basis_paths]
@@ -589,8 +559,7 @@ def trace_form_radical(A: FDAlgebra) -> Subspace:
             for k, c in A.table[i][j].items():
                 v = f.add(v, f.mul(c, traces[k]))
             gram.set(i, j, v)
-    red = row_reduce(gram)
-    return Subspace(A, [A.from_dense(v) for v in red.kernel_basis])
+    return Subspace(A, row_reduce(gram).kernel_basis)
 
 
 def loewy_length(A: FDAlgebra) -> int:
@@ -604,19 +573,10 @@ def vertex_loewy_lengths(A: FDAlgebra) -> list[int]:
     chain = radical_chain(A)
     out = []
     for i in range(A.num_vertices):
-        cols = [k for k, (src, _tgt) in enumerate(A.peirce) if src == i]
-        length = 0
-        for m, sub in enumerate(chain):
-            restricted = Echelon(A.field, A.dim)
-            for row in sub.echelon.rows:
-                v = [A.field.zero()] * A.dim
-                for k in cols:
-                    v[k] = row[k]
-                restricted.add(v)
-            if restricted.rank == 0:
-                length = m
-                break
-        out.append(length)
+        # the least m where the rows of rad^m all vanish on the paths from i
+        out.append(next(m for m, sub in enumerate(chain)
+                        if not any(A.peirce[k][0] == i
+                                   for row in sub.echelon.rows for k in row)))
     return out
 
 
@@ -627,43 +587,28 @@ class SocleData:
     bimodule: Subspace         # socle of A as a bimodule
 
     def left_total(self) -> Subspace:
-        total = Subspace(self.bimodule.algebra)
-        for s in self.left:
-            for v in s.echelon.rows:
-                total.add(list(v))
-        return total
+        return Subspace(self.bimodule.algebra,
+                        (v for s in self.left for v in s.echelon.rows))
 
 
 def _annihilator(A: FDAlgebra, columns, left=True, right=True) -> list[dict]:
     """Kernel vectors on the given coordinate set of the stacked
     multiplication maps by all arrow representatives."""
-    f = A.field
-    rows_per_arrow = A.dim
-    matrices = []
-    for rep in A.arrows:
-        a = rep.element()
-        for side in (("L",) if left and not right else
-                     ("R",) if right and not left else ("L", "R")):
-            m = ExactMatrix(rows_per_arrow, len(columns), f)
-            for cidx, k in enumerate(columns):
-                b = A.basis_element(k)
-                prod = A.multiply(a, b) if side == "L" else A.multiply(b, a)
-                for rk, cv in prod.items():
-                    m.set(rk, cidx, cv)
-            matrices.append(m)
-    if not matrices:
+    f, T, d = A.field, A.table, A.dim
+    if not A.arrows:
         return [{k: f.one()} for k in columns]
-    stacked = ExactMatrix(len(matrices) * rows_per_arrow, len(columns), f)
-    for block, m in enumerate(matrices):
-        off = block * rows_per_arrow
-        for c, col in enumerate(m.cols):
-            for r, v in col.items():
-                stacked.set(off + r, c, v)
-    red = row_reduce(stacked)
-    out = []
-    for kvec in red.kernel_basis:
-        out.append({columns[c]: v for c, v in enumerate(kvec) if v})
-    return out
+    # one block of d rows per arrow a and side: a * b_k on the left,
+    # b_k * a on the right
+    blocks = [(rep.basis_index, side) for rep in A.arrows
+              for side in (("L",) if left and not right else
+                           ("R",) if right and not left else ("L", "R"))]
+    stacked = ExactMatrix(len(blocks) * d, len(columns), f)
+    for col, k in zip(stacked.cols, columns):
+        for off, (a, side) in enumerate(blocks):
+            for r, x in (T[a][k] if side == "L" else T[k][a]).items():
+                col[off * d + r] = x
+    return [{columns[c]: v for c, v in kvec.items()}
+            for kvec in row_reduce(stacked).kernel_basis]
 
 
 def socles(A: FDAlgebra) -> SocleData:
@@ -799,12 +744,9 @@ def quiver_of(A: FDAlgebra):
                      if (s, t) == (k_src, k_tgt) and k not in idem]
             if not block:
                 continue
-            sub_rows = []
-            for row in rad2.echelon.rows:
-                v = [row[k] for k in block]
-                if any(v):
-                    sub_rows.append(v)
-            qmap = QuotientMap(f, len(block), sub_rows)
+            sub_rows = ({c: row[k] for c, k in enumerate(block) if k in row}
+                        for row in rad2.echelon.rows)
+            qmap = QuotientMap(f, len(block), filter(None, sub_rows))
             for c in qmap.free_columns:
                 k = block[c]
                 reps.append(ArrowRep(

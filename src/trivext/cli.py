@@ -34,6 +34,10 @@ EXIT_CAP = 4
 
 SCHEMA = "trivext-report/1"
 
+# least accepted value of each integer option: HH_0 alone corroborates
+# nothing, and a relation needs at least two arrows
+MINIMUM = {"--hh-check": 1, "--max": 0, "--relations-cap": 2}
+
 
 def _tuple_cap() -> int:
     env = os.environ.get("TRIVEXT_DIM_CAP")
@@ -292,6 +296,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._t0 = time.monotonic()
+    for flag, low in MINIMUM.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < low:
+            print(f"error: {flag} must be at least {low}, got {value}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     except (DSLError, AlgebraBuildError) as exc:

@@ -151,15 +151,9 @@ def quiver_match_checks(tri: TrivialExtensionData) -> dict:
         for j in range(A.num_vertices):
             block = [k for k, (src, tgt) in enumerate(A.peirce)
                      if (src, tgt) == (j, i)]
-            dim = 0
-            if block:
-                proj = Subspace(A)
-                for row in soc.basis_dense():
-                    v = [A.field.zero()] * A.dim
-                    for k in block:
-                        v[k] = row[k]
-                    proj.add(v)
-                dim = proj.dim
+            proj = Subspace(A, ({k: row[k] for k in block if k in row}
+                                for row in soc.echelon.rows))
+            dim = proj.dim
             if dim:
                 soc_block_dims[(A.vertex_names[i], A.vertex_names[j])] = dim
     new_counts: dict = {}

@@ -1,13 +1,22 @@
-"""Exact scalars, exact matrices, and integer-polynomial determinants.
+"""Exact scalars, sparse elimination, exact matrices, and integer-polynomial
+determinants.
 
 The ground field is either Q (scalars are `fractions.Fraction`, always in
 lowest terms with positive denominator) or F_p for a prime p (scalars are
 ints in [0, p)).  Everything in this module is exact; no floating point is
 used anywhere in the package.
+
+There are two elimination engines, both on sparse vectors.  `Echelon`
+keeps a row space in reduced echelon form: every span, kernel, quotient
+and ideal slice of the package goes through it, and `row_reduce` is built
+on it.  `SparseRank` only counts the rank of columns fed one at a time,
+eliminating over Q by integer cross multiplication; it serves the large
+bar-complex boundaries of the homology oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -111,64 +120,109 @@ def GF(p: int) -> GroundField:
 
 
 # ---------------------------------------------------------------------------
-# dense row spaces
+# sparse row spaces
 
 
 class Echelon:
     """A growing row space kept in reduced echelon form over a ground field.
 
-    Rows are dense lists; pivot entries are normalized to 1 and pivot
-    columns are cleared in all other rows, so reductions are canonical.
-    Suitable for the desk-scale spans used throughout (ideal slices,
-    socles, radical filtrations); the bar-complex ranks use `SparseRank`.
+    Rows are sparse dicts {column: value}.  The pivot of a row is its first
+    nonzero column, normalized to 1 and cleared in every other row, so the
+    rows are the reduced echelon basis of the span and every result is
+    canonical.  Vectors may be given as dicts or as dense lists of length
+    `width`; the work per operation is proportional to the nonzeros it
+    touches.  Used for the desk-scale spans throughout (ideal slices,
+    socles, radical filtrations, kernels); the bar-complex ranks use
+    `SparseRank`.
     """
 
     def __init__(self, field: GroundField, width: int):
         self.field = field
         self.width = width
-        self.rows: list[list] = []
+        self.rows: list[dict] = []    # ordered by pivot
         self.pivots: list[int] = []
+        self._row_at: dict = {}       # pivot column -> its row
+        self._holders: dict = {}      # other column -> pivots of the rows using it
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list:
-        """Canonical residual of `vec` modulo the current row space."""
-        if len(vec) != self.width:
+    def _sparse(self, vec) -> dict:
+        """A fresh sparse copy of `vec` with coerced, nonzero entries."""
+        if isinstance(vec, dict):
+            items = vec.items()
+        elif len(vec) != self.width:
             raise FieldMismatchError(
                 f"vector of length {len(vec)} in ambient dimension {self.width}")
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        else:
+            items = enumerate(vec)
+        coerce, out = self.field.coerce, {}
+        for k, x in items:
+            if x:
+                x = coerce(x)
+                if x:
+                    out[k] = x
+        return out
+
+    def reduce(self, vec) -> dict:
+        """Canonical residual of `vec` modulo the current row space:
+        v - sum of v[p] * row_p over the pivots p in the support of v."""
+        v = self._sparse(vec)
+        row_at, p = self._row_at, self.field.p
+        for j, c in [(j, c) for j, c in v.items() if j in row_at]:
+            for k, b in row_at[j].items():
+                x = v.get(k, 0) - c * b
+                if p:
+                    x %= p
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
         return v
 
     def add(self, vec) -> bool:
         """Insert `vec`; True iff it enlarged the span."""
-        f = self.field
         v = self.reduce(vec)
-        j = next((k for k, x in enumerate(v) if x), None)
-        if j is None:
+        if not v:
             return False
-        c = f.inv(v[j])
-        v = [f.mul(c, x) for x in v]
-        for i, row in enumerate(self.rows):
+        f, j = self.field, min(v)
+        if v[j] != 1:
+            c = f.inv(v[j])
+            v = {k: f.mul(c, x) for k, x in v.items()}
+        p, holders = f.p, self._holders
+        # clear column j in the rows that use it
+        for i in holders.pop(j, ()):
+            row = self._row_at[i]
             d = row[j]
-            if d:
-                self.rows[i] = [f.sub(a, f.mul(d, b)) for a, b in zip(row, v)]
-        at = next((i for i, p in enumerate(self.pivots) if p > j), len(self.pivots))
+            for k, b in v.items():
+                x = row.get(k, 0) - d * b
+                if p:
+                    x %= p
+                if not x:
+                    del row[k]
+                    if k != j:
+                        holders[k].discard(i)
+                elif k not in row:
+                    row[k] = x
+                    holders.setdefault(k, set()).add(i)
+                else:
+                    row[k] = x
+        for k in v:
+            if k != j:
+                holders.setdefault(k, set()).add(j)
+        at = bisect_left(self.pivots, j)
         self.rows.insert(at, v)
         self.pivots.insert(at, j)
+        self._row_at[j] = v
         return True
 
     def contains(self, vec) -> bool:
-        return all(not x for x in self.reduce(vec))
+        return not self.reduce(vec)
 
-    def basis(self) -> list[list]:
-        return [list(r) for r in self.rows]
+    def basis(self) -> list[dict]:
+        """Copies of the rows, each with its columns in increasing order."""
+        return [dict(sorted(r.items())) for r in self.rows]
 
     def same_space(self, other: "Echelon") -> bool:
         return self.pivots == other.pivots and self.rows == other.rows
@@ -180,6 +234,8 @@ class QuotientMap:
     The subspace is echelonized; the quotient coordinates are the non-pivot
     columns of the reduced form.  `apply` kills the subspace and is onto,
     `lift` is the section placing quotient coordinates at the free columns.
+    Vectors in k^n may be dense lists or sparse dicts; quotient vectors are
+    dense lists.
     """
 
     def __init__(self, field: GroundField, ambient_dim: int, sub_basis):
@@ -187,17 +243,14 @@ class QuotientMap:
         self.ambient_dim = ambient_dim
         self.echelon = Echelon(field, ambient_dim)
         for v in sub_basis:
-            if len(v) != ambient_dim:
-                raise FieldMismatchError(
-                    f"subspace vector of length {len(v)} in ambient dimension {ambient_dim}")
             self.echelon.add(v)
         piv = set(self.echelon.pivots)
         self.free_columns = [j for j in range(ambient_dim) if j not in piv]
         self.quotient_dim = len(self.free_columns)
 
     def apply(self, vec) -> list:
-        res = self.echelon.reduce(vec)
-        return [res[j] for j in self.free_columns]
+        res, zero = self.echelon.reduce(vec), self.field.zero()
+        return [res.get(j, zero) for j in self.free_columns]
 
     def lift(self, qvec) -> list:
         f = self.field
@@ -251,24 +304,8 @@ class ExactMatrix:
     def get(self, r: int, c: int):
         return self.cols[c].get(r, self.field.zero())
 
-    def to_rows(self) -> list[list]:
-        rows = [[self.field.zero()] * self.ncols for _ in range(self.nrows)]
-        for c, col in enumerate(self.cols):
-            for r, x in col.items():
-                rows[r][c] = x
-        return rows
-
-    def apply(self, vec) -> list:
-        """Matrix-vector product; `vec` has length ncols."""
-        f = self.field
-        out = [f.zero()] * self.nrows
-        for c, x in enumerate(vec):
-            if x:
-                for r, y in self.cols[c].items():
-                    out[r] = f.add(out[r], f.mul(x, y))
-        return out
-
     def apply_column(self, col: dict) -> dict:
+        """Matrix-vector product of a sparse vector {column: value}."""
         f = self.field
         out: dict = {}
         for c, x in col.items():
@@ -313,28 +350,29 @@ class RowReduction:
 def row_reduce(m: ExactMatrix) -> RowReduction:
     """Rank, canonical kernel basis and pivot columns of an exact matrix.
 
-    The kernel basis spans {v : m v = 0} and is itself returned in reduced
-    echelon form, so the output is canonical for the given matrix.
+    The nonzero rows are read off the columns and echelonized; the kernel
+    basis spans {v : m v = 0}, as sparse dicts, and is itself returned in
+    reduced echelon form, so the output is canonical for the given matrix.
     """
     f = m.field
+    rows: dict = {}
+    for c, col in enumerate(m.cols):
+        for r, x in col.items():
+            rows.setdefault(r, {})[c] = x
     ech = Echelon(f, m.ncols)
-    for row in m.to_rows():
-        ech.add(row)
-    pivots = list(ech.pivots)
-    rank = ech.rank
-    piv_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in piv_set]
-    kernel = []
-    for j in free:
-        v = [f.zero()] * m.ncols
-        v[j] = f.one()
-        for row, p in zip(ech.rows, pivots):
-            v[p] = f.neg(row[j])
-        kernel.append(v)
-    ker_ech = Echelon(f, m.ncols)
-    for v in kernel:
-        ker_ech.add(v)
-    return RowReduction(rank=rank, kernel_basis=ker_ech.basis(), pivot_columns=pivots)
+    for r in sorted(rows):
+        ech.add(rows[r])
+    pivots = set(ech.pivots)
+    kernel = Echelon(f, m.ncols)
+    for j in range(m.ncols):
+        if j not in pivots:
+            v = {j: f.one()}
+            for row, p in zip(ech.rows, ech.pivots):
+                if j in row:
+                    v[p] = f.neg(row[j])
+            kernel.add(v)
+    return RowReduction(rank=ech.rank, kernel_basis=kernel.basis(),
+                        pivot_columns=list(ech.pivots))
 
 
 class SparseRank:

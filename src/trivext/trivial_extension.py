@@ -136,7 +136,7 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
         degrees = list(A.degrees) + [s + 1 - l for l in A.degrees]
 
     soc = socles(A).bimodule
-    socle_rows = soc.basis_dense()
+    socle_rows = soc.basis_sparse()
 
     # one new arrow i -> j per pivot of the reduced echelon basis of
     # e_i(soc)e_j; its representative is the dual of the pivot basis path
@@ -150,7 +150,9 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
                 continue
             ech = Echelon(f, len(block))
             for row in socle_rows:
-                ech.add([row[k] for k in block])
+                v = {c: row[k] for c, k in enumerate(block) if k in row}
+                if v:
+                    ech.add(v)
             for pivot in ech.pivots:
                 counter += 1
                 b = block[pivot]
@@ -177,12 +179,12 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
 
     xi = ExactMatrix(len(socle_rows), d, f)
     for t, row in enumerate(socle_rows):
-        for u, c in enumerate(row):
-            if c:
-                xi.set(t, u, c)
+        for u, c in row.items():
+            xi.set(t, u, c)
 
     return TrivialExtensionData(base=A, T=T, new_arrows=new_arrows,
-                                socle_basis=socle_rows, xi_matrix=xi)
+                                socle_basis=[A.to_dense(v) for v in socle_rows],
+                                xi_matrix=xi)
 
 
 def graded_trivial_extension(A: FDAlgebra, **kw) -> TrivialExtensionData:
@@ -234,9 +236,12 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     """Length-homogeneous generators of the kernel of the evaluation map
     from the extended path algebra onto T(A), found per length <= cap.
 
-    For each length l and each Peirce block, a basis of the kernel of the
-    evaluation on length-l paths is reduced modulo the products p * g * q
-    of previously found generators; the new vectors become generators.
+    The ideal generated so far is kept one length slice at a time: the
+    slice I_l is spanned by a * I_{l-1} and I_{l-1} * a over the arrows a,
+    read off the reduced echelon rows of I_{l-1}.  For each length l <= cap
+    and each Peirce block, a basis of the kernel of the evaluation on
+    length-l paths is then reduced modulo I_l; the vectors that enlarge it
+    become generators and join I_l.
     The returned record also reports the dimension of the quotient by the
     generated ideal: if it equals dim T(A) the generator set presents the
     algebra.  (Kernel elements mixing several path lengths, which occur
@@ -253,64 +258,54 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     T = tri.T
     f = T.field
 
-    by_length: dict[int, list[Path]] = {0: [Path.stationary(v) for v in qext.vertices]}
+    layer = [Path.stationary(v) for v in qext.vertices]
+    ideal = Echelon(f, len(layer))
     gens: list[RelationExpr] = []
-    quotient_dims = [len(by_length[0])]
+    quotient_dim = len(layer)
 
-    max_probe = max(cap, 3 * ll + 3)
-    for length in range(1, max_probe + 1):
-        layer = []
+    for length in range(1, max(cap, 3 * ll + 3) + 1):
+        prev, prev_ideal = layer, ideal
+        # the paths p * a (a first), recording where each one lands
+        layer, right = [], []
         for a in qext.arrows:
-            for p in by_length[length - 1]:
+            right.append({})
+            for k, p in enumerate(prev):
                 if p.start == a.target:
+                    right[-1][k] = len(layer)
                     layer.append(Path(a.source, p.end, (a,) + p.arrows))
-        by_length[length] = layer
-        if not layer:
-            break
         if len(layer) > 20_000:
             # runaway path growth (cap far below the Loewy length); give up
             # on the quotient dimension rather than thrash
             return RelationSet(generators=gens, cap=cap, quotient_dim=None,
                                complete=False)
+        index = {p: k for k, p in enumerate(layer)}
+        # the paths a * p (p first)
+        left = [{k: index[compose(Path.of_arrow(a), p)]
+                 for k, p in enumerate(prev) if p.end == a.source}
+                for a in qext.arrows]
 
-        index = {p.label(): k for k, p in enumerate(layer)}
         ideal = Echelon(f, len(layer))
-        for g in gens:
-            glen = g.terms[0][1].length
-            for lq in range(0, length - glen + 1):
-                lp = length - glen - lq
-                for qp in by_length.get(lq, ()):  # right factor, applied first
-                    if qp.end != g.start:
-                        continue
-                    for pp in by_length.get(lp, ()):
-                        if pp.start != g.end:
-                            continue
-                        vec = [f.zero()] * len(layer)
-                        for c, gpath in g.terms:
-                            full = compose(pp, compose(gpath, qp))
-                            k = index[full.label()]
-                            vec[k] = f.add(vec[k], c)
-                        if any(vec):
-                            ideal.add(vec)
+        for row in prev_ideal.rows:
+            for ext in right + left:
+                vec = {ext[k]: c for k, c in row.items() if k in ext}
+                if vec:
+                    ideal.add(vec)
 
         if 2 <= length <= cap:
             for vec in _slice_kernel(tri, layer):
                 if ideal.add(vec):
-                    terms = tuple((c, p) for c, p in zip(vec, layer) if c)
-                    gens.append(RelationExpr(terms))
+                    gens.append(RelationExpr(tuple((vec[k], layer[k])
+                                                   for k in sorted(vec))))
 
-        quotient_dims.append(len(layer) - ideal.rank)
-        if quotient_dims[-1] == 0:
-            # every longer path lies in the generated ideal, so the
-            # quotient dimension is exact and the search is finished
-            return RelationSet(generators=gens, cap=cap,
-                               quotient_dim=sum(quotient_dims),
-                               complete=(sum(quotient_dims) == T.dim))
+        slice_dim = len(layer) - ideal.rank
+        quotient_dim += slice_dim
+        if slice_dim == 0:
+            # every longer path lies in the generated ideal (or there is
+            # none), so the quotient dimension is exact and the search is
+            # finished
+            return RelationSet(generators=gens, cap=cap, quotient_dim=quotient_dim,
+                               complete=(quotient_dim == T.dim))
 
-    if not by_length[max(by_length)]:
-        total = sum(quotient_dims)
-        return RelationSet(generators=gens, cap=cap, quotient_dim=total,
-                           complete=(total == T.dim))
     # probe limit hit without a dead slice: dimension left undetermined
     return RelationSet(generators=gens, cap=cap, quotient_dim=None, complete=False)
 
@@ -330,10 +325,6 @@ def _slice_kernel(tri: TrivialExtensionData, layer):
         for c, k in enumerate(cols):
             for rk, cv in tri.phi(layer[k]).items():
                 m.set(rk, c, cv)
-        red = row_reduce(m)
-        for kvec in red.kernel_basis:
-            vec = [f.zero()] * len(layer)
-            for c, v in enumerate(kvec):
-                vec[cols[c]] = v
-            out.append(vec)
+        out.extend({cols[c]: v for c, v in kvec.items()}
+                   for kvec in row_reduce(m).kernel_basis)
     return out

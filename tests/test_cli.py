@@ -130,6 +130,32 @@ def test_verdict_hh_check_cap_exit(capsys, dual_file, monkeypatch):
     assert hh_check["corroborates_infinite"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ("verdict", "--extend", "--hh-check", "0"),
+    ("verdict", "--hh-check", "-1"),
+    ("hh", "--max", "-1"),
+    ("trivext", "--relations-cap", "1"),
+])
+def test_out_of_range_option_is_input_error(capsys, dual_file, argv):
+    command, *options = argv
+    code, out, err = run(capsys, command, dual_file, *options)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and options[-2] in err
+
+
+def test_smallest_accepted_option_values(capsys, dual_file):
+    code, out, _ = run(capsys, "verdict", dual_file, "--extend", "--hh-check", "1")
+    assert code == 0
+    assert json.loads(out)["result"]["hh_check"]["corroborates_infinite"] is True
+    code, out, _ = run(capsys, "hh", dual_file, "--max", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["dims"] == [[0, 2]]
+    code, out, _ = run(capsys, "trivext", dual_file, "--relations-cap", "2")
+    assert code == 0
+    assert json.loads(out)["result"]["relations"]["cap"] == 2
+
+
 def test_cartan_command(capsys, a2_file):
     code, out, _ = run(capsys, "cartan", a2_file)
     assert code == 0

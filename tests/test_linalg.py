@@ -21,7 +21,7 @@ def test_identity_matrix_full_rank():
 def test_one_by_two_kernel():
     red = row_reduce(ExactMatrix.from_rows([[1, 1]], QQ))
     assert red.rank == 1
-    assert red.kernel_basis == [[Fraction(1), Fraction(-1)]]
+    assert red.kernel_basis == [{0: Fraction(1), 1: Fraction(-1)}]
 
 
 def test_dual_numbers_multiplication_matrix_kernel():
@@ -30,7 +30,7 @@ def test_dual_numbers_multiplication_matrix_kernel():
     m = ExactMatrix.from_rows([[0, 0], [1, 0]], QQ)
     red = row_reduce(m)
     assert red.rank == 1
-    assert red.kernel_basis == [[Fraction(0), Fraction(1)]]
+    assert red.kernel_basis == [{1: Fraction(1)}]
 
 
 def test_rank_nullity_and_exact_kernel_random():
@@ -44,7 +44,7 @@ def test_rank_nullity_and_exact_kernel_random():
         red = row_reduce(m)
         assert red.rank + len(red.kernel_basis) == cols
         for v in red.kernel_basis:
-            assert all(x == 0 for x in m.apply(v))
+            assert not m.apply_column(v)
         ech = Echelon(QQ, cols)
         for v in red.kernel_basis:
             assert ech.add(v)  # linearly independent
@@ -61,6 +61,142 @@ def test_sparse_rank_agrees_with_dense():
                     for _ in range(rows)]
             m = ExactMatrix.from_rows(data, field)
             assert m.rank() == row_reduce(m).rank
+
+
+# -- the sparse echelon engine against the dense one it replaced ---------------
+
+
+class DenseEchelon:
+    """Reference: the dense reduced echelon engine, rows as full lists."""
+
+    def __init__(self, field, width):
+        self.field = field
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        f = self.field
+        v = [f.coerce(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        f = self.field
+        v = self.reduce(vec)
+        j = next((k for k, x in enumerate(v) if x), None)
+        if j is None:
+            return False
+        c = f.inv(v[j])
+        v = [f.mul(c, x) for x in v]
+        for i, row in enumerate(self.rows):
+            d = row[j]
+            if d:
+                self.rows[i] = [f.sub(a, f.mul(d, b)) for a, b in zip(row, v)]
+        at = next((i for i, p in enumerate(self.pivots) if p > j), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, j)
+        return True
+
+    def contains(self, vec):
+        return all(not x for x in self.reduce(vec))
+
+
+def dense_row_reduce(m):
+    """Reference: rank, kernel basis and pivot columns from dense rows."""
+    f = m.field
+    ech = DenseEchelon(f, m.ncols)
+    for r in range(m.nrows):
+        ech.add([m.get(r, c) for c in range(m.ncols)])
+    free = [j for j in range(m.ncols) if j not in ech.pivots]
+    ker = DenseEchelon(f, m.ncols)
+    for j in free:
+        v = [f.zero()] * m.ncols
+        v[j] = f.one()
+        for row, p in zip(ech.rows, ech.pivots):
+            v[p] = f.neg(row[j])
+        ker.add(v)
+    return ech.rank, ker.rows, ech.pivots
+
+
+def dense(vec, width, field):
+    out = [field.zero()] * width
+    for k, x in vec.items():
+        out[k] = x
+    return out
+
+
+def random_fraction(rng, field, bound):
+    """A Fraction with a denominator that is invertible in `field`."""
+    den = rng.randrange(1, 5)
+    return Fraction(rng.randrange(-bound, bound + 1),
+                    1 if field.p and den % field.p == 0 else den)
+
+
+def random_rows(rng, field, nrows, ncols):
+    """Rows with Fraction entries (reduced mod p over F_p), about half of
+    them zero, plus zero rows, repeated rows and combinations of rows."""
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.15 or not rows:
+            row = [random_fraction(rng, field, 5) if rng.random() < 0.5 else 0
+                   for _ in range(ncols)]
+        elif roll < 0.25:
+            row = [0] * ncols
+        elif roll < 0.4:
+            row = list(rng.choice(rows))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = field.coerce(random_fraction(rng, field, 3))
+            row = [field.add(x, field.mul(c, y)) for x, y in zip(a, b)]
+        rows.append([field.coerce(x) for x in row])
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)], ids=repr)
+def test_sparse_echelon_matches_dense_reference(field):
+    rng = random.Random(3605 + field.characteristic)
+    for _ in range(60):
+        width = rng.randrange(1, 12)
+        rows = random_rows(rng, field, rng.randrange(0, 14), width)
+        ech, ref = Echelon(field, width), DenseEchelon(field, width)
+        for i, row in enumerate(rows):
+            # dense and sparse inputs are the same vector to the engine
+            vec = row if i % 2 else {k: x for k, x in enumerate(row) if x}
+            assert ech.add(vec) == ref.add(row)
+            assert ech.pivots == ref.pivots
+            assert [dense(r, width, field) for r in ech.rows] == ref.rows
+            assert ech.rank == ref.rank
+        for probe in random_rows(rng, field, 6, width) + rows[:3]:
+            assert dense(ech.reduce(probe), width, field) == ref.reduce(probe)
+            assert ech.contains(probe) == ref.contains(probe)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=repr)
+def test_row_reduce_matches_dense_reference(field):
+    rng = random.Random(707 + field.characteristic)
+    for _ in range(60):
+        ncols = rng.randrange(1, 10)
+        m = ExactMatrix.from_rows(
+            random_rows(rng, field, rng.randrange(1, 12), ncols), field)
+        red = row_reduce(m)
+        rank, kernel, pivots = dense_row_reduce(m)
+        assert red.rank == rank
+        assert red.pivot_columns == pivots
+        assert [dense(v, ncols, field) for v in red.kernel_basis] == kernel
+
+
+def test_echelon_rejects_dense_vector_of_wrong_length():
+    with pytest.raises(FieldMismatchError):
+        Echelon(QQ, 3).add([1, 2])
 
 
 def test_field_mismatch_detected():

@@ -6,10 +6,13 @@ from trivext.algebra import (build_algebra, loewy_length, radical_subspace,
                              selfinjectivity, SelfinjectivityCertificate,
                              left_socle_in_bimodule_socle, Subspace,
                              span_products, subspace_sum)
-from trivext.dsl import parse_presentation
-from trivext.trivial_extension import (check_new_products_vanish, extended_quiver,
-                                       graded_trivial_extension, new_arrows,
-                                       relations_up_to, trivial_extension)
+from trivext.dsl import RelationExpr, parse_presentation
+from trivext.linalg import Echelon
+from trivext.quiver import Path, compose
+from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
+                                       extended_quiver, graded_trivial_extension,
+                                       new_arrows, relations_up_to,
+                                       trivial_extension)
 
 
 def build(text, **kw):
@@ -202,6 +205,87 @@ def test_relations_incomplete_for_length_inhomogeneous_base(extensions):
     rels = relations_up_to(extensions["five_vertex_weighted"], 4)
     assert not rels.complete
     assert rels.quotient_dim is None or rels.quotient_dim > 26
+
+
+def relations_by_enumeration(tri, cap=None):
+    """Reference: the ideal slice at each length spanned by every product
+    p * g * q of a path p, a generator g found so far and a path q."""
+    ll = loewy_length(tri.T)
+    cap = ll if cap is None else cap
+    qext = extended_quiver(tri)
+    f = tri.T.field
+    by_length = {0: [Path.stationary(v) for v in qext.vertices]}
+    gens, quotient_dims = [], [len(by_length[0])]
+    for length in range(1, max(cap, 3 * ll + 3) + 1):
+        layer = [Path(a.source, p.end, (a,) + p.arrows)
+                 for a in qext.arrows for p in by_length[length - 1]
+                 if p.start == a.target]
+        by_length[length] = layer
+        if not layer:
+            return gens, sum(quotient_dims)
+        if len(layer) > 20_000:
+            return gens, None
+        index = {p.label(): k for k, p in enumerate(layer)}
+        ideal = Echelon(f, len(layer))
+        for g in gens:
+            glen = g.terms[0][1].length
+            for lq in range(length - glen + 1):
+                for q in by_length[lq]:
+                    for p in by_length[length - glen - lq]:
+                        if q.end != g.start or p.start != g.end:
+                            continue
+                        vec = {}
+                        for c, t in g.terms:
+                            k = index[compose(p, compose(t, q)).label()]
+                            vec[k] = f.add(vec.get(k, f.zero()), c)
+                        ideal.add(vec)
+        if 2 <= length <= cap:
+            for vec in _slice_kernel(tri, layer):
+                if ideal.add(vec):
+                    gens.append(RelationExpr(tuple(
+                        (vec[k], layer[k]) for k in sorted(vec))))
+        quotient_dims.append(len(layer) - ideal.rank)
+        if quotient_dims[-1] == 0:
+            return gens, sum(quotient_dims)
+    return gens, None
+
+
+def assert_relations_match_enumeration(tri, cap, name):
+    rels = relations_up_to(tri, cap)
+    gens, quotient_dim = relations_by_enumeration(tri, cap)
+    assert [g.label() for g in rels.generators] == \
+        [g.label() for g in gens], (name, cap)
+    assert rels.quotient_dim == quotient_dim, (name, cap)
+    assert rels.complete == (quotient_dim == tri.T.dim), (name, cap)
+
+
+def test_relations_match_product_enumeration(extensions):
+    for name, tri in extensions.items():
+        for cap in (None, 2):
+            assert_relations_match_enumeration(tri, cap, name)
+
+
+# length-3 generators over F_5; a commutator over F_3; and a quiver with
+# a loop and one nonzero path d*c, where T(A) has new arrows of two
+# degrees and the length-sliced search stays incomplete
+MORE_PRESENTATIONS = {
+    "nakayama_cubed_f5": "field F 5\nvertices u v\narrow a : u -> v\n"
+                         "arrow b : v -> u\nrelation b*a*b\nrelation a*b*a\n",
+    "commutative_f3": "field F 3\nvertices v\narrow x : v -> v\n"
+                      "arrow y : v -> v\nrelation x*x\nrelation y*y\n"
+                      "relation x*y - y*x\n",
+    "loop_and_path": "field Q\nvertices u v w\narrow a : u -> v\narrow b : v -> w\n"
+                  "arrow c : w -> u\narrow d : u -> w\narrow l : v -> v\n"
+                  "relation b*a\nrelation c*b\nrelation a*c\nrelation c*d\n"
+                  "relation l*a\nrelation b*l\nrelation l*l\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MORE_PRESENTATIONS))
+def test_relations_match_product_enumeration_longer(name):
+    tri = trivial_extension(build(MORE_PRESENTATIONS[name]))
+    for cap in (None, 3, 4):
+        assert_relations_match_enumeration(tri, cap, name)
 
 
 def test_check_new_products_vanish(extensions):
