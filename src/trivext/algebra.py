@@ -1,13 +1,17 @@
 """Finite dimensional quiver algebras as exact structure constants.
 
 An algebra kQ/I is realized on a basis of path normal forms.  Construction
-proceeds by weight slices of the path algebra: when the relations are
-homogeneous for some admissible weighting of the arrows (explicit degrees,
-or path length), each weight slice of the ideal is echelonized
-independently and the enumeration stops once a full window of consecutive
-slices dies, which certifies that every longer path lies in the ideal.
-Otherwise an explicit nilpotency bound is required and the ideal is
-echelonized jointly on all paths up to the bound.
+proceeds by weight slices of the path algebra, grown by `path_layer`, and
+every slice of the ideal comes from one step, `ideal_slice`: the relations
+of the slice plus the rows of earlier slices multiplied by an arrow on
+either side.  When the relations are homogeneous for some admissible
+weighting of the arrows (explicit degrees, or path length), the slices are
+those of the grading and the enumeration stops once a full window of
+consecutive slices dies, which certifies that every longer path lies in
+the ideal.  Otherwise an explicit nilpotency bound is required: the ideal
+is the sum of the pieces spanned by the relation products with multipliers
+of each total length, truncated past the bound, on all paths up to it.
+A path layer of more than PATH_BUDGET paths raises PathBudgetExceeded.
 
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from .dsl import Presentation
 from .linalg import (Echelon, ExactMatrix, GroundField, QuotientMap, SparseRank,
                      row_reduce)
-from .quiver import Arrow, Path, Quiver, compose, paths_by_weight
+from .quiver import Arrow, Path, Quiver, compose, path_layer
 
 
 class AlgebraBuildError(ValueError):
@@ -273,37 +277,32 @@ def span_products(left: Subspace, right: Subspace) -> Subspace:
 class _SliceQuotient:
     """One weight slice of kQ modulo the matching slice of the ideal."""
 
-    def __init__(self, paths, echelon, basis_positions):
+    def __init__(self, paths, index, echelon, basis_positions):
         self.paths = paths
-        self.index = {p.label(): k for k, p in enumerate(paths)}
+        self.index = index                      # label -> position
         self.echelon = echelon
         self.basis_positions = basis_positions  # non-pivot coordinates
 
 
-def _relation_slice_vectors(field, relations, groups, w, path_index):
-    """Ideal vectors p * rho * q of total weight w, as sparse coordinate
-    vectors on the weight-w paths."""
-    vectors = []
-    weights = sorted(groups)
-    for rel in relations:
-        wr = next(iter(rel.weights()))
-        for wq in weights:
-            wp = w - wr - wq
-            if wp < 0 or wp not in groups:
-                continue
-            for q in groups[wq]:
-                if q.end != rel.start:
-                    continue
-                for p in groups[wp]:
-                    if p.start != rel.end:
-                        continue
-                    vec: dict = {}
-                    for c, t in rel.terms:
-                        k = path_index[compose(p, compose(t, q)).label()]
-                        vec[k] = field.add(vec.get(k, field.zero()), c)
-                    if any(vec.values()):
-                        vectors.append(vec)
-    return vectors
+def ideal_slice(field, width, pieces, generators=()) -> Echelon:
+    """The slice I_w = R_w + sum_a a*I_{w-|a|} + sum_a I_{w-|a|}*a of a
+    two-sided ideal, as a fresh Echelon on `width` coordinates.
+
+    R_w is spanned by `generators`.  Each piece (ideal, right, left) pushes
+    the reduced echelon rows of an earlier slice through the index maps
+    p -> p*a and p -> a*p of one arrow (see `path_layer`); coordinates a
+    map leaves out are dropped.
+    """
+    ech = Echelon(field, width)
+    for vec in generators:
+        ech.add(vec)
+    for ideal, right, left in pieces:
+        for row in ideal.rows:
+            for ext in (right, left):
+                vec = {ext[k]: c for k, c in row.items() if k in ext}
+                if vec:
+                    ech.add(vec)
+    return ech
 
 
 def _build_homogeneous(pres: Presentation, max_weight: int):
@@ -314,76 +313,67 @@ def _build_homogeneous(pres: Presentation, max_weight: int):
     """
     q, f = pres.quiver, pres.field
     window = max((a.degree or 1) for a in q.arrows) if q.arrows else 1
-    groups: dict[int, list[Path]] = {0: [Path.stationary(v) for v in q.vertices]}
+    by_weight: dict[int, list] = {}
+    for rel in pres.relations:
+        by_weight.setdefault(next(iter(rel.weights())), []).append(rel)
+    layers: list[list[Path]] = []
     slices: dict[int, _SliceQuotient] = {}
-    stationary = groups[0]
-    slices[0] = _SliceQuotient(stationary, Echelon(f, len(stationary)),
-                               list(range(len(stationary))))
     streak = 0
-    w = 0
     while streak < window:
-        w += 1
+        w = len(layers)
         if w > max_weight:
             raise AdmissibilityError(
                 f"no window of {window} empty weight slices up to weight "
                 f"{max_weight}; the presentation may not define a finite "
                 "dimensional algebra")
-        bucket = []
-        for a in q.arrows:
-            da = a.degree if a.degree is not None else 1
-            prev = groups.get(w - da, ())
-            for p in prev:
-                if p.start == a.target:
-                    bucket.append(Path(a.source, p.end, (a,) + p.arrows))
-        groups[w] = bucket
-        path_index = {p.label(): k for k, p in enumerate(bucket)}
-        ech = Echelon(f, len(bucket))
-        for vec in _relation_slice_vectors(f, pres.relations, groups, w, path_index):
-            ech.add(vec)
+        paths, steps = path_layer(q, layers, w)
+        layers.append(paths)
+        index = {p.label(): k for k, p in enumerate(paths)}
+        ech = ideal_slice(f, len(paths),
+                          [(slices[v].echelon, right, left) for v, right, left in steps],
+                          ({index[t.label()]: c for c, t in rel.terms}
+                           for rel in by_weight.get(w, ())))
         pivots = set(ech.pivots)
-        basis_positions = [k for k in range(len(bucket)) if k not in pivots]
-        slices[w] = _SliceQuotient(bucket, ech, basis_positions)
+        basis_positions = [k for k in range(len(paths)) if k not in pivots]
+        slices[w] = _SliceQuotient(paths, index, ech, basis_positions)
         streak = streak + 1 if not basis_positions else 0
-    cutoff = w - window + 1
-    return slices, cutoff
+    return slices, w - window + 1
 
 
 def _build_bounded(pres: Presentation):
     """Joint truncated construction under an explicit nilpotency bound N.
 
-    All paths of length <= N are coordinates; ideal vectors are the
-    relation products truncated past length N.  The bound is rejected when
+    All paths of length <= N are coordinates.  The ideal is the sum of the
+    pieces J_l spanned by the products p*rho*q with |p| + |q| = l: J_0
+    holds the relations and J_l = sum_a a*J_{l-1} + J_{l-1}*a, with the
+    terms past length N truncated.  The bound is rejected when
     the length-N slice of the quotient is nonzero, since the promised
     containment of the N-th radical power in the ideal would force it to
     vanish.  Correctness is otherwise conditional on that promise.
+    Only untagged quivers reach this construction, so weight is length.
     """
     q, f, N = pres.quiver, pres.field, pres.nilpotency_bound
-    groups = paths_by_weight(_unit_weight_quiver(q), N)
     order: list[Path] = []
-    for w in sorted(groups):
-        order.extend(groups[w])
+    layers: list[list[Path]] = []
+    # per arrow, the maps p -> p*a and p -> a*p on all paths of length <= N
+    maps = [({}, {}) for _ in q.arrows]
+    for w in range(N + 1):
+        paths, steps = path_layer(q, layers, w)
+        for (v, right, left), (jr, jl) in zip(steps, maps):
+            start = len(order) - len(layers[v])
+            jr.update((start + k, len(order) + i) for k, i in right.items())
+            jl.update((start + k, len(order) + i) for k, i in left.items())
+        layers.append(paths)
+        order.extend(paths)
     path_index = {p.label(): k for k, p in enumerate(order)}
+    piece = ideal_slice(f, len(order), (), (
+        {path_index[t.label()]: c for c, t in rel.terms if t.length <= N}
+        for rel in pres.relations))
     ech = Echelon(f, len(order))
-    for rel in pres.relations:
-        min_len = rel.min_length()
-        for q_path in order:
-            if q_path.end != rel.start or q_path.length + min_len > N:
-                continue
-            for p_path in order:
-                if p_path.start != rel.end:
-                    continue
-                if q_path.length + min_len + p_path.length > N:
-                    continue
-                vec: dict = {}
-                for c, t in rel.terms:
-                    total = q_path.length + t.length + p_path.length
-                    if total > N:
-                        continue  # truncated: lies in the N+1st radical power
-                    full = compose(p_path, compose(t, q_path))
-                    k = path_index[full.label()]
-                    vec[k] = f.add(vec.get(k, f.zero()), c)
-                if any(vec.values()):
-                    ech.add(vec)
+    while piece.rank:
+        for row in piece.rows:
+            ech.add(row)
+        piece = ideal_slice(f, len(order), [(piece, jr, jl) for jr, jl in maps])
     pivots = set(ech.pivots)
     basis_positions = [k for k in range(len(order)) if k not in pivots]
     for k in basis_positions:
@@ -395,12 +385,6 @@ def _build_bounded(pres: Presentation):
     return order, path_index, ech, basis_positions
 
 
-def _unit_weight_quiver(q: Quiver) -> Quiver:
-    if not q.is_graded:
-        return q
-    return Quiver(q.vertices, [Arrow(a.name, a.source, a.target) for a in q.arrows])
-
-
 def build_algebra(pres: Presentation, *, max_weight: int = 256,
                   validate: bool = True, label: str = "") -> FDAlgebra:
     """Construct A = kQ/I with exact structure constants.
@@ -410,6 +394,7 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
     presentation must supply a nilpotency bound.  The resulting basis
     consists of path normal forms, carries degree tags in the homogeneous
     cases, and always contains the stationary idempotents and the arrows.
+    Raises PathBudgetExceeded when a path layer outgrows PATH_BUDGET.
     """
     q, f = pres.quiver, pres.field
     if not q.vertices:

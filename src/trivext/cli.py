@@ -24,6 +24,7 @@ from .corpus import run_corpus
 from .criteria import graded_cartan, hhdim_verdict, verify_cycle_certificate
 from .dsl import DSLError, parse_presentation
 from .hochschild import DEFAULT_TUPLE_CAP, DimensionCapExceeded, hh_dims
+from .quiver import PathBudgetExceeded
 from .trivial_extension import (check_new_products_vanish, relations_up_to,
                                 trivial_extension)
 
@@ -307,7 +308,7 @@ def main(argv=None) -> int:
     except (DSLError, AlgebraBuildError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DimensionCapExceeded as exc:
+    except (DimensionCapExceeded, PathBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
 

@@ -414,6 +414,8 @@ def hhdim_verdict(obj, extend: bool = False, validate: bool = True) -> Verdict:
         B = extension.T
     else:
         B = A
+    if A.bound_conditional:
+        hypotheses["conditional_on_nilpotency_bound"] = True
 
     trace = []
     cycle = find_two_truncated_cycle(B)

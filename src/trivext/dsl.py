@@ -72,9 +72,6 @@ class RelationExpr:
     def weights(self, unit: int = 1) -> set[int]:
         return {p.weight(unit) for _, p in self.terms}
 
-    def min_length(self) -> int:
-        return min(p.length for _, p in self.terms)
-
     def label(self) -> str:
         return _expr_text(self.terms)
 

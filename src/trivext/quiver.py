@@ -134,44 +134,53 @@ def compose(later: Path, earlier: Path) -> Path:
     return Path(earlier.start, later.end, earlier.arrows + later.arrows)
 
 
+# paths in one layer at most; past it the enumeration is abandoned
+PATH_BUDGET = 20_000
+
+
+class PathBudgetExceeded(RuntimeError):
+    """A path layer holds more than PATH_BUDGET paths."""
+
+
+def path_layer(quiver: Quiver, layers, w: int, by_length: bool = False):
+    """The paths of weight w, grown from the path lists `layers[v]` of the
+    smaller weights v (weight is the arrow degree, or 1 for untagged arrows
+    and when `by_length`).
+
+    Weight 0 holds the stationary paths.  The paths p*a ("a first") are
+    listed arrow-major, then in the order of layer w - |a|.  Returns the
+    layer and, for each arrow a with |a| <= w, a triple (w - |a|, right,
+    left): `right` maps the index of p in layer w - |a| to the index of p*a,
+    `left` to the index of a*p.  Raises PathBudgetExceeded past PATH_BUDGET.
+    """
+    if w == 0:
+        return [Path.stationary(v) for v in quiver.vertices], []
+    paths, grown = [], []
+    for a in quiver.arrows:
+        v = w - (1 if by_length or a.degree is None else a.degree)
+        if v < 0:
+            continue
+        right = {}
+        for k, p in enumerate(layers[v]):
+            if p.start == a.target:
+                right[k] = len(paths)
+                paths.append(Path(a.source, p.end, (a,) + p.arrows))
+        if len(paths) > PATH_BUDGET:
+            raise PathBudgetExceeded(
+                f"more than {PATH_BUDGET} paths of weight {w}")
+        grown.append((v, a, right))
+    index = {p.arrows: k for k, p in enumerate(paths)}
+    return paths, [(v, right, {k: index[p.arrows + (a,)]
+                               for k, p in enumerate(layers[v]) if p.end == a.source})
+                   for v, a, right in grown]
+
+
 def enumerate_paths(quiver: Quiver, max_length: int) -> list[Path]:
     """All paths of length <= max_length, ordered by length and then
     lexicographically by the index sequence of applied arrows."""
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
-    out = [Path.stationary(v) for v in quiver.vertices]
-    layer = list(out)
-    for _ in range(max_length):
-        nxt = []
-        for a in quiver.arrows:
-            for p in layer:
-                if p.start == a.target:
-                    nxt.append(Path(a.source, p.end, (a,) + p.arrows))
-        out.extend(nxt)
-        layer = nxt
-        if not layer:
-            break
-    return out
-
-
-def paths_by_weight(quiver: Quiver, max_weight: int) -> dict[int, list[Path]]:
-    """Paths grouped by total arrow degree (length for untagged quivers),
-    for weights 0..max_weight; each group is ordered lexicographically by
-    the index sequence of applied arrows.
-
-    Used for weight-slice basis construction; weight 0 holds the
-    stationary paths.
-    """
-    groups: dict[int, list[Path]] = {0: [Path.stationary(v) for v in quiver.vertices]}
-    for w in range(1, max_weight + 1):
-        groups[w] = []
-    for w in range(1, max_weight + 1):
-        bucket = groups[w]
-        for a in quiver.arrows:
-            da = a.degree if a.degree is not None else 1
-            if da > w:
-                continue
-            for p in groups[w - da]:
-                if p.start == a.target:
-                    bucket.append(Path(a.source, p.end, (a,) + p.arrows))
-    return groups
+    layers = [path_layer(quiver, [], 0)[0]]
+    while len(layers) <= max_length and layers[-1]:
+        layers.append(path_layer(quiver, layers, len(layers), by_length=True)[0])
+    return [p for layer in layers for p in layer]

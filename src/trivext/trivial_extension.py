@@ -20,11 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (AlgebraBuildError, ArrowRep, FDAlgebra, loewy_length,
-                      socles)
+from .algebra import (AlgebraBuildError, ArrowRep, FDAlgebra, ideal_slice,
+                      loewy_length, socles)
 from .dsl import RelationExpr
 from .linalg import Echelon, ExactMatrix, row_reduce
-from .quiver import Arrow, Path, Quiver, compose
+from .quiver import Arrow, Path, PathBudgetExceeded, Quiver, path_layer
+# unused here; kept as a module binding because the bench tests check that
+# the tracer patches every module's `compose`
+from .quiver import compose  # noqa: F401
 
 
 @dataclass
@@ -50,9 +53,6 @@ class TrivialExtensionData:
         self.new_arrows = list(new_arrows)
         self.socle_basis = socle_basis      # echelon basis of soc_{A^e} A
         self.xi_matrix = xi_matrix          # DA coords -> D(soc) coords
-        d = base.dim
-        self.a_part = list(range(d))
-        self.da_part = list(range(d, 2 * d))
 
     @property
     def dim(self) -> int:
@@ -173,7 +173,8 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
     T = FDAlgebra(field=f, labels=labels, vertex_names=A.vertex_names,
                   idempotent_indices=list(A.idempotent_indices), peirce=peirce,
                   table=table, arrows=arrows, degrees=degrees,
-                  basis_paths=None, label=label or (f"T({A.label})" if A.label else ""))
+                  basis_paths=None, bound_conditional=A.bound_conditional,
+                  label=label or (f"T({A.label})" if A.label else ""))
     if validate:
         T.validate()
 
@@ -238,7 +239,8 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
 
     The ideal generated so far is kept one length slice at a time: the
     slice I_l is spanned by a * I_{l-1} and I_{l-1} * a over the arrows a,
-    read off the reduced echelon rows of I_{l-1}.  For each length l <= cap
+    pushed from the reduced echelon rows of I_{l-1} by `ideal_slice`, and
+    the path layers have at most PATH_BUDGET paths.  For each length l <= cap
     and each Peirce block, a basis of the kernel of the evaluation on
     length-l paths is then reduced modulo I_l; the vectors that enlarge it
     become generators and join I_l.
@@ -258,38 +260,22 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     T = tri.T
     f = T.field
 
-    layer = [Path.stationary(v) for v in qext.vertices]
+    layer, _ = path_layer(qext, [], 0)
     ideal = Echelon(f, len(layer))
     gens: list[RelationExpr] = []
     quotient_dim = len(layer)
 
     for length in range(1, max(cap, 3 * ll + 3) + 1):
-        prev, prev_ideal = layer, ideal
-        # the paths p * a (a first), recording where each one lands
-        layer, right = [], []
-        for a in qext.arrows:
-            right.append({})
-            for k, p in enumerate(prev):
-                if p.start == a.target:
-                    right[-1][k] = len(layer)
-                    layer.append(Path(a.source, p.end, (a,) + p.arrows))
-        if len(layer) > 20_000:
+        try:
+            layer, steps = path_layer(qext, {length - 1: layer}, length,
+                                      by_length=True)
+        except PathBudgetExceeded:
             # runaway path growth (cap far below the Loewy length); give up
             # on the quotient dimension rather than thrash
             return RelationSet(generators=gens, cap=cap, quotient_dim=None,
                                complete=False)
-        index = {p: k for k, p in enumerate(layer)}
-        # the paths a * p (p first)
-        left = [{k: index[compose(Path.of_arrow(a), p)]
-                 for k, p in enumerate(prev) if p.end == a.source}
-                for a in qext.arrows]
-
-        ideal = Echelon(f, len(layer))
-        for row in prev_ideal.rows:
-            for ext in right + left:
-                vec = {ext[k]: c for k, c in row.items() if k in ext}
-                if vec:
-                    ideal.add(vec)
+        ideal = ideal_slice(f, len(layer),
+                            [(ideal, right, left) for _, right, left in steps])
 
         if 2 <= length <= cap:
             for vec in _slice_kernel(tri, layer):

@@ -1,7 +1,7 @@
 import pytest
 
 from trivext.algebra import build_algebra
-from trivext.corpus import CORPUS, corpus_text
+from trivext.corpus import CORPUS, corpus_text, run_corpus
 from trivext.dsl import parse_presentation
 from trivext.trivial_extension import trivial_extension
 
@@ -19,3 +19,9 @@ def algebras(presentations):
 @pytest.fixture(scope="session")
 def extensions(algebras):
     return {name: trivial_extension(A) for name, A in algebras.items()}
+
+
+@pytest.fixture(scope="session")
+def corpus_result():
+    """The corpus battery, run once per test session."""
+    return run_corpus()

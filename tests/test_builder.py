@@ -1,0 +1,264 @@
+"""The weight-slice builder against a reference that enumerates every
+product p * rho * q of a relation rho with paths p and q.
+
+The builder steps each ideal slice from the echelon rows of the earlier
+slices (`ideal_slice`) over path layers grown by `path_layer`; the
+reference below is the former construction and spans the same
+subspaces, so the reduced echelon forms, bases and tables must agree.
+"""
+
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from trivext import algebra
+from trivext.algebra import AdmissibilityError, Echelon, build_algebra
+from trivext.dsl import parse_presentation
+from trivext.quiver import Arrow, Path, Quiver, compose, enumerate_paths
+
+# -- the reference construction ---------------------------------------------
+
+
+def paths_by_weight(quiver, max_weight):
+    groups = {0: [Path.stationary(v) for v in quiver.vertices]}
+    for w in range(1, max_weight + 1):
+        groups[w] = []
+    for w in range(1, max_weight + 1):
+        for a in quiver.arrows:
+            da = a.degree if a.degree is not None else 1
+            if da > w:
+                continue
+            for p in groups[w - da]:
+                if p.start == a.target:
+                    groups[w].append(Path(a.source, p.end, (a,) + p.arrows))
+    return groups
+
+
+def relation_slice_vectors(field, relations, groups, w, path_index):
+    vectors = []
+    for rel in relations:
+        wr = next(iter(rel.weights()))
+        for wq in sorted(groups):
+            wp = w - wr - wq
+            if wp < 0 or wp not in groups:
+                continue
+            for q in groups[wq]:
+                if q.end != rel.start:
+                    continue
+                for p in groups[wp]:
+                    if p.start != rel.end:
+                        continue
+                    vec = {}
+                    for c, t in rel.terms:
+                        k = path_index[compose(p, compose(t, q)).label()]
+                        vec[k] = field.add(vec.get(k, field.zero()), c)
+                    if any(vec.values()):
+                        vectors.append(vec)
+    return vectors
+
+
+def reference_homogeneous(pres, max_weight):
+    q, f = pres.quiver, pres.field
+    window = max((a.degree or 1) for a in q.arrows) if q.arrows else 1
+    groups = {0: [Path.stationary(v) for v in q.vertices]}
+    stationary = groups[0]
+    slices = {0: SimpleNamespace(
+        paths=stationary, index={p.label(): k for k, p in enumerate(stationary)},
+        echelon=Echelon(f, len(stationary)),
+        basis_positions=list(range(len(stationary))))}
+    streak, w = 0, 0
+    while streak < window:
+        w += 1
+        if w > max_weight:
+            raise AdmissibilityError("no empty window")
+        bucket = []
+        for a in q.arrows:
+            for p in groups.get(w - (a.degree or 1), ()):
+                if p.start == a.target:
+                    bucket.append(Path(a.source, p.end, (a,) + p.arrows))
+        groups[w] = bucket
+        index = {p.label(): k for k, p in enumerate(bucket)}
+        ech = Echelon(f, len(bucket))
+        for vec in relation_slice_vectors(f, pres.relations, groups, w, index):
+            ech.add(vec)
+        pivots = set(ech.pivots)
+        basis = [k for k in range(len(bucket)) if k not in pivots]
+        slices[w] = SimpleNamespace(paths=bucket, index=index, echelon=ech,
+                                    basis_positions=basis)
+        streak = streak + 1 if not basis else 0
+    return slices, w - window + 1
+
+
+def reference_bounded(pres):
+    q, f, N = pres.quiver, pres.field, pres.nilpotency_bound
+    if q.is_graded:
+        q = Quiver(q.vertices, [Arrow(a.name, a.source, a.target) for a in q.arrows])
+    groups = paths_by_weight(q, N)
+    order = [p for w in sorted(groups) for p in groups[w]]
+    path_index = {p.label(): k for k, p in enumerate(order)}
+    ech = Echelon(f, len(order))
+    for rel in pres.relations:
+        min_len = min(t.length for _, t in rel.terms)
+        for qp in order:
+            if qp.end != rel.start or qp.length + min_len > N:
+                continue
+            for pp in order:
+                if pp.start != rel.end or qp.length + min_len + pp.length > N:
+                    continue
+                vec = {}
+                for c, t in rel.terms:
+                    if qp.length + t.length + pp.length > N:
+                        continue
+                    k = path_index[compose(pp, compose(t, qp)).label()]
+                    vec[k] = f.add(vec.get(k, f.zero()), c)
+                if any(vec.values()):
+                    ech.add(vec)
+    pivots = set(ech.pivots)
+    basis = [k for k in range(len(order)) if k not in pivots]
+    if any(order[k].length >= N for k in basis):
+        raise AdmissibilityError("bound too small")
+    return order, path_index, ech, basis
+
+
+def reference_enumerate_paths(quiver, max_length):
+    out = [Path.stationary(v) for v in quiver.vertices]
+    layer = list(out)
+    for _ in range(max_length):
+        layer = [Path(a.source, p.end, (a,) + p.arrows)
+                 for a in quiver.arrows for p in layer if p.start == a.target]
+        out.extend(layer)
+        if not layer:
+            break
+    return out
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+def outcome(pres, **kw):
+    """The built algebra's data, or the type of the build error."""
+    try:
+        A = build_algebra(pres, **kw)
+    except AdmissibilityError:
+        return AdmissibilityError
+    return (A.basis_labels, A.degrees, A.table, A.bound_conditional)
+
+
+def assert_matches_reference(pres, monkeypatch, **kw):
+    got = outcome(pres, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_build_homogeneous", reference_homogeneous)
+        m.setattr(algebra, "_build_bounded", reference_bounded)
+        want = outcome(pres, **kw)
+    assert got == want
+    return got
+
+
+def test_corpus_matches_reference(presentations, monkeypatch):
+    for name, pres in presentations.items():
+        assert assert_matches_reference(pres, monkeypatch) is not AdmissibilityError, name
+
+
+def random_presentation(rng, degrees, field, bound=None):
+    """A random quiver on 1..3 vertices with monomial and commutativity
+    relations; arrow degrees in 1..3 when `degrees`, else untagged.  With
+    a nilpotency `bound` the two sides of a relation may differ in length."""
+    vertices = [f"v{i}" for i in range(rng.randint(1, 3))]
+    lines = [field, "vertices " + " ".join(vertices)]
+    arrows = []
+    for i in range(rng.randint(2, 4)):
+        a = (f"a{i}", rng.choice(vertices), rng.choice(vertices))
+        arrows.append(a)
+        lines.append(f"arrow {a[0]} : {a[1]} -> {a[2]}"
+                     + (f" deg {rng.randint(1, 3)}" if degrees else ""))
+    quiver = parse_presentation("\n".join(lines) + "\n").quiver
+    p = 0 if field == "field Q" else int(field.split()[-1])
+    by_ends = {}
+    for path in enumerate_paths(quiver, 3):
+        if path.length >= 2:
+            # parallel paths of one weight, or of any lengths under a bound
+            key = (path.start, path.end, bound or path.weight())
+            by_ends.setdefault(key, []).append(path)
+    for group in by_ends.values():
+        rng.shuffle(group)
+        while group:
+            first = group.pop()
+            roll = rng.random()
+            if roll < 0.45:
+                lines.append(f"relation {first.label()}")
+            elif roll < 0.8 and group:
+                c = rng.randint(1, (p or 4) - 1)
+                lines.append(f"relation {first.label()} - {c}*{group.pop().label()}")
+    if bound is not None:
+        lines.append(f"nilpotency_bound {bound}")
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("degrees", [True, False], ids=["arrow_degrees", "length"])
+@pytest.mark.parametrize("field", ["field Q", "field F 3", "field F 5"])
+def test_seeded_graded_presentations_match_reference(degrees, field, monkeypatch):
+    rng = random.Random(f"{degrees}-{field}")
+    built = 0
+    for _ in range(12):
+        pres = random_presentation(rng, degrees, field)
+        built += assert_matches_reference(pres, monkeypatch,
+                                          max_weight=8) is not AdmissibilityError
+    assert built >= 4
+
+
+def test_commutative_weighted_square_matches_reference(monkeypatch):
+    # window 3: the arrow degrees are 1, 2 and 3
+    pres = parse_presentation(
+        "field F 7\nvertices 1 2 3 4\narrow a : 1 -> 2 deg 1\n"
+        "arrow b : 2 -> 4 deg 3\narrow c : 1 -> 3 deg 2\narrow d : 3 -> 4 deg 2\n"
+        "relation b*a - 3*d*c\n")
+    got = assert_matches_reference(pres, monkeypatch)
+    assert got[0] == ["e_1", "e_2", "e_3", "e_4", "a", "c", "d", "b", "d*c"]
+
+
+BOUNDED = [
+    "field Q\nvertices v\narrow x : v -> v\nrelation x*x - x*x*x\n",
+    "field Q\nvertices v\narrow x : v -> v\narrow y : v -> v\n"
+    "relation x*x - y*y*y\nrelation x*y\nrelation y*x\n",
+    "field F 5\nvertices u v\narrow a : u -> v\narrow b : v -> u\n"
+    "arrow c : u -> v\nrelation b*a - 2*b*a*b*a\nrelation a*b - c*b\n"
+    "relation b*c\n",
+    "field F 3\nvertices v\narrow x : v -> v\narrow y : v -> v\n"
+    "relation x*y - y*x\nrelation x*x - y*y*y\n",
+]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", range(len(BOUNDED)))
+def test_bounded_presentations_match_reference(k, bound, monkeypatch):
+    pres = parse_presentation(BOUNDED[k] + f"nilpotency_bound {bound}\n")
+    assert_matches_reference(pres, monkeypatch)
+
+
+def test_seeded_bounded_presentations_match_reference(monkeypatch):
+    rng = random.Random(29)
+    built = 0
+    for trial in range(16):
+        pres = random_presentation(rng, False, rng.choice(["field Q", "field F 5"]),
+                                   bound=rng.randint(2, 5))
+        built += assert_matches_reference(pres, monkeypatch) is not AdmissibilityError
+    assert built >= 2
+
+
+def test_too_small_bound_rejected_by_both(monkeypatch):
+    pres = parse_presentation(BOUNDED[1] + "nilpotency_bound 2\n")
+    assert assert_matches_reference(pres, monkeypatch) is AdmissibilityError
+
+
+def test_enumerate_paths_unchanged():
+    quivers = [
+        Quiver(["v"], []),
+        Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")]),
+        Quiver(["1", "2", "3"], [Arrow("a", "1", "2", 2), Arrow("b", "2", "3", 1),
+                                 Arrow("c", "3", "1", 3), Arrow("d", "1", "1", 1)]),
+        Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")]),
+    ]
+    for q in quivers:
+        for n in range(6):
+            assert enumerate_paths(q, n) == reference_enumerate_paths(q, n), (q, n)

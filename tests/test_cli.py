@@ -203,10 +203,64 @@ def test_pretty_output_is_text(capsys, k_file):
     assert "dimension: 1" in out
 
 
-def test_corpus_command(capsys):
+def test_corpus_command(capsys, monkeypatch, corpus_result):
+    monkeypatch.setattr("trivext.cli.run_corpus", lambda: corpus_result)
     code, out, _ = run(capsys, "corpus")
     assert code == 0
     res = json.loads(out)["result"]
     assert res["ok"] is True
     names = [e["name"] for e in res["entries"]]
     assert "five_vertex_weighted" in names and "negative_controls" in names
+
+
+def test_corpus_command_reports_failure(capsys, monkeypatch, corpus_result):
+    broken = {**corpus_result, "ok": False,
+              "entries": [{**corpus_result["entries"][0], "ok": False}]}
+    monkeypatch.setattr("trivext.cli.run_corpus", lambda: broken)
+    code, _, err = run(capsys, "corpus")
+    assert code == 1
+    assert "semisimple_k" in err
+
+
+TWO_LOOPS = "field Q\nvertices v\narrow x : v -> v\narrow y : v -> v\n"
+
+
+@pytest.mark.parametrize("extra", ["", "relation x*x - y*y*y\nnilpotency_bound 40\n"],
+                         ids=["free", "large_bound"])
+def test_path_budget_exits_4(capsys, tmp_path, extra):
+    # 2^w paths of weight w: the layer budget stops the build
+    f = tmp_path / "loops.quiver"
+    f.write_text(TWO_LOOPS + extra)
+    code, out, err = run(capsys, "info", str(f))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "paths of weight" in err
+
+
+BOUNDED = ("field Q\nvertices v\narrow x : v -> v\n"
+           "relation x*x - x*x*x\nnilpotency_bound 3\n")
+
+
+def test_trivext_reports_bound_condition_on_extension(capsys, tmp_path, k_file):
+    f = tmp_path / "bounded.quiver"
+    f.write_text(BOUNDED)
+    code, out, _ = run(capsys, "trivext", str(f))
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["algebra"]["conditional_on_nilpotency_bound"] is True
+    assert res["extension"]["conditional_on_nilpotency_bound"] is True
+    code, out, _ = run(capsys, "trivext", k_file)
+    res = json.loads(out)["result"]
+    assert "conditional_on_nilpotency_bound" not in res["extension"]
+
+
+def test_verdict_hypotheses_name_bound_condition(capsys, tmp_path, dual_file):
+    f = tmp_path / "bounded.quiver"
+    f.write_text(BOUNDED)
+    for argv in (["--extend"], []):
+        code, out, _ = run(capsys, "verdict", str(f), *argv)
+        hyp = json.loads(out)["result"]["verdict"]["hypotheses"]
+        assert hyp["conditional_on_nilpotency_bound"] is True, argv
+    code, out, _ = run(capsys, "verdict", dual_file, "--extend")
+    assert json.loads(out)["result"]["verdict"]["hypotheses"] == {
+        "local": True, "selfinjective": True, "graded": True}

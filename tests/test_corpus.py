@@ -3,16 +3,14 @@
 import copy
 
 from trivext.algebra import build_algebra
-from trivext.corpus import (CORPUS, corpus_text, entry_checks,
-                            negative_control_checks, run_corpus)
+from trivext.corpus import CORPUS, corpus_text, negative_control_checks
 from trivext.dsl import parse_presentation
 
 
-def test_every_entry_passes():
-    res = run_corpus()
-    assert res["ok"], [
+def test_every_entry_passes(corpus_result):
+    assert corpus_result["ok"], [
         (e["name"], {k: v for k, v in e["checks"].items() if not bool(v)})
-        for e in res["entries"] if not e["ok"]]
+        for e in corpus_result["entries"] if not e["ok"]]
 
 
 def test_entry_names_are_stable():
@@ -39,7 +37,8 @@ def test_injected_wrong_structure_constant_breaks_associativity():
     assert not broken.check_associativity()
 
 
-def test_corpus_checks_record_hh_dims():
-    rec = entry_checks(CORPUS[1])  # dual_numbers
+def test_corpus_checks_record_hh_dims(corpus_result):
+    rec = corpus_result["entries"][1]
+    assert rec["name"] == "dual_numbers"
     assert rec["checks"]["hh_corroboration"]
     assert dict(rec["hh_dims"])[0] == 4  # HH_0 of the 4-dim extension

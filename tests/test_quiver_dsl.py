@@ -5,7 +5,8 @@ import pytest
 from trivext.dsl import (DSLError, parse_presentation, serialize_presentation)
 from trivext.linalg import GF, QQ
 from trivext.quiver import (Arrow, CompositionError, Path, Quiver, QuiverError,
-                            compose, enumerate_paths)
+                            compose, enumerate_paths, path_layer,
+                            PathBudgetExceeded, PATH_BUDGET)
 
 FIVE_VERTEX = """
 field Q
@@ -194,3 +195,31 @@ def test_quiver_validation():
         Quiver(["v"], [Arrow("x", "v", "v", 2), Arrow("y", "v", "v")])
     with pytest.raises(QuiverError):
         Path("v", "w", ())
+
+
+def test_path_layer_index_maps():
+    q = Quiver(["1", "2"], [Arrow("a", "1", "2", 1), Arrow("b", "2", "1", 2),
+                            Arrow("c", "2", "2", 1)])
+    layers = []
+    for w in range(6):
+        paths, steps = path_layer(q, layers, w)
+        assert all(p.weight() == w for p in paths)
+        assert len(steps) == sum(a.degree <= w for a in q.arrows)
+        for a, (v, right, left) in zip([a for a in q.arrows if a.degree <= w], steps):
+            assert v == w - a.degree
+            arrow = Path.of_arrow(a)
+            for k, p in enumerate(layers[v]):
+                if p.start == a.target:
+                    assert paths[right[k]] == compose(p, arrow)
+                if p.end == a.source:
+                    assert paths[left[k]] == compose(arrow, p)
+            assert len(right) == sum(p.start == a.target for p in layers[v])
+            assert len(left) == sum(p.end == a.source for p in layers[v])
+        layers.append(paths)
+
+
+def test_path_layer_budget():
+    q = Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
+    assert len(enumerate_paths(q, 14)) == 2 ** 15 - 1   # 16 384 paths of length 14
+    with pytest.raises(PathBudgetExceeded, match=str(PATH_BUDGET)):
+        enumerate_paths(q, 15)

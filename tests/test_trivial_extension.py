@@ -207,6 +207,16 @@ def test_relations_incomplete_for_length_inhomogeneous_base(extensions):
     assert rels.quotient_dim is None or rels.quotient_dim > 26
 
 
+def test_relations_give_up_at_path_budget():
+    # cap 2 sits below the Loewy length, so no slice dies before the path
+    # layers outgrow the budget; the quotient dimension stays open
+    tri = trivial_extension(build(MORE_PRESENTATIONS["nakayama_cubed_f5"]))
+    rels = relations_up_to(tri, 2)
+    assert rels.quotient_dim is None and not rels.complete
+    assert [g.label() for g in rels.generators] == [
+        "b*a**b*a*", "a*b**a + 4*a*b*a*", "b*a**b + 4*b*a*b*", "a*b**a*b*"]
+
+
 def relations_by_enumeration(tri, cap=None):
     """Reference: the ideal slice at each length spanned by every product
     p * g * q of a path p, a generator g found so far and a path q."""
