@@ -187,14 +187,11 @@ def cmd_verdict(args) -> int:
     if args.hh_check is not None:
         cap = _tuple_cap()
         hh = hh_dims(verdict.algebra, args.hh_check, cap=cap)
-        # corroboration needs every degree 1..N; a cap hit leaves it open
-        dims, wanted = hh.as_dict(), range(1, args.hh_check + 1)
-        complete = verdict.is_infinite and all(n in dims for n in wanted)
         result["hh_check"] = {
             "dims": hh.dims,
             "truncated_at": hh.truncated_at,
-            "corroborates_infinite": (all(dims[n] >= 1 for n in wanted)
-                                      if complete else None),
+            "corroborates_infinite": (hh.corroborates_infinite()
+                                      if verdict.is_infinite else None),
         }
         if hh.truncated_at is not None and hh.truncated_at <= args.hh_check + 1:
             code = EXIT_CAP

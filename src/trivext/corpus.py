@@ -52,7 +52,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
                 graded=True),
 )
 
-HH_CORROBORATION_DIM_LIMIT = 8
+HH_CORROBORATION_DEGREE = 4
 HH_CORROBORATION_CAP = 200_000
 
 
@@ -230,11 +230,10 @@ def entry_checks(entry: CorpusEntry) -> dict:
         checks["cartan_criterion_fires"] = cartan_criterion(
             g, T.field.characteristic).fires
 
-    if T.dim <= HH_CORROBORATION_DIM_LIMIT:
-        rep = hh_dims(T, 4, cap=HH_CORROBORATION_CAP, label=f"T({entry.name})")
-        dims = dict(rep.dims)
-        checks["hh_corroboration"] = all(dims.get(n, 0) >= 1 for n in range(1, 5))
-        out["hh_dims"] = rep.dims
+    rep = hh_dims(T, HH_CORROBORATION_DEGREE, cap=HH_CORROBORATION_CAP,
+                  label=f"T({entry.name})")
+    checks["hh_corroboration"] = bool(rep.corroborates_infinite())
+    out["hh_dims"] = rep.dims
 
     if entry.double_extension:
         tri2 = trivial_extension(T, validate=False)
@@ -242,12 +241,9 @@ def entry_checks(entry: CorpusEntry) -> dict:
         cyc = find_two_truncated_cycle(tri2.T)
         checks["double_extension_cycle"] = cyc is not None and \
             verify_cycle_certificate(tri2.T, cyc)
-        if tri2.T.dim <= HH_CORROBORATION_DIM_LIMIT:
-            rep = hh_dims(tri2.T, 4, cap=HH_CORROBORATION_CAP,
-                          label=f"T(T({entry.name}))")
-            dims = dict(rep.dims)
-            checks["double_extension_hh_corroboration"] = all(
-                dims.get(n, 0) >= 1 for n in range(1, 5))
+        rep = hh_dims(tri2.T, HH_CORROBORATION_DEGREE, cap=HH_CORROBORATION_CAP,
+                      label=f"T(T({entry.name}))")
+        checks["double_extension_hh_corroboration"] = bool(rep.corroborates_infinite())
 
     out["checks"] = checks
     out["ok"] = all(bool(v) for v in checks.values())

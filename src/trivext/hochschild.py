@@ -1,28 +1,46 @@
-"""Desk-scale Hochschild homology via the (normalized) bar complex.
+"""Desk-scale Hochschild homology via bar complexes.
 
-Chains in degree n are spanned by tuples (b_0, b_1, ..., b_n) of basis
-elements, with the boundary
+Both variants span chains in degree n by tuples (b_0, r_1, ..., r_n) of
+basis elements and share the boundary
 
     b(a_0 x ... x a_n) = sum_{i=0}^{n-1} (-1)^i a_0 x ... x a_i a_{i+1} x ... x a_n
                          + (-1)^n  a_n a_0 x a_1 x ... x a_{n-1}.
 
-In the normalized variant the factors after the first live in B/k.1 on the
-complement of the unit inside the echelonized basis headed by 1; face
-products in those slots are reduced, and tuples hitting the class of 1
-drop out.  Both variants give the same homology; the full complex is kept
-as a cross-check oracle.
+* `"normalized"` (the default) is the normalized E-relative bar complex
+  B (x)_{E^e} (rad B)^{(x)_E n} over the separable subalgebra E = kQ_0
+  spanned by the vertex idempotents (Cibils' reduction for quiver
+  algebras).  The r_i are non-idempotent basis elements, and a tuple is a
+  basis element only if it composes cyclically through the Peirce blocks:
+  b_0 r_1, r_1 r_2, ..., r_n b_0 are all products across matching
+  idempotents.  The non-idempotent basis elements span an ideal, so the
+  middle products stay in rad B and need no reduction.  With M[u][v] the
+  number of non-idempotent basis elements b = e_u b e_v,
+  dim C_n = sum over basis elements b_0 = e_u b_0 e_v of (M^n)[v][u]; for a
+  local algebra this is d (d-1)^n, and every further vertex cuts it down.
+  `hh_dims` checks the precondition (every basis element lies in one
+  Peirce block, the non-idempotent ones span an ideal) once per call and
+  raises ValueError otherwise.
+* `"full"` is the unnormalized bar complex B (x) B^{(x) n} over k, with
+  d^(n+1) tuples; it is kept as a cross-check oracle.
 
 Ranks of the boundary matrices are computed exactly and incrementally by
-sparse integer elimination.  Columns whose tuples have different total
-degree (for a graded algebra) have disjoint row support, so elimination
-never mixes degree blocks and stays desk-scale even when the chain
-modules grow to ~10^5 tuples.
+`SparseRank` on integer columns.  Over Q the structure constants are
+scaled once by the lcm L of their denominators: every boundary term holds
+exactly one product, so the boundary is scaled by L and keeps its rank.
+Over F_p the residues are integers already.  Row keys number the
+degree-(n-1) tuples in decreasing lexicographic order, so the pivot
+`SparseRank` takes, at the smallest key, is the largest tuple: the term of
+face 0 or of the wrap face, whose merged first factor is the longer path.
+Columns whose tuples have different total degree (for a graded algebra)
+have disjoint row support, so elimination never mixes degree blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from functools import cached_property
+from itertools import product
+from math import lcm
 
 from .algebra import FDAlgebra
 from .linalg import ExactMatrix, SparseRank
@@ -61,115 +79,168 @@ class HHReport:
     def as_dict(self):
         return dict(self.dims)
 
+    def corroborates_infinite(self) -> bool | None:
+        """Whether dim HH_N >= 1 at the top degree N = n_max, which shows
+        HHdim >= N; None if the cap cut that degree off.  HHdim = infinity
+        means HH_n != 0 for infinitely many n, so lower degrees may vanish."""
+        dims = self.as_dict()
+        return dims[self.n_max] >= 1 if self.n_max in dims else None
+
+
+def _peirce_sides(B: FDAlgebra) -> tuple[list, list]:
+    """The vertices (u, v) with b = e_u b e_v for every basis element b,
+    read off the table; ValueError unless each b lies in one block."""
+    one, T, d = B.field.one(), B.table, B.dim
+    sides = ([None] * d, [None] * d)
+    for v, e in enumerate(B.idempotent_indices):
+        for k in range(d):
+            for side, prod in zip(sides, (T[e][k], T[k][e])):
+                if prod == {k: one} and side[k] is None:
+                    side[k] = v
+                elif prod:
+                    raise ValueError(f"basis element {B.basis_labels[k]} does "
+                                     "not lie in a single Peirce block")
+    if None in sides[0] or None in sides[1]:
+        raise ValueError("the vertex idempotents do not sum to the unit")
+    return sides
+
 
 class _BarData:
     """Shared tables for one algebra/variant pair."""
 
     def __init__(self, B: FDAlgebra, variant: str):
-        if variant not in ("normalized", "full"):
+        if variant == "full":
+            left = right = [0] * B.dim
+            self.slots, m = list(range(B.dim)), 1
+        elif variant == "normalized":
+            left, right = _peirce_sides(B)
+            self.slots, m = B.radical_basis_indices(), B.num_vertices
+            rad = set(self.slots)
+            if any(not rad.issuperset(B.table[i][j]) for i in rad for j in rad):
+                raise ValueError("the non-idempotent basis elements do not "
+                                 "span an ideal")
+        else:
             raise ValueError(f"unknown bar complex variant {variant!r}")
         self.B = B
-        self.variant = variant
         self.d = B.dim
-        if variant == "full":
-            self.reps = list(range(B.dim))
-        else:
-            unit = B.unit()
-            self.unit_pivot = min(unit)  # echelon head: the unit itself
-            self.reps = [k for k in range(B.dim) if k != self.unit_pivot]
-        self.dbar = len(self.reps)
-        self._red_cache: dict = {}
+        self.dbar = len(self.slots)
+        # blocks[u][v]: the slots s with r_s = e_u r_s e_v, ascending
+        self.blocks = [[[] for _ in range(m)] for _ in range(m)]
+        for s, k in enumerate(self.slots):
+            self.blocks[left[k]][right[k]].append(s)
+        # heads[(u, v)]: the basis elements b_0 = e_u b_0 e_v, ascending
+        self.heads: dict = {}
+        for b in range(B.dim):
+            self.heads.setdefault((left[b], right[b]), []).append(b)
+        self._walks = [[[int(u == v) for v in range(m)] for u in range(m)]]
+
+    def walks(self, n: int) -> list:
+        """walks(n)[u][v]: the number of slot sequences s_1, ..., s_n with
+        r_{s_1} = e_u r_{s_1}, r_{s_n} = r_{s_n} e_v and each r_{s_i} r_{s_(i+1)}
+        across a matching idempotent."""
+        m = len(self.blocks)
+        while len(self._walks) <= n:
+            last = self._walks[-1]
+            self._walks.append([[sum(row[w] * len(self.blocks[w][v]) for w in range(m))
+                                 for v in range(m)] for row in last])
+        return self._walks[n]
 
     def chain_dim(self, n: int) -> int:
-        return self.d * self.dbar ** n
+        walks = self.walks(n)
+        return sum(len(heads) * walks[v][u] for (u, v), heads in self.heads.items())
 
-    def reduce(self, vec: dict) -> dict:
-        """Class of a B-vector in B/k.1, on the non-unit slots."""
-        if self.variant == "full":
-            return dict(vec)
-        f = self.B.field
-        c = vec.get(self.unit_pivot)
-        out = {k: v for k, v in vec.items() if k != self.unit_pivot}
-        if c:
-            for k in self.B.idempotent_indices:
-                if k == self.unit_pivot:
-                    continue
-                v = f.sub(out.get(k, f.zero()), c)
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+    def tuples(self, n: int):
+        """Yield every degree-n tuple (b_0, s_1, ..., s_n), with s_i slot
+        indices, grouped by the Peirce blocks of its entries and in
+        lexicographic order within a group."""
+        self.walks(n)
+        for (u, v), heads in self.heads.items():
+            for walk in self._block_walks(v, u, n):
+                yield from product(heads, *walk)
+
+    def _block_walks(self, u, goal, k):
+        """Lists of k slot blocks that chain from vertex u to `goal`."""
+        if k == 0:
+            if u == goal:
+                yield []
+            return
+        reach = self._walks[k - 1]
+        for v, block in enumerate(self.blocks[u]):
+            if block and reach[v][goal]:
+                for rest in self._block_walks(v, goal, k - 1):
+                    yield [block] + rest
+
+    def key(self, tup) -> int:
+        """Mixed-radix number of a tuple (b_0, s_1, ..., s_m): increasing in
+        lexicographic order."""
+        out = tup[0]
+        for s in tup[1:]:
+            out = out * self.dbar + s
         return out
 
-    def red_product(self, s: int, t: int) -> dict:
-        """Reduced product of reduced-slot elements s and t, keyed by slot."""
-        key = (s, t)
-        cached = self._red_cache.get(key)
-        if cached is None:
-            raw = self.reduce(self.B.table[self.reps[s]][self.reps[t]])
-            cached = {self.slot_of[k]: v for k, v in raw.items()}
-            self._red_cache[key] = cached
-        return cached
+    @cached_property
+    def integer_tables(self):
+        """(scale, first, mid, wrap): the products b_0 r_s, r_s r_t and
+        r_s b_0 as lists of (index, integer), r_s r_t indexed by slot and
+        the others by basis element, all multiplied by `scale`, the lcm of
+        the denominators of the table over Q (1 over F_p)."""
+        B, slots = self.B, self.slots
+        T = B.table
+        scale = 1
+        if B.field.characteristic == 0:
+            scale = lcm(1, *(c.denominator for row in T for prod in row
+                             for c in prod.values()))
+        slot_of = {k: s for s, k in enumerate(slots)}
 
-    @property
-    def slot_of(self) -> dict:
-        try:
-            return self._slot_of
-        except AttributeError:
-            self._slot_of = {k: s for s, k in enumerate(self.reps)}
-            return self._slot_of
+        def ints(prod, index=None):
+            return [(k if index is None else index[k], int(c * scale))
+                    for k, c in prod.items()]
+
+        first = [[ints(T[b][k]) for k in slots] for b in range(self.d)]
+        mid = [[ints(T[k][l], slot_of) for l in slots] for k in slots]
+        wrap = [[ints(T[k][b]) for b in range(self.d)] for k in slots]
+        return scale, first, mid, wrap
 
     def columns(self, n: int):
-        """Yield (tuple, boundary column) for every degree-n tuple, in
-        lexicographic order; row keys index degree-(n-1) tuples."""
-        B, f = self.B, self.B.field
-        d, dbar, reps = self.d, self.dbar, self.reps
-        pw = [dbar ** m for m in range(n)]  # pw[m] = dbar^m
+        """Yield the boundary column of every degree-n tuple, in the order
+        of `tuples`, with the integer entries of `integer_tables` (zeros
+        not dropped) keyed by minus the `key` of degree-(n-1) tuples."""
+        _scale, first, mid, wrap = self.integer_tables
+        place = [self.dbar ** (n - 1 - i) for i in range(n)]  # of slot i in C_{n-1}
+        top = place[0]
 
-        def first_key(w, rest):
-            # rest: slot tuple of length n-1
-            key = w * pw[n - 1]
-            for k, s in enumerate(rest):
-                key += s * pw[n - 2 - k]
-            return key
+        def shifted(table, shift, sign):
+            return [[[(-k * shift, sign * c) for k, c in prod] for prod in row]
+                    for row in table]
 
-        sign_n = 1 if n % 2 == 0 else -1
-        for tup in iter_product(range(d), *([range(dbar)] * n)):
-            t0 = tup[0]
-            slots = tup[1:]
-            col: dict = {}
-
-            def bump(key, coeff):
-                v = f.add(col.get(key, f.zero()), coeff)
-                if v:
-                    col[key] = v
-                else:
-                    col.pop(key, None)
-
-            # face 0: multiply the first two factors, result stays in B
-            for w, c in B.table[t0][reps[slots[0]]].items():
-                bump(first_key(w, slots[1:]), c)
-            # middle faces: reduced products
-            sign = 1
+        first = shifted(first, top, 1)
+        # mid[i][s][t]: face i, merging slots i and i + 1 into slot i
+        mid = [None] + [shifted(mid, place[i], (-1) ** i) for i in range(1, n)]
+        wrap = shifted(wrap, top, (-1) ** n)
+        for tup in self.tuples(n):
+            b0 = tup[0]
+            # head[i]: minus the key of b_0, s_1, ..., s_i in their own places
+            head = [-b0 * top]
             for i in range(1, n):
-                sign = -sign
-                prod = self.red_product(slots[i - 1], slots[i])
-                if prod:
-                    head = t0 * pw[n - 1]
-                    base = head
-                    for k in range(i - 1):
-                        base += slots[k] * pw[n - 2 - k]
-                    tail = 0
-                    for k in range(i + 1, n):
-                        tail += slots[k] * pw[n - 2 - (k - 1)]
-                    for w_slot, c in prod.items():
-                        key = base + w_slot * pw[n - 2 - (i - 1)] + tail
-                        bump(key, c if sign > 0 else f.neg(c))
-            # wrap face: a_n a_0 becomes the new first factor
-            for w, c in B.table[reps[slots[-1]]][t0].items():
-                bump(first_key(w, slots[:-1]),
-                     c if sign_n > 0 else f.neg(c))
-            yield tup, col
+                head.append(head[-1] - tup[i] * place[i])
+            # tail[i]: minus the key of s_i, ..., s_n moved one place left
+            tail = [0] * (n + 2)
+            for i in range(n, 1, -1):
+                tail[i] = tail[i + 1] - tup[i] * place[i - 1]
+            col = {}
+            base = tail[2]
+            for k, c in first[b0][tup[1]]:
+                col[base + k] = c
+            for i in range(1, n):
+                base = head[i - 1] + tail[i + 2]
+                for k, c in mid[i][tup[i]][tup[i + 1]]:
+                    k += base
+                    col[k] = col.get(k, 0) + c
+            base = head[n - 1] + b0 * top
+            for k, c in wrap[tup[n]][b0]:
+                k += base
+                col[k] = col.get(k, 0) + c
+            yield col
 
 
 def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModuleDescriptor:
@@ -179,7 +250,8 @@ def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModu
 
 def boundary_matrix(B: FDAlgebra, n: int, variant: str = "normalized",
                     cap: int = DEFAULT_TUPLE_CAP) -> ExactMatrix:
-    """The matrix of the bar boundary from chain degree n to n-1."""
+    """The matrix of the bar boundary from chain degree n to n-1; rows and
+    columns follow the order of `_BarData.tuples`."""
     if n < 1:
         raise ValueError("boundary_matrix needs degree n >= 1")
     data = _BarData(B, variant)
@@ -187,16 +259,19 @@ def boundary_matrix(B: FDAlgebra, n: int, variant: str = "normalized",
         size = data.chain_dim(deg)
         if size > cap:
             raise DimensionCapExceeded(deg, size, cap)
-    m = ExactMatrix(data.chain_dim(n - 1), data.chain_dim(n), B.field)
-    for idx, (_tup, col) in enumerate(data.columns(n)):
-        if col:
-            m.cols[idx] = col
+    f = B.field
+    row_of = {-data.key(t): r for r, t in enumerate(data.tuples(n - 1))}
+    scale = data.integer_tables[0]
+    m = ExactMatrix(data.chain_dim(n - 1), data.chain_dim(n), f)
+    for idx, col in enumerate(data.columns(n)):
+        col = {row_of[k]: f.coerce((c, scale)) for k, c in col.items()}
+        m.cols[idx] = {r: c for r, c in col.items() if c}
     return m
 
 
 def _boundary_rank(data: _BarData, n: int) -> int:
     eng = SparseRank(data.B.field.characteristic)
-    for _tup, col in data.columns(n):
+    for col in data.columns(n):
         if col:
             eng.add(col)
     return eng.rank
@@ -206,8 +281,7 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
             cap: int = DEFAULT_TUPLE_CAP, label: str | None = None) -> HHReport:
     """dim HH_n for 0 <= n <= n_max.
 
-    dim HH_0 = dim B - rank b_1 and, for n >= 1,
-    dim HH_n = dim C_n - rank b_n - rank b_{n+1}.  If a chain module
+    dim HH_n = dim C_n - rank b_n - rank b_{n+1}, with b_0 = 0.  If a chain module
     overflows the tuple cap the report is truncated at the last degree
     whose two boundary ranks both fit.
     """
@@ -226,10 +300,7 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
     for n in range(0, n_max + 1):
         if n + 1 not in ranks:
             break
-        if n == 0:
-            dims.append((0, data.d - ranks[1]))
-        else:
-            dims.append((n, data.chain_dim(n) - ranks[n] - ranks[n + 1]))
+        dims.append((n, data.chain_dim(n) - ranks.get(n, 0) - ranks[n + 1]))
     return HHReport(algebra=label or B.label or "algebra", variant=variant,
                     n_max=n_max, dims=dims, truncated_at=truncated_at)
 

@@ -380,8 +380,12 @@ class SparseRank:
 
     Over Q the reduced columns are kept as integer vectors with their
     content divided out, and elimination is done by integer cross
-    multiplication, so no Fraction arithmetic occurs in the inner loop.
-    Over F_p ordinary modular elimination is used.
+    multiplication, so no Fraction arithmetic occurs in the inner loop.  A
+    pivot whose leading entry is +-1 is subtracted without scaling the
+    column; only after a scaling step is the bit length of the column
+    checked, and its content divided out when an entry is longer than
+    _NORMALIZE_BITS.  Over F_p pivots are stored with leading entry 1 and
+    ordinary modular elimination is used.
     """
 
     _NORMALIZE_BITS = 256
@@ -413,43 +417,55 @@ class SparseRank:
 
     def add(self, col: dict) -> bool:
         """Insert a column; True iff the rank increased."""
-        if self.p == 0:
-            v = self._clear_denominators(col)
-        else:
-            v = {k: x % self.p for k, x in col.items() if x % self.p}
+        if self.p:
+            return self._add_mod_p(col)
+        v = self._clear_denominators(col)
+        pivots = self.pivots
         while v:
             j = min(v)
-            piv = self.pivots.get(j)
+            piv = pivots.get(j)
             if piv is None:
-                if self.p == 0:
-                    v = self._normalize_content(v)
-                self.pivots[j] = v
+                pivots[j] = self._normalize_content(v)
                 self.rank += 1
                 return True
-            if self.p == 0:
-                a, b = piv[j], v[j]
-                g = gcd(a, b)
-                am, bm = a // g, b // g
-                new = {k: am * x for k, x in v.items()}
-                for k, y in piv.items():
-                    z = new.get(k, 0) - bm * y
-                    if z:
-                        new[k] = z
-                    else:
-                        new.pop(k, None)
-                v = new
-                if v and max(abs(x) for x in v.values()).bit_length() > self._NORMALIZE_BITS:
-                    v = self._normalize_content(v)
+            a, c = piv[j], v[j]
+            scaled = a != 1 and a != -1
+            if scaled:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                v = {k: a * x for k, x in v.items()}
             else:
-                c = (v[j] * pow(piv[j], -1, self.p)) % self.p
-                new = dict(v)
-                for k, y in piv.items():
-                    z = (new.get(k, 0) - c * y) % self.p
-                    if z:
-                        new[k] = z
-                    else:
-                        new.pop(k, None)
-                v = new
+                c *= a  # v - (c / a) piv, with 1 / a = a
+            for k, y in piv.items():
+                z = v.get(k, 0) - c * y
+                if z:
+                    v[k] = z
+                else:
+                    del v[k]
+            if (scaled and v and max(abs(x) for x in v.values()).bit_length()
+                    > self._NORMALIZE_BITS):
+                v = self._normalize_content(v)
+        return False
+
+    def _add_mod_p(self, col: dict) -> bool:
+        p = self.p
+        v = {k: x % p for k, x in col.items() if x % p}
+        pivots = self.pivots
+        while v:
+            j = min(v)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(v[j], -1, p)
+                pivots[j] = {k: x * inv % p for k, x in v.items()}
+                self.rank += 1
+                return True
+            c = v[j]
+            for k, y in piv.items():
+                z = (v.get(k, 0) - c * y) % p
+                if z:
+                    v[k] = z
+                else:
+                    del v[k]
         return False
 
 

@@ -130,6 +130,38 @@ def test_verdict_hh_check_cap_exit(capsys, dual_file, monkeypatch):
     assert hh_check["corroborates_infinite"] is None
 
 
+def corpus_file(tmp_path, name):
+    f = tmp_path / f"{name}.quiver"
+    f.write_text(corpus_text(name))
+    return str(f)
+
+
+@pytest.mark.parametrize("name,degree,dims", [
+    ("nakayama_cycle_2", 4, [[0, 3], [1, 4], [2, 6], [3, 8], [4, 10]]),
+    ("nakayama_cycle_3", 3, [[0, 4], [1, 2], [2, 3], [3, 2]]),
+])
+def test_verdict_hh_check_fits_default_cap(capsys, tmp_path, name, degree, dims):
+    # both exceeded the default tuple cap on the bar complex over k
+    code, out, _ = run(capsys, "verdict", corpus_file(tmp_path, name), "--extend",
+                       "--hh-check", str(degree))
+    assert code == 0
+    hh = json.loads(out)["result"]["hh_check"]
+    assert hh["dims"] == dims and hh["truncated_at"] is None
+    assert hh["corroborates_infinite"] is True
+
+
+def test_corroborates_infinite_reads_the_top_degree(capsys, tmp_path):
+    # T(five_vertex_weighted) has HH_2 = HH_3 = 0 and HH_4 = 1: HHdim = infinity
+    # needs HH_n != 0 for infinitely many n, not for every n
+    path = corpus_file(tmp_path, "five_vertex_weighted")
+    for degree, flag in (("2", False), ("3", False), ("4", True)):
+        code, out, _ = run(capsys, "verdict", path, "--extend", "--hh-check", degree)
+        assert code == 0
+        hh = json.loads(out)["result"]["hh_check"]
+        assert hh["dims"][2:] == [[2, 0], [3, 0], [4, 1]][:int(degree) - 1]
+        assert hh["corroborates_infinite"] is flag, degree
+
+
 @pytest.mark.parametrize("argv", [
     ("verdict", "--extend", "--hh-check", "0"),
     ("verdict", "--hh-check", "-1"),

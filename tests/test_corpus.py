@@ -42,3 +42,18 @@ def test_corpus_checks_record_hh_dims(corpus_result):
     assert rec["name"] == "dual_numbers"
     assert rec["checks"]["hh_corroboration"]
     assert dict(rec["hh_dims"])[0] == 4  # HH_0 of the 4-dim extension
+
+
+def test_every_extension_is_corroborated(corpus_result):
+    # no dimension limit: every T(A) and every double extension is ranked
+    # through degree 4 on the E-relative bar complex
+    entries = {e["name"]: e for e in corpus_result["entries"]}
+    for entry in CORPUS:
+        rec = entries[entry.name]
+        assert [n for n, _ in rec["hh_dims"]] == [0, 1, 2, 3, 4], entry.name
+        assert rec["checks"]["hh_corroboration"], entry.name
+        if entry.double_extension:
+            assert rec["checks"]["double_extension_hh_corroboration"], entry.name
+    assert dict(entries["nakayama_cycle_3"]["hh_dims"]) == {0: 4, 1: 2, 2: 3, 3: 2, 4: 1}
+    # HH_2 = HH_3 = 0 do not count against HHdim = infinity; HH_4 = 1 does
+    assert dict(entries["five_vertex_weighted"]["hh_dims"]) == {0: 6, 1: 1, 2: 0, 3: 0, 4: 1}

@@ -1,13 +1,18 @@
 """The bar-complex homology oracle against independent computations."""
 
+import copy
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
-from trivext.algebra import build_algebra
+from trivext.algebra import FDAlgebra, build_algebra
 from trivext.dsl import parse_presentation
 from trivext.hochschild import (DimensionCapExceeded, boundary_matrix,
                                 boundary_squares_to_zero, chain_module,
                                 commutator_rank, hh_dims)
-from trivext.linalg import ExactMatrix, QQ, row_reduce
+from trivext.linalg import ExactMatrix, QQ, SparseRank, row_reduce
 from trivext.trivial_extension import trivial_extension
 
 
@@ -212,3 +217,229 @@ def test_hh_corroboration_small_extensions(algebras, extensions):
         dims = dict(rep.dims)
         for n in range(1, 5):
             assert dims[n] >= 1, (name, n)
+
+
+# -- the E-relative complex against the k-normalized one it replaced ----------
+
+
+class KNormalizedBar:
+    """Reference: the normalized bar complex over k, B (x) (B/k.1)^{(x) n},
+    with d (d-1)^n tuples.  The factors after the first live on the
+    complement of the unit inside the echelonized basis headed by 1; face
+    products in those slots are reduced, and tuples hitting the class of 1
+    drop out.  Columns use field arithmetic, with no integer scaling."""
+
+    def __init__(self, B):
+        self.B = B
+        self.d = B.dim
+        self.unit_pivot = min(B.unit())  # echelon head: the unit itself
+        self.reps = [k for k in range(B.dim) if k != self.unit_pivot]
+        self.slot_of = {k: s for s, k in enumerate(self.reps)}
+        self.dbar = len(self.reps)
+
+    def chain_dim(self, n):
+        return self.d * self.dbar ** n
+
+    def reduce(self, vec):
+        """Class of a B-vector in B/k.1, on the non-unit slots."""
+        f = self.B.field
+        c = vec.get(self.unit_pivot)
+        out = {k: v for k, v in vec.items() if k != self.unit_pivot}
+        if c:
+            for k in self.B.idempotent_indices:
+                if k != self.unit_pivot:
+                    v = f.sub(out.get(k, f.zero()), c)
+                    if v:
+                        out[k] = v
+                    else:
+                        out.pop(k, None)
+        return out
+
+    def columns(self, n):
+        B, f = self.B, self.B.field
+        d, dbar, reps = self.d, self.dbar, self.reps
+        pw = [dbar ** m for m in range(n)]
+
+        def first_key(w, rest):
+            key = w * pw[n - 1]
+            for k, s in enumerate(rest):
+                key += s * pw[n - 2 - k]
+            return key
+
+        for tup in product(range(d), *([range(dbar)] * n)):
+            t0, slots = tup[0], tup[1:]
+            col = {}
+
+            def bump(key, coeff):
+                v = f.add(col.get(key, f.zero()), coeff)
+                if v:
+                    col[key] = v
+                else:
+                    col.pop(key, None)
+
+            for w, c in B.table[t0][reps[slots[0]]].items():
+                bump(first_key(w, slots[1:]), c)
+            for i in range(1, n):
+                raw = self.reduce(B.table[reps[slots[i - 1]]][reps[slots[i]]])
+                base = t0 * pw[n - 1]
+                for k in range(i - 1):
+                    base += slots[k] * pw[n - 2 - k]
+                tail = 0
+                for k in range(i + 1, n):
+                    tail += slots[k] * pw[n - 1 - k]
+                for w, c in raw.items():
+                    key = base + self.slot_of[w] * pw[n - 1 - i] + tail
+                    bump(key, c if i % 2 == 0 else f.neg(c))
+            for w, c in B.table[reps[slots[-1]]][t0].items():
+                bump(first_key(w, slots[:-1]), c if n % 2 == 0 else f.neg(c))
+            yield col
+
+
+def k_normalized_hh(B, n_max):
+    """dim HH_n for 0 <= n <= n_max from the reference complex."""
+    ref = KNormalizedBar(B)
+    ranks = {0: 0}
+    for n in range(1, n_max + 2):
+        eng = SparseRank(B.field.characteristic)
+        for col in ref.columns(n):
+            if col:
+                eng.add(col)
+        ranks[n] = eng.rank
+    return [(n, ref.chain_dim(n) - ranks[n] - ranks[n + 1])
+            for n in range(n_max + 1)]
+
+
+def composable_tuples(B, n):
+    """Brute force: tuples (b_0, r_1, ..., r_n) of basis indices, r_i not an
+    idempotent, with b_0 r_1, r_1 r_2, ..., r_n b_0 composable through the
+    declared Peirce blocks (b = e_tgt b e_src, so x y needs src x = tgt y)."""
+    rad = [k for k in range(B.dim) if k not in B.idempotent_indices]
+    count = 0
+    for tup in product(range(B.dim), *([rad] * n)):
+        cyc = tup + tup[:1]
+        count += all(B.peirce[x][0] == B.peirce[y][1] for x, y in zip(cyc, cyc[1:]))
+    return count
+
+
+def random_quiver_algebra(rng, field):
+    """A random quiver on 2 or 3 vertices modulo all paths of length 3 and,
+    for each length-2 path, a monomial or a commutativity relation (with a
+    non-integer scalar over Q) or none."""
+    p = 0 if field == "field Q" else int(field.split()[-1])
+    vertices = [f"v{i}" for i in range(rng.randint(2, 3))]
+    arrows = [(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+              for i in range(rng.randint(2, 4))]
+    lines = [field, "vertices " + " ".join(vertices)]
+    lines += [f"arrow {a} : {s} -> {t}" for a, s, t in arrows]
+    paths2 = [(b, a) for a in arrows for b in arrows if a[2] == b[1]]
+    by_ends = {}
+    for b, a in paths2:
+        by_ends.setdefault((a[1], b[2]), []).append(f"{b[0]}*{a[0]}")
+    for group in by_ends.values():
+        rng.shuffle(group)
+        while group:
+            first = group.pop()
+            roll = rng.random()
+            if roll < 0.4:
+                lines.append(f"relation {first}")
+            elif roll < 0.8 and group:
+                c = rng.choice(["1/2", "3", "2/3"]) if not p else rng.randint(1, p - 1)
+                lines.append(f"relation {first} - {c}*{group.pop()}")
+    for c, b in paths2:
+        for a in arrows:
+            if a[2] == b[1]:
+                lines.append(f"relation {c[0]}*{b[0]}*{a[0]}")
+    return build("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("field", ["field Q", "field F 3", "field F 5"])
+def test_e_relative_matches_k_normalized_and_full(field):
+    rng = random.Random(f"e-relative {field}")
+    compared = multi_vertex = 0
+    for _ in range(40):
+        A = random_quiver_algebra(rng, field)
+        for B in (A, trivial_extension(A).T):
+            if B.dim > 8:
+                continue
+            n_max = 3 if B.dim <= 5 else 2
+            rep = hh_dims(B, n_max)
+            assert rep.dims == k_normalized_hh(B, n_max), B.basis_labels
+            assert rep.dims[:3] == hh_dims(B, 2, variant="full").dims
+            assert rep.dims[0][1] == B.dim - commutator_rank(B)
+            for n in range(4):
+                assert chain_module(B, n).dimension == composable_tuples(B, n)
+            compared += 1
+            multi_vertex += B.num_vertices > 1
+    assert compared >= 15 and multi_vertex >= 15
+
+
+HALF_SQUARE = ("field Q\nvertices 1 2 3 4\narrow c0 : 1 -> 2\narrow c1 : 2 -> 4\n"
+               "arrow d0 : 1 -> 3\narrow d1 : 3 -> 4\nrelation c1*c0 - 1/2*d1*d0\n")
+
+
+def test_e_relative_clears_denominators():
+    A = build(HALF_SQUARE)
+    assert Fraction(1, 2) in {c for row in A.table for prod in row
+                              for c in prod.values()}
+    assert hh_dims(A, 2).dims == k_normalized_hh(A, 2) == [(0, 4), (1, 0), (2, 0)]
+    assert hh_dims(A, 2, variant="full").dims == [(0, 4), (1, 0), (2, 0)]
+    T = trivial_extension(A).T
+    assert hh_dims(T, 2).dims[0][1] == T.dim - commutator_rank(T)
+    # the same boundaries scaled by 2 and written over F_3 and F_5
+    for p in (3, 5):
+        Ap = build(HALF_SQUARE.replace("field Q", f"field F {p}"))
+        assert hh_dims(Ap, 2).dims == k_normalized_hh(Ap, 2)
+    # a quantum plane y x = 3/2 x y: dropping the 3/2 changes its homology
+    Q = build("field Q\nvertices v\narrow x : v -> v\narrow y : v -> v\n"
+              "relation x*x\nrelation y*y\nrelation y*x - 3/2*x*y\n")
+    assert Fraction(3, 2) in {c for row in Q.table for prod in row
+                              for c in prod.values()}
+    assert hh_dims(Q, 3).dims == k_normalized_hh(Q, 3) == [(0, 3), (1, 2), (2, 2), (3, 2)]
+    T = trivial_extension(Q).T
+    assert hh_dims(T, 2).dims == k_normalized_hh(T, 2) == [(0, 5), (1, 6), (2, 6)]
+
+
+def test_e_relative_shrinks_multi_vertex_chains(extensions):
+    # C_5 of T(nakayama_cycle_3): d (d-1)^5 = 1 932 612 tuples over k
+    T = extensions["nakayama_cycle_3"].T
+    assert chain_module(T, 5).dimension == 972
+    assert chain_module(T, 5, "full").dimension == T.dim ** 6
+    # local algebras keep d (d-1)^n
+    T = extensions["dual_numbers"].T
+    assert chain_module(T, 5).dimension == 4 * 3 ** 5
+
+
+def _two_idempotents_in_one_vertex():
+    """k x k on the basis e = 1 and f with f f = e: f spans no ideal."""
+    one = QQ.one()
+    table = [[{0: one}, {1: one}], [{1: one}, {0: one}]]
+    return FDAlgebra(QQ, ["e", "f"], ["v"], [0], [(0, 0), (0, 0)], table, [])
+
+
+def test_precondition_rejects_non_ideal_radical_basis():
+    B = _two_idempotents_in_one_vertex()
+    with pytest.raises(ValueError, match="ideal"):
+        hh_dims(B, 2)
+    # the full complex needs no precondition: HH(k x k) = k^2 in degree 0
+    assert hh_dims(B, 2, variant="full").dims == [(0, 2), (1, 0), (2, 0)]
+
+
+def test_precondition_rejects_element_outside_peirce_blocks(algebras):
+    A = copy.deepcopy(algebras["path_a2"])
+    a = A.basis_labels.index("a")
+    e = A.idempotent_indices[0]
+    A.table[e][a] = {a: A.field.one()}  # now a = e_1 a and e_2 a
+    A.table[A.idempotent_indices[1]][a] = {a: A.field.one()}
+    with pytest.raises(ValueError, match="Peirce block"):
+        hh_dims(A, 1)
+
+
+def test_corroborates_infinite_needs_only_the_top_degree(extensions):
+    # HHdim = infinity lets single degrees vanish: T(five_vertex_weighted)
+    # has HH_2 = HH_3 = 0 and HH_4 = 1
+    T = extensions["five_vertex_weighted"].T
+    rep = hh_dims(T, 4)
+    assert rep.dims == [(0, 6), (1, 1), (2, 0), (3, 0), (4, 1)]
+    assert rep.corroborates_infinite() is True
+    assert hh_dims(T, 2).corroborates_infinite() is False
+    assert hh_dims(T, 4, cap=1000).corroborates_infinite() is None

@@ -63,6 +63,34 @@ def test_sparse_rank_agrees_with_dense():
             assert m.rank() == row_reduce(m).rank
 
 
+@pytest.mark.parametrize("normalize_bits", [256, 2])
+def test_sparse_rank_unit_and_scaled_pivots(monkeypatch, normalize_bits):
+    # columns mixing +-1 pivots, large integers and (over Q) fractions, with
+    # dependent columns; a tiny normalization threshold divides the content
+    # out on almost every step
+    monkeypatch.setattr(SparseRank, "_NORMALIZE_BITS", normalize_bits)
+    rng = random.Random(4100 + normalize_bits)
+    for p in (0, 3, 7):
+        field = QQ if p == 0 else GF(p)
+        for _ in range(40):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            pool = [1, -1, 2, -3, 10 ** 30 + 7]
+            if p == 0:
+                pool += [Fraction(1, 2), Fraction(-5, 3)]
+            columns = [{r: rng.choice(pool) for r in range(rows)
+                        if rng.random() < 0.6} for _ in range(cols)]
+            for _ in range(rng.randrange(0, 3)):
+                a, b = rng.choice(columns), rng.choice(columns)
+                c = rng.choice(pool)
+                columns.append({r: a.get(r, 0) + c * b.get(r, 0)
+                                for r in set(a) | set(b)})
+            eng, ech = SparseRank(p), Echelon(field, rows)
+            for col in columns:
+                vec = {r: field.coerce(x) for r, x in col.items()}
+                assert eng.add(col) == ech.add(vec)
+            assert eng.rank == ech.rank
+
+
 # -- the sparse echelon engine against the dense one it replaced ---------------
 
 
