@@ -14,8 +14,7 @@ from .dsl import (DSLError, Presentation, RelationExpr, parse_presentation,
                   serialize_presentation)
 from .hochschild import (DimensionCapExceeded, HHReport, boundary_matrix, hh_dims)
 from .linalg import (GF, QQ, ExactMatrix, FieldMismatchError, GroundField,
-                     IntPolynomial, PolyMatrix, poly_det, row_reduce,
-                     subspace_quotient)
+                     IntPolynomial, PolyMatrix, poly_det, row_reduce)
 from .quiver import Arrow, CompositionError, Path, Quiver, compose, enumerate_paths
 from .trivial_extension import (RelationSet, TrivialExtensionData,
                                 check_new_products_vanish, extended_quiver,

@@ -15,16 +15,20 @@ A path layer of more than PATH_BUDGET paths raises PathBudgetExceeded.
 
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
-over the ground field.
+over the ground field.  The radical chain, the socles and the
+selfinjectivity result are derived once per algebra, on first use, and
+stored on the instance; every other structural reader (Loewy lengths,
+radical powers, the weak socle condition, T(A), the CLI summaries) reads
+those stored results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .dsl import Presentation
-from .linalg import (Echelon, ExactMatrix, GroundField, QuotientMap, SparseRank,
-                     row_reduce)
+from .linalg import Echelon, ExactMatrix, GroundField, SparseRank, row_reduce
 from .quiver import Arrow, Path, Quiver, compose, path_layer
 
 
@@ -61,6 +65,12 @@ class FDAlgebra:
     "basis_j first".  The stationary idempotents are basis elements, every
     basis element lies in a single Peirce block (src, tgt), and arrows are
     represented by basis elements.
+
+    An instance is immutable after construction: `radical_chain`, `socles`
+    and `selfinjectivity` are derived once and stored on it, so neither
+    the table nor a returned `Subspace` may be changed.  Copies
+    (`copy.copy`, `copy.deepcopy`) do not carry the stored results, so a
+    copy whose table is then edited derives its own.
     """
 
     def __init__(self, field: GroundField, labels, vertex_names, idempotent_indices,
@@ -78,6 +88,10 @@ class FDAlgebra:
         self.basis_paths = basis_paths
         self.bound_conditional = bound_conditional
         self.label = label
+        self._derived: dict = {}
+
+    def __getstate__(self):
+        return {**self.__dict__, "_derived": {}}
 
     # -- elements -----------------------------------------------------
 
@@ -251,6 +265,16 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.echelon.contains(v) for v in other.echelon.rows)
 
+    def restrict(self, coords) -> Echelon:
+        """The span of the vectors read on `coords` only, with coordinate
+        c of the result standing for `coords[c]`."""
+        ech = Echelon(self.algebra.field, len(coords))
+        for row in self.echelon.rows:
+            v = {c: row[k] for c, k in enumerate(coords) if k in row}
+            if v:
+                ech.add(v)
+        return ech
+
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.algebra is other.algebra
                 and self.echelon.same_space(other.echelon))
@@ -333,8 +357,7 @@ def _build_homogeneous(pres: Presentation, max_weight: int):
                           [(slices[v].echelon, right, left) for v, right, left in steps],
                           ({index[t.label()]: c for c, t in rel.terms}
                            for rel in by_weight.get(w, ())))
-        pivots = set(ech.pivots)
-        basis_positions = [k for k in range(len(paths)) if k not in pivots]
+        basis_positions = ech.free_columns()
         slices[w] = _SliceQuotient(paths, index, ech, basis_positions)
         streak = streak + 1 if not basis_positions else 0
     return slices, w - window + 1
@@ -374,8 +397,7 @@ def _build_bounded(pres: Presentation):
         for row in piece.rows:
             ech.add(row)
         piece = ideal_slice(f, len(order), [(piece, jr, jl) for jr, jl in maps])
-    pivots = set(ech.pivots)
-    basis_positions = [k for k in range(len(order)) if k not in pivots]
+    basis_positions = ech.free_columns()
     for k in basis_positions:
         if order[k].length >= N:
             raise AdmissibilityError(
@@ -498,21 +520,33 @@ def radical_subspace(A: FDAlgebra) -> Subspace:
     return Subspace(A, [{k: A.field.one()} for k in A.radical_basis_indices()])
 
 
+def _stored(derive):
+    """`derive(A)` computed on the first call for each algebra and stored
+    on it; later calls return the stored result."""
+    @wraps(derive)
+    def read(A: FDAlgebra):
+        try:
+            return A._derived[derive.__name__]
+        except KeyError:
+            out = A._derived[derive.__name__] = derive(A)
+            return out
+    return read
+
+
 def radical_power(A: FDAlgebra, m: int) -> Subspace:
     if m < 1:
         raise ValueError("radical power needs m >= 1")
-    chain = radical_chain(A, m)
-    return chain[m] if m < len(chain) else chain[-1]
+    chain = radical_chain(A)
+    return chain[min(m, len(chain) - 1)]
 
 
-def radical_chain(A: FDAlgebra, m_max: int | None = None) -> list[Subspace]:
+@_stored
+def radical_chain(A: FDAlgebra) -> list[Subspace]:
     """[A, rad, rad^2, ...] down to the first zero power (inclusive)."""
     chain = [Subspace(A, [{k: A.field.one()} for k in range(A.dim)])]
     rad = radical_subspace(A)
     chain.append(rad)
     while chain[-1].dim > 0:
-        if m_max is not None and len(chain) > m_max:
-            break
         nxt = span_products(rad, chain[-1])
         if nxt.dim >= chain[-1].dim:
             raise AlgebraBuildError(
@@ -549,8 +583,7 @@ def trace_form_radical(A: FDAlgebra) -> Subspace:
 
 def loewy_length(A: FDAlgebra) -> int:
     """Least m with rad^m = 0."""
-    chain = radical_chain(A)
-    return len(chain) - 1
+    return len(radical_chain(A)) - 1
 
 
 def vertex_loewy_lengths(A: FDAlgebra) -> list[int]:
@@ -596,6 +629,7 @@ def _annihilator(A: FDAlgebra, columns, left=True, right=True) -> list[dict]:
             for kvec in row_reduce(stacked).kernel_basis]
 
 
+@_stored
 def socles(A: FDAlgebra) -> SocleData:
     """Left socles of the Ae_i, right socles of the e_jA, and the socle of
     A as a bimodule, each as the joint kernel of multiplication by the
@@ -636,6 +670,7 @@ class SelfinjectivityRefusal:
     reason: str
 
 
+@_stored
 def selfinjectivity(A: FDAlgebra):
     """A Nakayama permutation pi with Ae_i isomorphic to D(e_{pi(i)}A), or a
     refusal naming the first vertex where the search fails.
@@ -715,24 +750,19 @@ def quiver_of(A: FDAlgebra):
     """The quiver of A read off from rad/rad^2, with arrow representatives.
 
     The number of arrows i -> j is dim e_j (rad/rad^2) e_i; the
-    representatives are the basis elements at the free coordinates of the
-    rad^2 slice inside each Peirce block of the radical.
+    representatives are the basis elements at the non-pivot coordinates of
+    rad^2 restricted to each Peirce block of the radical.
     """
-    f = A.field
-    rad = radical_subspace(A)
-    rad2 = span_products(rad, rad)
+    rad2 = radical_power(A, 2)
+    idem = set(A.idempotent_indices)
     reps: list[ArrowRep] = []
     for k_src in range(A.num_vertices):
         for k_tgt in range(A.num_vertices):
-            idem = set(A.idempotent_indices)
             block = [k for k, (s, t) in enumerate(A.peirce)
                      if (s, t) == (k_src, k_tgt) and k not in idem]
             if not block:
                 continue
-            sub_rows = ({c: row[k] for c, k in enumerate(block) if k in row}
-                        for row in rad2.echelon.rows)
-            qmap = QuotientMap(f, len(block), filter(None, sub_rows))
-            for c in qmap.free_columns:
+            for c in rad2.restrict(block).free_columns():
                 k = block[c]
                 reps.append(ArrowRep(
                     name=A.basis_labels[k], source=k_src, target=k_tgt,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import (FDAlgebra, Subspace, build_algebra, is_local,
-                      left_socle_in_bimodule_socle, radical_subspace,
+                      left_socle_in_bimodule_socle, radical_power,
                       selfinjectivity, SelfinjectivityCertificate, socles,
                       span_products, subspace_sum, quiver_of, trace_form_radical)
 from .criteria import (cartan_criterion, find_two_truncated_cycle, graded_cartan,
@@ -104,7 +104,7 @@ def radical_decomposition_checks(tri: TrivialExtensionData) -> dict:
     f = T.field
     d = A.dim
 
-    rad_T = radical_subspace(T)
+    rad_T = radical_power(T, 1)
     expected = Subspace(T)
     idem = set(A.idempotent_indices)
     for k in range(d):
@@ -120,7 +120,7 @@ def radical_decomposition_checks(tri: TrivialExtensionData) -> dict:
 
     rad_A_in_T = Subspace(T, [{k: f.one()} for k in range(d) if k not in idem])
     da = Subspace(T, [{k: f.one()} for k in range(d, 2 * d)])
-    rad2_T = span_products(rad_T, rad_T)
+    rad2_T = radical_power(T, 2)
     rad2_A = span_products(rad_A_in_T, rad_A_in_T)
     mixed = subspace_sum(span_products(rad_A_in_T, da), span_products(da, rad_A_in_T))
     rad2_matches = rad2_T == subspace_sum(rad2_A, mixed)
@@ -151,9 +151,7 @@ def quiver_match_checks(tri: TrivialExtensionData) -> dict:
         for j in range(A.num_vertices):
             block = [k for k, (src, tgt) in enumerate(A.peirce)
                      if (src, tgt) == (j, i)]
-            proj = Subspace(A, ({k: row[k] for k in block if k in row}
-                                for row in soc.echelon.rows))
-            dim = proj.dim
+            dim = soc.restrict(block).rank
             if dim:
                 soc_block_dims[(A.vertex_names[i], A.vertex_names[j])] = dim
     new_counts: dict = {}

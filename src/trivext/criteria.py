@@ -59,53 +59,6 @@ def zero_composition_graph(A: FDAlgebra) -> dict[int, list[int]]:
     return adj
 
 
-def _tarjan_scc(nodes, adj):
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
     """The lexicographically least minimum-length cycle in the
     zero-composition graph, re-verified by direct multiplication, or None.
@@ -113,35 +66,20 @@ def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
     With `restrict_to_new` the search runs on the arrows lifted from the
     dual part of a trivial extension only.
     """
-    full_adj = zero_composition_graph(A)
+    adj = zero_composition_graph(A)
     if restrict_to_new:
         keep = {i for i, rep in enumerate(A.arrows) if rep.is_new}
-        adj = {i: [j for j in full_adj[i] if j in keep] for i in keep}
-        nodes = sorted(keep)
-    else:
-        adj = full_adj
-        nodes = sorted(adj)
+        adj = {i: [j for j in adj[i] if j in keep] for i in sorted(keep)}
 
-    comps = _tarjan_scc(nodes, adj)
-    cyclic = set()
-    for comp in comps:
-        # a component of size > 1 is strongly connected, so every node of it
-        # lies on a cycle; a singleton needs a self-loop
-        if len(comp) > 1 or comp[0] in adj[comp[0]]:
-            cyclic.update(comp)
-    if not cyclic:
-        return None
-
-    # shortest return length per node
-    best = None
+    # shortest return length per node; a node on no cycle has none
     lengths = {}
-    for v in sorted(cyclic):
-        dist = _bfs_exact(adj, v)
-        ln = dist.get(v)
+    for v in sorted(adj):
+        ln = _bfs_exact(adj, v).get(v)
         if ln:
             lengths[v] = ln
-            if best is None or ln < best:
-                best = ln
+    if not lengths:
+        return None
+    best = min(lengths.values())
     start = min(v for v, ln in lengths.items() if ln == best)
 
     # reach[k] = nodes with a walk of exactly k edges to `start`

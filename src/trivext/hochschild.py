@@ -17,9 +17,10 @@ basis elements and share the boundary
   number of non-idempotent basis elements b = e_u b e_v,
   dim C_n = sum over basis elements b_0 = e_u b_0 e_v of (M^n)[v][u]; for a
   local algebra this is d (d-1)^n, and every further vertex cuts it down.
-  `hh_dims` checks the precondition (every basis element lies in one
-  Peirce block, the non-idempotent ones span an ideal) once per call and
-  raises ValueError otherwise.
+  `hh_dims` checks the precondition once per call and raises ValueError
+  otherwise: `FDAlgebra.check_peirce` proves that every basis element
+  lies in the Peirce block `FDAlgebra.peirce` records for it, and the
+  non-idempotent ones must span an ideal.
 * `"full"` is the unnormalized bar complex B (x) B^{(x) n} over k, with
   d^(n+1) tuples; it is kept as a cross-check oracle.
 
@@ -87,24 +88,6 @@ class HHReport:
         return dims[self.n_max] >= 1 if self.n_max in dims else None
 
 
-def _peirce_sides(B: FDAlgebra) -> tuple[list, list]:
-    """The vertices (u, v) with b = e_u b e_v for every basis element b,
-    read off the table; ValueError unless each b lies in one block."""
-    one, T, d = B.field.one(), B.table, B.dim
-    sides = ([None] * d, [None] * d)
-    for v, e in enumerate(B.idempotent_indices):
-        for k in range(d):
-            for side, prod in zip(sides, (T[e][k], T[k][e])):
-                if prod == {k: one} and side[k] is None:
-                    side[k] = v
-                elif prod:
-                    raise ValueError(f"basis element {B.basis_labels[k]} does "
-                                     "not lie in a single Peirce block")
-    if None in sides[0] or None in sides[1]:
-        raise ValueError("the vertex idempotents do not sum to the unit")
-    return sides
-
-
 class _BarData:
     """Shared tables for one algebra/variant pair."""
 
@@ -113,7 +96,10 @@ class _BarData:
             left = right = [0] * B.dim
             self.slots, m = list(range(B.dim)), 1
         elif variant == "normalized":
-            left, right = _peirce_sides(B)
+            if not B.check_peirce():
+                raise ValueError("the basis elements do not each lie in a "
+                                 "single Peirce block")
+            right, left = zip(*B.peirce)
             self.slots, m = B.radical_basis_indices(), B.num_vertices
             rad = set(self.slots)
             if any(not rad.issuperset(B.table[i][j]) for i in rad for j in rad):
@@ -303,17 +289,6 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
         dims.append((n, data.chain_dim(n) - ranks.get(n, 0) - ranks[n + 1]))
     return HHReport(algebra=label or B.label or "algebra", variant=variant,
                     n_max=n_max, dims=dims, truncated_at=truncated_at)
-
-
-def boundary_squares_to_zero(B: FDAlgebra, n_max: int, variant: str = "normalized",
-                             cap: int = DEFAULT_TUPLE_CAP) -> bool:
-    """Check b_n . b_{n+1} = 0 as exact matrices for 1 <= n <= n_max."""
-    for n in range(1, n_max + 1):
-        bn = boundary_matrix(B, n, variant, cap)
-        bn1 = boundary_matrix(B, n + 1, variant, cap)
-        if not bn.matmul(bn1).is_zero():
-            return False
-    return True
 
 
 def commutator_rank(B: FDAlgebra) -> int:

@@ -227,42 +227,11 @@ class Echelon:
     def same_space(self, other: "Echelon") -> bool:
         return self.pivots == other.pivots and self.rows == other.rows
 
-
-class QuotientMap:
-    """Projection of k^n onto the coordinates complementary to a subspace.
-
-    The subspace is echelonized; the quotient coordinates are the non-pivot
-    columns of the reduced form.  `apply` kills the subspace and is onto,
-    `lift` is the section placing quotient coordinates at the free columns.
-    Vectors in k^n may be dense lists or sparse dicts; quotient vectors are
-    dense lists.
-    """
-
-    def __init__(self, field: GroundField, ambient_dim: int, sub_basis):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.echelon = Echelon(field, ambient_dim)
-        for v in sub_basis:
-            self.echelon.add(v)
-        piv = set(self.echelon.pivots)
-        self.free_columns = [j for j in range(ambient_dim) if j not in piv]
-        self.quotient_dim = len(self.free_columns)
-
-    def apply(self, vec) -> list:
-        res, zero = self.echelon.reduce(vec), self.field.zero()
-        return [res.get(j, zero) for j in self.free_columns]
-
-    def lift(self, qvec) -> list:
-        f = self.field
-        out = [f.zero()] * self.ambient_dim
-        for j, x in zip(self.free_columns, qvec):
-            out[j] = f.coerce(x)
-        return out
-
-
-def subspace_quotient(ambient_dim: int, sub_basis, field: GroundField = QQ) -> QuotientMap:
-    """Quotient of k^ambient_dim by the span of `sub_basis`."""
-    return QuotientMap(field, ambient_dim, sub_basis)
+    def free_columns(self) -> list[int]:
+        """The non-pivot columns, ascending: the coordinates that the
+        residuals of `reduce` live on."""
+        pivots = set(self.pivots)
+        return [k for k in range(self.width) if k not in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +272,6 @@ class ExactMatrix:
 
     def get(self, r: int, c: int):
         return self.cols[c].get(r, self.field.zero())
-
-    def apply_column(self, col: dict) -> dict:
-        """Matrix-vector product of a sparse vector {column: value}."""
-        f = self.field
-        out: dict = {}
-        for c, x in col.items():
-            for r, y in self.cols[c].items():
-                v = f.add(out.get(r, f.zero()), f.mul(x, y))
-                if v:
-                    out[r] = v
-                else:
-                    out.pop(r, None)
-        return out
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("matrix product across different fields")
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions disagree")
-        cols = [self.apply_column(c) for c in other.cols]
-        return ExactMatrix(self.nrows, other.ncols, self.field, cols)
 
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)

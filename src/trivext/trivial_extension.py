@@ -44,15 +44,12 @@ class NewArrow:
 
 
 class TrivialExtensionData:
-    """T(A) with part tags, the surjection onto D(soc), and the new arrows."""
+    """T(A) over its base algebra A, with the new arrows."""
 
-    def __init__(self, base: FDAlgebra, T: FDAlgebra, new_arrows, socle_basis,
-                 xi_matrix):
+    def __init__(self, base: FDAlgebra, T: FDAlgebra, new_arrows):
         self.base = base
         self.T = T
         self.new_arrows = list(new_arrows)
-        self.socle_basis = socle_basis      # echelon basis of soc_{A^e} A
-        self.xi_matrix = xi_matrix          # DA coords -> D(soc) coords
 
     @property
     def dim(self) -> int:
@@ -136,25 +133,17 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
         degrees = list(A.degrees) + [s + 1 - l for l in A.degrees]
 
     soc = socles(A).bimodule
-    socle_rows = soc.basis_sparse()
 
     # one new arrow i -> j per pivot of the reduced echelon basis of
     # e_i(soc)e_j; its representative is the dual of the pivot basis path
     new_arrows: list[NewArrow] = []
-    counter = 0
     for i in range(A.num_vertices):
         for j in range(A.num_vertices):
             block = [k for k, (src, tgt) in enumerate(A.peirce)
                      if (src, tgt) == (j, i)]  # e_i A e_j: paths j -> i
             if not block:
                 continue
-            ech = Echelon(f, len(block))
-            for row in socle_rows:
-                v = {c: row[k] for c, k in enumerate(block) if k in row}
-                if v:
-                    ech.add(v)
-            for pivot in ech.pivots:
-                counter += 1
+            for pivot in soc.restrict(block).pivots:
                 b = block[pivot]
                 new_arrows.append(NewArrow(
                     name=labels[d + b],
@@ -177,15 +166,7 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
                   label=label or (f"T({A.label})" if A.label else ""))
     if validate:
         T.validate()
-
-    xi = ExactMatrix(len(socle_rows), d, f)
-    for t, row in enumerate(socle_rows):
-        for u, c in row.items():
-            xi.set(t, u, c)
-
-    return TrivialExtensionData(base=A, T=T, new_arrows=new_arrows,
-                                socle_basis=[A.to_dense(v) for v in socle_rows],
-                                xi_matrix=xi)
+    return TrivialExtensionData(base=A, T=T, new_arrows=new_arrows)
 
 
 def graded_trivial_extension(A: FDAlgebra, **kw) -> TrivialExtensionData:

@@ -1,5 +1,7 @@
 """Construction of kQ/I and the structural linear algebra on it."""
 
+import copy
+
 import pytest
 
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError,
@@ -205,6 +207,29 @@ def test_radical_chain_strictly_decreasing(algebras):
         assert dims[0] == A.dim
         assert dims[-1] == 0
         assert all(a > b for a, b in zip(dims[1:], dims[2:])), name
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+def test_copy_with_edited_table_derives_its_own_structure(duplicate):
+    # derived structure is stored on the algebra; a copy whose table is
+    # edited afterwards, as the perturbation tests do, must not see it
+    A = build("field Q\nvertices v\narrow x : v -> v\nrelation x*x*x\n")
+    chain, soc, cert = radical_chain(A), socles(A), selfinjectivity(A)
+    assert [s.dim for s in chain] == [3, 2, 1, 0]
+    assert soc.bimodule.dim == 1 and isinstance(cert, SelfinjectivityCertificate)
+    B = duplicate(A)
+    B.table = [list(row) for row in A.table]
+    x = B.basis_labels.index("x")
+    B.table[x][x] = {}  # x^2 = 0 in the copy only
+    assert [s.dim for s in radical_chain(B)] == [3, 2, 0]
+    assert loewy_length(B) == 2 and radical_power(B, 2).dim == 0
+    assert all(s.algebra is B for s in radical_chain(B))
+    assert socles(B).bimodule.dim == 2
+    assert isinstance(selfinjectivity(B), SelfinjectivityRefusal)
+    assert not is_selfinjective(B)
+    # the original still returns what it derived before the copy
+    assert radical_chain(A) is chain and socles(A) is soc
+    assert selfinjectivity(A) is cert
 
 
 # -- grading modes and error paths --------------------------------------------

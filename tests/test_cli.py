@@ -1,9 +1,11 @@
 """The command line surface: reports, determinism, exit codes."""
 
 import json
+from collections import Counter
 
 import pytest
 
+import trivext.algebra
 from trivext.cli import main
 from trivext.corpus import corpus_text
 
@@ -296,3 +298,36 @@ def test_verdict_hypotheses_name_bound_condition(capsys, tmp_path, dual_file):
     code, out, _ = run(capsys, "verdict", dual_file, "--extend")
     assert json.loads(out)["result"]["verdict"]["hypotheses"] == {
         "local": True, "selfinjective": True, "graded": True}
+
+
+def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_path):
+    # the report prints the radical chain, the socles and the
+    # selfinjectivity of A and of T(A), and T(A) and the relation search
+    # need them too; each is derived once per algebra
+    products, annihilators = Counter(), Counter()
+    span_products = trivext.algebra.span_products
+    annihilator = trivext.algebra._annihilator
+
+    def count_products(left, right):
+        products[left.algebra] += 1
+        return span_products(left, right)
+
+    def count_annihilators(A, *args, **kwargs):
+        annihilators[A] += 1
+        return annihilator(A, *args, **kwargs)
+
+    monkeypatch.setattr(trivext.algebra, "span_products", count_products)
+    monkeypatch.setattr(trivext.algebra, "_annihilator", count_annihilators)
+    f = tmp_path / "nakayama.quiver"
+    f.write_text(corpus_text("nakayama_cycle_3"))
+    code, out, _ = run(capsys, "trivext", str(f))
+    assert code == 0
+    res = json.loads(out)["result"]
+    summaries = [res["algebra"], res["extension"]]
+    assert all(s["selfinjective"] for s in summaries)
+    # a radical chain of Loewy length L takes L - 1 products; the socles
+    # of an algebra on r vertices take 2r + 1 annihilators
+    assert {X.dim: n for X, n in products.items()} == {
+        s["dimension"]: s["loewy_length"] - 1 for s in summaries}
+    assert {X.dim: n for X, n in annihilators.items()} == {
+        s["dimension"]: 2 * len(s["vertices"]) + 1 for s in summaries}

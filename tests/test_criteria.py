@@ -1,9 +1,12 @@
 """Cycle certificates, graded Cartan tests, and the verdict engine."""
 
+import random
+
 import pytest
 
-from trivext.algebra import build_algebra
-from trivext.criteria import (CartanShapeError, cartan_criterion,
+from trivext.algebra import ArrowRep, build_algebra
+from trivext.criteria import (CartanShapeError, TruncatedCycleCertificate,
+                              _bfs_exact, cartan_criterion,
                               find_two_truncated_cycle, graded_cartan,
                               hhdim_verdict, trivial_extension_determinant_shape,
                               verify_cycle_certificate, zero_composition_graph)
@@ -96,6 +99,123 @@ def test_cycle_search_matches_brute_force(algebras, extensions):
         for B in (algebras[name], extensions[name].T):
             found = find_two_truncated_cycle(B) is not None
             assert found == _brute_force_has_cycle(B), name
+
+
+def _tarjan_scc(nodes, adj):
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    comps = []
+    counter = [0]
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(adj.get(root, ())))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj.get(w, ()))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def scc_two_truncated_cycle(A, restrict_to_new=False):
+    """Reference: the cycle search that first keeps the nodes of the
+    strongly connected components that carry a cycle."""
+    full_adj = zero_composition_graph(A)
+    if restrict_to_new:
+        keep = {i for i, rep in enumerate(A.arrows) if rep.is_new}
+        adj = {i: [j for j in full_adj[i] if j in keep] for i in keep}
+        nodes = sorted(keep)
+    else:
+        adj = full_adj
+        nodes = sorted(adj)
+    cyclic = set()
+    for comp in _tarjan_scc(nodes, adj):
+        if len(comp) > 1 or comp[0] in adj[comp[0]]:
+            cyclic.update(comp)
+    if not cyclic:
+        return None
+    lengths = {v: _bfs_exact(adj, v)[v] for v in sorted(cyclic)}
+    best = min(lengths.values())
+    start = min(v for v, ln in lengths.items() if ln == best)
+    reach = [{start}]
+    for k in range(1, best + 1):
+        reach.append({v for v in adj if any(w in reach[k - 1] for w in adj[v])})
+    seq = [start]
+    for step in range(1, best):
+        seq.append(min(w for w in adj[seq[-1]] if w in reach[best - step]))
+    reps = A.arrows
+    n = len(seq)
+    return TruncatedCycleCertificate(
+        arrow_names=[reps[i].name for i in seq],
+        arrow_indices=list(seq),
+        base_vertex=A.vertex_names[reps[seq[0]].source],
+        evaluations=[(reps[seq[(i + 1) % n]].name, reps[seq[i]].name)
+                     for i in range(n)])
+
+
+class GraphAlgebra:
+    """Arrows whose products are 0 or not as a seeded coin decides: b*a
+    vanishes iff (a, b) is in `zero`.  Enough of an algebra for the cycle
+    search, which only multiplies arrow representatives."""
+
+    def __init__(self, rng):
+        r = rng.randrange(1, 4)
+        self.vertex_names = [str(v) for v in range(r)]
+        self.arrows = [ArrowRep(f"x{i}", rng.randrange(r), rng.randrange(r), i,
+                                is_new=rng.random() < 0.5)
+                       for i in range(rng.randrange(1, 9))]
+        n, density = len(self.arrows), rng.choice((0.1, 0.3, 0.6))
+        self.zero = {(a, b) for a in range(n) for b in range(n)
+                     if rng.random() < density}
+
+    def multiply(self, x, y):
+        (b,), (a,) = x, y
+        return {} if (a, b) in self.zero else {a: 1}
+
+
+def test_cycle_search_matches_scc_reference(algebras, extensions):
+    rng = random.Random(20260601)
+    cases = [X for name in algebras for X in (algebras[name], extensions[name].T)]
+    cases += [GraphAlgebra(rng) for _ in range(400)]
+    outcomes = set()
+    for X in cases:
+        for restrict in (False, True):
+            got = find_two_truncated_cycle(X, restrict_to_new=restrict)
+            assert got == scc_two_truncated_cycle(X, restrict), (X, restrict)
+            outcomes.add((restrict, got is None))
+    # both outcomes occur with and without the restriction
+    assert len(outcomes) == 4
 
 
 def test_certificate_rejects_tampering(extensions):

@@ -10,10 +10,11 @@ import pytest
 from trivext.algebra import FDAlgebra, build_algebra
 from trivext.dsl import parse_presentation
 from trivext.hochschild import (DimensionCapExceeded, boundary_matrix,
-                                boundary_squares_to_zero, chain_module,
-                                commutator_rank, hh_dims)
+                                chain_module, commutator_rank, hh_dims)
 from trivext.linalg import ExactMatrix, QQ, SparseRank, row_reduce
 from trivext.trivial_extension import trivial_extension
+
+from reference import boundary_squares_to_zero
 
 
 def build(text, **kw):
