@@ -2,7 +2,7 @@
 machine-checkable certificates of infinite Hochschild homology dimension."""
 
 from .algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep, FDAlgebra,
-                      SelfinjectivityCertificate, SelfinjectivityRefusal, Subspace,
+                      SelfinjectivityCertificate, SelfinjectivityRefusal,
                       build_algebra, is_local, is_selfinjective,
                       left_socle_in_bimodule_socle, loewy_length, quiver_of,
                       radical_power, selfinjectivity, socles)
@@ -12,13 +12,13 @@ from .criteria import (GradedCartanData, TruncatedCycleCertificate, Verdict,
                        verify_cycle_certificate, zero_composition_graph)
 from .dsl import (DSLError, Presentation, RelationExpr, parse_presentation,
                   serialize_presentation)
-from .hochschild import (DimensionCapExceeded, HHReport, boundary_matrix, hh_dims)
-from .linalg import (GF, QQ, ExactMatrix, FieldMismatchError, GroundField,
+from .hochschild import DimensionCapExceeded, HHReport, hh_dims
+from .linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
                      IntPolynomial, PolyMatrix, poly_det, row_reduce)
 from .quiver import Arrow, CompositionError, Path, Quiver, compose, enumerate_paths
 from .trivial_extension import (RelationSet, TrivialExtensionData,
                                 check_new_products_vanish, extended_quiver,
-                                graded_trivial_extension, new_arrows,
+                                graded_trivial_extension,
                                 relations_up_to, trivial_extension)
 
 __version__ = "0.1.0"

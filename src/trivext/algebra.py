@@ -15,11 +15,12 @@ A path layer of more than PATH_BUDGET paths raises PathBudgetExceeded.
 
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
-over the ground field.  The radical chain, the socles and the
-selfinjectivity result are derived once per algebra, on first use, and
-stored on the instance; every other structural reader (Loewy lengths,
-radical powers, the weak socle condition, T(A), the CLI summaries) reads
-those stored results.
+over the ground field; every subspace of an algebra, such as a radical
+power or a socle, is an `Echelon` on its basis coordinates.  The radical
+chain, the socles and the selfinjectivity result are derived once per
+algebra, on first use, and stored on the instance; every other structural
+reader (Loewy lengths, radical powers, the weak socle condition, T(A), the
+CLI summaries) reads those stored results.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import wraps
 
 from .dsl import Presentation
-from .linalg import Echelon, ExactMatrix, GroundField, SparseRank, row_reduce
+from .linalg import Echelon, GroundField, SparseRank, row_reduce
 from .quiver import Arrow, Path, Quiver, compose, path_layer
 
 
@@ -68,7 +69,7 @@ class FDAlgebra:
 
     An instance is immutable after construction: `radical_chain`, `socles`
     and `selfinjectivity` are derived once and stored on it, so neither
-    the table nor a returned `Subspace` may be changed.  Copies
+    the table nor a returned `Echelon` may be changed.  Copies
     (`copy.copy`, `copy.deepcopy`) do not carry the stored results, so a
     copy whose table is then edited derives its own.
     """
@@ -135,12 +136,6 @@ class FDAlgebra:
                 else:
                     out.pop(k, None)
         return out
-
-    def to_dense(self, x: dict) -> list:
-        v = [self.field.zero()] * self.dim
-        for k, c in x.items():
-            v[k] = c
-        return v
 
     def radical_basis_indices(self) -> list[int]:
         idem = set(self.idempotent_indices)
@@ -239,59 +234,10 @@ class FDAlgebra:
         return f"<{name}: dim {self.dim}, {self.num_vertices} vertices>"
 
 
-class Subspace:
-    """A subspace of the underlying vector space of an algebra; vectors are
-    sparse dicts {basis index: coefficient}."""
-
-    def __init__(self, algebra: FDAlgebra, vectors=()):
-        self.algebra = algebra
-        self.echelon = Echelon(algebra.field, algebra.dim)
-        for v in vectors:
-            self.add(v)
-
-    def add(self, vec) -> bool:
-        return self.echelon.add(vec)
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.rank
-
-    def contains(self, vec) -> bool:
-        return self.echelon.contains(vec)
-
-    def basis_sparse(self) -> list[dict]:
-        return self.echelon.basis()
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.echelon.contains(v) for v in other.echelon.rows)
-
-    def restrict(self, coords) -> Echelon:
-        """The span of the vectors read on `coords` only, with coordinate
-        c of the result standing for `coords[c]`."""
-        ech = Echelon(self.algebra.field, len(coords))
-        for row in self.echelon.rows:
-            v = {c: row[k] for c, k in enumerate(coords) if k in row}
-            if v:
-                ech.add(v)
-        return ech
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.algebra is other.algebra
-                and self.echelon.same_space(other.echelon))
-
-    def __repr__(self):
-        return f"<Subspace dim {self.dim} of {self.algebra!r}>"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return Subspace(a.algebra, a.echelon.rows + b.echelon.rows)
-
-
-def span_products(left: Subspace, right: Subspace) -> Subspace:
-    """The span of all products x*y with x in `left`, y in `right`."""
-    A = left.algebra
-    return Subspace(A, (A.multiply(x, y) for x in left.echelon.rows
-                        for y in right.echelon.rows))
+def span_products(A: FDAlgebra, left: Echelon, right: Echelon) -> Echelon:
+    """The span of all products x*y in A with x in `left`, y in `right`."""
+    return Echelon(A.field, A.dim, (A.multiply(x, y) for x in left.rows
+                                    for y in right.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +454,7 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
 # radical, socles, Loewy structure
 
 
-def radical_subspace(A: FDAlgebra) -> Subspace:
+def radical_subspace(A: FDAlgebra) -> Echelon:
     """The radical: span of the non-idempotent basis elements.
 
     For the algebras this package constructs (path normal forms, or dual
@@ -517,7 +463,8 @@ def radical_subspace(A: FDAlgebra) -> Subspace:
     down as the Jacobson radical; nilpotency is verified by
     `loewy_length`.
     """
-    return Subspace(A, [{k: A.field.one()} for k in A.radical_basis_indices()])
+    return Echelon(A.field, A.dim,
+                   [{k: A.field.one()} for k in A.radical_basis_indices()])
 
 
 def _stored(derive):
@@ -533,7 +480,7 @@ def _stored(derive):
     return read
 
 
-def radical_power(A: FDAlgebra, m: int) -> Subspace:
+def radical_power(A: FDAlgebra, m: int) -> Echelon:
     if m < 1:
         raise ValueError("radical power needs m >= 1")
     chain = radical_chain(A)
@@ -541,14 +488,14 @@ def radical_power(A: FDAlgebra, m: int) -> Subspace:
 
 
 @_stored
-def radical_chain(A: FDAlgebra) -> list[Subspace]:
+def radical_chain(A: FDAlgebra) -> list[Echelon]:
     """[A, rad, rad^2, ...] down to the first zero power (inclusive)."""
-    chain = [Subspace(A, [{k: A.field.one()} for k in range(A.dim)])]
+    chain = [Echelon(A.field, A.dim, [{k: A.field.one()} for k in range(A.dim)])]
     rad = radical_subspace(A)
     chain.append(rad)
-    while chain[-1].dim > 0:
-        nxt = span_products(rad, chain[-1])
-        if nxt.dim >= chain[-1].dim:
+    while chain[-1].rank > 0:
+        nxt = span_products(A, rad, chain[-1])
+        if nxt.rank >= chain[-1].rank:
             raise AlgebraBuildError(
                 "the span of non-idempotent basis elements is not nilpotent; "
                 "the algebra is not of the promised shape")
@@ -556,7 +503,7 @@ def radical_chain(A: FDAlgebra) -> list[Subspace]:
     return chain
 
 
-def trace_form_radical(A: FDAlgebra) -> Subspace:
+def trace_form_radical(A: FDAlgebra) -> Echelon:
     """The radical computed intrinsically as the kernel of the trace form
     (x, y) -> trace of left multiplication by x*y; valid in characteristic
     zero, where this kernel is the Jacobson radical.  Serves as an
@@ -571,14 +518,16 @@ def trace_form_radical(A: FDAlgebra) -> Subspace:
         for j in range(A.dim):
             t = f.add(t, A.table[k][j].get(j, f.zero()))
         traces.append(t)
-    gram = ExactMatrix(A.dim, A.dim, f)
+    # coordinate j of the Gram matrix maps to {i: trace(b_i * b_j)}
+    gram = {j: {} for j in range(A.dim)}
     for i in range(A.dim):
         for j in range(A.dim):
             v = f.zero()
             for k, c in A.table[i][j].items():
                 v = f.add(v, f.mul(c, traces[k]))
-            gram.set(i, j, v)
-    return Subspace(A, row_reduce(gram).kernel_basis)
+            if v:
+                gram[j][i] = v
+    return Echelon(f, A.dim, row_reduce(f, gram))
 
 
 def loewy_length(A: FDAlgebra) -> int:
@@ -594,39 +543,36 @@ def vertex_loewy_lengths(A: FDAlgebra) -> list[int]:
         # the least m where the rows of rad^m all vanish on the paths from i
         out.append(next(m for m, sub in enumerate(chain)
                         if not any(A.peirce[k][0] == i
-                                   for row in sub.echelon.rows for k in row)))
+                                   for row in sub.rows for k in row)))
     return out
 
 
 @dataclass
 class SocleData:
-    left: list[Subspace]       # socle of Ae_i, one per vertex
-    right: list[Subspace]      # socle of e_jA, one per vertex
-    bimodule: Subspace         # socle of A as a bimodule
+    left: list[Echelon]       # socle of Ae_i, one per vertex
+    right: list[Echelon]      # socle of e_jA, one per vertex
+    bimodule: Echelon         # socle of A as a bimodule
 
-    def left_total(self) -> Subspace:
-        return Subspace(self.bimodule.algebra,
-                        (v for s in self.left for v in s.echelon.rows))
+    def left_total(self) -> Echelon:
+        return Echelon(self.bimodule.field, self.bimodule.width,
+                       (v for s in self.left for v in s.rows))
 
 
-def _annihilator(A: FDAlgebra, columns, left=True, right=True) -> list[dict]:
-    """Kernel vectors on the given coordinate set of the stacked
-    multiplication maps by all arrow representatives."""
+def _annihilator(A: FDAlgebra, columns, left=True, right=True) -> Echelon:
+    """The vectors on the given coordinate set that every arrow
+    representative kills by multiplication on the chosen sides."""
     f, T, d = A.field, A.table, A.dim
     if not A.arrows:
-        return [{k: f.one()} for k in columns]
-    # one block of d rows per arrow a and side: a * b_k on the left,
-    # b_k * a on the right
+        return Echelon(f, d, [{k: f.one()} for k in columns])
+    # b_k maps to one block of d coordinates per arrow a and side:
+    # a * b_k on the left, b_k * a on the right
     blocks = [(rep.basis_index, side) for rep in A.arrows
               for side in (("L",) if left and not right else
                            ("R",) if right and not left else ("L", "R"))]
-    stacked = ExactMatrix(len(blocks) * d, len(columns), f)
-    for col, k in zip(stacked.cols, columns):
-        for off, (a, side) in enumerate(blocks):
-            for r, x in (T[a][k] if side == "L" else T[k][a]).items():
-                col[off * d + r] = x
-    return [{columns[c]: v for c, v in kvec.items()}
-            for kvec in row_reduce(stacked).kernel_basis]
+    return Echelon(f, d, row_reduce(f, {
+        k: {off * d + r: x for off, (a, side) in enumerate(blocks)
+            for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
+        for k in columns}))
 
 
 @_stored
@@ -634,15 +580,11 @@ def socles(A: FDAlgebra) -> SocleData:
     """Left socles of the Ae_i, right socles of the e_jA, and the socle of
     A as a bimodule, each as the joint kernel of multiplication by the
     arrow representatives on the appropriate side."""
-    left = []
-    for i in range(A.num_vertices):
-        cols = [k for k, (src, _t) in enumerate(A.peirce) if src == i]
-        left.append(Subspace(A, _annihilator(A, cols, left=True, right=False)))
-    right = []
-    for j in range(A.num_vertices):
-        cols = [k for k, (_s, tgt) in enumerate(A.peirce) if tgt == j]
-        right.append(Subspace(A, _annihilator(A, cols, left=False, right=True)))
-    bimodule = Subspace(A, _annihilator(A, list(range(A.dim)), left=True, right=True))
+    left = [_annihilator(A, [k for k, (src, _t) in enumerate(A.peirce) if src == i],
+                         left=True, right=False) for i in range(A.num_vertices)]
+    right = [_annihilator(A, [k for k, (_s, tgt) in enumerate(A.peirce) if tgt == j],
+                          left=False, right=True) for j in range(A.num_vertices)]
+    bimodule = _annihilator(A, range(A.dim), left=True, right=True)
     return SocleData(left=left, right=right, bimodule=bimodule)
 
 
@@ -686,10 +628,10 @@ def selfinjectivity(A: FDAlgebra):
     socle_type = []
     for j in range(A.num_vertices):
         soc = data.right[j]
-        if soc.dim != 1:
+        if soc.rank != 1:
             socle_type.append(None)
             continue
-        vec = soc.basis_sparse()[0]
+        vec = soc.rows[0]
         srcs = {A.peirce[k][0] for k in vec}
         socle_type.append(srcs.pop() if len(srcs) == 1 else None)
 
@@ -717,7 +659,7 @@ def selfinjectivity(A: FDAlgebra):
     return SelfinjectivityCertificate(
         permutation=tuple(perm),
         loewy_lengths=tuple(lls),
-        socle_dims=tuple(data.right[perm[i]].dim for i in range(A.num_vertices)),
+        socle_dims=tuple(data.right[perm[i]].rank for i in range(A.num_vertices)),
         dimension_pairs=tuple((left_dims[i], right_dims[perm[i]])
                               for i in range(A.num_vertices)))
 

@@ -72,12 +72,12 @@ def _algebra_summary(A: FDAlgebra) -> dict:
         "arrows": [{"name": r.name, "source": A.vertex_names[r.source],
                     "target": A.vertex_names[r.target], "new": r.is_new}
                    for r in A.arrows],
-        "radical_filtration": [s.dim for s in chain],
+        "radical_filtration": [s.rank for s in chain],
         "loewy_length": len(chain) - 1,
         "socle_dims": {
-            "left": [s.dim for s in soc.left],
-            "right": [s.dim for s in soc.right],
-            "bimodule": soc.bimodule.dim,
+            "left": [s.rank for s in soc.left],
+            "right": [s.rank for s in soc.right],
+            "bimodule": soc.bimodule.rank,
         },
         "local": is_local(A),
         "selfinjective": isinstance(selfinj, SelfinjectivityCertificate),

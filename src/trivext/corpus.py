@@ -15,16 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import (FDAlgebra, Subspace, build_algebra, is_local,
+from .algebra import (FDAlgebra, build_algebra, is_local,
                       left_socle_in_bimodule_socle, radical_power,
                       selfinjectivity, SelfinjectivityCertificate, socles,
-                      span_products, subspace_sum, quiver_of, trace_form_radical)
+                      span_products, quiver_of, trace_form_radical)
 from .criteria import (cartan_criterion, find_two_truncated_cycle, graded_cartan,
                        hhdim_verdict, trivial_extension_determinant_shape,
                        verify_cycle_certificate)
 from .dsl import parse_presentation
 from .hochschild import hh_dims
-from .linalg import ExactMatrix
+from .linalg import Echelon
 from .trivial_extension import (TrivialExtensionData, check_new_products_vanish,
                                 extended_quiver, trivial_extension)
 
@@ -72,7 +72,7 @@ def symmetric_form_checks(tri: TrivialExtensionData) -> dict:
     gram = [[tri.symmetric_form(T.basis_element(i), T.basis_element(j))
              for j in range(n)] for i in range(n)]
     symmetric = all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
-    nondegenerate = ExactMatrix.from_rows(gram, f).rank() == n
+    nondegenerate = Echelon(f, n, gram).rank == n
 
     def form(u, v):
         return tri.symmetric_form(u, v)
@@ -104,26 +104,20 @@ def radical_decomposition_checks(tri: TrivialExtensionData) -> dict:
     f = T.field
     d = A.dim
 
-    rad_T = radical_power(T, 1)
-    expected = Subspace(T)
     idem = set(A.idempotent_indices)
-    for k in range(d):
-        if k not in idem:
-            expected.add({k: f.one()})
-    for k in range(d, 2 * d):
-        expected.add({k: f.one()})
-    rad_matches = rad_T == expected
+    rad_A_in_T = Echelon(f, T.dim, [{k: f.one()} for k in range(d) if k not in idem])
+    da = Echelon(f, T.dim, [{k: f.one()} for k in range(d, 2 * d)])
+    rad_T = radical_power(T, 1)
+    rad_matches = rad_T == Echelon(f, T.dim, rad_A_in_T.rows + da.rows)
 
     trace_matches = True
     if f.characteristic == 0:
         trace_matches = trace_form_radical(T) == rad_T
 
-    rad_A_in_T = Subspace(T, [{k: f.one()} for k in range(d) if k not in idem])
-    da = Subspace(T, [{k: f.one()} for k in range(d, 2 * d)])
     rad2_T = radical_power(T, 2)
-    rad2_A = span_products(rad_A_in_T, rad_A_in_T)
-    mixed = subspace_sum(span_products(rad_A_in_T, da), span_products(da, rad_A_in_T))
-    rad2_matches = rad2_T == subspace_sum(rad2_A, mixed)
+    pieces = ((rad_A_in_T, rad_A_in_T), (rad_A_in_T, da), (da, rad_A_in_T))
+    rad2_matches = rad2_T == Echelon(f, T.dim, [
+        v for left, right in pieces for v in span_products(T, left, right).rows])
     return {"radical_decomposes": rad_matches,
             "radical_trace_form_agrees": trace_matches,
             "radical_square_decomposes": rad2_matches}
@@ -193,7 +187,8 @@ def entry_checks(entry: CorpusEntry) -> dict:
         == entry.selfinjective)
     checks["graded_as_expected"] = A.is_graded == entry.graded
 
-    tri = trivial_extension(A)
+    verdict = hhdim_verdict(A, extend=True)
+    tri = verdict.extension
     T = tri.T
     checks["extension_dim_doubles"] = T.dim == 2 * A.dim
     checks["extension_associative"] = T.check_associativity()
@@ -212,7 +207,6 @@ def entry_checks(entry: CorpusEntry) -> dict:
         checks["weak_socle_gives_incoming_arrows"] = (
             incoming == set(range(A.num_vertices)))
 
-    verdict = hhdim_verdict(A, extend=True, validate=False)
     if A.dim and (entry.local or entry.selfinjective or entry.graded):
         checks["extension_certified_infinite"] = verdict.is_infinite
     if verdict.cycle is not None:

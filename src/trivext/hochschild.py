@@ -44,7 +44,7 @@ from itertools import product
 from math import lcm
 
 from .algebra import FDAlgebra
-from .linalg import ExactMatrix, SparseRank
+from .linalg import SparseRank
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -232,27 +232,6 @@ class _BarData:
 def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModuleDescriptor:
     data = _BarData(B, variant)
     return ChainModuleDescriptor(degree=n, dimension=data.chain_dim(n), variant=variant)
-
-
-def boundary_matrix(B: FDAlgebra, n: int, variant: str = "normalized",
-                    cap: int = DEFAULT_TUPLE_CAP) -> ExactMatrix:
-    """The matrix of the bar boundary from chain degree n to n-1; rows and
-    columns follow the order of `_BarData.tuples`."""
-    if n < 1:
-        raise ValueError("boundary_matrix needs degree n >= 1")
-    data = _BarData(B, variant)
-    for deg in (n - 1, n):
-        size = data.chain_dim(deg)
-        if size > cap:
-            raise DimensionCapExceeded(deg, size, cap)
-    f = B.field
-    row_of = {-data.key(t): r for r, t in enumerate(data.tuples(n - 1))}
-    scale = data.integer_tables[0]
-    m = ExactMatrix(data.chain_dim(n - 1), data.chain_dim(n), f)
-    for idx, col in enumerate(data.columns(n)):
-        col = {row_of[k]: f.coerce((c, scale)) for k, c in col.items()}
-        m.cols[idx] = {r: c for r, c in col.items() if c}
-    return m
 
 
 def _boundary_rank(data: _BarData, n: int) -> int:

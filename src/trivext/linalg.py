@@ -1,23 +1,23 @@
-"""Exact scalars, sparse elimination, exact matrices, and integer-polynomial
-determinants.
+"""Exact scalars, sparse elimination and integer-polynomial determinants.
 
 The ground field is either Q (scalars are `fractions.Fraction`, always in
 lowest terms with positive denominator) or F_p for a prime p (scalars are
 ints in [0, p)).  Everything in this module is exact; no floating point is
 used anywhere in the package.
 
-There are two elimination engines, both on sparse vectors.  `Echelon`
-keeps a row space in reduced echelon form: every span, kernel, quotient
-and ideal slice of the package goes through it, and `row_reduce` is built
-on it.  `SparseRank` only counts the rank of columns fed one at a time,
-eliminating over Q by integer cross multiplication; it serves the large
-bar-complex boundaries of the homology oracle.
+Vectors are sparse dicts {coordinate: value}, and there is one row type.
+`Echelon` holds a subspace in reduced echelon form: every span, socle,
+radical power, ideal slice and kernel of the package is one, and
+`row_reduce` reads a linear map as the dict of its sparse images and
+returns the canonical kernel basis.  `SparseRank` only counts the rank of
+columns fed one at a time, eliminating over Q by integer cross
+multiplication; it serves the large bar-complex boundaries of the
+homology oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -124,25 +124,28 @@ def GF(p: int) -> GroundField:
 
 
 class Echelon:
-    """A growing row space kept in reduced echelon form over a ground field.
+    """A subspace of k^width kept in reduced echelon form over a ground field.
 
     Rows are sparse dicts {column: value}.  The pivot of a row is its first
     nonzero column, normalized to 1 and cleared in every other row, so the
     rows are the reduced echelon basis of the span and every result is
-    canonical.  Vectors may be given as dicts or as dense lists of length
-    `width`; the work per operation is proportional to the nonzeros it
-    touches.  Used for the desk-scale spans throughout (ideal slices,
-    socles, radical filtrations, kernels); the bar-complex ranks use
+    canonical: two echelons over one field and width are equal iff they
+    span the same subspace.  Vectors may be given as dicts or as dense
+    lists of length `width`; the work per operation is proportional to the
+    nonzeros it touches.  Every span, socle, radical power, kernel and
+    ideal slice of the package is one; the bar-complex ranks use
     `SparseRank`.
     """
 
-    def __init__(self, field: GroundField, width: int):
+    def __init__(self, field: GroundField, width: int, vectors=()):
         self.field = field
         self.width = width
         self.rows: list[dict] = []    # ordered by pivot
         self.pivots: list[int] = []
         self._row_at: dict = {}       # pivot column -> its row
         self._holders: dict = {}      # other column -> pivots of the rows using it
+        for vec in vectors:
+            self.add(vec)
 
     @property
     def rank(self) -> int:
@@ -224,8 +227,24 @@ class Echelon:
         """Copies of the rows, each with its columns in increasing order."""
         return [dict(sorted(r.items())) for r in self.rows]
 
-    def same_space(self, other: "Echelon") -> bool:
-        return self.pivots == other.pivots and self.rows == other.rows
+    def contains_space(self, other: "Echelon") -> bool:
+        """True iff the span of `other` lies in this one."""
+        return all(self.contains(v) for v in other.rows)
+
+    def restrict(self, coords) -> "Echelon":
+        """The span of the rows read on `coords` only, with coordinate c of
+        the result standing for `coords[c]`."""
+        return Echelon(self.field, len(coords), (
+            {c: row[k] for c, k in enumerate(coords) if k in row}
+            for row in self.rows))
+
+    def __eq__(self, other):
+        return (isinstance(other, Echelon) and self.field == other.field
+                and self.width == other.width and self.pivots == other.pivots
+                and self.rows == other.rows)
+
+    def __repr__(self):
+        return f"<Echelon rank {self.rank} in {self.field!r}^{self.width}>"
 
     def free_columns(self) -> list[int]:
         """The non-pivot columns, ascending: the coordinates that the
@@ -234,93 +253,30 @@ class Echelon:
         return [k for k in range(self.width) if k not in pivots]
 
 
-# ---------------------------------------------------------------------------
-# matrices
+def row_reduce(field: GroundField, images: dict) -> list[dict]:
+    """Canonical basis of the kernel of a linear map.
 
-
-class ExactMatrix:
-    """Exact matrix over a ground field, stored column-major and sparse."""
-
-    __slots__ = ("field", "nrows", "ncols", "cols")
-
-    def __init__(self, nrows: int, ncols: int, field: GroundField = QQ, cols=None):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.cols = cols if cols is not None else [{} for _ in range(ncols)]
-
-    @classmethod
-    def from_rows(cls, rows, field: GroundField = QQ) -> "ExactMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        m = cls(nrows, ncols, field)
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, x in enumerate(row):
-                x = field.coerce(x)
-                if x:
-                    m.cols[c][r] = x
-        return m
-
-    def set(self, r: int, c: int, value):
-        value = self.field.coerce(value)
-        if value:
-            self.cols[c][r] = value
-        else:
-            self.cols[c].pop(r, None)
-
-    def get(self, r: int, c: int):
-        return self.cols[c].get(r, self.field.zero())
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
-    def rank(self) -> int:
-        eng = SparseRank(self.field.p)
-        for col in self.cols:
-            eng.add(col)
-        return eng.rank
-
-    def __eq__(self, other):
-        return (isinstance(other, ExactMatrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.cols == other.cols)
-
-
-@dataclass
-class RowReduction:
-    rank: int
-    kernel_basis: list
-    pivot_columns: list
-
-
-def row_reduce(m: ExactMatrix) -> RowReduction:
-    """Rank, canonical kernel basis and pivot columns of an exact matrix.
-
-    The nonzero rows are read off the columns and echelonized; the kernel
-    basis spans {v : m v = 0}, as sparse dicts, and is itself returned in
-    reduced echelon form, so the output is canonical for the given matrix.
+    `images[k]` is the sparse image {row: value} of coordinate k; the
+    result is the reduced echelon basis of {x : sum_k x_k images[k] = 0},
+    in pivot order, keyed by the caller's own coordinates.  The nonzero
+    rows of the map are echelonized, and each free coordinate j gives the
+    kernel vector e_j - sum over the pivot rows p of row_p[j] e_p.
     """
-    f = m.field
     rows: dict = {}
-    for c, col in enumerate(m.cols):
-        for r, x in col.items():
-            rows.setdefault(r, {})[c] = x
-    ech = Echelon(f, m.ncols)
-    for r in sorted(rows):
-        ech.add(rows[r])
-    pivots = set(ech.pivots)
-    kernel = Echelon(f, m.ncols)
-    for j in range(m.ncols):
+    for k, image in images.items():
+        for r, x in image.items():
+            rows.setdefault(r, {})[k] = x
+    width = max(images, default=-1) + 1
+    ech = Echelon(field, width, (rows[r] for r in sorted(rows)))
+    pivots, kernel = set(ech.pivots), Echelon(field, width)
+    for j in images:
         if j not in pivots:
-            v = {j: f.one()}
+            v = {j: field.one()}
             for row, p in zip(ech.rows, ech.pivots):
                 if j in row:
-                    v[p] = f.neg(row[j])
+                    v[p] = field.neg(row[j])
             kernel.add(v)
-    return RowReduction(rank=ech.rank, kernel_basis=kernel.basis(),
-                        pivot_columns=list(ech.pivots))
+    return kernel.basis()
 
 
 class SparseRank:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .algebra import (AlgebraBuildError, ArrowRep, FDAlgebra, ideal_slice,
                       loewy_length, socles)
 from .dsl import RelationExpr
-from .linalg import Echelon, ExactMatrix, row_reduce
+from .linalg import Echelon, row_reduce
 from .quiver import Arrow, Path, PathBudgetExceeded, Quiver, path_layer
 # unused here; kept as a module binding because the bench tests check that
 # the tracer patches every module's `compose`
@@ -50,10 +50,6 @@ class TrivialExtensionData:
         self.base = base
         self.T = T
         self.new_arrows = list(new_arrows)
-
-    @property
-    def dim(self) -> int:
-        return self.T.dim
 
     def dual_index(self, k: int) -> int:
         """Index pairing the A-part and DA-part copies of basis slot k."""
@@ -176,10 +172,6 @@ def graded_trivial_extension(A: FDAlgebra, **kw) -> TrivialExtensionData:
     return trivial_extension(A, **kw)
 
 
-def new_arrows(tri: TrivialExtensionData) -> list[NewArrow]:
-    return list(tri.new_arrows)
-
-
 def extended_quiver(tri: TrivialExtensionData) -> Quiver:
     """The quiver of T(A): the arrows of A plus the new arrows."""
     names = tri.base.vertex_names
@@ -281,17 +273,8 @@ def _slice_kernel(tri: TrivialExtensionData, layer):
     """Basis of the kernel of the evaluation map on one length slice,
     computed per Peirce block so every kernel vector is a combination of
     parallel paths."""
-    f = tri.T.field
     blocks: dict[tuple, list[int]] = {}
     for k, p in enumerate(layer):
         blocks.setdefault((p.start, p.end), []).append(k)
-    out = []
-    for key in sorted(blocks):
-        cols = blocks[key]
-        m = ExactMatrix(tri.T.dim, len(cols), f)
-        for c, k in enumerate(cols):
-            for rk, cv in tri.phi(layer[k]).items():
-                m.set(rk, c, cv)
-        out.extend({cols[c]: v for c, v in kvec.items()}
-                   for kvec in row_reduce(m).kernel_basis)
-    return out
+    return [vec for key in sorted(blocks) for vec in row_reduce(
+        tri.T.field, {k: tri.phi(layer[k]) for k in blocks[key]})]

@@ -308,9 +308,9 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
     span_products = trivext.algebra.span_products
     annihilator = trivext.algebra._annihilator
 
-    def count_products(left, right):
-        products[left.algebra] += 1
-        return span_products(left, right)
+    def count_products(A, left, right):
+        products[A] += 1
+        return span_products(A, left, right)
 
     def count_annihilators(A, *args, **kwargs):
         annihilators[A] += 1

@@ -1,9 +1,13 @@
 """The bundled corpus battery and its negative controls."""
 
 import copy
+from collections import Counter
 
+import trivext.corpus
+import trivext.criteria
 from trivext.algebra import build_algebra
-from trivext.corpus import CORPUS, corpus_text, negative_control_checks
+from trivext.corpus import (CORPUS, corpus_text, negative_control_checks,
+                            run_corpus)
 from trivext.dsl import parse_presentation
 
 
@@ -57,3 +61,23 @@ def test_every_extension_is_corroborated(corpus_result):
     assert dict(entries["nakayama_cycle_3"]["hh_dims"]) == {0: 4, 1: 2, 2: 3, 3: 2, 4: 1}
     # HH_2 = HH_3 = 0 do not count against HHdim = infinity; HH_4 = 1 does
     assert dict(entries["five_vertex_weighted"]["hh_dims"]) == {0: 6, 1: 1, 2: 0, 3: 0, 4: 1}
+
+
+def test_corpus_builds_each_extension_once(monkeypatch):
+    # the checks of an entry and its verdict share one T(A); a double
+    # extension builds T(T(A)) once more, and the path_a2 negative control
+    # builds its own T(A)
+    built = Counter()
+    build = trivext.corpus.trivial_extension
+
+    def counting(A, **kwargs):
+        built[A.label] += 1
+        return build(A, **kwargs)
+
+    monkeypatch.setattr(trivext.corpus, "trivial_extension", counting)
+    monkeypatch.setattr(trivext.criteria, "trivial_extension", counting)
+    assert run_corpus()["ok"]
+    expected = Counter(e.name for e in CORPUS)
+    expected.update(f"T({e.name})" for e in CORPUS if e.double_extension)
+    expected["path_a2"] += 1
+    assert built == expected

@@ -261,9 +261,6 @@ def test_cartan_component_sum_is_dimension(algebras, extensions):
 
 def test_cartan_determinant_at_one_is_ungraded_cartan_determinant(algebras,
                                                                   extensions):
-    from fractions import Fraction
-    from trivext.linalg import ExactMatrix, QQ, row_reduce
-
     def ungraded_det(B):
         r = B.num_vertices
         counts = [[0] * r for _ in range(r)]

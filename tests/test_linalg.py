@@ -5,34 +5,32 @@ from fractions import Fraction
 
 import pytest
 
-from trivext.linalg import (GF, QQ, Echelon, ExactMatrix, FieldMismatchError,
-                            GroundField, IntPolynomial, PolyMatrix, SparseRank,
-                            poly_det, row_reduce)
+from trivext.linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
+                            IntPolynomial, PolyMatrix, SparseRank, poly_det,
+                            row_reduce)
 
-from reference import apply_column
+from reference import ExactMatrix, apply_column
 
 
 def test_identity_matrix_full_rank():
     m = ExactMatrix.from_rows([[1, 0], [0, 1]], QQ)
-    red = row_reduce(m)
-    assert red.rank == 2
-    assert red.kernel_basis == []
-    assert red.pivot_columns == [0, 1]
+    assert m.rank() == 2
+    assert row_reduce(QQ, m.images()) == []
+    assert Echelon(QQ, 2, [[1, 0], [0, 1]]).pivots == [0, 1]
 
 
 def test_one_by_two_kernel():
-    red = row_reduce(ExactMatrix.from_rows([[1, 1]], QQ))
-    assert red.rank == 1
-    assert red.kernel_basis == [{0: Fraction(1), 1: Fraction(-1)}]
+    m = ExactMatrix.from_rows([[1, 1]], QQ)
+    assert m.rank() == 1
+    assert row_reduce(QQ, m.images()) == [{0: Fraction(1), 1: Fraction(-1)}]
 
 
 def test_dual_numbers_multiplication_matrix_kernel():
     # left multiplication by x on k[x]/(x^2) in the basis (e, x):
     # x*e = x, x*x = 0, so the columns are (0,1) and (0,0)
     m = ExactMatrix.from_rows([[0, 0], [1, 0]], QQ)
-    red = row_reduce(m)
-    assert red.rank == 1
-    assert red.kernel_basis == [{1: Fraction(1)}]
+    assert m.rank() == 1
+    assert row_reduce(QQ, m.images()) == [{1: Fraction(1)}]
 
 
 def test_rank_nullity_and_exact_kernel_random():
@@ -43,12 +41,12 @@ def test_rank_nullity_and_exact_kernel_random():
         m = ExactMatrix.from_rows(
             [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
               for _ in range(cols)] for _ in range(rows)], QQ)
-        red = row_reduce(m)
-        assert red.rank + len(red.kernel_basis) == cols
-        for v in red.kernel_basis:
+        kernel = row_reduce(QQ, m.images())
+        assert m.rank() + len(kernel) == cols
+        for v in kernel:
             assert not apply_column(m, v)
         ech = Echelon(QQ, cols)
-        for v in red.kernel_basis:
+        for v in kernel:
             assert ech.add(v)  # linearly independent
 
 
@@ -62,7 +60,7 @@ def test_sparse_rank_agrees_with_dense():
             data = [[field.coerce(rng.randrange(-3, 4)) for _ in range(cols)]
                     for _ in range(rows)]
             m = ExactMatrix.from_rows(data, field)
-            assert m.rank() == row_reduce(m).rank
+            assert m.rank() == cols - len(row_reduce(field, m.images()))
 
 
 @pytest.mark.parametrize("normalize_bits", [256, 2])
@@ -210,18 +208,85 @@ def test_sparse_echelon_matches_dense_reference(field):
             assert ech.contains(probe) == ref.contains(probe)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=repr)
-def test_row_reduce_matches_dense_reference(field):
+def assert_reduced_echelon(vectors):
+    """Each vector has leading coefficient 1 at its pivot, the least key in
+    its support; the pivots increase and no other vector uses one."""
+    pivots = [min(v) for v in vectors]
+    assert pivots == sorted(set(pivots))
+    for v, p in zip(vectors, pivots):
+        assert v[p] == 1
+        assert all(p not in w for w in vectors if w is not v)
+
+
+def check_row_reduce_against_dense_reference(field, spread):
+    """With `spread`, coordinate c is the key keys[c] of an increasing,
+    gapped sequence, as the socle and relation kernels pass theirs."""
     rng = random.Random(707 + field.characteristic)
     for _ in range(60):
         ncols = rng.randrange(1, 10)
-        m = ExactMatrix.from_rows(
-            random_rows(rng, field, rng.randrange(1, 12), ncols), field)
-        red = row_reduce(m)
-        rank, kernel, pivots = dense_row_reduce(m)
-        assert red.rank == rank
-        assert red.pivot_columns == pivots
-        assert [dense(v, ncols, field) for v in red.kernel_basis] == kernel
+        rows = random_rows(rng, field, rng.randrange(1, 12), ncols)
+        m = ExactMatrix.from_rows(rows, field)
+        keys = (sorted(rng.sample(range(3 * ncols + 5), ncols)) if spread
+                else list(range(ncols)))
+        kernel = row_reduce(field, {keys[c]: col for c, col in enumerate(m.cols)})
+        rank, ref_kernel, pivots = dense_row_reduce(m)
+        assert ncols - len(kernel) == rank == m.rank()
+        assert Echelon(field, ncols, rows).pivots == pivots
+        assert kernel == [{keys[c]: x for c, x in enumerate(v) if x}
+                          for v in ref_kernel]
+        assert_reduced_echelon(kernel)
+        for v in kernel:
+            assert list(v) == sorted(v)
+            assert not apply_column(m, {keys.index(k): x for k, x in v.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=repr)
+def test_row_reduce_matches_dense_reference(field):
+    check_row_reduce_against_dense_reference(field, spread=False)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=repr)
+def test_row_reduce_on_spread_keys_matches_dense_reference(field):
+    check_row_reduce_against_dense_reference(field, spread=True)
+
+
+def test_echelon_restrict_reads_the_span_on_a_coordinate_subset():
+    ech = Echelon(QQ, 5, [{0: 1, 2: 3, 4: 1}, {1: 1, 2: 2}, {3: 1, 4: 5}])
+    # on coordinates (2, 4): the rows read (3, 1), (2, 0) and (0, 5)
+    part = ech.restrict([2, 4])
+    assert (part.width, part.rank, part.pivots) == (2, 2, [0, 1])
+    assert part == Echelon(QQ, 2, [[1, 0], [0, 1]])
+    # a row vanishing on the subset contributes nothing
+    assert ech.restrict([3]) == Echelon(QQ, 1, [[1]])
+    assert Echelon(QQ, 5, [{0: 1}]).restrict([1, 2]).rank == 0
+    rng = random.Random(31)
+    for _ in range(30):
+        width = rng.randrange(1, 8)
+        rows = random_rows(rng, QQ, rng.randrange(0, 6), width)
+        coords = sorted(rng.sample(range(width), rng.randrange(0, width + 1)))
+        assert Echelon(QQ, width, rows).restrict(coords) == Echelon(
+            QQ, len(coords), [[row[k] for k in coords] for row in rows])
+
+
+def test_echelon_contains_space():
+    big = Echelon(QQ, 3, [[1, 1, 0], [0, 0, 1]])
+    assert big.contains_space(Echelon(QQ, 3, [[2, 2, 5]]))
+    assert big.contains_space(Echelon(QQ, 3))
+    assert big.contains_space(big)
+    assert not big.contains_space(Echelon(QQ, 3, [[1, 0, 0]]))
+    assert not Echelon(QQ, 3).contains_space(big)
+
+
+def test_echelon_equality_is_equality_of_spans():
+    a = Echelon(QQ, 3, [[1, 2, 0], [0, 1, 1]])
+    assert a == Echelon(QQ, 3, [[1, 3, 1], [1, 1, -1]])
+    assert a != Echelon(QQ, 3, [[1, 2, 0]])
+    # the same rows over another field or in another width differ
+    assert Echelon(GF(5), 2, [[1, 0]]) != Echelon(GF(7), 2, [[1, 0]])
+    assert Echelon(GF(5), 2, []) != Echelon(GF(7), 2, [])
+    assert Echelon(QQ, 2, [{0: 1}]) != Echelon(QQ, 3, [{0: 1}])
+    assert Echelon(QQ, 2) != Echelon(QQ, 3)
+    assert Echelon(QQ, 2) != [[]]
 
 
 def test_echelon_rejects_dense_vector_of_wrong_length():
