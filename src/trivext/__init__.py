@@ -12,7 +12,7 @@ from .criteria import (GradedCartanData, TruncatedCycleCertificate, Verdict,
                        verify_cycle_certificate, zero_composition_graph)
 from .dsl import (DSLError, Presentation, RelationExpr, parse_presentation,
                   serialize_presentation)
-from .hochschild import DimensionCapExceeded, HHReport, hh_dims
+from .hochschild import HHReport, hh_dims
 from .linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
                      IntPolynomial, PolyMatrix, poly_det, row_reduce)
 from .quiver import Arrow, CompositionError, Path, Quiver, compose, enumerate_paths

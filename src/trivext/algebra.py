@@ -143,25 +143,25 @@ class FDAlgebra:
 
     # -- structural checks ---------------------------------------------
 
-    def check_idempotents(self) -> bool:
-        """e_a e_b = delta_ab e_a, and the sum of the e_a is a two-sided unit."""
-        T, idem, one = self.table, self.idempotent_indices, self.field.one()
-        if any(T[a][b] != ({a: one} if a == b else {}) for a in idem for b in idem):
-            return False
-        return all(self._combine((one, T[e][k]) for e in idem) == {k: one}
-                   == self._combine((one, T[k][e]) for e in idem)
-                   for k in range(self.dim))
-
     def check_peirce(self) -> bool:
-        """Each basis element b satisfies b = e_tgt b e_src for its block,
-        and e_j b e_i = 0 for every other pair (i, j)."""
+        """The unit, idempotent and Peirce axioms, read off the table: e_a
+        lies in block (a, a), and a basis element b of block (src, tgt) has
+        b e_i = [i == src] b and e_i b = [i == tgt] b for every vertex i.
+
+        These entries give e_j b e_i = [(i, j) == (src, tgt)] b, and on
+        b = e_a they give e_a e_b = delta_ab e_a and sum_a e_a b = b =
+        sum_a b e_a.  Conversely the unit gives b e_i = sum_j e_j b e_i =
+        [i == src] b, likewise e_i b, and e_a = e_a e_a e_a puts e_a in
+        block (a, a).  So they hold iff the axioms do.
+        """
         T, idem, one = self.table, self.idempotent_indices, self.field.one()
-        for k, block in enumerate(self.peirce):
-            for i, ei in enumerate(idem):
-                for j, ej in enumerate(idem):
-                    sandwich = self._combine((c, T[ej][l]) for l, c in T[k][ei].items())
-                    if sandwich != ({k: one} if (i, j) == block else {}):
-                        return False
+        if any(self.peirce[e] != (a, a) for a, e in enumerate(idem)):
+            return False
+        for k, (src, tgt) in enumerate(self.peirce):
+            bk = {k: one}
+            if any(T[k][e] != (bk if i == src else {})
+                   or T[e][k] != (bk if i == tgt else {}) for i, e in enumerate(idem)):
+                return False
         return True
 
     def check_generation(self) -> bool:
@@ -219,8 +219,7 @@ class FDAlgebra:
     def validate(self):
         """Raise AlgebraBuildError naming the first structural check that fails."""
         for check, failure in (
-                (self.check_idempotents, "idempotent axioms fail"),
-                (self.check_peirce, "Peirce decomposition fails"),
+                (self.check_peirce, "idempotent or Peirce axioms fail"),
                 (self.check_generation,
                  "the idempotents and arrows do not generate the algebra"),
                 (self._generator_triples_associative,
@@ -354,7 +353,7 @@ def _build_bounded(pres: Presentation):
 
 
 def build_algebra(pres: Presentation, *, max_weight: int = 256,
-                  validate: bool = True, label: str = "") -> FDAlgebra:
+                  label: str = "") -> FDAlgebra:
     """Construct A = kQ/I with exact structure constants.
 
     If the quiver carries arrow degrees the relations must be homogeneous
@@ -445,8 +444,7 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
                   table=table, arrows=arrow_reps, degrees=degrees,
                   basis_paths=basis_paths, bound_conditional=bound_conditional,
                   label=label)
-    if validate:
-        A.validate()
+    A.validate()
     return A
 
 
@@ -615,12 +613,14 @@ class SelfinjectivityRefusal:
 @_stored
 def selfinjectivity(A: FDAlgebra):
     """A Nakayama permutation pi with Ae_i isomorphic to D(e_{pi(i)}A), or a
-    refusal naming the first vertex where the search fails.
+    refusal naming the first vertex that no j qualifies for.
 
     The test used: j qualifies for i iff dim Ae_i = dim e_jA and the right
     socle of e_jA is one dimensional of simple type S_i.  A lift of the
     dual top generator then gives a surjection Ae_i -> D(e_jA) which the
-    dimension count makes an isomorphism.
+    dimension count makes an isomorphism.  A socle type is one vertex, so
+    the sets of j qualifying for distinct i are disjoint, and pi(i) is read
+    off as the least j qualifying for i; no matching needs to be searched.
     """
     data = socles(A)
     left_dims = [sum(1 for s, _t in A.peirce if s == i) for i in range(A.num_vertices)]
@@ -635,26 +635,19 @@ def selfinjectivity(A: FDAlgebra):
         srcs = {A.peirce[k][0] for k in vec}
         socle_type.append(srcs.pop() if len(srcs) == 1 else None)
 
-    candidates = []
+    perm = []
     for i in range(A.num_vertices):
-        cand = [j for j in range(A.num_vertices)
-                if socle_type[j] == i and right_dims[j] == left_dims[i]]
-        if not cand:
-            reasons = []
-            for j in range(A.num_vertices):
-                if socle_type[j] == i:
-                    reasons.append(f"dim Ae_{A.vertex_names[i]} = {left_dims[i]} != "
-                                   f"dim e_{A.vertex_names[j]}A = {right_dims[j]}")
-            reason = (reasons[0] if reasons else
+        of_type = [j for j in range(A.num_vertices) if socle_type[j] == i]
+        j = next((j for j in of_type if right_dims[j] == left_dims[i]), None)
+        if j is None:
+            reason = (f"dim Ae_{A.vertex_names[i]} = {left_dims[i]} != "
+                      f"dim e_{A.vertex_names[of_type[0]]}A = {right_dims[of_type[0]]}"
+                      if of_type else
                       f"no indecomposable projective has simple right socle of "
                       f"type S_{A.vertex_names[i]}")
             return SelfinjectivityRefusal(vertex=i, reason=reason)
-        candidates.append(cand)
+        perm.append(j)
 
-    perm = _lex_least_matching(candidates)
-    if perm is None:
-        return SelfinjectivityRefusal(
-            vertex=0, reason="socle types do not admit a bijective assignment")
     lls = vertex_loewy_lengths(A)
     return SelfinjectivityCertificate(
         permutation=tuple(perm),
@@ -666,26 +659,6 @@ def selfinjectivity(A: FDAlgebra):
 
 def is_selfinjective(A: FDAlgebra) -> bool:
     return isinstance(selfinjectivity(A), SelfinjectivityCertificate)
-
-
-def _lex_least_matching(candidates):
-    r = len(candidates)
-    used = [False] * r
-    pick = [None] * r
-
-    def search(i):
-        if i == r:
-            return True
-        for j in candidates[i]:
-            if not used[j]:
-                used[j] = True
-                pick[i] = j
-                if search(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return pick if search(0) else None
 
 
 def quiver_of(A: FDAlgebra):

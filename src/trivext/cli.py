@@ -23,7 +23,7 @@ from .algebra import (AlgebraBuildError, FDAlgebra, build_algebra, is_local,
 from .corpus import run_corpus
 from .criteria import graded_cartan, hhdim_verdict, verify_cycle_certificate
 from .dsl import DSLError, parse_presentation
-from .hochschild import DEFAULT_TUPLE_CAP, DimensionCapExceeded, hh_dims
+from .hochschild import DEFAULT_TUPLE_CAP, hh_dims
 from .quiver import PathBudgetExceeded
 from .trivial_extension import (check_new_products_vanish, relations_up_to,
                                 trivial_extension)
@@ -159,7 +159,7 @@ def cmd_trivext(args) -> int:
             "name": na.name,
             "source": A.vertex_names[na.source],
             "target": A.vertex_names[na.target],
-            "x_beta": tri.T.basis_labels[na.t_basis_index],
+            "x_beta": tri.T.basis_labels[na.basis_index],
         } for na in tri.new_arrows],
         "dual_part_products_vanish": check_new_products_vanish(tri),
         "relations": {
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     except (DSLError, AlgebraBuildError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DimensionCapExceeded, PathBudgetExceeded) as exc:
+    except PathBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import (FDAlgebra, build_algebra, is_local, is_selfinjective)
-from .dsl import Presentation
+from .algebra import FDAlgebra, is_local, is_selfinjective
 from .linalg import IntPolynomial, PolyMatrix, poly_det
 from .trivial_extension import TrivialExtensionData, trivial_extension
 
@@ -61,7 +60,13 @@ def zero_composition_graph(A: FDAlgebra) -> dict[int, list[int]]:
 
 def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
     """The lexicographically least minimum-length cycle in the
-    zero-composition graph, re-verified by direct multiplication, or None.
+    zero-composition graph, re-verified by `verify_cycle_certificate`, or
+    None.
+
+    The cycle starts at the least node of least return length `best`.
+    With `back` the BFS distances to that node, step k goes to the least
+    successor w with back[w] == best - k: a successor with a shorter way
+    back would close a shorter cycle through the start.
 
     With `restrict_to_new` the search runs on the arrows lifted from the
     dual part of a trivial extension only.
@@ -71,48 +76,29 @@ def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
         keep = {i for i, rep in enumerate(A.arrows) if rep.is_new}
         adj = {i: [j for j in adj[i] if j in keep] for i in sorted(keep)}
 
-    # shortest return length per node; a node on no cycle has none
-    lengths = {}
+    best = start = back = None
     for v in sorted(adj):
-        ln = _bfs_exact(adj, v).get(v)
-        if ln:
-            lengths[v] = ln
-    if not lengths:
+        dist = _bfs_exact(adj, v)
+        if v in dist and (best is None or dist[v] < best):
+            best, start, back = dist[v], v, dist
+    if start is None:
         return None
-    best = min(lengths.values())
-    start = min(v for v, ln in lengths.items() if ln == best)
-
-    # reach[k] = nodes with a walk of exactly k edges to `start`
-    reach = [set() for _ in range(best + 1)]
-    reach[0] = {start}
-    for k in range(1, best + 1):
-        reach[k] = {v for v in adj if any(w in reach[k - 1] for w in adj[v])}
 
     seq = [start]
-    cur = start
-    for step in range(1, best):
-        nxt = min(w for w in adj[cur] if w in reach[best - step])
-        seq.append(nxt)
-        cur = nxt
-    assert start in adj[cur]
+    for k in range(1, best):
+        seq.append(min(w for w in adj[seq[-1]] if back.get(w) == best - k))
 
     reps = A.arrows
-    names = [reps[i].name for i in seq]
-    evaluations = []
-    n = len(seq)
-    for i in range(n):
-        earlier = reps[seq[i]]
-        later = reps[seq[(i + 1) % n]]
-        if earlier.target != later.source:
-            raise RuntimeError("cycle extraction produced a non-composable pair")
-        if A.multiply(later.element(), earlier.element()):
-            raise RuntimeError("cycle extraction produced a nonzero product")
-        evaluations.append((later.name, earlier.name))
-    return TruncatedCycleCertificate(
-        arrow_names=names,
-        arrow_indices=list(seq),
-        base_vertex=A.vertex_names[reps[seq[0]].source],
-        evaluations=evaluations)
+    cert = TruncatedCycleCertificate(
+        arrow_names=[reps[i].name for i in seq],
+        arrow_indices=seq,
+        base_vertex=A.vertex_names[reps[start].source],
+        evaluations=[(reps[later].name, reps[earlier].name)
+                     for earlier, later in zip(seq, seq[1:] + seq[:1])])
+    if not verify_cycle_certificate(A, cert):
+        raise RuntimeError("cycle extraction produced a non-composable pair "
+                           "or a nonzero product")
+    return cert
 
 
 def _bfs_exact(adj, target):
@@ -327,7 +313,7 @@ class Verdict:
         }
 
 
-def hhdim_verdict(obj, extend: bool = False, validate: bool = True) -> Verdict:
+def hhdim_verdict(A: FDAlgebra, extend: bool = False) -> Verdict:
     """Run both criteria on the algebra (or on its trivial extension when
     `extend` is set) and assemble a sound verdict.
 
@@ -336,10 +322,6 @@ def hhdim_verdict(obj, extend: bool = False, validate: bool = True) -> Verdict:
     the trace.  Absence of certificates yields "unknown", never a claim of
     finiteness.
     """
-    if isinstance(obj, Presentation):
-        A = build_algebra(obj, validate=validate)
-    else:
-        A = obj
     hypotheses = {}
     extension = None
     if extend:
@@ -348,7 +330,7 @@ def hhdim_verdict(obj, extend: bool = False, validate: bool = True) -> Verdict:
             "selfinjective": is_selfinjective(A),
             "graded": A.is_graded,
         }
-        extension = trivial_extension(A, validate=validate)
+        extension = trivial_extension(A)
         B = extension.T
     else:
         B = A

@@ -46,19 +46,6 @@ from math import lcm
 from .algebra import FDAlgebra
 from .linalg import SparseRank
 
-
-class DimensionCapExceeded(RuntimeError):
-    """A chain module is larger than the configured tuple cap."""
-
-    def __init__(self, degree: int, required: int, cap: int):
-        self.degree = degree
-        self.required = required
-        self.cap = cap
-        super().__init__(
-            f"chain module in degree {degree} needs {required} basis tuples, "
-            f"over the cap of {cap}")
-
-
 DEFAULT_TUPLE_CAP = 50_000
 
 

@@ -396,10 +396,6 @@ class IntPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, n: int) -> "IntPolynomial":
-        return cls((n,))
-
-    @classmethod
     def x_power(cls, k: int, coeff: int = 1) -> "IntPolynomial":
         return cls((0,) * k + (coeff,))
 
@@ -469,12 +465,6 @@ class IntPolynomial:
             raise ArithmeticError("inexact polynomial division")
         return IntPolynomial(out)
 
-    def evaluate(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -528,11 +518,6 @@ class PolyMatrix:
             for e in row:
                 if not isinstance(e, IntPolynomial):
                     raise TypeError("entries must be IntPolynomial")
-
-    @classmethod
-    def identity(cls, size: int) -> "PolyMatrix":
-        return cls([[POLY_ONE if i == j else POLY_ZERO for j in range(size)]
-                    for i in range(size)])
 
     def get(self, i: int, j: int) -> IntPolynomial:
         return self.entries[i][j]

@@ -30,34 +30,22 @@ from .quiver import Arrow, Path, PathBudgetExceeded, Quiver, path_layer
 from .quiver import compose  # noqa: F401
 
 
-@dataclass
-class NewArrow:
-    name: str
-    source: int              # vertex indices, arrow runs source -> target
-    target: int
-    dual_of: int             # basis index b of A; the representative is b*
-    t_basis_index: int       # index of b* in T(A)'s basis
-    degree: int | None = None
-
-    def x_beta(self):
-        return {self.t_basis_index: 1}
-
-
 class TrivialExtensionData:
-    """T(A) over its base algebra A, with the new arrows."""
+    """T(A) over its base algebra A; the new arrows are the arrows of T(A)
+    past those of A."""
 
-    def __init__(self, base: FDAlgebra, T: FDAlgebra, new_arrows):
+    def __init__(self, base: FDAlgebra, T: FDAlgebra):
         self.base = base
         self.T = T
-        self.new_arrows = list(new_arrows)
+
+    @property
+    def new_arrows(self) -> list[ArrowRep]:
+        return self.T.arrows[len(self.base.arrows):]
 
     def dual_index(self, k: int) -> int:
         """Index pairing the A-part and DA-part copies of basis slot k."""
         d = self.base.dim
         return k + d if k < d else k - d
-
-    def new_arrow_reps(self):
-        return [rep for rep in self.T.arrows if rep.is_new]
 
     def phi(self, path: Path) -> dict:
         """Evaluate a path of the extended quiver in T(A)."""
@@ -86,40 +74,28 @@ class TrivialExtensionData:
         return total
 
 
-def trivial_extension(A: FDAlgebra, *, validate: bool = True,
-                      label: str = "") -> TrivialExtensionData:
+def trivial_extension(A: FDAlgebra, *, label: str = "") -> TrivialExtensionData:
     """Build T(A) = A ⋉ DA with exact structure constants.
 
     The basis is the basis of A followed by its dual basis; products of two
-    dual-part elements vanish.  When A is graded with top degree s, T(A) is
-    graded by keeping the degrees on A and giving the dual of a degree-l
-    basis element degree s+1-l (including l = 0), so T(A) has top degree
-    s+1.
+    dual-part elements vanish.  The mixed products are read off the nonzero
+    entries of A's table in one pass: a coefficient c of b_v in b_w b_u is
+    the value at b_w of b_u·b_v* and the value at b_u of b_v*·b_w.  When A
+    is graded with top degree s, T(A) is graded by keeping the degrees on A
+    and giving the dual of a degree-l basis element degree s+1-l (including
+    l = 0), so T(A) has top degree s+1.  The result has passed
+    `FDAlgebra.validate`.
     """
     f = A.field
     d = A.dim
-    dim = 2 * d
 
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for u in range(d):
-        for v in range(d):
-            table[u][v] = dict(A.table[u][v])
-    for u in range(d):
-        for v in range(d):
-            # (b_u, 0) * (0, b_v*): the functional y |-> b_v*(y b_u)
-            col = {}
-            for w in range(d):
-                c = A.table[w][u].get(v)
-                if c:
-                    col[d + w] = c
-            table[u][d + v] = col
-            # (0, b_v*) * (b_u, 0): the functional y |-> b_v*(b_u y)
-            col = {}
-            for w in range(d):
-                c = A.table[u][w].get(v)
-                if c:
-                    col[d + w] = c
-            table[d + v][u] = col
+    table = [[dict(x) for x in row] + [{} for _ in range(d)] for row in A.table]
+    table += [[{} for _ in range(2 * d)] for _ in range(d)]
+    for w, row in enumerate(A.table):
+        for u, prod in enumerate(row):
+            for v, c in prod.items():
+                table[u][d + v][d + w] = c
+                table[d + v][w][d + u] = c
 
     labels = list(A.basis_labels) + [lab + "*" for lab in A.basis_labels]
     peirce = list(A.peirce) + [(tgt, src) for (src, tgt) in A.peirce]
@@ -130,9 +106,11 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
 
     soc = socles(A).bimodule
 
-    # one new arrow i -> j per pivot of the reduced echelon basis of
-    # e_i(soc)e_j; its representative is the dual of the pivot basis path
-    new_arrows: list[NewArrow] = []
+    # the arrows of A, then one new arrow i -> j per pivot of the reduced
+    # echelon basis of e_i(soc)e_j; its representative is the dual of the
+    # pivot basis path
+    arrows = [ArrowRep(rep.name, rep.source, rep.target, rep.basis_index,
+                       rep.degree, is_new=False) for rep in A.arrows]
     for i in range(A.num_vertices):
         for j in range(A.num_vertices):
             block = [k for k, (src, tgt) in enumerate(A.peirce)
@@ -140,29 +118,18 @@ def trivial_extension(A: FDAlgebra, *, validate: bool = True,
             if not block:
                 continue
             for pivot in soc.restrict(block).pivots:
-                b = block[pivot]
-                new_arrows.append(NewArrow(
-                    name=labels[d + b],
-                    source=i, target=j,
-                    dual_of=b, t_basis_index=d + b,
-                    degree=degrees[d + b] if degrees is not None else None))
-
-    arrows = []
-    for rep in A.arrows:
-        arrows.append(ArrowRep(rep.name, rep.source, rep.target,
-                               rep.basis_index, rep.degree, is_new=False))
-    for na in new_arrows:
-        arrows.append(ArrowRep(na.name, na.source, na.target,
-                               na.t_basis_index, na.degree, is_new=True))
+                b = d + block[pivot]
+                arrows.append(ArrowRep(
+                    labels[b], i, j, b,
+                    degrees[b] if degrees is not None else None, is_new=True))
 
     T = FDAlgebra(field=f, labels=labels, vertex_names=A.vertex_names,
                   idempotent_indices=list(A.idempotent_indices), peirce=peirce,
                   table=table, arrows=arrows, degrees=degrees,
                   basis_paths=None, bound_conditional=A.bound_conditional,
                   label=label or (f"T({A.label})" if A.label else ""))
-    if validate:
-        T.validate()
-    return TrivialExtensionData(base=A, T=T, new_arrows=new_arrows)
+    T.validate()
+    return TrivialExtensionData(base=A, T=T)
 
 
 def graded_trivial_extension(A: FDAlgebra, **kw) -> TrivialExtensionData:
@@ -186,7 +153,7 @@ def extended_quiver(tri: TrivialExtensionData) -> Quiver:
 def check_new_products_vanish(tri: TrivialExtensionData) -> bool:
     """Products of any two composable new arrows vanish in T(A) (the dual
     part has square zero)."""
-    reps = tri.new_arrow_reps()
+    reps = tri.new_arrows
     for b2 in reps:
         for b1 in reps:
             if b1.target == b2.source:

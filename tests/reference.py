@@ -1,7 +1,21 @@
 """Routines the package no longer needs, kept for tests as references."""
 
-from trivext.hochschild import DEFAULT_TUPLE_CAP, DimensionCapExceeded, _BarData
+from trivext.algebra import (SelfinjectivityCertificate, SelfinjectivityRefusal,
+                             socles, vertex_loewy_lengths)
+from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
 from trivext.linalg import QQ, SparseRank
+
+
+class DimensionCapExceeded(RuntimeError):
+    """A chain module is larger than the configured tuple cap."""
+
+    def __init__(self, degree: int, required: int, cap: int):
+        self.degree = degree
+        self.required = required
+        self.cap = cap
+        super().__init__(
+            f"chain module in degree {degree} needs {required} basis tuples, "
+            f"over the cap of {cap}")
 
 
 class ExactMatrix:
@@ -88,3 +102,112 @@ def boundary_squares_to_zero(B, n_max: int, variant: str = "normalized",
         if any(apply_column(bn, col) for col in bn1.cols):
             return False
     return True
+
+
+def peirce_by_sandwiches(X) -> bool:
+    """The former pair of checks: e_a e_b = delta_ab e_a with the sum of
+    the e_a a two-sided unit, and then e_j b e_i = [(i, j) == block] b,
+    multiplied out for every basis element b and pair of vertices."""
+    T, idem, one = X.table, X.idempotent_indices, X.field.one()
+    if any(T[a][b] != ({a: one} if a == b else {}) for a in idem for b in idem):
+        return False
+    if not all(X._combine((one, T[e][k]) for e in idem) == {k: one}
+               == X._combine((one, T[k][e]) for e in idem) for k in range(X.dim)):
+        return False
+    for k, block in enumerate(X.peirce):
+        for i, ei in enumerate(idem):
+            for j, ej in enumerate(idem):
+                sandwich = X._combine((c, T[ej][l]) for l, c in T[k][ei].items())
+                if sandwich != ({k: one} if (i, j) == block else {}):
+                    return False
+    return True
+
+
+def extension_table_by_scan(A) -> list:
+    """The former construction of T(A)'s structure table: each dual-block
+    entry scans all d basis elements w for its coefficients."""
+    d = A.dim
+    table = [[{} for _ in range(2 * d)] for _ in range(2 * d)]
+    for u in range(d):
+        for v in range(d):
+            table[u][v] = dict(A.table[u][v])
+    for u in range(d):
+        for v in range(d):
+            # (b_u, 0) * (0, b_v*): the functional y |-> b_v*(y b_u)
+            col = {}
+            for w in range(d):
+                c = A.table[w][u].get(v)
+                if c:
+                    col[d + w] = c
+            table[u][d + v] = col
+            # (0, b_v*) * (b_u, 0): the functional y |-> b_v*(b_u y)
+            col = {}
+            for w in range(d):
+                c = A.table[u][w].get(v)
+                if c:
+                    col[d + w] = c
+            table[d + v][u] = col
+    return table
+
+
+def lex_least_matching(candidates):
+    """The lexicographically least system of distinct representatives of
+    the candidate lists, by backtracking, or None."""
+    r = len(candidates)
+    used = [False] * r
+    pick = [None] * r
+
+    def search(i):
+        if i == r:
+            return True
+        for j in candidates[i]:
+            if not used[j]:
+                used[j] = True
+                pick[i] = j
+                if search(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return pick if search(0) else None
+
+
+def selfinjectivity_by_matching(A):
+    """The former `selfinjectivity`: the qualifying j of every vertex i,
+    then a backtracking matching over them."""
+    data = socles(A)
+    left_dims = [sum(1 for s, _t in A.peirce if s == i) for i in range(A.num_vertices)]
+    right_dims = [sum(1 for _s, t in A.peirce if t == j) for j in range(A.num_vertices)]
+    socle_type = []
+    for j in range(A.num_vertices):
+        soc = data.right[j]
+        if soc.rank != 1:
+            socle_type.append(None)
+            continue
+        srcs = {A.peirce[k][0] for k in soc.rows[0]}
+        socle_type.append(srcs.pop() if len(srcs) == 1 else None)
+
+    candidates = []
+    for i in range(A.num_vertices):
+        cand = [j for j in range(A.num_vertices)
+                if socle_type[j] == i and right_dims[j] == left_dims[i]]
+        if not cand:
+            reasons = [f"dim Ae_{A.vertex_names[i]} = {left_dims[i]} != "
+                       f"dim e_{A.vertex_names[j]}A = {right_dims[j]}"
+                       for j in range(A.num_vertices) if socle_type[j] == i]
+            reason = (reasons[0] if reasons else
+                      f"no indecomposable projective has simple right socle of "
+                      f"type S_{A.vertex_names[i]}")
+            return SelfinjectivityRefusal(vertex=i, reason=reason)
+        candidates.append(cand)
+
+    perm = lex_least_matching(candidates)
+    if perm is None:
+        return SelfinjectivityRefusal(
+            vertex=0, reason="socle types do not admit a bijective assignment")
+    return SelfinjectivityCertificate(
+        permutation=tuple(perm),
+        loewy_lengths=tuple(vertex_loewy_lengths(A)),
+        socle_dims=tuple(data.right[perm[i]].rank for i in range(A.num_vertices)),
+        dimension_pairs=tuple((left_dims[i], right_dims[perm[i]])
+                              for i in range(A.num_vertices)))

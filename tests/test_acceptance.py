@@ -37,7 +37,7 @@ def test_criterion_1_local_inputs(algebras):
     for name in LOCAL_INSTANCES:
         A = algebras[name]
         t0 = time.monotonic()
-        v = hhdim_verdict(A, extend=True, validate=False)
+        v = hhdim_verdict(A, extend=True)
         elapsed = time.monotonic() - t0
         assert v.hypotheses["local"], name
         assert v.is_infinite, name
@@ -73,8 +73,8 @@ def test_criterion_2_selfinjective_instances(algebras, extensions):
 def test_criterion_3_double_extension_instances(algebras):
     for name in ("dual_numbers", "path_a2"):
         A = algebras[name]
-        T = trivial_extension(A, validate=False).T
-        TT = trivial_extension(T, validate=False).T
+        T = trivial_extension(A).T
+        TT = trivial_extension(T).T
         assert TT.dim == 4 * A.dim, name
         cycle = find_two_truncated_cycle(TT)
         assert cycle is not None, name
@@ -87,7 +87,7 @@ def test_criterion_4_graded_inputs(algebras):
     t0 = time.monotonic()
     for name in GRADED_INSTANCES:
         A = algebras[name]
-        tri = trivial_extension(A, validate=False)
+        tri = trivial_extension(A)
         g = graded_cartan(tri.T)
         rep = trivial_extension_determinant_shape(g)
         assert rep.corner_components_identity, name
@@ -97,7 +97,7 @@ def test_criterion_4_graded_inputs(algebras):
         if name == "five_vertex_weighted":
             assert rep.det_degree == 35  # r(s+1) = 5 * 7
         assert cartan_criterion(g, 0).fires, name
-        v = hhdim_verdict(A, extend=True, validate=False)
+        v = hhdim_verdict(A, extend=True)
         assert v.is_infinite, name
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, elapsed
@@ -107,16 +107,16 @@ def test_criterion_4_graded_inputs(algebras):
 
 def test_criterion_5_exact_cartan_value(algebras):
     A = algebras["path_a2"]
-    g = graded_cartan(trivial_extension(A, validate=False).T)
+    g = graded_cartan(trivial_extension(A).T)
     # hand cofactor computation: (1+x^2)^2 - x*x = 1 + x^2 + x^4
     assert g.determinant == IntPolynomial((1, 0, 1, 0, 1))
     # at x = 1 this is the ungraded Cartan determinant: det [[2,1],[1,2]] = 3
-    assert g.determinant.evaluate(1) == 3
+    assert sum(g.determinant.coeffs) == 3
     counts = [[0, 0], [0, 0]]
-    for src, tgt in trivial_extension(A, validate=False).T.peirce:
+    for src, tgt in trivial_extension(A).T.peirce:
         counts[src][tgt] += 1
     ungraded = counts[0][0] * counts[1][1] - counts[0][1] * counts[1][0]
-    assert g.determinant.evaluate(1) == ungraded
+    assert sum(g.determinant.coeffs) == ungraded
     _ok("criterion 5: det C(x) of the extended A2 algebra is exactly "
         "1 + x^2 + x^4 and matches the ungraded determinant at x = 1")
 
@@ -152,9 +152,7 @@ def test_criterion_7_corroboration(extensions, algebras):
                 assert dims[n] >= 1, (name, n, dims)
             checked.append(name)
     # the double extensions of dimension <= 8 count as corpus extensions too
-    TT = trivial_extension(trivial_extension(algebras["dual_numbers"],
-                                             validate=False).T,
-                           validate=False).T
+    TT = trivial_extension(trivial_extension(algebras["dual_numbers"]).T).T
     assert TT.dim == 8
     dims = dict(hh_dims(TT, 4, cap=HH_CORROBORATION_CAP).dims)
     for n in range(1, 5):
@@ -169,7 +167,7 @@ def test_criterion_8_structural_invariants(algebras, extensions):
         tri = extensions[name]
         T = tri.T
         assert A.check_associativity() and T.check_associativity(), name
-        assert A.check_idempotents() and T.check_idempotents(), name
+        assert A.check_peirce() and T.check_peirce(), name
         assert T.dim == 2 * A.dim, name
         f = T.field
         idem = set(A.idempotent_indices)
@@ -202,7 +200,7 @@ def test_criterion_9_negative_controls(algebras, extensions):
     tri = extensions["path_a2"]
     assert find_two_truncated_cycle(tri.T) is None
     assert cartan_criterion(graded_cartan(tri.T), 0).fires
-    v = hhdim_verdict(algebras["path_a2"], extend=True, validate=False)
+    v = hhdim_verdict(algebras["path_a2"], extend=True)
     assert v.is_infinite and v.certificate_kind == "graded_cartan_determinant"
     _ok("criterion 9: the ground field stays unknown; the extended A2 algebra "
         "is certified by the determinant despite having no cycle")

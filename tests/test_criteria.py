@@ -283,7 +283,7 @@ def test_cartan_determinant_at_one_is_ungraded_cartan_determinant(algebras,
             if not B.is_graded:
                 continue
             g = graded_cartan(B)
-            assert g.determinant.evaluate(1) == ungraded_det(B), name
+            assert sum(g.determinant.coeffs) == ungraded_det(B), name  # det C(1)
 
 
 def test_cartan_criterion_gate():
@@ -371,11 +371,6 @@ def test_verdict_records_both_criteria(algebras):
         v = hhdim_verdict(algebras["dual_numbers"], extend=extend)
         assert {t.criterion for t in v.trace} == \
             {"two_truncated_cycle", "graded_cartan_determinant"}
-
-
-def test_verdict_accepts_presentation(presentations):
-    v = hhdim_verdict(presentations["dual_numbers"], extend=True)
-    assert v.is_infinite
 
 
 def test_verdict_never_claims_finite(algebras):

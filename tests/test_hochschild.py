@@ -9,12 +9,12 @@ import pytest
 
 from trivext.algebra import FDAlgebra, build_algebra
 from trivext.dsl import parse_presentation
-from trivext.hochschild import (DimensionCapExceeded, chain_module,
-                                commutator_rank, hh_dims)
+from trivext.hochschild import chain_module, commutator_rank, hh_dims
 from trivext.linalg import QQ, SparseRank, row_reduce
 from trivext.trivial_extension import trivial_extension
 
-from reference import ExactMatrix, boundary_matrix, boundary_squares_to_zero
+from reference import (DimensionCapExceeded, ExactMatrix, boundary_matrix,
+                       boundary_squares_to_zero)
 
 
 def build(text, **kw):

@@ -7,8 +7,10 @@ import pytest
 
 import trivext
 
-MODULES = sorted(p for p in Path(trivext.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")  # the package re-exports its imports
+PACKAGE = sorted(Path(trivext.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE
+           if p.name != "__init__.py"]  # the package re-exports its imports
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
 # (module, name) pairs imported without being used
 UNUSED_ALLOWED = {
@@ -71,3 +73,61 @@ def test_detector_flags_an_unused_import(tmp_path):
                    "from math import gcd\n__all__ = ['gcd']\n\n"
                    "def f(x: 'Path') -> field:\n    return os.sep\n")
     assert unused_imports(src) == ["dataclass (line 3)"]
+
+
+def _definitions(tree):
+    """(qualified name, node) of every top-level function and class and of
+    every method of a top-level class, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _name_uses(tree):
+    """(name, line) of every Name, Attribute and import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for name in (alias.name.split(".")[-1], alias.asname):
+                    yield name, node.lineno
+
+
+def unnamed_definitions(defining: list[Path], reading: list[Path]) -> list[str]:
+    """Definitions in the `defining` files whose name the `reading` files
+    never mention outside the definition itself."""
+    uses = {path: list(_name_uses(ast.parse(path.read_text()))) for path in reading}
+    unnamed = []
+    for path in defining:
+        for qualname, node in _definitions(ast.parse(path.read_text())):
+            name = qualname.split(".")[-1]
+            if not any(n == name and not (p == path and node.lineno <= line
+                                          <= node.end_lineno)
+                       for p, found in uses.items() for n, line in found):
+                unnamed.append(f"{path.stem}.{qualname}")
+    return unnamed
+
+
+def test_every_definition_is_named():
+    assert unnamed_definitions(PACKAGE, PACKAGE + BENCH) == []
+
+
+def test_detector_flags_an_unnamed_definition(tmp_path):
+    mod, user = tmp_path / "mod.py", tmp_path / "user.py"
+    mod.write_text("class C:\n    def __init__(self):\n        self.m()\n"
+                   "    def m(self):\n        pass\n"
+                   "    def lonely(self):\n        return self.lonely()\n\n"
+                   "def f():\n    return f()\n\n"
+                   "def g():\n    pass\n\n"
+                   "def h():\n    pass\n")
+    user.write_text("from mod import C as D, g\n\nD().m()\n\n"
+                    "def main():\n    return mod.h\n")
+    assert unnamed_definitions([mod], [mod, user]) == ["mod.C.lonely", "mod.f"]

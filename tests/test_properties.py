@@ -49,7 +49,7 @@ def test_random_radical_square_zero_algebras_build_and_extend():
         assert check_new_products_vanish(tri), trial
         # every generated algebra is length-graded over Q, so the extension
         # must always be certified (by a cycle or by the Cartan determinant)
-        v = hhdim_verdict(A, extend=True, validate=False)
+        v = hhdim_verdict(A, extend=True)
         assert v.is_infinite, trial
         if v.cycle is not None:
             assert verify_cycle_certificate(v.algebra, v.cycle), trial
@@ -115,5 +115,5 @@ def test_radical_chain_matches_trace_form_on_random_extensions():
     for trial in range(8):
         pres = random_monomial_presentation(rng)
         A = build_algebra(pres)
-        T = trivial_extension(A, validate=False).T
+        T = trivial_extension(A).T
         assert trace_form_radical(T) == radical_subspace(T), trial

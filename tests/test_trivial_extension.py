@@ -1,9 +1,12 @@
 """T(A) = A ⋉ DA: structure constants, extended quiver, relations."""
 
+import random
+
 import pytest
 
-from trivext.algebra import (build_algebra, loewy_length, radical_subspace,
-                             selfinjectivity, SelfinjectivityCertificate,
+from trivext.algebra import (AlgebraBuildError, build_algebra, loewy_length,
+                             radical_subspace, selfinjectivity,
+                             SelfinjectivityCertificate,
                              left_socle_in_bimodule_socle, socles)
 from trivext.dsl import RelationExpr, parse_presentation
 from trivext.linalg import Echelon
@@ -11,6 +14,9 @@ from trivext.quiver import Path, compose
 from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        extended_quiver, graded_trivial_extension,
                                        relations_up_to, trivial_extension)
+
+from reference import extension_table_by_scan
+from test_builder import random_presentation
 
 
 def build(text, **kw):
@@ -26,7 +32,7 @@ def test_extension_of_ground_field_is_dual_numbers():
     assert len(beta) == 1
     b = beta[0]
     assert (b.source, b.target) == (0, 0)
-    x = b.x_beta()
+    x = b.element()
     assert T.multiply(x, x) == {}  # the dual part squares to zero
     # compare with k[x]/(x^2) by matching structure constants on (1, beta)
     dual = build("field Q\nvertices v\narrow x : v -> v\nrelation x*x\n")
@@ -62,7 +68,7 @@ def test_new_arrows_examples(algebras, extensions):
     na = a2_ext.new_arrows[0]
     A = algebras["path_a2"]
     assert (A.vertex_names[na.source], A.vertex_names[na.target]) == ("2", "1")
-    assert a2_ext.T.basis_labels[na.t_basis_index] == "a*"
+    assert a2_ext.T.basis_labels[na.basis_index] == "a*"
 
     nak = extensions["nakayama_cycle_2"]
     pairs = {(nak.base.vertex_names[n.source], nak.base.vertex_names[n.target])
@@ -80,7 +86,8 @@ def test_new_arrow_images_form_socle_dual_basis(extensions):
         soc = socles(tri.base).bimodule.basis()
         assert len(tri.new_arrows) == len(soc), name
         if soc:
-            cols = [[row.get(na.dual_of, 0) for row in soc] for na in tri.new_arrows]
+            cols = [[row.get(tri.dual_index(na.basis_index), 0) for row in soc]
+                    for na in tri.new_arrows]
             assert Echelon(tri.T.field, len(soc), cols).rank == len(soc), name
 
 
@@ -117,7 +124,6 @@ def test_graded_extension_requires_grading():
     A = build("field Q\nvertices v\narrow x : v -> v\n"
               "relation x*x - x*x*x\nnilpotency_bound 4\n")
     assert A.degrees is None
-    from trivext.algebra import AlgebraBuildError
     with pytest.raises(AlgebraBuildError):
         graded_trivial_extension(A)
 
@@ -159,7 +165,7 @@ def test_new_arrow_products_lie_in_generated_ideal(extensions):
     for name, tri in extensions.items():
         rels = relations_up_to(tri)
         T = tri.T
-        news = tri.new_arrow_reps()
+        news = tri.new_arrows
         for b2 in news:
             for b1 in news:
                 if b1.target != b2.source:
@@ -357,3 +363,26 @@ def test_peirce_of_duals_transposed(extensions):
         for k in range(d):
             src, tgt = T.peirce[k]
             assert T.peirce[d + k] == (tgt, src), name
+
+
+def test_dual_blocks_match_the_scan_reference(algebras, extensions):
+    rng = random.Random(20150807)
+    inputs = list(algebras.values()) + [tri.T for tri in extensions.values()]
+    for _ in range(60):
+        pres = random_presentation(rng, rng.random() < 0.5,
+                                   rng.choice(["field Q", "field F 3", "field F 5"]),
+                                   bound=rng.choice([None, None, 3, 4]))
+        try:
+            inputs.append(build_algebra(pres, max_weight=8))
+        except AlgebraBuildError:
+            pass
+    assert len(inputs) >= 16 + 25, len(inputs)
+    multi_key = 0
+    for A in inputs:
+        got, want = trivial_extension(A).T.table, extension_table_by_scan(A)
+        # items, not dicts: the key order of every entry must agree too
+        assert [[list(x.items()) for x in row] for row in got] == \
+            [[list(x.items()) for x in row] for row in want], A
+        multi_key += sum(len(x) > 1 for row in want for x in row[A.dim:])
+        multi_key += sum(len(x) > 1 for row in want[A.dim:] for x in row)
+    assert multi_key  # dual-block entries with several keys occur

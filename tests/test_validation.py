@@ -3,10 +3,13 @@ structure tables and an all-triples reference for associativity."""
 
 import copy
 import random
+from itertools import product
 
 import pytest
 
 from trivext.algebra import AlgebraBuildError
+
+from reference import peirce_by_sandwiches
 
 SMALL = ["semisimple_k", "dual_numbers", "local_two_loops", "semisimple_k2",
          "nakayama_cycle_2", "nakayama_cycle_3", "path_a2"]  # dim T(A) <= 16
@@ -81,11 +84,25 @@ def test_perturbation_at_non_generator_pair_is_caught(extensions):
         assert not Y.check_associativity(), T.basis_labels[k]
 
 
+def test_peirce_lookups_agree_with_sandwich_reference(algebras, extensions):
+    # every single-coordinate perturbation of every small algebra
+    outcomes = []
+    for name, X in small_algebras(algebras, extensions):
+        for i, j, k in product(range(X.dim), repeat=3):
+            Y = perturbed(X, i, j, k)
+            want = peirce_by_sandwiches(Y)
+            assert Y.check_peirce() == want, (name, i, j, k)
+            outcomes.append(want)
+    assert len(outcomes) == 3159
+    # both verdicts occur: only entries with an idempotent factor are read
+    assert outcomes.count(True) and outcomes.count(False)
+
+
 def test_idempotent_check_catches_perturbation(algebras):
     A = algebras["dual_numbers"]
     e = A.idempotent_indices[0]
-    assert A.check_idempotents()
-    assert not perturbed(A, e, e, e).check_idempotents()  # e * e = 2 e
+    assert A.check_peirce()
+    assert not perturbed(A, e, e, e).check_peirce()  # e * e = 2 e
 
 
 def test_peirce_check_catches_perturbation(algebras):
@@ -100,7 +117,7 @@ def test_peirce_check_catches_perturbation(algebras):
 def test_validate_rejects_arrows_that_do_not_generate(extensions):
     T = copy.deepcopy(extensions["dual_numbers"].T)
     T.arrows = [rep for rep in T.arrows if not rep.is_new]
-    assert T.check_idempotents() and T.check_peirce()
+    assert T.check_peirce()
     with pytest.raises(AlgebraBuildError, match="generate") as err:
         T.validate()
     assert "associative" not in str(err.value)
