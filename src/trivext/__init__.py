@@ -14,7 +14,7 @@ from .dsl import (DSLError, Presentation, RelationExpr, parse_presentation,
                   serialize_presentation)
 from .hochschild import HHReport, hh_dims
 from .linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
-                     IntPolynomial, PolyMatrix, poly_det, row_reduce)
+                     IntPolynomial, poly_det, row_reduce)
 from .quiver import Arrow, CompositionError, Path, Quiver, compose, enumerate_paths
 from .trivial_extension import (RelationSet, TrivialExtensionData,
                                 check_new_products_vanish, extended_quiver,

@@ -75,8 +75,8 @@ class FDAlgebra:
     """
 
     def __init__(self, field: GroundField, labels, vertex_names, idempotent_indices,
-                 peirce, table, arrows, degrees=None, basis_paths=None,
-                 bound_conditional=False, label=""):
+                 peirce, table, arrows, degrees=None, bound_conditional=False,
+                 label=""):
         self.field = field
         self.dim = len(labels)
         self.basis_labels = list(labels)
@@ -86,7 +86,6 @@ class FDAlgebra:
         self.table = table
         self.arrows = list(arrows)
         self.degrees = list(degrees) if degrees is not None else None
-        self.basis_paths = basis_paths
         self.bound_conditional = bound_conditional
         self.label = label
         self._derived: dict = {}
@@ -115,9 +114,6 @@ class FDAlgebra:
 
     def idempotent(self, i: int) -> dict:
         return {self.idempotent_indices[i]: self.field.one()}
-
-    def unit(self) -> dict:
-        return {k: self.field.one() for k in self.idempotent_indices}
 
     def multiply(self, x: dict, y: dict) -> dict:
         """Bilinear extension of the structure constants (x*y, y first)."""
@@ -442,8 +438,7 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
     A = FDAlgebra(field=f, labels=labels, vertex_names=list(q.vertices),
                   idempotent_indices=idempotent_indices, peirce=peirce,
                   table=table, arrows=arrow_reps, degrees=degrees,
-                  basis_paths=basis_paths, bound_conditional=bound_conditional,
-                  label=label)
+                  bound_conditional=bound_conditional, label=label)
     A.validate()
     return A
 
@@ -685,9 +680,4 @@ def quiver_of(A: FDAlgebra):
                     degree=A.degrees[k] if A.degrees is not None else None))
     arrows = [Arrow(rep.name, A.vertex_names[rep.source], A.vertex_names[rep.target],
                     rep.degree) for rep in reps]
-    degs = [a.degree for a in arrows]
-    if any(d is None for d in degs):
-        arrows = [Arrow(a.name, a.source, a.target) for a in arrows]
-        reps = [ArrowRep(rp.name, rp.source, rp.target, rp.basis_index, None,
-                         rp.is_new) for rp in reps]
     return Quiver(A.vertex_names, arrows), reps

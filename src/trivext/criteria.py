@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import FDAlgebra, is_local, is_selfinjective
-from .linalg import IntPolynomial, PolyMatrix, poly_det
+from .linalg import IntPolynomial, poly_det
 from .trivial_extension import TrivialExtensionData, trivial_extension
 
 
@@ -153,7 +153,7 @@ class GradedCartanData:
     r: int
     top_degree: int
     components: list            # integer matrices C^0..C^top
-    matrix: PolyMatrix
+    matrix: list                # rows of IntPolynomial entries C(x)_{i,j}
     determinant: IntPolynomial
 
     def to_json(self):
@@ -161,7 +161,7 @@ class GradedCartanData:
             "r": self.r,
             "top_degree": self.top_degree,
             "components": self.components,
-            "entries": [[str(self.matrix.get(i, j)) for j in range(self.r)]
+            "entries": [[str(self.matrix[i][j]) for j in range(self.r)]
                         for i in range(self.r)],
             "determinant": str(self.determinant),
             "determinant_coeffs": self.determinant.to_json(),
@@ -181,11 +181,10 @@ def graded_cartan(A: FDAlgebra) -> GradedCartanData:
     comps = [[[0] * r for _ in range(r)] for _ in range(s + 1)]
     for k, (src, tgt) in enumerate(A.peirce):
         comps[A.degrees[k]][src][tgt] += 1
-    entries = [[IntPolynomial([comps[l][i][j] for l in range(s + 1)])
-                for j in range(r)] for i in range(r)]
-    mat = PolyMatrix(entries)
-    return GradedCartanData(r=r, top_degree=s, components=comps, matrix=mat,
-                            determinant=poly_det(mat))
+    rows = [[IntPolynomial([comps[l][i][j] for l in range(s + 1)])
+             for j in range(r)] for i in range(r)]
+    return GradedCartanData(r=r, top_degree=s, components=comps, matrix=rows,
+                            determinant=poly_det(rows))
 
 
 @dataclass
@@ -242,7 +241,7 @@ def trivial_extension_determinant_shape(g: GradedCartanData) -> DeterminantShape
     offsets_deg = True
     for i in range(r):
         for j in range(r):
-            p = g.matrix.get(i, j)
+            p = g.matrix[i][j]
             if i == j:
                 p = p - IntPolynomial((1,)) - IntPolynomial.x_power(top)
             if p.constant_term != 0:
@@ -362,16 +361,9 @@ def hhdim_verdict(A: FDAlgebra, extend: bool = False) -> Verdict:
             detail="algebra carries no positive grading with semisimple "
                    "degree-0 part"))
 
-    if cycle is not None:
-        return Verdict(conclusion="infinite_hhdim",
-                       certificate_kind="two_truncated_cycle",
-                       cycle=cycle, cartan=cartan_data, trace=trace,
-                       hypotheses=hypotheses, extension=extension, algebra=B)
-    if cartan_fired:
-        return Verdict(conclusion="infinite_hhdim",
-                       certificate_kind="graded_cartan_determinant",
-                       cycle=None, cartan=cartan_data, trace=trace,
-                       hypotheses=hypotheses, extension=extension, algebra=B)
-    return Verdict(conclusion="unknown", certificate_kind=None, cycle=None,
-                   cartan=cartan_data, trace=trace, hypotheses=hypotheses,
-                   extension=extension, algebra=B)
+    kind = ("two_truncated_cycle" if cycle is not None else
+            "graded_cartan_determinant" if cartan_fired else None)
+    return Verdict(conclusion="infinite_hhdim" if kind else "unknown",
+                   certificate_kind=kind, cycle=cycle, cartan=cartan_data,
+                   trace=trace, hypotheses=hypotheses, extension=extension,
+                   algebra=B)

@@ -69,8 +69,8 @@ class RelationExpr:
     def end(self) -> str:
         return self.terms[0][1].end
 
-    def weights(self, unit: int = 1) -> set[int]:
-        return {p.weight(unit) for _, p in self.terms}
+    def weights(self) -> set[int]:
+        return {p.weight() for _, p in self.terms}
 
     def label(self) -> str:
         return _expr_text(self.terms)

@@ -58,7 +58,6 @@ class ChainModuleDescriptor:
 
 @dataclass
 class HHReport:
-    algebra: str
     variant: str
     n_max: int
     dims: list          # (n, dim HH_n) for the degrees that were computable
@@ -143,14 +142,6 @@ class _BarData:
                 for rest in self._block_walks(v, goal, k - 1):
                     yield [block] + rest
 
-    def key(self, tup) -> int:
-        """Mixed-radix number of a tuple (b_0, s_1, ..., s_m): increasing in
-        lexicographic order."""
-        out = tup[0]
-        for s in tup[1:]:
-            out = out * self.dbar + s
-        return out
-
     @cached_property
     def integer_tables(self):
         """(scale, first, mid, wrap): the products b_0 r_s, r_s r_t and
@@ -177,7 +168,9 @@ class _BarData:
     def columns(self, n: int):
         """Yield the boundary column of every degree-n tuple, in the order
         of `tuples`, with the integer entries of `integer_tables` (zeros
-        not dropped) keyed by minus the `key` of degree-(n-1) tuples."""
+        not dropped) keyed by minus the mixed-radix number of degree-(n-1)
+        tuples: (b_0, s_1, ..., s_m) has the digits b_0, s_1, ..., s_m in base
+        `dbar`, increasing in lexicographic order."""
         _scale, first, mid, wrap = self.integer_tables
         place = [self.dbar ** (n - 1 - i) for i in range(n)]  # of slot i in C_{n-1}
         top = place[0]
@@ -230,7 +223,7 @@ def _boundary_rank(data: _BarData, n: int) -> int:
 
 
 def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
-            cap: int = DEFAULT_TUPLE_CAP, label: str | None = None) -> HHReport:
+            cap: int = DEFAULT_TUPLE_CAP) -> HHReport:
     """dim HH_n for 0 <= n <= n_max.
 
     dim HH_n = dim C_n - rank b_n - rank b_{n+1}, with b_0 = 0.  If a chain module
@@ -253,8 +246,8 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
         if n + 1 not in ranks:
             break
         dims.append((n, data.chain_dim(n) - ranks.get(n, 0) - ranks[n + 1]))
-    return HHReport(algebra=label or B.label or "algebra", variant=variant,
-                    n_max=n_max, dims=dims, truncated_at=truncated_at)
+    return HHReport(variant=variant, n_max=n_max, dims=dims,
+                    truncated_at=truncated_at)
 
 
 def commutator_rank(B: FDAlgebra) -> int:

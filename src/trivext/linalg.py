@@ -374,7 +374,7 @@ class SparseRank:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials and polynomial matrices
+# integer polynomials and their determinants
 
 
 class IntPolynomial:
@@ -504,38 +504,17 @@ POLY_ZERO = IntPolynomial()
 POLY_ONE = IntPolynomial((1,))
 
 
-class PolyMatrix:
-    """A square matrix over Z[x]."""
-
-    __slots__ = ("size", "entries")
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.size = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.size:
-                raise ValueError("polynomial matrix must be square")
-            for e in row:
-                if not isinstance(e, IntPolynomial):
-                    raise TypeError("entries must be IntPolynomial")
-
-    def get(self, i: int, j: int) -> IntPolynomial:
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-
-def poly_det(m: PolyMatrix) -> IntPolynomial:
-    """Exact determinant in Z[x] by fraction-free Bareiss elimination.
+def poly_det(rows) -> IntPolynomial:
+    """Exact determinant in Z[x] of the square matrix with the given rows
+    of IntPolynomial entries, by fraction-free Bareiss elimination.
 
     Every division in the Bareiss recurrence is exact over Z[x], so no
     rational coefficients ever appear.
     """
-    n = m.size
+    n = len(rows)
     if n == 0:
         return POLY_ONE
-    a = [[m.entries[i][j] for j in range(n)] for i in range(n)]
+    a = [list(row) for row in rows]
     sign = 1
     prev = POLY_ONE
     for k in range(n - 1):

@@ -105,15 +105,11 @@ class Path:
     def length(self) -> int:
         return len(self.arrows)
 
-    @property
-    def is_stationary(self) -> bool:
-        return not self.arrows
-
-    def weight(self, unit: int = 1) -> int:
+    def weight(self) -> int:
         """Total degree: sum of arrow degrees, or length when untagged."""
         total = 0
         for a in self.arrows:
-            total += a.degree if a.degree is not None else unit
+            total += a.degree if a.degree is not None else 1
         return total
 
     def label(self) -> str:

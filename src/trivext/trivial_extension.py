@@ -24,7 +24,7 @@ from .algebra import (AlgebraBuildError, ArrowRep, FDAlgebra, ideal_slice,
                       loewy_length, socles)
 from .dsl import RelationExpr
 from .linalg import Echelon, row_reduce
-from .quiver import Arrow, Path, PathBudgetExceeded, Quiver, path_layer
+from .quiver import Arrow, PathBudgetExceeded, Quiver, path_layer
 # unused here; kept as a module binding because the bench tests check that
 # the tracer patches every module's `compose`
 from .quiver import compose  # noqa: F401
@@ -47,21 +47,6 @@ class TrivialExtensionData:
         d = self.base.dim
         return k + d if k < d else k - d
 
-    def phi(self, path: Path) -> dict:
-        """Evaluate a path of the extended quiver in T(A)."""
-        try:
-            by_name = self._arrow_by_name
-        except AttributeError:
-            by_name = self._arrow_by_name = {rep.name: rep for rep in self.T.arrows}
-        if path.is_stationary:
-            v = self.base.vertex_names.index(path.start)
-            return self.T.idempotent(v)
-        out = None
-        for a in path.arrows:
-            el = by_name[a.name].element()
-            out = el if out is None else self.T.multiply(el, out)
-        return out
-
     def symmetric_form(self, u: dict, v: dict):
         """The associative symmetric form <(a,f),(b,g)> = f(b) + g(a)."""
         f = self.T.field
@@ -74,7 +59,7 @@ class TrivialExtensionData:
         return total
 
 
-def trivial_extension(A: FDAlgebra, *, label: str = "") -> TrivialExtensionData:
+def trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
     """Build T(A) = A ⋉ DA with exact structure constants.
 
     The basis is the basis of A followed by its dual basis; products of two
@@ -83,8 +68,8 @@ def trivial_extension(A: FDAlgebra, *, label: str = "") -> TrivialExtensionData:
     the value at b_w of b_u·b_v* and the value at b_u of b_v*·b_w.  When A
     is graded with top degree s, T(A) is graded by keeping the degrees on A
     and giving the dual of a degree-l basis element degree s+1-l (including
-    l = 0), so T(A) has top degree s+1.  The result has passed
-    `FDAlgebra.validate`.
+    l = 0), so T(A) has top degree s+1.  The result is labelled T(<label
+    of A>) when A has a label, and has passed `FDAlgebra.validate`.
     """
     f = A.field
     d = A.dim
@@ -126,17 +111,17 @@ def trivial_extension(A: FDAlgebra, *, label: str = "") -> TrivialExtensionData:
     T = FDAlgebra(field=f, labels=labels, vertex_names=A.vertex_names,
                   idempotent_indices=list(A.idempotent_indices), peirce=peirce,
                   table=table, arrows=arrows, degrees=degrees,
-                  basis_paths=None, bound_conditional=A.bound_conditional,
-                  label=label or (f"T({A.label})" if A.label else ""))
+                  bound_conditional=A.bound_conditional,
+                  label=f"T({A.label})" if A.label else "")
     T.validate()
     return TrivialExtensionData(base=A, T=T)
 
 
-def graded_trivial_extension(A: FDAlgebra, **kw) -> TrivialExtensionData:
+def graded_trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
     """Trivial extension of a graded algebra, carrying the induced grading."""
     if A.degrees is None:
         raise AlgebraBuildError("the algebra carries no grading")
-    return trivial_extension(A, **kw)
+    return trivial_extension(A)
 
 
 def extended_quiver(tri: TrivialExtensionData) -> Quiver:
@@ -169,9 +154,6 @@ class RelationSet:
     quotient_dim: int | None    # dim of kQ~ modulo the generated ideal
     complete: bool              # quotient_dim == dim T(A)
 
-    def __iter__(self):
-        return iter(self.generators)
-
 
 def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> RelationSet:
     """Length-homogeneous generators of the kernel of the evaluation map
@@ -183,7 +165,9 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     the path layers have at most PATH_BUDGET paths.  For each length l <= cap
     and each Peirce block, a basis of the kernel of the evaluation on
     length-l paths is then reduced modulo I_l; the vectors that enlarge it
-    become generators and join I_l.
+    become generators and join I_l.  The value in T(A) of each path p*a
+    ("a first") of a layer is the value of p, kept from the layer below,
+    times the arrow a: one product per path.
     The returned record also reports the dimension of the quotient by the
     generated ideal: if it equals dim T(A) the generator set presents the
     algebra.  (Kernel elements mixing several path lengths, which occur
@@ -201,6 +185,7 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     f = T.field
 
     layer, _ = path_layer(qext, [], 0)
+    values = [T.idempotent(v) for v in range(len(layer))]
     ideal = Echelon(f, len(layer))
     gens: list[RelationExpr] = []
     quotient_dim = len(layer)
@@ -217,8 +202,16 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
         ideal = ideal_slice(f, len(layer),
                             [(ideal, right, left) for _, right, left in steps])
 
+        if length <= cap:
+            # one step per arrow, in T.arrows order (all arrows have
+            # length 1): step a maps the index of p below to that of p*a
+            below, values = values, [None] * len(layer)
+            for rep, (_, right, _) in zip(T.arrows, steps):
+                a = rep.element()
+                for k, i in right.items():
+                    values[i] = T.multiply(below[k], a)
         if 2 <= length <= cap:
-            for vec in _slice_kernel(tri, layer):
+            for vec in _slice_kernel(f, layer, values):
                 if ideal.add(vec):
                     gens.append(RelationExpr(tuple((vec[k], layer[k])
                                                    for k in sorted(vec))))
@@ -236,12 +229,13 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     return RelationSet(generators=gens, cap=cap, quotient_dim=None, complete=False)
 
 
-def _slice_kernel(tri: TrivialExtensionData, layer):
+def _slice_kernel(field, layer, values):
     """Basis of the kernel of the evaluation map on one length slice,
-    computed per Peirce block so every kernel vector is a combination of
+    where `values[k]` is the element of T(A) that path `layer[k]` evaluates
+    to, computed per Peirce block so every kernel vector is a combination of
     parallel paths."""
     blocks: dict[tuple, list[int]] = {}
     for k, p in enumerate(layer):
         blocks.setdefault((p.start, p.end), []).append(k)
     return [vec for key in sorted(blocks) for vec in row_reduce(
-        tri.T.field, {k: tri.phi(layer[k]) for k in blocks[key]})]
+        field, {k: values[k] for k in blocks[key]})]

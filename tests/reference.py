@@ -72,6 +72,16 @@ def apply_column(m, col: dict) -> dict:
     return out
 
 
+def key(data, tup) -> int:
+    """Mixed-radix number of a tuple (b_0, s_1, ..., s_m) of `data`, a
+    `_BarData`: increasing in lexicographic order, and the negated row key
+    of `_BarData.columns`."""
+    out = tup[0]
+    for s in tup[1:]:
+        out = out * data.dbar + s
+    return out
+
+
 def boundary_matrix(B, n: int, variant: str = "normalized",
                     cap: int = DEFAULT_TUPLE_CAP) -> ExactMatrix:
     """The matrix of the bar boundary from chain degree n to n-1; rows and
@@ -84,7 +94,7 @@ def boundary_matrix(B, n: int, variant: str = "normalized",
         if size > cap:
             raise DimensionCapExceeded(deg, size, cap)
     f = B.field
-    row_of = {-data.key(t): r for r, t in enumerate(data.tuples(n - 1))}
+    row_of = {-key(data, t): r for r, t in enumerate(data.tuples(n - 1))}
     scale = data.integer_tables[0]
     m = ExactMatrix(data.chain_dim(n - 1), data.chain_dim(n), f)
     for idx, col in enumerate(data.columns(n)):
@@ -211,3 +221,17 @@ def selfinjectivity_by_matching(A):
         socle_dims=tuple(data.right[perm[i]].rank for i in range(A.num_vertices)),
         dimension_pairs=tuple((left_dims[i], right_dims[perm[i]])
                               for i in range(A.num_vertices)))
+
+
+def phi(tri, path) -> dict:
+    """The former path evaluator of `relations_up_to`: the value of a path
+    of the extended quiver in T(A), multiplied out arrow by arrow."""
+    T = tri.T
+    if not path.arrows:
+        return T.idempotent(tri.base.vertex_names.index(path.start))
+    by_name = {rep.name: rep for rep in T.arrows}
+    out = None
+    for a in path.arrows:
+        el = by_name[a.name].element()
+        out = el if out is None else T.multiply(el, out)
+    return out

@@ -146,7 +146,7 @@ def test_criterion_7_corroboration(extensions, algebras):
     checked = []
     for name, tri in extensions.items():
         if tri.T.dim <= 8:
-            rep = hh_dims(tri.T, 4, cap=HH_CORROBORATION_CAP, label=f"T({name})")
+            rep = hh_dims(tri.T, 4, cap=HH_CORROBORATION_CAP)
             dims = dict(rep.dims)
             for n in range(1, 5):
                 assert dims[n] >= 1, (name, n, dims)

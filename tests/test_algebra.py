@@ -62,7 +62,7 @@ def test_multiply_examples():
     e1 = B.idempotent(0)
     # a = e_2 a e_1, so e_1 * a kills it (left idempotent picks the target)
     assert B.multiply(e1, a) == {}
-    one = B.unit()
+    one = {k: B.field.one() for k in B.idempotent_indices}
     for k in range(B.dim):
         y = B.basis_element(k)
         assert B.multiply(one, y) == y

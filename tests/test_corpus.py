@@ -24,8 +24,8 @@ def test_entry_names_are_stable():
         "five_vertex_weighted"]
 
 
-def test_negative_controls(extensions):
-    res = negative_control_checks(extensions["path_a2"])
+def test_negative_controls(algebras, extensions):
+    res = negative_control_checks(algebras["semisimple_k"], extensions["path_a2"])
     assert res["ok"], res
 
 
@@ -80,3 +80,17 @@ def test_corpus_builds_each_extension_once(monkeypatch):
     expected = Counter(e.name for e in CORPUS)
     expected.update(f"T({e.name})" for e in CORPUS if e.double_extension)
     assert built == expected
+
+
+def test_corpus_builds_each_algebra_once(monkeypatch):
+    # the negative controls reuse the semisimple_k entry's algebra
+    built = Counter()
+    build = trivext.corpus.build_algebra
+
+    def counting(pres, **kwargs):
+        built[kwargs.get("label")] += 1
+        return build(pres, **kwargs)
+
+    monkeypatch.setattr(trivext.corpus, "build_algebra", counting)
+    assert run_corpus()["ok"]
+    assert built == Counter(e.name for e in CORPUS)

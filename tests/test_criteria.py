@@ -243,7 +243,7 @@ def test_cartan_of_extension_of_ground_field(extensions):
 
 def test_cartan_of_a2_extension(extensions):
     g = graded_cartan(extensions["path_a2"].T)
-    entries = [[str(g.matrix.get(i, j)) for j in range(2)] for i in range(2)]
+    entries = [[str(g.matrix[i][j]) for j in range(2)] for i in range(2)]
     assert entries == [["1 + x^2", "x"], ["x", "1 + x^2"]]
     assert g.determinant == poly(1, 0, 1, 0, 1)  # 1 + x^2 + x^4
 

@@ -213,7 +213,7 @@ def test_hh_corroboration_small_extensions(algebras, extensions):
         T = tri.T
         if T.dim > 8:
             continue
-        rep = hh_dims(T, 4, cap=200_000, label=f"T({name})")
+        rep = hh_dims(T, 4, cap=200_000)
         dims = dict(rep.dims)
         for n in range(1, 5):
             assert dims[n] >= 1, (name, n)
@@ -232,7 +232,7 @@ class KNormalizedBar:
     def __init__(self, B):
         self.B = B
         self.d = B.dim
-        self.unit_pivot = min(B.unit())  # echelon head: the unit itself
+        self.unit_pivot = min(B.idempotent_indices)  # echelon head: the unit itself
         self.reps = [k for k in range(B.dim) if k != self.unit_pivot]
         self.slot_of = {k: s for s, k in enumerate(self.reps)}
         self.dbar = len(self.reps)

@@ -89,29 +89,32 @@ def _definitions(tree):
 
 
 def _name_uses(tree):
-    """(name, line) of every Name, Attribute and import alias."""
+    """(name, line, through an attribute) of every Name, Attribute and
+    import alias."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 for name in (alias.name.split(".")[-1], alias.asname):
-                    yield name, node.lineno
+                    yield name, node.lineno, False
 
 
 def unnamed_definitions(defining: list[Path], reading: list[Path]) -> list[str]:
     """Definitions in the `defining` files whose name the `reading` files
-    never mention outside the definition itself."""
+    never mention outside the definition itself.  A method is mentioned
+    only as an attribute (`x.name`); a bare name of the same spelling, such
+    as a local variable, does not count."""
     uses = {path: list(_name_uses(ast.parse(path.read_text()))) for path in reading}
     unnamed = []
     for path in defining:
         for qualname, node in _definitions(ast.parse(path.read_text())):
-            name = qualname.split(".")[-1]
-            if not any(n == name and not (p == path and node.lineno <= line
-                                          <= node.end_lineno)
-                       for p, found in uses.items() for n, line in found):
+            name, method = qualname.split(".")[-1], "." in qualname
+            if not any(n == name and (attr or not method)
+                       and not (p == path and node.lineno <= line <= node.end_lineno)
+                       for p, found in uses.items() for n, line, attr in found):
                 unnamed.append(f"{path.stem}.{qualname}")
     return unnamed
 
@@ -124,10 +127,12 @@ def test_detector_flags_an_unnamed_definition(tmp_path):
     mod, user = tmp_path / "mod.py", tmp_path / "user.py"
     mod.write_text("class C:\n    def __init__(self):\n        self.m()\n"
                    "    def m(self):\n        pass\n"
-                   "    def lonely(self):\n        return self.lonely()\n\n"
+                   "    def lonely(self):\n        return self.lonely()\n"
+                   "    def shadowed(self):\n        pass\n\n"
                    "def f():\n    return f()\n\n"
                    "def g():\n    pass\n\n"
                    "def h():\n    pass\n")
     user.write_text("from mod import C as D, g\n\nD().m()\n\n"
-                    "def main():\n    return mod.h\n")
-    assert unnamed_definitions([mod], [mod, user]) == ["mod.C.lonely", "mod.f"]
+                    "def main():\n    shadowed = 1\n    return mod.h, shadowed\n")
+    assert unnamed_definitions([mod], [mod, user]) == [
+        "mod.C.lonely", "mod.C.shadowed", "mod.f"]

@@ -1,5 +1,6 @@
 """T(A) = A ⋉ DA: structure constants, extended quiver, relations."""
 
+import importlib
 import random
 
 import pytest
@@ -10,12 +11,12 @@ from trivext.algebra import (AlgebraBuildError, build_algebra, loewy_length,
                              left_socle_in_bimodule_socle, socles)
 from trivext.dsl import RelationExpr, parse_presentation
 from trivext.linalg import Echelon
-from trivext.quiver import Path, compose
+from trivext.quiver import Path, PathBudgetExceeded, compose
 from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        extended_quiver, graded_trivial_extension,
                                        relations_up_to, trivial_extension)
 
-from reference import extension_table_by_scan
+from reference import extension_table_by_scan, phi
 from test_builder import random_presentation
 
 
@@ -183,7 +184,7 @@ def test_relations_complete_on_length_homogeneous_corpus(extensions):
         for g in rels.generators:
             vec = None
             for c, p in g.terms:
-                term = tri.phi(p)
+                term = phi(tri, p)
                 scaled = {k: tri.T.field.mul(c, v) for k, v in term.items()}
                 if vec is None:
                     vec = scaled
@@ -218,7 +219,8 @@ def test_relations_give_up_at_path_budget():
 
 def relations_by_enumeration(tri, cap=None):
     """Reference: the ideal slice at each length spanned by every product
-    p * g * q of a path p, a generator g found so far and a path q."""
+    p * g * q of a path p, a generator g found so far and a path q, and the
+    kernels of each slice from the arrow-by-arrow `reference.phi`."""
     ll = loewy_length(tri.T)
     cap = ll if cap is None else cap
     qext = extended_quiver(tri)
@@ -249,7 +251,7 @@ def relations_by_enumeration(tri, cap=None):
                             vec[k] = f.add(vec.get(k, f.zero()), c)
                         ideal.add(vec)
         if 2 <= length <= cap:
-            for vec in _slice_kernel(tri, layer):
+            for vec in _slice_kernel(f, layer, [phi(tri, p) for p in layer]):
                 if ideal.add(vec):
                     gens.append(RelationExpr(tuple(
                         (vec[k], layer[k]) for k in sorted(vec))))
@@ -295,6 +297,47 @@ def test_relations_match_product_enumeration_longer(name):
     tri = trivial_extension(build(MORE_PRESENTATIONS[name]))
     for cap in (None, 3, 4):
         assert_relations_match_enumeration(tri, cap, name)
+
+
+def test_path_values_match_arrow_by_arrow_evaluation(extensions, monkeypatch):
+    # relations_up_to evaluates each path p*a as the value of p, kept from
+    # the layer below, times a; every length 2..loewy_length(T) it hands
+    # to the kernel step must agree with the arrow-by-arrow reference.phi
+    # (the values of lengths 0 and 1 enter every length-2 product)
+    seen = []
+
+    def spy(field, layer, values):
+        seen.append((layer, values))
+        return _slice_kernel(field, layer, values)
+
+    # the package's `trivial_extension` attribute is the function, so the
+    # module is looked up by name
+    module = importlib.import_module("trivext.trivial_extension")
+    monkeypatch.setattr(module, "_slice_kernel", spy)
+    tris = list(extensions.values()) + [
+        trivial_extension(extensions[name].T) for name in ("dual_numbers", "path_a2")]
+    rng, fields = random.Random(20151027), ["field Q", "field F 3", "field F 5"]
+    seeded = 0
+    while seeded < 24:
+        pres = random_presentation(rng, rng.random() < 0.5, fields[seeded % 3],
+                                   bound=rng.choice([None, None, 3]))
+        try:
+            tri = trivial_extension(build_algebra(pres, max_weight=8))
+        except (AlgebraBuildError, PathBudgetExceeded):
+            continue
+        if tri.T.dim <= 24:
+            tris.append(tri)
+            seeded += 1
+    products = 0
+    for tri in tris:
+        seen.clear()
+        relations_up_to(tri)
+        assert len(seen) == loewy_length(tri.T) - 1, tri.T
+        for layer, values in seen:
+            assert values == [phi(tri, p) for p in layer], tri.T
+            products += sum(len(v) > 1 or any(c != 1 for c in v.values())
+                            for v in values)
+    assert products  # values with several terms or a coefficient != 1 occur
 
 
 def test_check_new_products_vanish(extensions):
