@@ -528,27 +528,11 @@ def loewy_length(A: FDAlgebra) -> int:
     return len(radical_chain(A)) - 1
 
 
-def vertex_loewy_lengths(A: FDAlgebra) -> list[int]:
-    """Loewy length of each projective left module Ae_i."""
-    chain = radical_chain(A)
-    out = []
-    for i in range(A.num_vertices):
-        # the least m where the rows of rad^m all vanish on the paths from i
-        out.append(next(m for m, sub in enumerate(chain)
-                        if not any(A.peirce[k][0] == i
-                                   for row in sub.rows for k in row)))
-    return out
-
-
 @dataclass
 class SocleData:
     left: list[Echelon]       # socle of Ae_i, one per vertex
     right: list[Echelon]      # socle of e_jA, one per vertex
     bimodule: Echelon         # socle of A as a bimodule
-
-    def left_total(self) -> Echelon:
-        return Echelon(self.bimodule.field, self.bimodule.width,
-                       (v for s in self.left for v in s.rows))
 
 
 def _annihilator(A: FDAlgebra, columns, left=True, right=True) -> Echelon:
@@ -588,15 +572,12 @@ def is_local(A: FDAlgebra) -> bool:
 
 def left_socle_in_bimodule_socle(A: FDAlgebra) -> bool:
     data = socles(A)
-    return data.bimodule.contains_space(data.left_total())
+    return all(data.bimodule.contains_space(s) for s in data.left)
 
 
 @dataclass
 class SelfinjectivityCertificate:
     permutation: tuple[int, ...]       # i -> pi(i), vertex indices
-    loewy_lengths: tuple[int, ...]
-    socle_dims: tuple[int, ...]        # dim of right socle of e_{pi(i)}A (all 1)
-    dimension_pairs: tuple[tuple[int, int], ...]  # (dim Ae_i, dim e_{pi(i)}A)
 
 
 @dataclass
@@ -642,14 +623,7 @@ def selfinjectivity(A: FDAlgebra):
                       f"type S_{A.vertex_names[i]}")
             return SelfinjectivityRefusal(vertex=i, reason=reason)
         perm.append(j)
-
-    lls = vertex_loewy_lengths(A)
-    return SelfinjectivityCertificate(
-        permutation=tuple(perm),
-        loewy_lengths=tuple(lls),
-        socle_dims=tuple(data.right[perm[i]].rank for i in range(A.num_vertices)),
-        dimension_pairs=tuple((left_dims[i], right_dims[perm[i]])
-                              for i in range(A.num_vertices)))
+    return SelfinjectivityCertificate(permutation=tuple(perm))
 
 
 def is_selfinjective(A: FDAlgebra) -> bool:

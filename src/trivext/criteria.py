@@ -49,11 +49,13 @@ class TruncatedCycleCertificate:
 def zero_composition_graph(A: FDAlgebra) -> dict[int, list[int]]:
     """Directed graph on the arrow representatives: an edge a -> b means
     b can follow a (target of a = source of b) and the product b*a
-    vanishes in the algebra."""
+    vanishes in the algebra: the table entry of the two representatives,
+    which is what `multiply` returns on their unit vectors."""
+    T = A.table
     adj: dict[int, list[int]] = {i: [] for i in range(len(A.arrows))}
     for i, a in enumerate(A.arrows):
         for j, b in enumerate(A.arrows):
-            if a.target == b.source and not A.multiply(b.element(), a.element()):
+            if a.target == b.source and not T[b.basis_index][a.basis_index]:
                 adj[i].append(j)
     return adj
 
@@ -61,7 +63,8 @@ def zero_composition_graph(A: FDAlgebra) -> dict[int, list[int]]:
 def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
     """The lexicographically least minimum-length cycle in the
     zero-composition graph, re-verified by `verify_cycle_certificate`, or
-    None.
+    None.  A failed re-check raises RuntimeError, so every returned cycle
+    has passed it.
 
     The cycle starts at the least node of least return length `best`.
     With `back` the BFS distances to that node, step k goes to the least
@@ -102,28 +105,29 @@ def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
 
 
 def _bfs_exact(adj, target):
-    """Shortest positive walk length from each node to `target`."""
+    """Shortest positive walk length from each node to `target`: one
+    breadth-first search from `target` along the reversed edges."""
+    preds: dict = {}
+    for v, succ in adj.items():
+        for w in succ:
+            preds.setdefault(w, []).append(v)
     dist = {}
-    frontier = [v for v in adj if target in adj[v]]
-    for v in frontier:
-        dist.setdefault(v, 1)
-    k = 1
+    frontier, k = [target], 0
     while frontier:
         k += 1
         nxt = []
-        seen = set(dist)
-        for v in adj:
-            if v in seen:
-                continue
-            if any(w in dist and dist[w] == k - 1 for w in adj[v]):
-                dist[v] = k
-                nxt.append(v)
+        for w in frontier:
+            for v in preds.get(w, ()):
+                if v not in dist:
+                    dist[v] = k
+                    nxt.append(v)
         frontier = nxt
     return dist
 
 
 def verify_cycle_certificate(A: FDAlgebra, cert: TruncatedCycleCertificate) -> bool:
-    """Standalone re-check of a cycle certificate using only multiply."""
+    """Standalone re-check of a cycle certificate: composability and the
+    table entry of each consecutive pair of representatives."""
     by_name = {rep.name: rep for rep in A.arrows}
     reps = [by_name.get(name) for name in cert.arrow_names]
     if not reps or any(r is None for r in reps):
@@ -134,7 +138,7 @@ def verify_cycle_certificate(A: FDAlgebra, cert: TruncatedCycleCertificate) -> b
         later = reps[(i + 1) % n]
         if earlier.target != later.source:
             return False
-        if A.multiply(later.element(), earlier.element()):
+        if A.table[later.basis_index][earlier.basis_index]:
             return False
     return True
 
@@ -191,7 +195,6 @@ def graded_cartan(A: FDAlgebra) -> GradedCartanData:
 class CartanCriterionResult:
     fires: bool
     reason: str
-    determinant: IntPolynomial | None = None
 
 
 def cartan_criterion(g: GradedCartanData, characteristic: int) -> CartanCriterionResult:
@@ -199,16 +202,13 @@ def cartan_criterion(g: GradedCartanData, characteristic: int) -> CartanCriterio
     characteristic zero only."""
     if characteristic != 0:
         return CartanCriterionResult(
-            fires=False, reason="criterion requires characteristic zero",
-            determinant=g.determinant)
+            fires=False, reason="criterion requires characteristic zero")
     if g.determinant == IntPolynomial((1,)):
         return CartanCriterionResult(
-            fires=False, reason="graded Cartan determinant equals 1",
-            determinant=g.determinant)
+            fires=False, reason="graded Cartan determinant equals 1")
     return CartanCriterionResult(
         fires=True,
-        reason=f"graded Cartan determinant {g.determinant} differs from 1",
-        determinant=g.determinant)
+        reason=f"graded Cartan determinant {g.determinant} differs from 1")
 
 
 @dataclass
@@ -222,9 +222,6 @@ class DeterminantShapeReport:
     det_leading_coefficient: int
     det_degree: int
     expected_degree: int
-
-    def to_json(self):
-        return self.__dict__.copy()
 
 
 def trivial_extension_determinant_shape(g: GradedCartanData) -> DeterminantShapeReport:

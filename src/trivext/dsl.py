@@ -255,6 +255,8 @@ def parse_presentation(text: str) -> Presentation:
             for v in (src, tgt):
                 if v not in vertices:
                     raise DSLError(f"unknown vertex {v!r}", line_no)
+            if deg and int(deg) < 1:
+                raise DSLError("arrow degrees must be >= 1", line_no)
             arrows.append(Arrow(name, src, tgt, int(deg) if deg else None))
         elif keyword == "relation":
             if not rest:

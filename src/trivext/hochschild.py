@@ -63,14 +63,11 @@ class HHReport:
     dims: list          # (n, dim HH_n) for the degrees that were computable
     truncated_at: int | None = None  # chain degree refused by the cap
 
-    def as_dict(self):
-        return dict(self.dims)
-
     def corroborates_infinite(self) -> bool | None:
         """Whether dim HH_N >= 1 at the top degree N = n_max, which shows
         HHdim >= N; None if the cap cut that degree off.  HHdim = infinity
         means HH_n != 0 for infinitely many n, so lower degrees may vanish."""
-        dims = self.as_dict()
+        dims = dict(self.dims)
         return dims[self.n_max] >= 1 if self.n_max in dims else None
 
 

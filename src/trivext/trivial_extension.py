@@ -89,24 +89,22 @@ def trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
         s = max(A.degrees)
         degrees = list(A.degrees) + [s + 1 - l for l in A.degrees]
 
-    soc = socles(A).bimodule
-
-    # the arrows of A, then one new arrow i -> j per pivot of the reduced
-    # echelon basis of e_i(soc)e_j; its representative is the dual of the
-    # pivot basis path
+    # the arrows of A, then one new arrow i -> j per pivot k of the reduced
+    # echelon basis of e_i(soc)e_j (k a path j -> i), ordered by (i, j, k);
+    # its representative is the dual of the pivot basis path.  soc is a
+    # sub-bimodule, so it is the direct sum of its Peirce blocks, and the
+    # reduced echelon basis of a direct sum on disjoint coordinates is the
+    # union of the blocks' bases: the pivots of soc in a block are exactly
+    # the pivots of that block.
     arrows = [ArrowRep(rep.name, rep.source, rep.target, rep.basis_index,
                        rep.degree, is_new=False) for rep in A.arrows]
-    for i in range(A.num_vertices):
-        for j in range(A.num_vertices):
-            block = [k for k, (src, tgt) in enumerate(A.peirce)
-                     if (src, tgt) == (j, i)]  # e_i A e_j: paths j -> i
-            if not block:
-                continue
-            for pivot in soc.restrict(block).pivots:
-                b = d + block[pivot]
-                arrows.append(ArrowRep(
-                    labels[b], i, j, b,
-                    degrees[b] if degrees is not None else None, is_new=True))
+    for k in sorted(socles(A).bimodule.pivots,
+                    key=lambda k: A.peirce[k][::-1] + (k,)):
+        j, i = A.peirce[k]
+        b = d + k
+        arrows.append(ArrowRep(labels[b], i, j, b,
+                               degrees[b] if degrees is not None else None,
+                               is_new=True))
 
     T = FDAlgebra(field=f, labels=labels, vertex_names=A.vertex_names,
                   idempotent_indices=list(A.idempotent_indices), peirce=peirce,
@@ -138,12 +136,11 @@ def extended_quiver(tri: TrivialExtensionData) -> Quiver:
 def check_new_products_vanish(tri: TrivialExtensionData) -> bool:
     """Products of any two composable new arrows vanish in T(A) (the dual
     part has square zero)."""
-    reps = tri.new_arrows
+    reps, table = tri.new_arrows, tri.T.table
     for b2 in reps:
         for b1 in reps:
-            if b1.target == b2.source:
-                if tri.T.multiply(b2.element(), b1.element()):
-                    return False
+            if b1.target == b2.source and table[b2.basis_index][b1.basis_index]:
+                return False
     return True
 
 

@@ -1,7 +1,7 @@
 """Routines the package no longer needs, kept for tests as references."""
 
-from trivext.algebra import (SelfinjectivityCertificate, SelfinjectivityRefusal,
-                             socles, vertex_loewy_lengths)
+from trivext.algebra import (ArrowRep, SelfinjectivityCertificate,
+                             SelfinjectivityRefusal, radical_chain, socles)
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
 from trivext.linalg import QQ, SparseRank
 
@@ -215,12 +215,64 @@ def selfinjectivity_by_matching(A):
     if perm is None:
         return SelfinjectivityRefusal(
             vertex=0, reason="socle types do not admit a bijective assignment")
-    return SelfinjectivityCertificate(
-        permutation=tuple(perm),
-        loewy_lengths=tuple(vertex_loewy_lengths(A)),
-        socle_dims=tuple(data.right[perm[i]].rank for i in range(A.num_vertices)),
-        dimension_pairs=tuple((left_dims[i], right_dims[perm[i]])
-                              for i in range(A.num_vertices)))
+    return SelfinjectivityCertificate(permutation=tuple(perm))
+
+
+def vertex_loewy_lengths(A) -> list[int]:
+    """Loewy length of each projective left module Ae_i."""
+    chain = radical_chain(A)
+    out = []
+    for i in range(A.num_vertices):
+        # the least m where the rows of rad^m all vanish on the paths from i
+        out.append(next(m for m, sub in enumerate(chain)
+                        if not any(A.peirce[k][0] == i
+                                   for row in sub.rows for k in row)))
+    return out
+
+
+def new_arrows_by_block_scan(A) -> list:
+    """The former construction of the new arrows of T(A): for every pair
+    of vertices (i, j), the pivots of the bimodule socle restricted to the
+    Peirce block e_i A e_j, each giving an arrow i -> j represented by the
+    dual of its pivot basis path."""
+    soc, d = socles(A).bimodule, A.dim
+    arrows = []
+    for i in range(A.num_vertices):
+        for j in range(A.num_vertices):
+            block = [k for k, (src, tgt) in enumerate(A.peirce)
+                     if (src, tgt) == (j, i)]  # e_i A e_j: paths j -> i
+            if not block:
+                continue
+            for pivot in soc.restrict(block).pivots:
+                k = block[pivot]
+                arrows.append(ArrowRep(
+                    A.basis_labels[k] + "*", i, j, d + k,
+                    None if A.degrees is None else max(A.degrees) + 1 - A.degrees[k],
+                    is_new=True))
+    return arrows
+
+
+def bfs_by_scan(adj, target):
+    """The former `_bfs_exact`: shortest positive walk length from each
+    node to `target`, assigning level k by rescanning every node for a
+    successor at level k - 1."""
+    dist = {}
+    frontier = [v for v in adj if target in adj[v]]
+    for v in frontier:
+        dist.setdefault(v, 1)
+    k = 1
+    while frontier:
+        k += 1
+        nxt = []
+        seen = set(dist)
+        for v in adj:
+            if v in seen:
+                continue
+            if any(w in dist and dist[w] == k - 1 for w in adj[v]):
+                dist[v] = k
+                nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 def phi(tri, path) -> dict:

@@ -12,13 +12,12 @@ from trivext.algebra import (AdmissibilityError, AlgebraBuildError,
                              left_socle_in_bimodule_socle, loewy_length,
                              quiver_of, radical_chain, radical_power,
                              radical_subspace, selfinjectivity, socles,
-                             span_products, trace_form_radical,
-                             vertex_loewy_lengths)
+                             span_products, trace_form_radical)
 from trivext.dsl import parse_presentation
 from trivext.linalg import GF
 from trivext.trivial_extension import trivial_extension
 
-from reference import selfinjectivity_by_matching
+from reference import selfinjectivity_by_matching, vertex_loewy_lengths
 from test_builder import random_presentation
 from test_properties import random_monomial_presentation
 
@@ -123,14 +122,12 @@ def test_selfinjectivity_certificates():
     cert = selfinjectivity(dual)
     assert isinstance(cert, SelfinjectivityCertificate)
     assert cert.permutation == (0,)
-    assert cert.loewy_lengths == (2,)
 
     nak2 = build("field Q\nvertices 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n"
                  "relation b*a\nrelation a*b\n")
     cert = selfinjectivity(nak2)
     assert isinstance(cert, SelfinjectivityCertificate)
     assert cert.permutation == (1, 0)  # soc Ae_1 = span{a} of type S_2
-    assert cert.socle_dims == (1, 1)
 
     a2 = build("field Q\nvertices 1 2\narrow a : 1 -> 2\n")
     ref = selfinjectivity(a2)

@@ -1,11 +1,13 @@
 """The command line surface: reports, determinism, exit codes."""
 
 import json
+import sys
 from collections import Counter
 
 import pytest
 
 import trivext.algebra
+import trivext.criteria
 from trivext.cli import main
 from trivext.corpus import corpus_text
 
@@ -72,6 +74,14 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "error" in err
     code, _out, err = run(capsys, "info", str(tmp_path / "missing.quiver"))
     assert code == 2
+
+
+def test_zero_arrow_degree_exits_2(capsys, tmp_path):
+    f = tmp_path / "deg0.quiver"
+    f.write_text("field Q\nvertices v\narrow x : v -> v deg 0\n")
+    for argv in (["info", str(f)], ["verdict", str(f), "--extend"]):
+        assert run(capsys, *argv) == (
+            2, "", "error: arrow degrees must be >= 1 (line 3)\n"), argv
 
 
 def test_trivext_command(capsys, k_file):
@@ -331,3 +341,23 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
         s["dimension"]: s["loewy_length"] - 1 for s in summaries}
     assert {X.dim: n for X, n in annihilators.items()} == {
         s["dimension"]: 2 * len(s["vertices"]) + 1 for s in summaries}
+
+
+def test_verdict_verifies_the_cycle_once(capsys, monkeypatch, dual_file):
+    # the cycle search re-verifies what it returns, and the report reads
+    # that check instead of running it again
+    original = trivext.criteria.verify_cycle_certificate
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("trivext")
+                and getattr(module, "verify_cycle_certificate", None) is original):
+            monkeypatch.setattr(module, "verify_cycle_certificate", spy)
+    code, out, _ = run(capsys, "verdict", dual_file, "--extend")
+    assert code == 0
+    assert json.loads(out)["result"]["certificate_reverified"] is True
+    assert len(calls) == 1

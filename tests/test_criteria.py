@@ -1,10 +1,12 @@
 """Cycle certificates, graded Cartan tests, and the verdict engine."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from trivext.algebra import ArrowRep, build_algebra
+from trivext.corpus import load_corpus_algebra
 from trivext.criteria import (CartanShapeError, TruncatedCycleCertificate,
                               _bfs_exact, cartan_criterion,
                               find_two_truncated_cycle, graded_cartan,
@@ -13,6 +15,8 @@ from trivext.criteria import (CartanShapeError, TruncatedCycleCertificate,
 from trivext.dsl import parse_presentation
 from trivext.linalg import IntPolynomial
 from trivext.trivial_extension import trivial_extension
+
+from reference import bfs_by_scan
 
 
 def build(text, **kw):
@@ -165,7 +169,7 @@ def scc_two_truncated_cycle(A, restrict_to_new=False):
             cyclic.update(comp)
     if not cyclic:
         return None
-    lengths = {v: _bfs_exact(adj, v)[v] for v in sorted(cyclic)}
+    lengths = {v: bfs_by_scan(adj, v)[v] for v in sorted(cyclic)}
     best = min(lengths.values())
     start = min(v for v, ln in lengths.items() if ln == best)
     reach = [{start}]
@@ -187,7 +191,8 @@ def scc_two_truncated_cycle(A, restrict_to_new=False):
 class GraphAlgebra:
     """Arrows whose products are 0 or not as a seeded coin decides: b*a
     vanishes iff (a, b) is in `zero`.  Enough of an algebra for the cycle
-    search, which only multiplies arrow representatives."""
+    search, which only reads the table entries of arrow representatives:
+    `table[b][a]` is the product b*a."""
 
     def __init__(self, rng):
         r = rng.randrange(1, 4)
@@ -198,10 +203,8 @@ class GraphAlgebra:
         n, density = len(self.arrows), rng.choice((0.1, 0.3, 0.6))
         self.zero = {(a, b) for a in range(n) for b in range(n)
                      if rng.random() < density}
-
-    def multiply(self, x, y):
-        (b,), (a,) = x, y
-        return {} if (a, b) in self.zero else {a: 1}
+        self.table = [[{} if (a, b) in self.zero else {a: 1} for a in range(n)]
+                      for b in range(n)]
 
 
 def test_cycle_search_matches_scc_reference(algebras, extensions):
@@ -216,6 +219,36 @@ def test_cycle_search_matches_scc_reference(algebras, extensions):
             outcomes.add((restrict, got is None))
     # both outcomes occur with and without the restriction
     assert len(outcomes) == 4
+
+
+def test_bfs_matches_scan_reference():
+    # seeded digraphs, some empty, with self-loops, repeated edges and
+    # targets that nothing reaches or that lie outside the graph
+    rng = random.Random(20260715)
+    graphs = [{}, {0: []}, {0: [0]}, {0: [1], 1: []}]
+    for _ in range(300):
+        n, density = rng.randrange(0, 9), rng.choice((0.05, 0.2, 0.5))
+        graphs.append({v: [w for w in range(n) for _ in range(rng.choice((1, 1, 2)))
+                           if rng.random() < density] for v in range(n)})
+    kinds = Counter()
+    for adj in graphs:
+        for target in list(adj) + [len(adj)]:
+            got = _bfs_exact(adj, target)
+            assert got == bfs_by_scan(adj, target), (adj, target)
+            kinds["reached" if target in got else "unreached"] += 1
+            kinds["self-loop"] += target in adj.get(target, ())
+            kinds["walk longer than 2"] += max(got.values(), default=0) > 2
+    assert len(kinds) == 4 and all(kinds.values()), kinds
+
+
+def test_extended_verdict_derives_no_radical_chain_of_the_base():
+    # the certify path reads the socles and the Nakayama permutation of A,
+    # never its radical chain
+    A = load_corpus_algebra("nakayama_cycle_3")
+    v = hhdim_verdict(A, extend=True)
+    assert v.is_infinite and v.hypotheses["selfinjective"]
+    assert {"socles", "selfinjectivity"} <= set(A._derived)
+    assert "radical_chain" not in A._derived
 
 
 def test_certificate_rejects_tampering(extensions):

@@ -63,6 +63,13 @@ def test_parse_errors_carry_positions():
         parse_presentation("field Q\nvertices v\nfrobnicate 3\n")
 
 
+def test_zero_arrow_degree_is_a_parse_error():
+    with pytest.raises(DSLError) as err:
+        parse_presentation("field Q\nvertices v\narrow x : v -> v deg 0\n")
+    assert err.value.line == 3
+    assert str(err.value) == "arrow degrees must be >= 1 (line 3)"
+
+
 def test_non_parallel_terms_rejected():
     text = ("field Q\nvertices 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
             "arrow c : 1 -> 2\narrow d : 2 -> 1\n"
