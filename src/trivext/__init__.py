@@ -16,9 +16,10 @@ from .hochschild import HHReport, hh_dims
 from .linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
                      IntPolynomial, poly_det, row_reduce)
 from .quiver import Arrow, CompositionError, Path, Quiver, compose, enumerate_paths
+# the function `trivial_extension` is not re-exported, so that the attribute
+# `trivext.trivial_extension` stays the module of that name
 from .trivial_extension import (RelationSet, TrivialExtensionData,
                                 check_new_products_vanish, extended_quiver,
-                                graded_trivial_extension,
-                                relations_up_to, trivial_extension)
+                                graded_trivial_extension, relations_up_to)
 
 __version__ = "0.1.0"

@@ -1,17 +1,21 @@
 """Finite dimensional quiver algebras as exact structure constants.
 
-An algebra kQ/I is realized on a basis of path normal forms.  Construction
-proceeds by weight slices of the path algebra, grown by `path_layer`, and
-every slice of the ideal comes from one step, `ideal_slice`: the relations
-of the slice plus the rows of earlier slices multiplied by an arrow on
-either side.  When the relations are homogeneous for some admissible
-weighting of the arrows (explicit degrees, or path length), the slices are
-those of the grading and the enumeration stops once a full window of
-consecutive slices dies, which certifies that every longer path lies in
-the ideal.  Otherwise an explicit nilpotency bound is required: the ideal
-is the sum of the pieces spanned by the relation products with multipliers
-of each total length, truncated past the bound, on all paths up to it.
-A path layer of more than PATH_BUDGET paths raises PathBudgetExceeded.
+An algebra kQ/I is realized on a basis of path normal forms.  Every slice
+of an ideal comes from one step, `ideal_slice`: the generators of the
+slice plus the rows of earlier slices multiplied by an arrow on either
+side.  When the relations are homogeneous for some admissible weighting of
+the arrows (explicit degrees, or path length), one walk, `quotient_slices`,
+grows the path layers with `path_layer` and the ideal's slices with
+`ideal_slice`, and stops once a full window of consecutive slices dies,
+which certifies that every longer path lies in the ideal; the same walk
+extracts the relations of T(A) in `relations_up_to`.  Otherwise an
+explicit nilpotency bound is required: the ideal is the sum of the pieces
+spanned by the relation products with multipliers of each total length,
+truncated past the bound, on all paths up to it.  Either builder hands
+`build_algebra` the coordinate paths and the ideal's reduced echelon rows
+keyed by pivot, from which the basis, the degrees and every structure
+constant are read.  A path layer of more than PATH_BUDGET paths raises
+PathBudgetExceeded.
 
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
@@ -239,16 +243,6 @@ def span_products(A: FDAlgebra, left: Echelon, right: Echelon) -> Echelon:
 # construction of kQ/I
 
 
-class _SliceQuotient:
-    """One weight slice of kQ modulo the matching slice of the ideal."""
-
-    def __init__(self, paths, index, echelon, basis_positions):
-        self.paths = paths
-        self.index = index                      # label -> position
-        self.echelon = echelon
-        self.basis_positions = basis_positions  # non-pivot coordinates
-
-
 def ideal_slice(field, width, pieces, generators=()) -> Echelon:
     """The slice I_w = R_w + sum_a a*I_{w-|a|} + sum_a I_{w-|a|}*a of a
     two-sided ideal, as a fresh Echelon on `width` coordinates.
@@ -270,38 +264,63 @@ def ideal_slice(field, width, pieces, generators=()) -> Echelon:
     return ech
 
 
+def quotient_slices(quiver: Quiver, field: GroundField, window: int,
+                    max_weight: int, by_length: bool = False):
+    """Walk kQ modulo a homogeneous two-sided ideal one weight slice at a time.
+
+    Yields (w, paths, steps, ideal) for w = 0, 1, ...: the path layer of
+    weight w with its index maps (see `path_layer`) and the slice of the
+    ideal pushed from the earlier slices by `ideal_slice`.  The caller adds
+    its weight-w generators to `ideal` before asking for the next slice.
+    The walk stops after `window` consecutive slices that hold every path;
+    when `window` is at least the largest arrow weight, every longer path
+    is then in the ideal.  Only the last `window` slices are kept.  Raises
+    AdmissibilityError past `max_weight`, and PathBudgetExceeded (from
+    `path_layer`) when a layer outgrows PATH_BUDGET.
+    """
+    layers: dict[int, list[Path]] = {}
+    ideals: dict[int, Echelon] = {}
+    w = streak = 0
+    while streak < window:
+        if w > max_weight:
+            raise AdmissibilityError(
+                f"no window of {window} empty weight slices up to weight "
+                f"{max_weight}; the presentation may not define a finite "
+                "dimensional algebra")
+        paths, steps = path_layer(quiver, layers, w, by_length)
+        ideal = ideal_slice(field, len(paths),
+                            [(ideals[v], right, left) for v, right, left in steps])
+        yield w, paths, steps, ideal
+        layers[w], ideals[w] = paths, ideal
+        layers.pop(w - window, None)
+        ideals.pop(w - window, None)
+        streak = streak + 1 if ideal.rank == len(paths) else 0
+        w += 1
+
+
 def _build_homogeneous(pres: Presentation, max_weight: int):
     """Slice-by-slice quotient construction for homogeneous relations.
 
-    Returns (slices, cutoff) where `slices[w]` describes the weight-w
-    quotient slice and every path of weight >= cutoff lies in the ideal.
+    Returns (order, rows): every walked path in weight order, and the
+    reduced echelon rows of the ideal on those coordinates, keyed by
+    pivot.  Every path of a larger weight lies in the ideal.
     """
     q, f = pres.quiver, pres.field
     window = max((a.degree or 1) for a in q.arrows) if q.arrows else 1
     by_weight: dict[int, list] = {}
     for rel in pres.relations:
         by_weight.setdefault(next(iter(rel.weights())), []).append(rel)
-    layers: list[list[Path]] = []
-    slices: dict[int, _SliceQuotient] = {}
-    streak = 0
-    while streak < window:
-        w = len(layers)
-        if w > max_weight:
-            raise AdmissibilityError(
-                f"no window of {window} empty weight slices up to weight "
-                f"{max_weight}; the presentation may not define a finite "
-                "dimensional algebra")
-        paths, steps = path_layer(q, layers, w)
-        layers.append(paths)
+    order: list[Path] = []
+    rows: dict[int, dict] = {}
+    for w, paths, _steps, ideal in quotient_slices(q, f, window, max_weight):
         index = {p.label(): k for k, p in enumerate(paths)}
-        ech = ideal_slice(f, len(paths),
-                          [(slices[v].echelon, right, left) for v, right, left in steps],
-                          ({index[t.label()]: c for c, t in rel.terms}
-                           for rel in by_weight.get(w, ())))
-        basis_positions = ech.free_columns()
-        slices[w] = _SliceQuotient(paths, index, ech, basis_positions)
-        streak = streak + 1 if not basis_positions else 0
-    return slices, w - window + 1
+        for rel in by_weight.get(w, ()):
+            ideal.add({index[t.label()]: c for c, t in rel.terms})
+        start = len(order)
+        order.extend(paths)
+        for k, row in zip(ideal.pivots, ideal.rows):
+            rows[start + k] = {start + j: c for j, c in row.items()}
+    return order, rows
 
 
 def _build_bounded(pres: Presentation):
@@ -315,6 +334,7 @@ def _build_bounded(pres: Presentation):
     containment of the N-th radical power in the ideal would force it to
     vanish.  Correctness is otherwise conditional on that promise.
     Only untagged quivers reach this construction, so weight is length.
+    Returns (order, rows) as `_build_homogeneous` does.
     """
     q, f, N = pres.quiver, pres.field, pres.nilpotency_bound
     order: list[Path] = []
@@ -338,14 +358,13 @@ def _build_bounded(pres: Presentation):
         for row in piece.rows:
             ech.add(row)
         piece = ideal_slice(f, len(order), [(piece, jr, jl) for jr, jl in maps])
-    basis_positions = ech.free_columns()
-    for k in basis_positions:
+    for k in ech.free_columns():
         if order[k].length >= N:
             raise AdmissibilityError(
                 f"nilpotency bound {N} is too small: the path {order[k].label()} "
                 f"of length {N} does not vanish, so the promised containment of "
                 "the N-th radical power in the ideal is unverifiable")
-    return order, path_index, ech, basis_positions
+    return order, dict(zip(ech.pivots, ech.rows))
 
 
 def build_algebra(pres: Presentation, *, max_weight: int = 256,
@@ -358,6 +377,12 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
     consists of path normal forms, carries degree tags in the homogeneous
     cases, and always contains the stationary idempotents and the arrows.
     Raises PathBudgetExceeded when a path layer outgrows PATH_BUDGET.
+
+    Both builders return coordinate paths and the ideal's reduced echelon
+    rows on them, keyed by pivot.  The basis is the non-pivot paths.  A
+    basis path is its own normal form, a pivot path's normal form is minus
+    its row off the pivot, and a path past the coordinates lies in the
+    ideal.
     """
     q, f = pres.quiver, pres.field
     if not q.vertices:
@@ -378,52 +403,30 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
             "relations are inhomogeneous in every available grading and no "
             "nilpotency_bound was given")
 
-    basis_paths: list[Path] = []
-    degrees: list[int] | None = None
-    bound_conditional = False
-
-    if graded_mode:
-        slices, cutoff = _build_homogeneous(pres, max_weight)
-        degrees = []
-        for w in sorted(slices):
-            sl = slices[w]
-            for k in sl.basis_positions:
-                basis_paths.append(sl.paths[k])
-                degrees.append(w)
-
-        def normal_form(path: Path) -> dict:
-            w = path.weight()
-            if w >= cutoff or w not in slices:
-                return {}
-            sl = slices[w]
-            res = sl.echelon.reduce({sl.index[path.label()]: f.one()})
-            return {global_index[sl.paths[k].label()]: res[k] for k in sorted(res)}
-    else:
-        order, path_index, ech, basis_positions = _build_bounded(pres)
-        basis_paths = [order[k] for k in basis_positions]
-        bound_conditional = True
-        N = pres.nilpotency_bound
-
-        def normal_form(path: Path) -> dict:
-            if path.length > N:
-                return {}
-            res = ech.reduce({path_index[path.label()]: f.one()})
-            return {global_index[order[k].label()]: res[k] for k in sorted(res)}
-
-    global_index = {p.label(): k for k, p in enumerate(basis_paths)}
-    labels = [p.label() for p in basis_paths]
+    order, rows = (_build_homogeneous(pres, max_weight) if graded_mode
+                   else _build_bounded(pres))
+    position = {p.label(): k for k, p in enumerate(order)}
+    column = {k: i for i, k in enumerate(k for k in range(len(order)) if k not in rows)}
+    basis_paths = [order[k] for k in column]
+    degrees = [p.weight() for p in basis_paths] if graded_mode else None
     vertex_of = q.vertex_index
-    idempotent_indices = [global_index[Path.stationary(v).label()] for v in q.vertices]
+    idempotent_indices = [column[position[Path.stationary(v).label()]]
+                          for v in q.vertices]
     peirce = [(vertex_of[p.start], vertex_of[p.end]) for p in basis_paths]
 
     d = len(basis_paths)
-    table = [[None] * d for _ in range(d)]
+    one, neg = f.one(), f.neg
+    table = [[{} for _ in range(d)] for _ in range(d)]
     for i, pi in enumerate(basis_paths):
         for j, pj in enumerate(basis_paths):
             if pj.end != pi.start:
-                table[i][j] = {}
-            else:
-                table[i][j] = normal_form(compose(pi, pj))
+                continue
+            k = position.get(compose(pi, pj).label())
+            if k in rows:
+                table[i][j] = {column[c]: neg(x) for c, x in sorted(rows[k].items())
+                               if c != k}
+            elif k is not None:
+                table[i][j] = {column[k]: one}
 
     arrow_reps = []
     for a in q.arrows:
@@ -431,14 +434,15 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
             name=a.name,
             source=vertex_of[a.source],
             target=vertex_of[a.target],
-            basis_index=global_index[Path.of_arrow(a).label()],
+            basis_index=column[position[Path.of_arrow(a).label()]],
             degree=a.degree if q.is_graded else (1 if graded_mode == "length" else None),
             is_new=False))
 
-    A = FDAlgebra(field=f, labels=labels, vertex_names=list(q.vertices),
+    A = FDAlgebra(field=f, labels=[p.label() for p in basis_paths],
+                  vertex_names=list(q.vertices),
                   idempotent_indices=idempotent_indices, peirce=peirce,
                   table=table, arrows=arrow_reps, degrees=degrees,
-                  bound_conditional=bound_conditional, label=label)
+                  bound_conditional=not graded_mode, label=label)
     A.validate()
     return A
 

@@ -81,7 +81,6 @@ def symmetric_form_checks(tri: TrivialExtensionData) -> dict:
     for i in range(n):
         bi = T.basis_element(i)
         for j in range(n):
-            bj = T.basis_element(j)
             prod_ij = T.table[i][j]
             for k in range(n):
                 bk = T.basis_element(k)

@@ -165,8 +165,7 @@ class _ExprParser:
         return (coeff, path)
 
     def coefficient(self):
-        tok, col = self.next()
-        num = int(tok)
+        num = int(self.next()[0])
         nxt, _ = self.peek()
         if nxt == "/":
             self.next()
@@ -176,7 +175,12 @@ class _ExprParser:
             den = int(den_tok)
             if den == 0:
                 self.fail("zero denominator", den_col)
-            return self.field.coerce(Fraction(num, den))
+            value = Fraction(num, den)
+            p = self.field.characteristic
+            if p and value.denominator % p == 0:
+                self.fail(f"denominator of {num}/{den} is not invertible in "
+                          f"F {p}", den_col)
+            return self.field.coerce(value)
         return self.field.coerce(num)
 
     def path(self) -> Path:

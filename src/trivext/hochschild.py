@@ -237,7 +237,8 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
         if size > cap:
             truncated_at = n
             break
-        ranks[n] = _boundary_rank(data, n)
+        # b_n has no columns on an empty chain module
+        ranks[n] = _boundary_rank(data, n) if size else 0
     dims = []
     for n in range(0, n_max + 1):
         if n + 1 not in ranks:

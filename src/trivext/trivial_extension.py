@@ -13,18 +13,20 @@ representative of a new arrow is the dual functional of a pivot of the
 reduced echelon basis of e_i(soc)e_j, extended by zero off that basis path;
 this makes both the arrow set and the representatives deterministic.  The
 extended quiver itself is an invariant of T(A); the relation ideal extracted
-by `relations_up_to` may depend on these choices.
+by `relations_up_to` may depend on these choices.  That extraction walks the
+extended path algebra by length slices with `algebra.quotient_slices`, the
+walk that also builds kQ/I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (AlgebraBuildError, ArrowRep, FDAlgebra, ideal_slice,
-                      loewy_length, socles)
+from .algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep, FDAlgebra,
+                      loewy_length, quotient_slices, socles)
 from .dsl import RelationExpr
-from .linalg import Echelon, row_reduce
-from .quiver import Arrow, PathBudgetExceeded, Quiver, path_layer
+from .linalg import row_reduce
+from .quiver import Arrow, PathBudgetExceeded, Quiver
 # unused here; kept as a module binding because the bench tests check that
 # the tracer patches every module's `compose`
 from .quiver import compose  # noqa: F401
@@ -50,7 +52,6 @@ class TrivialExtensionData:
     def symmetric_form(self, u: dict, v: dict):
         """The associative symmetric form <(a,f),(b,g)> = f(b) + g(a)."""
         f = self.T.field
-        d = self.base.dim
         total = f.zero()
         for k, x in u.items():
             y = v.get(self.dual_index(k))
@@ -156,18 +157,21 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     """Length-homogeneous generators of the kernel of the evaluation map
     from the extended path algebra onto T(A), found per length <= cap.
 
-    The ideal generated so far is kept one length slice at a time: the
-    slice I_l is spanned by a * I_{l-1} and I_{l-1} * a over the arrows a,
-    pushed from the reduced echelon rows of I_{l-1} by `ideal_slice`, and
-    the path layers have at most PATH_BUDGET paths.  For each length l <= cap
-    and each Peirce block, a basis of the kernel of the evaluation on
-    length-l paths is then reduced modulo I_l; the vectors that enlarge it
-    become generators and join I_l.  The value in T(A) of each path p*a
-    ("a first") of a layer is the value of p, kept from the layer below,
-    times the arrow a: one product per path.
+    The ideal generated so far is walked one length slice at a time by
+    `quotient_slices`, the walk that also builds kQ/I: the slice I_l is
+    spanned by a * I_{l-1} and I_{l-1} * a over the arrows a, and the path
+    layers have at most PATH_BUDGET paths.  For each length l <= cap and
+    each Peirce block, a basis of the kernel of the evaluation on length-l
+    paths is then reduced modulo I_l; the vectors that enlarge it become
+    generators and join I_l.  The value in T(A) of each path p*a ("a
+    first") of a layer is the value of p, kept from the layer below, times
+    the arrow a: one product per path.
     The returned record also reports the dimension of the quotient by the
     generated ideal: if it equals dim T(A) the generator set presents the
-    algebra.  (Kernel elements mixing several path lengths, which occur
+    algebra.  The walk ends at the first slice lying wholly in the ideal;
+    when none comes by length max(cap, 3 * loewy_length + 3), or a path
+    layer outgrows PATH_BUDGET, the dimension is reported as None.
+    (Kernel elements mixing several path lengths, which occur
     when the relations of A are not homogeneous in path length, are not
     captured by this length-sliced search; the completeness flag then
     reports the deficit.)
@@ -177,53 +181,39 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
         cap = ll
     if cap < 2:
         raise ValueError("relation cap must be >= 2")
-    qext = extended_quiver(tri)
     T = tri.T
     f = T.field
-
-    layer, _ = path_layer(qext, [], 0)
-    values = [T.idempotent(v) for v in range(len(layer))]
-    ideal = Echelon(f, len(layer))
+    values: list = []
     gens: list[RelationExpr] = []
-    quotient_dim = len(layer)
-
-    for length in range(1, max(cap, 3 * ll + 3) + 1):
-        try:
-            layer, steps = path_layer(qext, {length - 1: layer}, length,
-                                      by_length=True)
-        except PathBudgetExceeded:
-            # runaway path growth (cap far below the Loewy length); give up
-            # on the quotient dimension rather than thrash
-            return RelationSet(generators=gens, cap=cap, quotient_dim=None,
-                               complete=False)
-        ideal = ideal_slice(f, len(layer),
-                            [(ideal, right, left) for _, right, left in steps])
-
-        if length <= cap:
-            # one step per arrow, in T.arrows order (all arrows have
-            # length 1): step a maps the index of p below to that of p*a
-            below, values = values, [None] * len(layer)
-            for rep, (_, right, _) in zip(T.arrows, steps):
-                a = rep.element()
-                for k, i in right.items():
-                    values[i] = T.multiply(below[k], a)
-        if 2 <= length <= cap:
-            for vec in _slice_kernel(f, layer, values):
-                if ideal.add(vec):
-                    gens.append(RelationExpr(tuple((vec[k], layer[k])
-                                                   for k in sorted(vec))))
-
-        slice_dim = len(layer) - ideal.rank
-        quotient_dim += slice_dim
-        if slice_dim == 0:
-            # every longer path lies in the generated ideal (or there is
-            # none), so the quotient dimension is exact and the search is
-            # finished
-            return RelationSet(generators=gens, cap=cap, quotient_dim=quotient_dim,
-                               complete=(quotient_dim == T.dim))
-
-    # probe limit hit without a dead slice: dimension left undetermined
-    return RelationSet(generators=gens, cap=cap, quotient_dim=None, complete=False)
+    quotient_dim = 0
+    try:
+        for length, layer, steps, ideal in quotient_slices(
+                extended_quiver(tri), f, 1, max(cap, 3 * ll + 3), by_length=True):
+            if length == 0:
+                values = [T.idempotent(v) for v in range(len(layer))]
+            elif length <= cap:
+                # one step per arrow, in T.arrows order (all arrows have
+                # length 1): step a maps the index of p below to that of p*a
+                below, values = values, [None] * len(layer)
+                for rep, (_, right, _) in zip(T.arrows, steps):
+                    a = rep.element()
+                    for k, i in right.items():
+                        values[i] = T.multiply(below[k], a)
+            if 2 <= length <= cap:
+                for vec in _slice_kernel(f, layer, values):
+                    if ideal.add(vec):
+                        gens.append(RelationExpr(tuple((vec[k], layer[k])
+                                                       for k in sorted(vec))))
+            quotient_dim += len(layer) - ideal.rank
+    except (AdmissibilityError, PathBudgetExceeded):
+        # the probe limit passed without a dead slice, or runaway path
+        # growth (cap far below the Loewy length): the dimension is left
+        # undetermined rather than thrash
+        return RelationSet(generators=gens, cap=cap, quotient_dim=None, complete=False)
+    # a dead slice: every longer path lies in the generated ideal, so the
+    # quotient dimension is exact
+    return RelationSet(generators=gens, cap=cap, quotient_dim=quotient_dim,
+                       complete=(quotient_dim == T.dim))
 
 
 def _slice_kernel(field, layer, values):

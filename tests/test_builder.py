@@ -1,10 +1,14 @@
 """The weight-slice builder against a reference that enumerates every
 product p * rho * q of a relation rho with paths p and q.
 
-The builder steps each ideal slice from the echelon rows of the earlier
-slices (`ideal_slice`) over path layers grown by `path_layer`; the
-reference below is the former construction and spans the same
-subspaces, so the reduced echelon forms, bases and tables must agree.
+The builders step each ideal slice from the echelon rows of the earlier
+slices (`quotient_slices`, `ideal_slice`) over path layers grown by
+`path_layer`; the reference below is the former construction and spans
+the same subspaces, so the coordinate paths and the reduced echelon rows
+must agree.  The reference also computes its own basis, degrees and
+table, reducing each product of basis paths modulo its own slices with
+`Echelon.reduce`, so a fault in the way `build_algebra` reads the
+builders' rows shows up as a mismatch too.
 """
 
 import random
@@ -133,7 +137,72 @@ def reference_enumerate_paths(quiver, max_length):
     return out
 
 
+def graded(pres):
+    """Whether `build_algebra` takes the homogeneous builder."""
+    return pres.quiver.is_graded or all(len({p.length for _, p in rel.terms}) == 1
+                                        for rel in pres.relations)
+
+
+def reference_pair(pres, max_weight):
+    """The reference construction as (coordinate paths, rows keyed by
+    pivot, basis coordinates, degrees, normal form).  The first two are in
+    the builders' shape; the normal form maps a path to a dict on the
+    coordinates by `Echelon.reduce` on the reference's own echelons."""
+    f = pres.field
+    if graded(pres):
+        slices, cutoff = reference_homogeneous(pres, max_weight)
+        order, rows, start = [], {}, {}
+        for w in sorted(slices):
+            sl, start[w] = slices[w], len(order)
+            order.extend(sl.paths)
+            rows.update((start[w] + k, {start[w] + j: c for j, c in row.items()})
+                        for k, row in zip(sl.echelon.pivots, sl.echelon.rows))
+        basis = [start[w] + k for w in sorted(slices) for k in slices[w].basis_positions]
+        degrees = [w for w in sorted(slices) for _ in slices[w].basis_positions]
+
+        def normal_form(path):
+            w = path.weight()
+            if w >= cutoff or w not in slices:
+                return {}
+            sl = slices[w]
+            res = sl.echelon.reduce({sl.index[path.label()]: f.one()})
+            return {start[w] + k: res[k] for k in sorted(res)}
+    else:
+        order, path_index, ech, basis = reference_bounded(pres)
+        rows, degrees = dict(zip(ech.pivots, ech.rows)), None
+
+        def normal_form(path):
+            if path.length > pres.nilpotency_bound:
+                return {}
+            res = ech.reduce({path_index[path.label()]: f.one()})
+            return {k: res[k] for k in sorted(res)}
+    return order, rows, basis, degrees, normal_form
+
+
 # -- comparison ---------------------------------------------------------------
+
+
+def reference_outcome(pres, max_weight):
+    """The reference's basis labels, degrees, table and bound flag, or the
+    type of its build error."""
+    try:
+        order, _rows, basis, degrees, normal_form = reference_pair(pres, max_weight)
+    except AdmissibilityError:
+        return AdmissibilityError
+    column = {k: i for i, k in enumerate(basis)}
+    table = [[{column[k]: c for k, c in normal_form(compose(order[i], order[j])).items()}
+              if order[j].end == order[i].start else {} for j in basis] for i in basis]
+    return ([order[k].label() for k in basis], degrees, table, degrees is None)
+
+
+def builder_pair(pres, max_weight):
+    """The package builder's (coordinate paths, rows keyed by pivot), or
+    the type of its build error."""
+    try:
+        return (algebra._build_homogeneous(pres, max_weight) if graded(pres)
+                else algebra._build_bounded(pres))
+    except AdmissibilityError:
+        return AdmissibilityError
 
 
 def outcome(pres, **kw):
@@ -145,19 +214,20 @@ def outcome(pres, **kw):
     return (A.basis_labels, A.degrees, A.table, A.bound_conditional)
 
 
-def assert_matches_reference(pres, monkeypatch, **kw):
-    got = outcome(pres, **kw)
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "_build_homogeneous", reference_homogeneous)
-        m.setattr(algebra, "_build_bounded", reference_bounded)
-        want = outcome(pres, **kw)
-    assert got == want
+def assert_matches_reference(pres, max_weight=256):
+    got = outcome(pres, max_weight=max_weight)
+    assert got == reference_outcome(pres, max_weight)
+    pair = builder_pair(pres, max_weight)
+    if pair is AdmissibilityError:
+        assert got is AdmissibilityError
+    else:
+        assert pair == reference_pair(pres, max_weight)[:2]
     return got
 
 
-def test_corpus_matches_reference(presentations, monkeypatch):
+def test_corpus_matches_reference(presentations):
     for name, pres in presentations.items():
-        assert assert_matches_reference(pres, monkeypatch) is not AdmissibilityError, name
+        assert assert_matches_reference(pres) is not AdmissibilityError, name
 
 
 def random_presentation(rng, degrees, field, bound=None):
@@ -197,23 +267,22 @@ def random_presentation(rng, degrees, field, bound=None):
 
 @pytest.mark.parametrize("degrees", [True, False], ids=["arrow_degrees", "length"])
 @pytest.mark.parametrize("field", ["field Q", "field F 3", "field F 5"])
-def test_seeded_graded_presentations_match_reference(degrees, field, monkeypatch):
+def test_seeded_graded_presentations_match_reference(degrees, field):
     rng = random.Random(f"{degrees}-{field}")
     built = 0
     for _ in range(12):
         pres = random_presentation(rng, degrees, field)
-        built += assert_matches_reference(pres, monkeypatch,
-                                          max_weight=8) is not AdmissibilityError
+        built += assert_matches_reference(pres, max_weight=8) is not AdmissibilityError
     assert built >= 4
 
 
-def test_commutative_weighted_square_matches_reference(monkeypatch):
+def test_commutative_weighted_square_matches_reference():
     # window 3: the arrow degrees are 1, 2 and 3
     pres = parse_presentation(
         "field F 7\nvertices 1 2 3 4\narrow a : 1 -> 2 deg 1\n"
         "arrow b : 2 -> 4 deg 3\narrow c : 1 -> 3 deg 2\narrow d : 3 -> 4 deg 2\n"
         "relation b*a - 3*d*c\n")
-    got = assert_matches_reference(pres, monkeypatch)
+    got = assert_matches_reference(pres)
     assert got[0] == ["e_1", "e_2", "e_3", "e_4", "a", "c", "d", "b", "d*c"]
 
 
@@ -231,24 +300,24 @@ BOUNDED = [
 
 @pytest.mark.parametrize("bound", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", range(len(BOUNDED)))
-def test_bounded_presentations_match_reference(k, bound, monkeypatch):
+def test_bounded_presentations_match_reference(k, bound):
     pres = parse_presentation(BOUNDED[k] + f"nilpotency_bound {bound}\n")
-    assert_matches_reference(pres, monkeypatch)
+    assert_matches_reference(pres)
 
 
-def test_seeded_bounded_presentations_match_reference(monkeypatch):
+def test_seeded_bounded_presentations_match_reference():
     rng = random.Random(29)
     built = 0
     for trial in range(16):
         pres = random_presentation(rng, False, rng.choice(["field Q", "field F 5"]),
                                    bound=rng.randint(2, 5))
-        built += assert_matches_reference(pres, monkeypatch) is not AdmissibilityError
+        built += assert_matches_reference(pres) is not AdmissibilityError
     assert built >= 2
 
 
-def test_too_small_bound_rejected_by_both(monkeypatch):
+def test_too_small_bound_rejected_by_both():
     pres = parse_presentation(BOUNDED[1] + "nilpotency_bound 2\n")
-    assert assert_matches_reference(pres, monkeypatch) is AdmissibilityError
+    assert assert_matches_reference(pres) is AdmissibilityError
 
 
 def test_enumerate_paths_unchanged():

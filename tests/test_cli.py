@@ -84,6 +84,22 @@ def test_zero_arrow_degree_exits_2(capsys, tmp_path):
             2, "", "error: arrow degrees must be >= 1 (line 3)\n"), argv
 
 
+def test_fp_denominator_divisible_by_p_exits_2(capsys, tmp_path):
+    f = tmp_path / "den.quiver"
+    f.write_text("field F 5\nvertices v\narrow x : v -> v\nrelation 1/5*x*x\n")
+    assert run(capsys, "info", str(f)) == (
+        2, "", "error: denominator of 1/5 is not invertible in F 5 "
+        "(line 4, column 3)\n")
+
+
+def test_free_loop_exits_2_with_the_window_message(capsys, tmp_path):
+    f = tmp_path / "loop.quiver"
+    f.write_text("field Q\nvertices v\narrow x : v -> v\n")
+    assert run(capsys, "info", str(f)) == (
+        2, "", "error: no window of 1 empty weight slices up to weight 256; "
+        "the presentation may not define a finite dimensional algebra\n")
+
+
 def test_trivext_command(capsys, k_file):
     code, out, _ = run(capsys, "trivext", k_file)
     assert code == 0

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from trivext import hochschild
 from trivext.algebra import FDAlgebra, build_algebra
 from trivext.dsl import parse_presentation
 from trivext.hochschild import chain_module, commutator_rank, hh_dims
@@ -62,6 +63,22 @@ def test_hh_ground_field():
     A = build("field Q\nvertices v\n")
     rep = hh_dims(A, 4)
     assert rep.dims == [(0, 1), (1, 0), (2, 0), (3, 0), (4, 0)]
+
+
+def test_hh_ranks_no_boundary_on_an_empty_chain_module(algebras, monkeypatch):
+    # semisimple k has C_n = 0 for every n >= 1, so b_1..b_51 all have
+    # rank 0 without any elimination
+    calls = []
+    real = hochschild._boundary_rank
+
+    def spy(data, n):
+        calls.append(n)
+        return real(data, n)
+
+    monkeypatch.setattr(hochschild, "_boundary_rank", spy)
+    rep = hh_dims(algebras["semisimple_k"], 50)
+    assert rep.dims == [(0, 1)] + [(n, 0) for n in range(1, 51)]
+    assert calls == []
 
 
 def test_hh_path_algebra_a2():

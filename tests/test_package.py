@@ -75,6 +75,42 @@ def test_detector_flags_an_unused_import(tmp_path):
     assert unused_imports(src) == ["dataclass (line 3)"]
 
 
+def unread_locals(path: Path) -> list[str]:
+    """Names that a function of `path` assigns and that neither it nor a
+    function nested in it ever reads.  Names starting with an underscore
+    are meant to be unread and are left out, as are names declared global
+    or nonlocal."""
+    unread = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        unread += [f"{func.name}: {name} (line {line})" for name, line in stored.items()
+                   if name not in read and not name.startswith("_")]
+    return unread
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_module_reads_every_local(path):
+    assert unread_locals(path) == []
+
+
+def test_detector_flags_an_unread_local(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(xs):\n    total = 0\n    tok, col = xs\n"
+                   "    for k, _v in enumerate(xs):\n        total += k\n"
+                   "    def g():\n        return tok\n    return total, g\n\n"
+                   "def h():\n    global seen\n    seen = dead = 1\n")
+    assert unread_locals(src) == ["f: col (line 3)", "h: dead (line 12)"]
+
+
 def _definitions(tree):
     """(qualified name, node) of every top-level function and class and of
     every method of a top-level class, dunder methods left out."""

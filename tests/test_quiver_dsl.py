@@ -110,6 +110,19 @@ def test_rational_coefficients():
     assert coeffs == [QQ.coerce((-2, 3)), QQ.coerce(1)]
 
 
+def test_fp_denominator_divisible_by_p_is_a_parse_error():
+    # 1/5 and 2/10 have no value in F_5; 5/10 = 1/2 does, and stays 3
+    for coeff in ("1/5", "2/10"):
+        with pytest.raises(DSLError) as err:
+            parse_presentation("field F 5\nvertices v\narrow x : v -> v\n"
+                               f"relation {coeff}*x*x\n")
+        assert "not invertible in F 5" in str(err.value)
+        assert (err.value.line, err.value.col) == (4, 3)
+    p = parse_presentation("field F 5\nvertices v\narrow x : v -> v\n"
+                           "relation 5/10*x*x\n")
+    assert [c for c, _ in p.relations[0].terms] == [3]
+
+
 def test_round_trip_on_corpus(presentations):
     for name, p in presentations.items():
         text = serialize_presentation(p)

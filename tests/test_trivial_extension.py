@@ -1,10 +1,11 @@
 """T(A) = A ⋉ DA: structure constants, extended quiver, relations."""
 
-import importlib
 import random
+from types import ModuleType
 
 import pytest
 
+import trivext.trivial_extension as trivial_extension_module
 from trivext.algebra import (AlgebraBuildError, build_algebra, loewy_length,
                              radical_subspace, selfinjectivity,
                              SelfinjectivityCertificate,
@@ -22,6 +23,13 @@ from test_builder import random_presentation
 
 def build(text, **kw):
     return build_algebra(parse_presentation(text), **kw)
+
+
+def test_package_attribute_is_the_module():
+    # the package does not shadow its module with the function of the
+    # same name
+    assert isinstance(trivial_extension_module, ModuleType)
+    assert trivial_extension_module.trivial_extension is trivial_extension
 
 
 def test_extension_of_ground_field_is_dual_numbers():
@@ -336,10 +344,7 @@ def test_path_values_match_arrow_by_arrow_evaluation(extensions, monkeypatch):
         seen.append((layer, values))
         return _slice_kernel(field, layer, values)
 
-    # the package's `trivial_extension` attribute is the function, so the
-    # module is looked up by name
-    module = importlib.import_module("trivext.trivial_extension")
-    monkeypatch.setattr(module, "_slice_kernel", spy)
+    monkeypatch.setattr(trivial_extension_module, "_slice_kernel", spy)
     tris = list(extensions.values()) + [
         trivial_extension(extensions[name].T) for name in ("dual_numbers", "path_a2")]
     rng, fields = random.Random(20151027), ["field Q", "field F 3", "field F 5"]
