@@ -20,6 +20,6 @@ from .quiver import Arrow, CompositionError, Path, Quiver, compose, enumerate_pa
 # `trivext.trivial_extension` stays the module of that name
 from .trivial_extension import (RelationSet, TrivialExtensionData,
                                 check_new_products_vanish, extended_quiver,
-                                graded_trivial_extension, relations_up_to)
+                                relations_up_to)
 
 __version__ = "0.1.0"

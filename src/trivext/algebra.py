@@ -20,11 +20,14 @@ PathBudgetExceeded.
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
 over the ground field; every subspace of an algebra, such as a radical
-power or a socle, is an `Echelon` on its basis coordinates.  The radical
-chain, the socles and the selfinjectivity result are derived once per
-algebra, on first use, and stored on the instance; every other structural
-reader (Loewy lengths, radical powers, the weak socle condition, T(A), the
-CLI summaries) reads those stored results.
+power or a socle, is an `Echelon` on its basis coordinates.  Once
+`FDAlgebra.validate` has proved that the idempotents and arrows generate,
+associativity follows from arrow triples, and the radical chain multiplies
+by the arrows alone.  The radical chain, the socles and the
+selfinjectivity result are derived once per algebra, on first use, and
+stored on the instance; every other structural reader (Loewy lengths,
+radical powers, the weak socle condition, T(A), the CLI summaries) reads
+those stored results.
 """
 
 from __future__ import annotations
@@ -180,28 +183,30 @@ class FDAlgebra:
         return rank.rank == self.dim
 
     def check_associativity(self) -> bool:
-        """(x y) z == x (y z) for all x, y, z, proved from generator triples.
+        """(x y) z == x (y z) for all x, y, z, proved from arrow triples.
 
-        The set S of x with (x y) z = x (y z) for all y, z is a subspace.
-        `_generator_triples_associative` checks (g b_j) b_k = g (b_j b_k) on
-        all basis pairs for each idempotent and arrow g, which puts g in S
-        and makes S closed under x -> g x: ((g x) y) z = g ((x y) z) =
-        g (x (y z)) = (g x)(y z).  So S contains the closure of the
-        idempotents under left multiplication by the arrows, which
-        `check_generation` finds to be the whole algebra.  Cost: O((r + m)
-        d^2) sparse products for r vertices, m arrows and dimension d,
-        against O(d^3) for all basis triples.  A table not generated by its
-        idempotents and arrows is reported as not associative.
+        Precondition: `check_peirce` and `check_generation` pass, as in
+        `validate`.  First a block read, which the Peirce axioms and
+        associativity force: b_j b_k = 0 unless src b_j == tgt b_k, and its
+        terms lie in block (src b_k, tgt b_j).  Let S be the subspace of x
+        with (x y) z = x (y z) for all y, z.  The block read puts every
+        idempotent in S.  For an arrow g it makes both sides of (g b_j) b_k
+        = g (b_j b_k) vanish unless tgt b_j == src g and tgt b_k == src b_j,
+        so checking the remaining triples puts g in S.  S is closed under
+        x -> g x, as ((g x) y) z = g ((x y) z) = g (x (y z)) = (g x)(y z),
+        so generation gives S = A.
         """
-        return self.check_generation() and self._generator_triples_associative()
-
-    def _generator_triples_associative(self) -> bool:
-        T = self.table
-        for g in self.idempotent_indices + [rep.basis_index for rep in self.arrows]:
+        T, peirce = self.table, self.peirce
+        if any(peirce[j][0] != peirce[k][1] or peirce[l] != (peirce[k][0], peirce[j][1])
+               for j, row in enumerate(T) for k, prod in enumerate(row) for l in prod):
+            return False
+        for g in [rep.basis_index for rep in self.arrows]:
             Tg = T[g]
             for j, gj in enumerate(Tg):
+                if peirce[j][1] != peirce[g][0]:
+                    continue
                 for k, jk in enumerate(T[j]):
-                    if not (gj or jk):
+                    if not (gj or jk) or peirce[k][1] != peirce[j][0]:
                         continue  # both sides are 0
                     lhs = self._combine((c, T[l][k]) for l, c in gj.items())
                     rhs = self._combine((c, Tg[l]) for l, c in jk.items())
@@ -222,8 +227,7 @@ class FDAlgebra:
                 (self.check_peirce, "idempotent or Peirce axioms fail"),
                 (self.check_generation,
                  "the idempotents and arrows do not generate the algebra"),
-                (self._generator_triples_associative,
-                 "multiplication is not associative"),
+                (self.check_associativity, "multiplication is not associative"),
                 (self.check_graded_products, "products do not respect the grading")):
             if not check():
                 raise AlgebraBuildError(failure)
@@ -451,19 +455,6 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
 # radical, socles, Loewy structure
 
 
-def radical_subspace(A: FDAlgebra) -> Echelon:
-    """The radical: span of the non-idempotent basis elements.
-
-    For the algebras this package constructs (path normal forms, or dual
-    extensions of such), this span is a two-sided nilpotent ideal with
-    semisimple quotient of dimension = number of vertices, which pins it
-    down as the Jacobson radical; nilpotency is verified by
-    `loewy_length`.
-    """
-    return Echelon(A.field, A.dim,
-                   [{k: A.field.one()} for k in A.radical_basis_indices()])
-
-
 def _stored(derive):
     """`derive(A)` computed on the first call for each algebra and stored
     on it; later calls return the stored result."""
@@ -486,15 +477,20 @@ def radical_power(A: FDAlgebra, m: int) -> Echelon:
 
 @_stored
 def radical_chain(A: FDAlgebra) -> list[Echelon]:
-    """[A, rad, rad^2, ...] down to the first zero power (inclusive)."""
+    """[A, rad, rad^2, ...] down to the first zero power (inclusive).
+
+    chain[k+1] = sum_a a chain[k] over the arrows a.  By generation, J =
+    sum_a aA is a two-sided ideal with A = span E + J, so chain[k] = J^k.
+    Once the chain reaches 0, J is nilpotent and A/J is spanned by the
+    idempotents E, so J is the Jacobson radical.
+    """
+    arrows = Echelon(A.field, A.dim, [rep.element() for rep in A.arrows])
     chain = [Echelon(A.field, A.dim, [{k: A.field.one()} for k in range(A.dim)])]
-    rad = radical_subspace(A)
-    chain.append(rad)
     while chain[-1].rank > 0:
-        nxt = span_products(A, rad, chain[-1])
+        nxt = span_products(A, arrows, chain[-1])
         if nxt.rank >= chain[-1].rank:
             raise AlgebraBuildError(
-                "the span of non-idempotent basis elements is not nilpotent; "
+                "the ideal generated by the arrows is not nilpotent; "
                 "the algebra is not of the promised shape")
         chain.append(nxt)
     return chain
@@ -504,7 +500,7 @@ def trace_form_radical(A: FDAlgebra) -> Echelon:
     """The radical computed intrinsically as the kernel of the trace form
     (x, y) -> trace of left multiplication by x*y; valid in characteristic
     zero, where this kernel is the Jacobson radical.  Serves as an
-    independent cross-check of `radical_subspace`."""
+    independent cross-check of the arrow-derived `radical_power(A, 1)`."""
     if A.field.characteristic != 0:
         raise ValueError("the trace-form radical requires characteristic zero")
     f = A.field

@@ -221,7 +221,7 @@ def cmd_hh(args) -> int:
     variant = "full" if args.full_bar else "normalized"
     report = hh_dims(A, args.max, variant=variant, cap=cap)
     result = {
-        "algebra": A.label or args.file,
+        "algebra": args.file,
         "variant": report.variant,
         "dims": report.dims,
         "truncated_at": report.truncated_at,
@@ -291,9 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     args._t0 = time.monotonic()
     for flag, low in MINIMUM.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)

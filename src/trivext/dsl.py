@@ -214,6 +214,7 @@ def parse_presentation(text: str) -> Presentation:
     field = None
     vertices: list[str] = []
     arrows: list[Arrow] = []
+    arrow_lines: list[int] = []
     relation_lines: list[tuple[int, str]] = []
     bound = None
 
@@ -262,6 +263,7 @@ def parse_presentation(text: str) -> Presentation:
             if deg and int(deg) < 1:
                 raise DSLError("arrow degrees must be >= 1", line_no)
             arrows.append(Arrow(name, src, tgt, int(deg) if deg else None))
+            arrow_lines.append(line_no)
         elif keyword == "relation":
             if not rest:
                 raise DSLError("empty relation", line_no)
@@ -273,6 +275,10 @@ def parse_presentation(text: str) -> Presentation:
         else:
             raise DSLError(f"unknown declaration {keyword!r}", line_no)
 
+    for a, line_no in zip(arrows, arrow_lines):
+        if a.name.startswith("e_") and a.name[2:] in vertices:
+            raise DSLError(f"arrow name {a.name!r} is the label of the stationary "
+                           f"path at vertex {a.name[2:]!r}", line_no)
     if field is None:
         field = QQ
     degs = [a.degree for a in arrows]

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep, FDAlgebra,
-                      loewy_length, quotient_slices, socles)
+from .algebra import (AdmissibilityError, ArrowRep, FDAlgebra, loewy_length,
+                      quotient_slices, socles)
 from .dsl import RelationExpr
 from .linalg import row_reduce
 from .quiver import Arrow, PathBudgetExceeded, Quiver
@@ -114,13 +114,6 @@ def trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
                   label=f"T({A.label})" if A.label else "")
     T.validate()
     return TrivialExtensionData(base=A, T=T)
-
-
-def graded_trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
-    """Trivial extension of a graded algebra, carrying the induced grading."""
-    if A.degrees is None:
-        raise AlgebraBuildError("the algebra carries no grading")
-    return trivial_extension(A)
 
 
 def extended_quiver(tri: TrivialExtensionData) -> Quiver:

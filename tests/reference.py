@@ -3,7 +3,7 @@
 from trivext.algebra import (ArrowRep, SelfinjectivityCertificate,
                              SelfinjectivityRefusal, radical_chain, socles)
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
-from trivext.linalg import QQ, SparseRank
+from trivext.linalg import QQ, Echelon, SparseRank
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -112,6 +112,13 @@ def boundary_squares_to_zero(B, n_max: int, variant: str = "normalized",
         if any(apply_column(bn, col) for col in bn1.cols):
             return False
     return True
+
+
+def non_idempotent_span(X) -> Echelon:
+    """The former radical: the span of the non-idempotent basis elements,
+    which is the radical on every algebra the package builds."""
+    return Echelon(X.field, X.dim,
+                   [{k: X.field.one()} for k in X.radical_basis_indices()])
 
 
 def peirce_by_sandwiches(X) -> bool:

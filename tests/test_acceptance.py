@@ -7,7 +7,7 @@ and the runtime budgets are asserted with a monotonic clock.
 
 import time
 
-from trivext.algebra import (build_algebra, loewy_length, radical_subspace,
+from trivext.algebra import (build_algebra, loewy_length, radical_power,
                              selfinjectivity, SelfinjectivityCertificate,
                              span_products)
 from trivext.corpus import (CORPUS, HH_CORROBORATION_CAP, corpus_text,
@@ -177,7 +177,7 @@ def test_criterion_8_structural_invariants(algebras, extensions):
                 expected_rad.add({k: f.one()})
         for k in range(A.dim, 2 * A.dim):
             expected_rad.add({k: f.one()})
-        rad_T = radical_subspace(T)
+        rad_T = radical_power(T, 1)
         assert rad_T == expected_rad, name
         rad_A = Echelon(f, T.dim, [{k: f.one()} for k in range(A.dim) if k not in idem])
         da = Echelon(f, T.dim, [{k: f.one()} for k in range(A.dim, 2 * A.dim)])

@@ -11,13 +11,14 @@ from trivext.algebra import (AdmissibilityError, AlgebraBuildError,
                              build_algebra, is_local, is_selfinjective,
                              left_socle_in_bimodule_socle, loewy_length,
                              quiver_of, radical_chain, radical_power,
-                             radical_subspace, selfinjectivity, socles,
-                             span_products, trace_form_radical)
+                             selfinjectivity, socles, span_products,
+                             trace_form_radical)
 from trivext.dsl import parse_presentation
 from trivext.linalg import GF
 from trivext.trivial_extension import trivial_extension
 
-from reference import selfinjectivity_by_matching, vertex_loewy_lengths
+from reference import (non_idempotent_span, selfinjectivity_by_matching,
+                       vertex_loewy_lengths)
 from test_builder import random_presentation
 from test_properties import random_monomial_presentation
 
@@ -222,9 +223,14 @@ def test_structural_invariants(algebras):
         assert max(lls) == ll
 
 
-def test_trace_form_radical_agrees(algebras):
+def test_trace_form_radical_agrees(algebras, extensions):
+    # the chain derives the radical from the arrows; the trace form and
+    # the span of the non-idempotent basis elements are two other ways
     for name, A in algebras.items():
-        assert trace_form_radical(A) == radical_subspace(A), name
+        for X in (A, extensions[name].T):
+            rad = radical_power(X, 1)
+            assert trace_form_radical(X) == rad, (name, X.dim)
+            assert rad == non_idempotent_span(X), (name, X.dim)
 
 
 def test_radical_chain_strictly_decreasing(algebras):
@@ -248,7 +254,9 @@ def test_copy_with_edited_table_derives_its_own_structure(duplicate):
     B.table = [list(row) for row in A.table]
     x = B.basis_labels.index("x")
     B.table[x][x] = {}  # x^2 = 0 in the copy only
-    assert [s.rank for s in radical_chain(B)] == [3, 2, 0]
+    # the basis element x^2 is no longer a product of arrows, so the chain
+    # of powers of the arrows' ideal is [B, span x, 0]
+    assert [s.rank for s in radical_chain(B)] == [3, 1, 0]
     assert loewy_length(B) == 2 and radical_power(B, 2).rank == 0
     assert radical_chain(B) is not chain and socles(B) is not soc
     assert socles(B).bimodule.rank == 2

@@ -84,6 +84,19 @@ def test_zero_arrow_degree_exits_2(capsys, tmp_path):
             2, "", "error: arrow degrees must be >= 1 (line 3)\n"), argv
 
 
+@pytest.mark.parametrize("text, vertex", [
+    ("vertices u v\narrow e_u : u -> v\n", "u"),
+    # the colliding vertex may be declared after the arrow
+    ("vertices u v\narrow e_w : u -> v\nvertices w\n", "w"),
+], ids=["declared_before", "declared_after"])
+def test_arrow_named_as_a_stationary_path_exits_2(capsys, tmp_path, text, vertex):
+    f = tmp_path / "collide.quiver"
+    f.write_text(text)
+    assert run(capsys, "info", str(f)) == (
+        2, "", f"error: arrow name 'e_{vertex}' is the label of the stationary "
+        f"path at vertex '{vertex}' (line 2)\n")
+
+
 def test_fp_denominator_divisible_by_p_exits_2(capsys, tmp_path):
     f = tmp_path / "den.quiver"
     f.write_text("field F 5\nvertices v\narrow x : v -> v\nrelation 1/5*x*x\n")
@@ -351,10 +364,11 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
     res = json.loads(out)["result"]
     summaries = [res["algebra"], res["extension"]]
     assert all(s["selfinjective"] for s in summaries)
-    # a radical chain of Loewy length L takes L - 1 products; the socles
-    # of an algebra on r vertices take 2r + 1 annihilators
+    # a radical chain of Loewy length L takes L products, each by the
+    # arrows; the socles of an algebra on r vertices take 2r + 1
+    # annihilators
     assert {X.dim: n for X, n in products.items()} == {
-        s["dimension"]: s["loewy_length"] - 1 for s in summaries}
+        s["dimension"]: s["loewy_length"] for s in summaries}
     assert {X.dim: n for X, n in annihilators.items()} == {
         s["dimension"]: 2 * len(s["vertices"]) + 1 for s in summaries}
 

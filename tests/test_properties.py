@@ -3,7 +3,7 @@
 import random
 
 from trivext.algebra import (build_algebra, loewy_length, radical_chain,
-                             radical_subspace, trace_form_radical)
+                             radical_power, trace_form_radical)
 from trivext.criteria import (find_two_truncated_cycle, hhdim_verdict,
                               verify_cycle_certificate)
 from trivext.dsl import (Presentation, RelationExpr, parse_presentation,
@@ -12,6 +12,8 @@ from trivext.hochschild import hh_dims
 from trivext.linalg import GF, QQ
 from trivext.quiver import Arrow, Path, Quiver, compose, enumerate_paths
 from trivext.trivial_extension import check_new_products_vanish, trivial_extension
+
+from reference import non_idempotent_span
 
 
 def random_monomial_presentation(rng, field=QQ):
@@ -43,7 +45,8 @@ def test_random_radical_square_zero_algebras_build_and_extend():
         A = build_algebra(pres, label=f"rand{trial}")
         # validate() ran at build; the radical chain must die at length 2
         assert loewy_length(A) <= 2, trial
-        assert trace_form_radical(A) == radical_subspace(A), trial
+        rad = radical_power(A, 1)
+        assert trace_form_radical(A) == rad == non_idempotent_span(A), trial
         tri = trivial_extension(A)
         assert tri.T.dim == 2 * A.dim
         assert check_new_products_vanish(tri), trial
@@ -116,4 +119,5 @@ def test_radical_chain_matches_trace_form_on_random_extensions():
         pres = random_monomial_presentation(rng)
         A = build_algebra(pres)
         T = trivial_extension(A).T
-        assert trace_form_radical(T) == radical_subspace(T), trial
+        rad = radical_power(T, 1)
+        assert trace_form_radical(T) == rad == non_idempotent_span(T), trial

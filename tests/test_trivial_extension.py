@@ -7,15 +7,15 @@ import pytest
 
 import trivext.trivial_extension as trivial_extension_module
 from trivext.algebra import (AlgebraBuildError, build_algebra, loewy_length,
-                             radical_subspace, selfinjectivity,
+                             selfinjectivity,
                              SelfinjectivityCertificate,
                              left_socle_in_bimodule_socle, socles)
 from trivext.dsl import RelationExpr, parse_presentation
 from trivext.linalg import Echelon
 from trivext.quiver import Path, PathBudgetExceeded, compose
 from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
-                                       extended_quiver, graded_trivial_extension,
-                                       relations_up_to, trivial_extension)
+                                       extended_quiver, relations_up_to,
+                                       trivial_extension)
 
 from reference import extension_table_by_scan, new_arrows_by_block_scan, phi
 from test_builder import random_presentation
@@ -140,27 +140,18 @@ def test_extended_quiver_examples(extensions):
 
 def test_graded_extension_degrees(algebras):
     k = algebras["semisimple_k"]
-    tri = graded_trivial_extension(k)
+    tri = trivial_extension(k)
     assert tri.T.degrees == [0, 1]
 
     a2 = algebras["path_a2"]
-    tri = graded_trivial_extension(a2)
+    tri = trivial_extension(a2)
     by_label = dict(zip(tri.T.basis_labels, tri.T.degrees))
     assert by_label == {"e_1": 0, "e_2": 0, "a": 1, "e_1*": 2, "e_2*": 2, "a*": 1}
     assert tri.T.top_degree == 2
 
     five = algebras["five_vertex_weighted"]
-    tri = graded_trivial_extension(five)
+    tri = trivial_extension(five)
     assert tri.T.top_degree == 7  # s + 1
-
-
-def test_graded_extension_requires_grading():
-    # bounded-mode builds carry no degree tags
-    A = build("field Q\nvertices v\narrow x : v -> v\n"
-              "relation x*x - x*x*x\nnilpotency_bound 4\n")
-    assert A.degrees is None
-    with pytest.raises(AlgebraBuildError):
-        graded_trivial_extension(A)
 
 
 def test_degree_zero_and_top_components_have_vertex_dimension(extensions):
