@@ -20,14 +20,14 @@ PathBudgetExceeded.
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
 over the ground field; every subspace of an algebra, such as a radical
-power or a socle, is an `Echelon` on its basis coordinates.  Once
-`FDAlgebra.validate` has proved that the idempotents and arrows generate,
-associativity follows from arrow triples, and the radical chain multiplies
-by the arrows alone.  The radical chain, the socles and the
-selfinjectivity result are derived once per algebra, on first use, and
-stored on the instance; every other structural reader (Loewy lengths,
-radical powers, the weak socle condition, T(A), the CLI summaries) reads
-those stored results.
+power or a socle, is an `Echelon` on its basis coordinates.  One walk,
+`arrow_layers`, multiplies the idempotents by the arrows layer by layer;
+`FDAlgebra.validate` checks that the layers span A and then proves
+associativity from arrow triples, the radical powers are sums of layers,
+and the socles are three kernels.  These results and selfinjectivity are
+derived once per algebra, on first use, and stored on the instance; every
+other structural reader (Loewy lengths, radical powers, the weak socle
+condition, T(A), the CLI summaries) reads those stored results.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import wraps
 
 from .dsl import Presentation
-from .linalg import Echelon, GroundField, SparseRank, row_reduce
+from .linalg import Echelon, GroundField, row_reduce
 from .quiver import Arrow, Path, Quiver, compose, path_layer
 
 
@@ -61,9 +61,6 @@ class ArrowRep:
     degree: int | None = None
     is_new: bool = False  # lifted from the dual part of a trivial extension
 
-    def element(self) -> dict:
-        return {self.basis_index: 1}
-
 
 class FDAlgebra:
     """A finite dimensional algebra on a distinguished basis.
@@ -74,11 +71,11 @@ class FDAlgebra:
     basis element lies in a single Peirce block (src, tgt), and arrows are
     represented by basis elements.
 
-    An instance is immutable after construction: `radical_chain`, `socles`
-    and `selfinjectivity` are derived once and stored on it, so neither
-    the table nor a returned `Echelon` may be changed.  Copies
-    (`copy.copy`, `copy.deepcopy`) do not carry the stored results, so a
-    copy whose table is then edited derives its own.
+    An instance is immutable after construction: `arrow_layers`,
+    `radical_chain`, `socles` and `selfinjectivity` are derived once and
+    stored on it, so neither the table nor a returned `Echelon` may be
+    changed.  Copies (`copy.copy`, `copy.deepcopy`) do not carry the stored
+    results, so a copy whose table is then edited derives its own.
     """
 
     def __init__(self, field: GroundField, labels, vertex_names, idempotent_indices,
@@ -168,19 +165,10 @@ class FDAlgebra:
         return True
 
     def check_generation(self) -> bool:
-        """The idempotents and the arrows generate the algebra: the span of
-        the idempotents, closed under left multiplication by the arrows,
-        is everything."""
-        rank = SparseRank(self.field.characteristic)
-        todo = [{e: self.field.one()} for e in self.idempotent_indices]
-        todo = [v for v in todo if rank.add(v)]
-        while todo and rank.rank < self.dim:
-            v = todo.pop()
-            for rep in self.arrows:
-                w = self.multiply(rep.element(), v)
-                if w and rank.add(w):
-                    todo.append(w)
-        return rank.rank == self.dim
+        """The idempotents and the arrows generate the algebra: the arrow
+        layers (see `arrow_layers`) span it."""
+        return Echelon(self.field, self.dim, (
+            v for layer in arrow_layers(self) for v in layer.rows)).rank == self.dim
 
     def check_associativity(self) -> bool:
         """(x y) z == x (y z) for all x, y, z, proved from arrow triples.
@@ -476,24 +464,42 @@ def radical_power(A: FDAlgebra, m: int) -> Echelon:
 
 
 @_stored
+def arrow_layers(A: FDAlgebra) -> list[Echelon]:
+    """The nonzero layers L_0 = span E and L_{k+1} = span of the g v over
+    the arrows g and the rows v of L_k, each read off the arrow's row of
+    the table as sum_k v_k T[g][k].  L_k is spanned by the products of k
+    arrows.  The walk ends at the first zero layer, or at L_dim."""
+    f, d = A.field, A.dim
+    rows = [A.table[rep.basis_index] for rep in A.arrows]
+    layers = [Echelon(f, d, [A.basis_element(e) for e in A.idempotent_indices])]
+    while len(layers) <= d:
+        layer = Echelon(f, d, filter(None, (A._combine((c, Tg[k]) for k, c in v.items())
+                                            for Tg in rows for v in layers[-1].rows)))
+        if not layer.rank:
+            break
+        layers.append(layer)
+    return layers
+
+
+@_stored
 def radical_chain(A: FDAlgebra) -> list[Echelon]:
     """[A, rad, rad^2, ...] down to the first zero power (inclusive).
 
-    chain[k+1] = sum_a a chain[k] over the arrows a.  By generation, J =
-    sum_a aA is a two-sided ideal with A = span E + J, so chain[k] = J^k.
-    Once the chain reaches 0, J is nilpotent and A/J is spanned by the
-    idempotents E, so J is the Jacobson radical.
+    chain[k] = sum_{j >= k} L_j over the arrow layers, for k >= 1.  Proof:
+    with J = sum_g gA over the arrows g, J^k = sum_g g J^{k-1} (as A = 1 A)
+    is spanned by the products of k arrows times A, and by generation A =
+    sum_j L_j, so J^k = sum_j L_{j+k}.  A nonzero L_dim makes J^dim != 0.
+    Otherwise J is a nilpotent two-sided ideal, as A = span E + J, with A/J
+    spanned by the idempotents E: the Jacobson radical.
     """
-    arrows = Echelon(A.field, A.dim, [rep.element() for rep in A.arrows])
-    chain = [Echelon(A.field, A.dim, [{k: A.field.one()} for k in range(A.dim)])]
-    while chain[-1].rank > 0:
-        nxt = span_products(A, arrows, chain[-1])
-        if nxt.rank >= chain[-1].rank:
-            raise AlgebraBuildError(
-                "the ideal generated by the arrows is not nilpotent; "
-                "the algebra is not of the promised shape")
-        chain.append(nxt)
-    return chain
+    layers = arrow_layers(A)
+    if len(layers) > A.dim:
+        raise AlgebraBuildError(
+            "the ideal generated by the arrows is not nilpotent; "
+            "the algebra is not of the promised shape")
+    return [Echelon(A.field, A.dim, [A.basis_element(k) for k in range(A.dim)])] + [
+        Echelon(A.field, A.dim, [v for L in layers[k:] for v in L.rows])
+        for k in range(1, len(layers) + 1)]
 
 
 def trace_form_radical(A: FDAlgebra) -> Echelon:
@@ -535,34 +541,33 @@ class SocleData:
     bimodule: Echelon         # socle of A as a bimodule
 
 
-def _annihilator(A: FDAlgebra, columns, left=True, right=True) -> Echelon:
-    """The vectors on the given coordinate set that every arrow
-    representative kills by multiplication on the chosen sides."""
+def _annihilator(A: FDAlgebra, sides) -> Echelon:
+    """The vectors that every arrow representative a kills by
+    multiplication on each of `sides`: "L" for a x, "R" for x a."""
     f, T, d = A.field, A.table, A.dim
-    if not A.arrows:
-        return Echelon(f, d, [{k: f.one()} for k in columns])
-    # b_k maps to one block of d coordinates per arrow a and side:
-    # a * b_k on the left, b_k * a on the right
-    blocks = [(rep.basis_index, side) for rep in A.arrows
-              for side in (("L",) if left and not right else
-                           ("R",) if right and not left else ("L", "R"))]
+    # b_k maps to one block of d coordinates per arrow a and side
+    blocks = [(rep.basis_index, side) for rep in A.arrows for side in sides]
     return Echelon(f, d, row_reduce(f, {
         k: {off * d + r: x for off, (a, side) in enumerate(blocks)
             for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
-        for k in columns}))
+        for k in range(d)}))
 
 
 @_stored
 def socles(A: FDAlgebra) -> SocleData:
-    """Left socles of the Ae_i, right socles of the e_jA, and the socle of
-    A as a bimodule, each as the joint kernel of multiplication by the
-    arrow representatives on the appropriate side."""
-    left = [_annihilator(A, [k for k, (src, _t) in enumerate(A.peirce) if src == i],
-                         left=True, right=False) for i in range(A.num_vertices)]
-    right = [_annihilator(A, [k for k, (_s, tgt) in enumerate(A.peirce) if tgt == j],
-                          left=False, right=True) for j in range(A.num_vertices)]
-    bimodule = _annihilator(A, range(A.dim), left=True, right=True)
-    return SocleData(left=left, right=right, bimodule=bimodule)
+    """Left socles of the Ae_i, right socles of the e_jA and the bimodule
+    socle: three joint kernels of multiplication by the arrows.  Left
+    multiplication keeps sources, so the left kernel is the direct sum of
+    the left socles, whose reduced echelon rows are its rows split by the
+    source of each pivot; the right kernel splits by target alike."""
+    def split(kernel, end):
+        return [Echelon(A.field, A.dim, [row for p, row in zip(kernel.pivots, kernel.rows)
+                                         if A.peirce[p][end] == i])
+                for i in range(A.num_vertices)]
+
+    return SocleData(left=split(_annihilator(A, "L"), 0),
+                     right=split(_annihilator(A, "R"), 1),
+                     bimodule=_annihilator(A, "LR"))
 
 
 def is_local(A: FDAlgebra) -> bool:
@@ -594,22 +599,17 @@ def selfinjectivity(A: FDAlgebra):
     The test used: j qualifies for i iff dim Ae_i = dim e_jA and the right
     socle of e_jA is one dimensional of simple type S_i.  A lift of the
     dual top generator then gives a surjection Ae_i -> D(e_jA) which the
-    dimension count makes an isomorphism.  A socle type is one vertex, so
-    the sets of j qualifying for distinct i are disjoint, and pi(i) is read
-    off as the least j qualifying for i; no matching needs to be searched.
+    dimension count makes an isomorphism.  The right socle is stable under
+    the e_i on the left, so a one dimensional one lies in one block e_jAe_i
+    and its type i is the source of its pivot.  A socle type is one vertex,
+    so the sets of j qualifying for distinct i are disjoint, and pi(i) is
+    read off as the least j qualifying for i; no matching is searched.
     """
     data = socles(A)
     left_dims = [sum(1 for s, _t in A.peirce if s == i) for i in range(A.num_vertices)]
     right_dims = [sum(1 for _s, t in A.peirce if t == j) for j in range(A.num_vertices)]
-    socle_type = []
-    for j in range(A.num_vertices):
-        soc = data.right[j]
-        if soc.rank != 1:
-            socle_type.append(None)
-            continue
-        vec = soc.rows[0]
-        srcs = {A.peirce[k][0] for k in vec}
-        socle_type.append(srcs.pop() if len(srcs) == 1 else None)
+    socle_type = [A.peirce[soc.pivots[0]][0] if soc.rank == 1 else None
+                  for soc in data.right]
 
     perm = []
     for i in range(A.num_vertices):

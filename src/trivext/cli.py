@@ -194,7 +194,7 @@ def cmd_verdict(args) -> int:
             "corroborates_infinite": (hh.corroborates_infinite()
                                       if verdict.is_infinite else None),
         }
-        if hh.truncated_at is not None and hh.truncated_at <= args.hh_check + 1:
+        if hh.truncated_at is not None:
             code = EXIT_CAP
     rep = _report("verdict", result, digest, args.file)
     _emit(rep, args)

@@ -396,8 +396,8 @@ class IntPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def x_power(cls, k: int, coeff: int = 1) -> "IntPolynomial":
-        return cls((0,) * k + (coeff,))
+    def x_power(cls, k: int) -> "IntPolynomial":
+        return cls((0,) * k + (1,))
 
     @property
     def degree(self) -> int:

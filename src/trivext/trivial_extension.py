@@ -157,8 +157,8 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     each Peirce block, a basis of the kernel of the evaluation on length-l
     paths is then reduced modulo I_l; the vectors that enlarge it become
     generators and join I_l.  The value in T(A) of each path p*a ("a
-    first") of a layer is the value of p, kept from the layer below, times
-    the arrow a: one product per path.
+    first") of a layer is the value v of p, kept from the layer below,
+    times a, read off the table as sum_l v_l T[l][a]: one product per path.
     The returned record also reports the dimension of the quotient by the
     generated ideal: if it equals dim T(A) the generator set presents the
     algebra.  The walk ends at the first slice lying wholly in the ideal;
@@ -175,7 +175,7 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     if cap < 2:
         raise ValueError("relation cap must be >= 2")
     T = tri.T
-    f = T.field
+    f, table = T.field, T.table
     values: list = []
     gens: list[RelationExpr] = []
     quotient_dim = 0
@@ -189,9 +189,9 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
                 # length 1): step a maps the index of p below to that of p*a
                 below, values = values, [None] * len(layer)
                 for rep, (_, right, _) in zip(T.arrows, steps):
-                    a = rep.element()
                     for k, i in right.items():
-                        values[i] = T.multiply(below[k], a)
+                        values[i] = T._combine((c, table[l][rep.basis_index])
+                                               for l, c in below[k].items())
             if 2 <= length <= cap:
                 for vec in _slice_kernel(f, layer, values):
                     if ideal.add(vec):

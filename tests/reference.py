@@ -1,9 +1,10 @@
 """Routines the package no longer needs, kept for tests as references."""
 
-from trivext.algebra import (ArrowRep, SelfinjectivityCertificate,
-                             SelfinjectivityRefusal, radical_chain, socles)
+from trivext.algebra import (AlgebraBuildError, ArrowRep, SelfinjectivityCertificate,
+                             SelfinjectivityRefusal, SocleData, radical_chain,
+                             socles, span_products)
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
-from trivext.linalg import QQ, Echelon, SparseRank
+from trivext.linalg import QQ, Echelon, SparseRank, row_reduce
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -119,6 +120,65 @@ def non_idempotent_span(X) -> Echelon:
     which is the radical on every algebra the package builds."""
     return Echelon(X.field, X.dim,
                    [{k: X.field.one()} for k in X.radical_basis_indices()])
+
+
+def generated_by_closure(X) -> Echelon:
+    """The former generation check, on an Echelon so that the span it
+    closes can be compared: the span of the idempotents, closed under left
+    multiplication by the arrows one product at a time.  The check asked
+    whether its rank is dim X."""
+    span = Echelon(X.field, X.dim)
+    todo = [v for v in (X.basis_element(e) for e in X.idempotent_indices) if span.add(v)]
+    while todo:
+        v = todo.pop()
+        for rep in X.arrows:
+            w = X.multiply(X.basis_element(rep.basis_index), v)
+            if w and span.add(w):
+                todo.append(w)
+    return span
+
+
+def radical_chain_by_products(X) -> list:
+    """The former radical chain: [X], then the span of the arrows times the
+    last entry, until 0."""
+    arrows = Echelon(X.field, X.dim, [X.basis_element(rep.basis_index) for rep in X.arrows])
+    chain = [Echelon(X.field, X.dim, [X.basis_element(k) for k in range(X.dim)])]
+    while chain[-1].rank > 0:
+        nxt = span_products(X, arrows, chain[-1])
+        if nxt.rank >= chain[-1].rank:
+            raise AlgebraBuildError(
+                "the ideal generated by the arrows is not nilpotent; "
+                "the algebra is not of the promised shape")
+        chain.append(nxt)
+    return chain
+
+
+def annihilator_on(X, columns, left=True, right=True) -> Echelon:
+    """The former `_annihilator`: the vectors on the given coordinate set
+    that every arrow representative kills by multiplication on the chosen
+    sides."""
+    f, T, d = X.field, X.table, X.dim
+    if not X.arrows:
+        return Echelon(f, d, [{k: f.one()} for k in columns])
+    blocks = [(rep.basis_index, side) for rep in X.arrows
+              for side in (("L",) if left and not right else
+                           ("R",) if right and not left else ("L", "R"))]
+    return Echelon(f, d, row_reduce(f, {
+        k: {off * d + r: x for off, (a, side) in enumerate(blocks)
+            for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
+        for k in columns}))
+
+
+def socles_by_blocks(X) -> SocleData:
+    """The former socles: 2r + 1 kernels, one per vertex and side on the
+    basis elements with that source or target, and one two-sided."""
+    r = range(X.num_vertices)
+    return SocleData(
+        left=[annihilator_on(X, [k for k, (s, _t) in enumerate(X.peirce) if s == i],
+                             left=True, right=False) for i in r],
+        right=[annihilator_on(X, [k for k, (_s, t) in enumerate(X.peirce) if t == j],
+                              left=False, right=True) for j in r],
+        bimodule=annihilator_on(X, range(X.dim)))
 
 
 def peirce_by_sandwiches(X) -> bool:
@@ -291,6 +351,6 @@ def phi(tri, path) -> dict:
     by_name = {rep.name: rep for rep in T.arrows}
     out = None
     for a in path.arrows:
-        el = by_name[a.name].element()
+        el = T.basis_element(by_name[a.name].basis_index)
         out = el if out is None else T.multiply(el, out)
     return out

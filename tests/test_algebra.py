@@ -6,19 +6,21 @@ from collections import Counter
 
 import pytest
 
-from trivext.algebra import (AdmissibilityError, AlgebraBuildError,
-                             SelfinjectivityCertificate, SelfinjectivityRefusal,
+from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
+                             FDAlgebra, SelfinjectivityCertificate,
+                             SelfinjectivityRefusal, arrow_layers,
                              build_algebra, is_local, is_selfinjective,
                              left_socle_in_bimodule_socle, loewy_length,
                              quiver_of, radical_chain, radical_power,
                              selfinjectivity, socles, span_products,
                              trace_form_radical)
 from trivext.dsl import parse_presentation
-from trivext.linalg import GF
+from trivext.linalg import GF, QQ, Echelon
 from trivext.trivial_extension import trivial_extension
 
-from reference import (non_idempotent_span, selfinjectivity_by_matching,
-                       vertex_loewy_lengths)
+from reference import (generated_by_closure, non_idempotent_span,
+                       radical_chain_by_products, selfinjectivity_by_matching,
+                       socles_by_blocks, vertex_loewy_lengths)
 from test_builder import random_presentation
 from test_properties import random_monomial_presentation
 
@@ -149,7 +151,7 @@ def test_selfinjectivity_certificate_soundness(algebras):
             assert soc.right[j].rank == 1
             vec = soc.right[j].basis()[0]
             for rep in A.arrows:
-                assert A.multiply(vec, rep.element()) == {}
+                assert A.multiply(vec, A.basis_element(rep.basis_index)) == {}
             # simple type S_i: supported in the Peirce block e_j A e_i
             assert {A.peirce[k][0] for k in vec} == {i}
 
@@ -231,6 +233,66 @@ def test_trace_form_radical_agrees(algebras, extensions):
             rad = radical_power(X, 1)
             assert trace_form_radical(X) == rad, (name, X.dim)
             assert rad == non_idempotent_span(X), (name, X.dim)
+
+
+def seeded_algebras():
+    """Seeded algebras over Q, F_3 and F_5: length-graded, graded by arrow
+    degrees, and under a nilpotency bound."""
+    rng = random.Random(1513)
+    out = []
+    for field in ("field Q", "field F 3", "field F 5"):
+        for trial in range(15):
+            kind = trial % 3
+            pres = random_presentation(rng, kind == 1, field,
+                                       bound=rng.randint(2, 4) if kind == 2 else None)
+            try:
+                out.append(build_algebra(pres, max_weight=8))
+            except AlgebraBuildError:
+                pass
+    return out
+
+
+def test_arrow_walk_agrees_with_former_routines(algebras, extensions):
+    # the layers' span against the former generation closure, the chain of
+    # layer sums against the former arrows-times-chain products, and the
+    # three socle kernels against the former 2r + 1.  Mutants each catches:
+    # layers multiplied by every non-idempotent basis element instead of
+    # the arrows (on a prefix of the arrows); the chain summed from
+    # layers[2:]; left socles split by target
+    seeded = seeded_algebras()
+    assert len(seeded) >= 24
+    assert {(A.field, A.bound_conditional) for A in seeded} == {
+        (f, b) for f in (QQ, GF(3), GF(5)) for b in (False, True)}
+    inputs = (list(algebras.values()) + [tri.T for tri in extensions.values()]
+              + [trivial_extension(extensions[name].T).T
+                 for name in ("dual_numbers", "path_a2")]
+              + seeded + [trivial_extension(A).T for A in seeded])
+    proper = 0
+    for X in inputs:
+        assert radical_chain(X) == radical_chain_by_products(X), X
+        # a prefix of the arrows generates a subalgebra, often a proper one
+        for n in range(len(X.arrows) + 1):
+            Y = copy.copy(X)
+            Y.arrows = X.arrows[:n]
+            span = Echelon(Y.field, Y.dim, [v for L in arrow_layers(Y) for v in L.rows])
+            assert span == generated_by_closure(Y), (X, n)
+            assert socles(Y) == socles_by_blocks(Y), (X, n)
+            proper += span.rank < Y.dim
+    assert proper >= len(inputs)
+
+
+def test_non_nilpotent_arrow_ideal_passes_validate_without_radical_chain():
+    # basis e, g with g g = g: every check of validate holds, but the
+    # arrows' ideal span g is not nilpotent
+    one = QQ.one()
+    A = FDAlgebra(QQ, ["e", "g"], ["v"], [0], [(0, 0), (0, 0)],
+                  [[{0: one}, {1: one}], [{1: one}, {1: one}]],
+                  [ArrowRep("g", 0, 0, 1)])
+    A.validate()
+    message = "the ideal generated by the arrows is not nilpotent"
+    for chain in (radical_chain, radical_chain_by_products):
+        with pytest.raises(AlgebraBuildError, match=message):
+            chain(A)
 
 
 def test_radical_chain_strictly_decreasing(algebras):

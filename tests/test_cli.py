@@ -341,21 +341,21 @@ def test_verdict_hypotheses_name_bound_condition(capsys, tmp_path, dual_file):
 
 def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_path):
     # the report prints the radical chain, the socles and the
-    # selfinjectivity of A and of T(A), and T(A) and the relation search
-    # need them too; each is derived once per algebra
-    products, annihilators = Counter(), Counter()
-    span_products = trivext.algebra.span_products
+    # selfinjectivity of A and of T(A), and validation, T(A) and the
+    # relation search need them too; each is derived once per algebra
+    layers, annihilators = Counter(), Counter()
+    arrow_layers = trivext.algebra.arrow_layers
     annihilator = trivext.algebra._annihilator
 
-    def count_products(A, left, right):
-        products[A] += 1
-        return span_products(A, left, right)
+    def count_layers(A):
+        layers[A] += "arrow_layers" not in A._derived  # a derivation
+        return arrow_layers(A)
 
-    def count_annihilators(A, *args, **kwargs):
+    def count_annihilators(A, sides):
         annihilators[A] += 1
-        return annihilator(A, *args, **kwargs)
+        return annihilator(A, sides)
 
-    monkeypatch.setattr(trivext.algebra, "span_products", count_products)
+    monkeypatch.setattr(trivext.algebra, "arrow_layers", count_layers)
     monkeypatch.setattr(trivext.algebra, "_annihilator", count_annihilators)
     f = tmp_path / "nakayama.quiver"
     f.write_text(corpus_text("nakayama_cycle_3"))
@@ -364,13 +364,12 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
     res = json.loads(out)["result"]
     summaries = [res["algebra"], res["extension"]]
     assert all(s["selfinjective"] for s in summaries)
-    # a radical chain of Loewy length L takes L products, each by the
-    # arrows; the socles of an algebra on r vertices take 2r + 1
-    # annihilators
-    assert {X.dim: n for X, n in products.items()} == {
-        s["dimension"]: s["loewy_length"] for s in summaries}
-    assert {X.dim: n for X, n in annihilators.items()} == {
-        s["dimension"]: 2 * len(s["vertices"]) + 1 for s in summaries}
+    # one arrow walk serves validation and the radical chain; the socles
+    # take one left, one right and one two-sided kernel
+    dims = sorted(s["dimension"] for s in summaries)
+    assert sorted(X.dim for X in layers) == dims
+    assert set(layers.values()) == {1}
+    assert {X.dim: n for X, n in annihilators.items()} == {d: 3 for d in dims}
 
 
 def test_verdict_verifies_the_cycle_once(capsys, monkeypatch, dual_file):
