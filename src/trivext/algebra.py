@@ -1,21 +1,21 @@
 """Finite dimensional quiver algebras as exact structure constants.
 
-An algebra kQ/I is realized on a basis of path normal forms.  Every slice
-of an ideal comes from one step, `ideal_slice`: the generators of the
-slice plus the rows of earlier slices multiplied by an arrow on either
-side.  When the relations are homogeneous for some admissible weighting of
-the arrows (explicit degrees, or path length), one walk, `quotient_slices`,
-grows the path layers with `path_layer` and the ideal's slices with
+An algebra kQ/I is realized on a basis of path normal forms.  An ideal
+grows by one step, `_pushed`: vectors multiplied by an arrow on either
+side through the index maps of `path_layer`.  When the relations are
+homogeneous for some admissible weighting of the arrows (explicit
+degrees, or path length), one walk, `quotient_slices`, grows the path
+layers and pushes the rows of earlier slices into each new one with
 `ideal_slice`, and stops once a full window of consecutive slices dies,
 which certifies that every longer path lies in the ideal; the same walk
 extracts the relations of T(A) in `relations_up_to`.  Otherwise an
-explicit nilpotency bound is required: the ideal is the sum of the pieces
-spanned by the relation products with multipliers of each total length,
-truncated past the bound, on all paths up to it.  Either builder hands
-`build_algebra` the coordinate paths and the ideal's reduced echelon rows
-keyed by pivot, from which the basis, the degrees and every structure
-constant are read.  A path layer of more than PATH_BUDGET paths raises
-PathBudgetExceeded.
+explicit nilpotency bound is required: the ideal is closed on one
+`Echelon` over all paths up to the bound, pushing each round only the
+vectors that enlarged it, with the terms past the bound truncated.
+Either builder hands `build_algebra` the coordinate paths and the ideal's
+reduced echelon rows keyed by pivot, from which the basis, the degrees
+and every structure constant are read.  A path layer of more than
+PATH_BUDGET paths raises PathBudgetExceeded.
 
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
@@ -24,10 +24,11 @@ power or a socle, is an `Echelon` on its basis coordinates.  One walk,
 `arrow_layers`, multiplies the idempotents by the arrows layer by layer;
 `FDAlgebra.validate` checks that the layers span A and then proves
 associativity from arrow triples, the radical powers are sums of layers,
-and the socles are three kernels.  These results and selfinjectivity are
-derived once per algebra, on first use, and stored on the instance; every
-other structural reader (Loewy lengths, radical powers, the weak socle
-condition, T(A), the CLI summaries) reads those stored results.
+and the socles are three kernels, each the `Echelon` that `row_reduce`
+returns.  These results and selfinjectivity are derived once per algebra,
+on first use, and stored on the instance; every other structural reader
+(Loewy lengths, radical powers, the weak socle condition, T(A), the CLI
+summaries) reads those stored results.
 """
 
 from __future__ import annotations
@@ -235,25 +236,25 @@ def span_products(A: FDAlgebra, left: Echelon, right: Echelon) -> Echelon:
 # construction of kQ/I
 
 
-def ideal_slice(field, width, pieces, generators=()) -> Echelon:
-    """The slice I_w = R_w + sum_a a*I_{w-|a|} + sum_a I_{w-|a|}*a of a
-    two-sided ideal, as a fresh Echelon on `width` coordinates.
+def _pushed(vectors, maps):
+    """The nonzero images of `vectors` under each index map p -> p*a or
+    p -> a*p in `maps` (see `path_layer`); coordinates a map leaves out
+    are dropped."""
+    for vec in vectors:
+        for ext in maps:
+            out = {ext[k]: c for k, c in vec.items() if k in ext}
+            if out:
+                yield out
 
-    R_w is spanned by `generators`.  Each piece (ideal, right, left) pushes
-    the reduced echelon rows of an earlier slice through the index maps
-    p -> p*a and p -> a*p of one arrow (see `path_layer`); coordinates a
-    map leaves out are dropped.
+
+def ideal_slice(field, width, pieces) -> Echelon:
+    """The slice sum_a a*I_{w-|a|} + sum_a I_{w-|a|}*a of a two-sided
+    ideal pushed from its earlier slices, as a fresh Echelon on `width`
+    coordinates.  Each piece (ideal, right, left) pushes the reduced
+    echelon rows of an earlier slice through the index maps of one arrow.
     """
-    ech = Echelon(field, width)
-    for vec in generators:
-        ech.add(vec)
-    for ideal, right, left in pieces:
-        for row in ideal.rows:
-            for ext in (right, left):
-                vec = {ext[k]: c for k, c in row.items() if k in ext}
-                if vec:
-                    ech.add(vec)
-    return ech
+    return Echelon(field, width, (vec for ideal, right, left in pieces
+                                  for vec in _pushed(ideal.rows, (right, left))))
 
 
 def quotient_slices(quiver: Quiver, field: GroundField, window: int,
@@ -318,10 +319,15 @@ def _build_homogeneous(pres: Presentation, max_weight: int):
 def _build_bounded(pres: Presentation):
     """Joint truncated construction under an explicit nilpotency bound N.
 
-    All paths of length <= N are coordinates.  The ideal is the sum of the
-    pieces J_l spanned by the products p*rho*q with |p| + |q| = l: J_0
-    holds the relations and J_l = sum_a a*J_{l-1} + J_{l-1}*a, with the
-    terms past length N truncated.  The bound is rejected when
+    All paths of length <= N are coordinates.  The ideal is the least
+    subspace that holds the relations and is closed under p -> a*p and
+    p -> p*a, with the terms past length N truncated.  It is closed on one
+    Echelon: each round pushes through the arrow maps only the vectors
+    that enlarged the Echelon in the round before, and the walk stops when
+    a round adds nothing.  The pushes are linear and every vector added is
+    in the span of the enlarging ones, so the final span is closed; it
+    holds the relations and only their pushes, so it is the least such
+    subspace.  The bound is rejected when
     the length-N slice of the quotient is nonzero, since the promised
     containment of the N-th radical power in the ideal would force it to
     vanish.  Correctness is otherwise conditional on that promise.
@@ -342,14 +348,12 @@ def _build_bounded(pres: Presentation):
         layers.append(paths)
         order.extend(paths)
     path_index = {p.label(): k for k, p in enumerate(order)}
-    piece = ideal_slice(f, len(order), (), (
-        {path_index[t.label()]: c for c, t in rel.terms if t.length <= N}
-        for rel in pres.relations))
     ech = Echelon(f, len(order))
-    while piece.rank:
-        for row in piece.rows:
-            ech.add(row)
-        piece = ideal_slice(f, len(order), [(piece, jr, jl) for jr, jl in maps])
+    new = [{path_index[t.label()]: c for c, t in rel.terms if t.length <= N}
+           for rel in pres.relations]
+    while new:
+        new = list(_pushed([vec for vec in new if ech.add(vec)],
+                           [ext for pair in maps for ext in pair]))
     for k in ech.free_columns():
         if order[k].length >= N:
             raise AdmissibilityError(
@@ -526,7 +530,7 @@ def trace_form_radical(A: FDAlgebra) -> Echelon:
                 v = f.add(v, f.mul(c, traces[k]))
             if v:
                 gram[j][i] = v
-    return Echelon(f, A.dim, row_reduce(f, gram))
+    return row_reduce(f, gram)
 
 
 def loewy_length(A: FDAlgebra) -> int:
@@ -547,10 +551,10 @@ def _annihilator(A: FDAlgebra, sides) -> Echelon:
     f, T, d = A.field, A.table, A.dim
     # b_k maps to one block of d coordinates per arrow a and side
     blocks = [(rep.basis_index, side) for rep in A.arrows for side in sides]
-    return Echelon(f, d, row_reduce(f, {
+    return row_reduce(f, {
         k: {off * d + r: x for off, (a, side) in enumerate(blocks)
             for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
-        for k in range(d)}))
+        for k in range(d)})
 
 
 @_stored

@@ -269,6 +269,8 @@ def parse_presentation(text: str) -> Presentation:
                 raise DSLError("empty relation", line_no)
             relation_lines.append((line_no, rest))
         elif keyword == "nilpotency_bound":
+            if bound is not None:
+                raise DSLError("nilpotency_bound declared twice", line_no)
             if not rest.isdigit() or int(rest) < 1:
                 raise DSLError("nilpotency_bound must be a positive integer", line_no)
             bound = int(rest)

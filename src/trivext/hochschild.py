@@ -25,13 +25,15 @@ basis elements and share the boundary
   d^(n+1) tuples; it is kept as a cross-check oracle.
 
 Ranks of the boundary matrices are computed exactly and incrementally by
-`SparseRank` on integer columns.  Over Q the structure constants are
-scaled once by the lcm L of their denominators: every boundary term holds
-exactly one product, so the boundary is scaled by L and keeps its rank.
-Over F_p the residues are integers already.  Row keys number the
-degree-(n-1) tuples in decreasing lexicographic order, so the pivot
-`SparseRank` takes, at the smallest key, is the largest tuple: the term of
-face 0 or of the wrap face, whose merged first factor is the longer path.
+`SparseRank`, which takes integer columns.  Over Q the structure
+constants are scaled once, in `_BarData.integer_tables`, by the lcm L of
+their denominators: every boundary term holds exactly one product, so the
+boundary is scaled by L and keeps its rank.  `commutator_rank` reads its
+columns off the same scaled table.  Over F_p the residues are integers
+already.  Row keys number the degree-(n-1) tuples in decreasing
+lexicographic order, so the pivot `SparseRank` takes, at the smallest
+key, is the largest tuple: the term of face 0 or of the wrap face, whose
+merged first factor is the longer path.
 Columns whose tuples have different total degree (for a graded algebra)
 have disjoint row support, so elimination never mixes degree blocks.
 """
@@ -144,22 +146,21 @@ class _BarData:
         """(scale, first, mid, wrap): the products b_0 r_s, r_s r_t and
         r_s b_0 as lists of (index, integer), r_s r_t indexed by slot and
         the others by basis element, all multiplied by `scale`, the lcm of
-        the denominators of the table over Q (1 over F_p)."""
+        the denominators of the table over Q (1 over F_p).  Each entry of
+        the table is scaled once; in the "full" variant `first` is the
+        whole scaled table."""
         B, slots = self.B, self.slots
         T = B.table
         scale = 1
         if B.field.characteristic == 0:
             scale = lcm(1, *(c.denominator for row in T for prod in row
                              for c in prod.values()))
+        table = [[[(k, int(c * scale)) for k, c in prod.items()] for prod in row]
+                 for row in T]
         slot_of = {k: s for s, k in enumerate(slots)}
-
-        def ints(prod, index=None):
-            return [(k if index is None else index[k], int(c * scale))
-                    for k, c in prod.items()]
-
-        first = [[ints(T[b][k]) for k in slots] for b in range(self.d)]
-        mid = [[ints(T[k][l], slot_of) for l in slots] for k in slots]
-        wrap = [[ints(T[k][b]) for b in range(self.d)] for k in slots]
+        first = [[row[k] for k in slots] for row in table]
+        mid = [[[(slot_of[k], c) for k, c in table[j][l]] for l in slots] for j in slots]
+        wrap = [table[k] for k in slots]
         return scale, first, mid, wrap
 
     def columns(self, n: int):
@@ -250,20 +251,16 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
 
 def commutator_rank(B: FDAlgebra) -> int:
     """Rank of the span of all commutators of basis elements; an
-    independent route to dim HH_0 = dim B - rank[B, B]."""
+    independent route to dim HH_0 = dim B - rank[B, B].  The columns are
+    read off the integer table of the "full" bar data, which scaling by
+    the lcm of the denominators keeps at the same rank."""
+    table = _BarData(B, "full").integer_tables[1]
     eng = SparseRank(B.field.characteristic)
-    f = B.field
-    for i in range(B.dim):
-        for j in range(B.dim):
-            lhs = B.table[i][j]
-            rhs = B.table[j][i]
-            col = dict(lhs)
-            for k, v in rhs.items():
-                w = f.sub(col.get(k, f.zero()), v)
-                if w:
-                    col[k] = w
-                else:
-                    col.pop(k, None)
-            if col:
+    for i, row in enumerate(table):
+        for j, prod in enumerate(row):
+            col = dict(prod)
+            for k, c in table[j][i]:
+                col[k] = col.get(k, 0) - c
+            if any(col.values()):
                 eng.add(col)
     return eng.rank

@@ -9,10 +9,11 @@ Vectors are sparse dicts {coordinate: value}, and there is one row type.
 `Echelon` holds a subspace in reduced echelon form: every span, socle,
 radical power, ideal slice and kernel of the package is one, and
 `row_reduce` reads a linear map as the dict of its sparse images and
-returns the canonical kernel basis.  `SparseRank` only counts the rank of
-columns fed one at a time, eliminating over Q by integer cross
-multiplication; it serves the large bar-complex boundaries of the
-homology oracle.
+returns its kernel as an `Echelon`.  `SparseRank` only counts the rank of
+integer columns fed one at a time (residues over F_p), eliminating over Q
+by integer cross multiplication; it serves the large bar-complex
+boundaries of the homology oracle, whose callers scale their columns to
+integers once.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class GroundField:
 
     def add(self, a, b):
         return a + b if self.p == 0 else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
 
     def mul(self, a, b):
         return a * b if self.p == 0 else (a * b) % self.p
@@ -223,10 +221,6 @@ class Echelon:
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 
-    def basis(self) -> list[dict]:
-        """Copies of the rows, each with its columns in increasing order."""
-        return [dict(sorted(r.items())) for r in self.rows]
-
     def contains_space(self, other: "Echelon") -> bool:
         """True iff the span of `other` lies in this one."""
         return all(self.contains(v) for v in other.rows)
@@ -253,12 +247,12 @@ class Echelon:
         return [k for k in range(self.width) if k not in pivots]
 
 
-def row_reduce(field: GroundField, images: dict) -> list[dict]:
-    """Canonical basis of the kernel of a linear map.
+def row_reduce(field: GroundField, images: dict) -> Echelon:
+    """The kernel of a linear map, as an `Echelon`.
 
     `images[k]` is the sparse image {row: value} of coordinate k; the
-    result is the reduced echelon basis of {x : sum_k x_k images[k] = 0},
-    in pivot order, keyed by the caller's own coordinates.  The nonzero
+    result spans {x : sum_k x_k images[k] = 0}, keyed by the caller's own
+    coordinates, with width one past the largest of them.  The nonzero
     rows of the map are echelonized, and each free coordinate j gives the
     kernel vector e_j - sum over the pivot rows p of row_p[j] e_p.
     """
@@ -276,20 +270,21 @@ def row_reduce(field: GroundField, images: dict) -> list[dict]:
                 if j in row:
                     v[p] = field.neg(row[j])
             kernel.add(v)
-    return kernel.basis()
+    return kernel
 
 
 class SparseRank:
     """Incremental exact rank of a sparse matrix, fed column by column.
 
-    Over Q the reduced columns are kept as integer vectors with their
-    content divided out, and elimination is done by integer cross
-    multiplication, so no Fraction arithmetic occurs in the inner loop.  A
-    pivot whose leading entry is +-1 is subtracted without scaling the
-    column; only after a scaling step is the bit length of the column
-    checked, and its content divided out when an entry is longer than
-    _NORMALIZE_BITS.  Over F_p pivots are stored with leading entry 1 and
-    ordinary modular elimination is used.
+    Columns are dicts of ints, zeros allowed: over Q the caller scales a
+    rational matrix to an integer one, which keeps its rank, and over F_p
+    entries are read as residues.  Over Q the reduced columns are kept as
+    integer vectors with their content divided out, and elimination is
+    done by integer cross multiplication.  A pivot whose leading entry is
+    +-1 is subtracted without scaling the column; only after a scaling
+    step is the bit length of the column checked, and its content divided
+    out when an entry is longer than _NORMALIZE_BITS.  Over F_p pivots are
+    stored with leading entry 1 and ordinary modular elimination is used.
     """
 
     _NORMALIZE_BITS = 256
@@ -298,17 +293,6 @@ class SparseRank:
         self.p = p
         self.pivots: dict = {}  # leading index -> reduced column
         self.rank = 0
-
-    @staticmethod
-    def _clear_denominators(col: dict) -> dict:
-        den = 1
-        for x in col.values():
-            if isinstance(x, Fraction):
-                d = x.denominator
-                den = den * d // gcd(den, d)
-        if den == 1:
-            return {k: int(x) for k, x in col.items() if x}
-        return {k: int(x * den) for k, x in col.items() if x}
 
     @staticmethod
     def _normalize_content(col: dict) -> dict:
@@ -323,7 +307,7 @@ class SparseRank:
         """Insert a column; True iff the rank increased."""
         if self.p:
             return self._add_mod_p(col)
-        v = self._clear_denominators(col)
+        v = {k: x for k, x in col.items() if x}
         pivots = self.pivots
         while v:
             j = min(v)

@@ -15,7 +15,8 @@ this makes both the arrow set and the representatives deterministic.  The
 extended quiver itself is an invariant of T(A); the relation ideal extracted
 by `relations_up_to` may depend on these choices.  That extraction walks the
 extended path algebra by length slices with `algebra.quotient_slices`, the
-walk that also builds kQ/I.
+walk that also builds kQ/I, and takes the kernel of the evaluation on each
+slice with one `row_reduce` over the whole layer, read block by block.
 """
 
 from __future__ import annotations
@@ -210,12 +211,19 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
 
 
 def _slice_kernel(field, layer, values):
-    """Basis of the kernel of the evaluation map on one length slice,
-    where `values[k]` is the element of T(A) that path `layer[k]` evaluates
-    to, computed per Peirce block so every kernel vector is a combination of
-    parallel paths."""
-    blocks: dict[tuple, list[int]] = {}
-    for k, p in enumerate(layer):
-        blocks.setdefault((p.start, p.end), []).append(k)
-    return [vec for key in sorted(blocks) for vec in row_reduce(
-        field, {k: values[k] for k in blocks[key]})]
+    """Reduced echelon basis of the kernel of the evaluation map on one
+    length slice, where `values[k]` is the element of T(A) that path
+    `layer[k]` evaluates to, in block order: by the endpoints of each
+    row's pivot path, then by pivot.
+
+    Paths with different endpoints (s, t) evaluate into the Peirce block
+    e_t T e_s, on coordinates disjoint from every other block's, so the
+    map is block diagonal and its kernel is the direct sum of the block
+    kernels.  The reduced echelon basis of a direct sum on disjoint
+    coordinates is the union of the blocks' bases, as for the socle pivots
+    in `trivial_extension`: every kernel vector is a combination of
+    parallel paths.  One elimination over the whole layer gives them all.
+    """
+    kernel = row_reduce(field, dict(enumerate(values)))
+    return [row for _k, row in sorted(zip(kernel.pivots, kernel.rows), key=lambda kr: (
+        layer[kr[0]].start, layer[kr[0]].end, kr[0]))]

@@ -1,10 +1,12 @@
 """Routines the package no longer needs, kept for tests as references."""
 
-from trivext.algebra import (AlgebraBuildError, ArrowRep, SelfinjectivityCertificate,
-                             SelfinjectivityRefusal, SocleData, radical_chain,
-                             socles, span_products)
+from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
+                             SelfinjectivityCertificate, SelfinjectivityRefusal,
+                             SocleData, ideal_slice, radical_chain, socles,
+                             span_products)
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
-from trivext.linalg import QQ, Echelon, SparseRank, row_reduce
+from trivext.linalg import QQ, Echelon, row_reduce
+from trivext.quiver import path_layer
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -52,10 +54,7 @@ class ExactMatrix:
         return all(not c for c in self.cols)
 
     def rank(self) -> int:
-        eng = SparseRank(self.field.p)
-        for col in self.cols:
-            eng.add(col)
-        return eng.rank
+        return Echelon(self.field, self.nrows, self.cols).rank
 
 
 def apply_column(m, col: dict) -> dict:
@@ -166,7 +165,7 @@ def annihilator_on(X, columns, left=True, right=True) -> Echelon:
     return Echelon(f, d, row_reduce(f, {
         k: {off * d + r: x for off, (a, side) in enumerate(blocks)
             for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
-        for k in columns}))
+        for k in columns}).rows)
 
 
 def socles_by_blocks(X) -> SocleData:
@@ -354,3 +353,64 @@ def phi(tri, path) -> dict:
         el = T.basis_element(by_name[a.name].basis_index)
         out = el if out is None else T.multiply(el, out)
     return out
+
+
+def slice_kernel_by_blocks(field, layer, values) -> list:
+    """The former `_slice_kernel`: one kernel per Peirce block of the
+    layer, blocks in the order of their (start, end) vertex names, each
+    block's reduced echelon rows in pivot order."""
+    blocks: dict = {}
+    for k, p in enumerate(layer):
+        blocks.setdefault((p.start, p.end), []).append(k)
+    return [row for key in sorted(blocks)
+            for row in row_reduce(field, {k: values[k] for k in blocks[key]}).rows]
+
+
+def bounded_by_pieces(pres):
+    """The former `_build_bounded`: the ideal as the sum of the pieces J_l,
+    J_0 spanned by the relations and J_l by the pushes of the rows of
+    J_{l-1} through every arrow map, each piece echelonized on its own
+    and then added, row by row, to the sum.  Returns (order, rows) or
+    raises AdmissibilityError, as `_build_bounded` does."""
+    q, f, N = pres.quiver, pres.field, pres.nilpotency_bound
+    order, layers = [], []
+    maps = [({}, {}) for _ in q.arrows]
+    for w in range(N + 1):
+        paths, steps = path_layer(q, layers, w)
+        for (v, right, left), (jr, jl) in zip(steps, maps):
+            start = len(order) - len(layers[v])
+            jr.update((start + k, len(order) + i) for k, i in right.items())
+            jl.update((start + k, len(order) + i) for k, i in left.items())
+        layers.append(paths)
+        order.extend(paths)
+    path_index = {p.label(): k for k, p in enumerate(order)}
+    piece = Echelon(f, len(order), (
+        {path_index[t.label()]: c for c, t in rel.terms if t.length <= N}
+        for rel in pres.relations))
+    ech = Echelon(f, len(order))
+    while piece.rank:
+        for row in piece.rows:
+            ech.add(row)
+        piece = ideal_slice(f, len(order), [(piece, jr, jl) for jr, jl in maps])
+    if any(order[k].length >= N for k in ech.free_columns()):
+        raise AdmissibilityError(f"nilpotency bound {N} is too small")
+    return order, dict(zip(ech.pivots, ech.rows))
+
+
+def commutator_rank_by_fractions(B) -> int:
+    """The former `commutator_rank`: the commutator columns b_i b_j - b_j b_i
+    in field arithmetic, ranked on an Echelon (`SparseRank` now takes
+    integer columns only)."""
+    f, T = B.field, B.table
+    ech = Echelon(f, B.dim)
+    for i in range(B.dim):
+        for j in range(B.dim):
+            col = dict(T[i][j])
+            for k, v in T[j][i].items():
+                w = f.add(col.get(k, f.zero()), f.neg(v))
+                if w:
+                    col[k] = w
+                else:
+                    col.pop(k, None)
+            ech.add(col)
+    return ech.rank

@@ -149,7 +149,7 @@ def test_selfinjectivity_certificate_soundness(algebras):
         soc = socles(A)
         for i, j in enumerate(cert.permutation):
             assert soc.right[j].rank == 1
-            vec = soc.right[j].basis()[0]
+            vec = soc.right[j].rows[0]
             for rep in A.arrows:
                 assert A.multiply(vec, A.basis_element(rep.basis_index)) == {}
             # simple type S_i: supported in the Peirce block e_j A e_i

@@ -1,8 +1,9 @@
 """The weight-slice builder against a reference that enumerates every
 product p * rho * q of a relation rho with paths p and q.
 
-The builders step each ideal slice from the echelon rows of the earlier
-slices (`quotient_slices`, `ideal_slice`) over path layers grown by
+The homogeneous builder steps each ideal slice from the echelon rows of
+the earlier slices (`quotient_slices`, `ideal_slice`), and the bounded
+builder closes its ideal on one echelon, both over path layers grown by
 `path_layer`; the reference below is the former construction and spans
 the same subspaces, so the coordinate paths and the reduced echelon rows
 must agree.  The reference also computes its own basis, degrees and
@@ -20,6 +21,8 @@ from trivext import algebra
 from trivext.algebra import AdmissibilityError, Echelon, build_algebra
 from trivext.dsl import parse_presentation
 from trivext.quiver import Arrow, Path, Quiver, compose, enumerate_paths
+
+from reference import bounded_by_pieces
 
 # -- the reference construction ---------------------------------------------
 
@@ -313,6 +316,34 @@ def test_seeded_bounded_presentations_match_reference():
                                    bound=rng.randint(2, 5))
         built += assert_matches_reference(pres) is not AdmissibilityError
     assert built >= 2
+
+
+def test_bounded_closure_matches_piecewise_sum():
+    # _build_bounded closes its ideal on one Echelon, pushing only the
+    # vectors that enlarged it; the former builder summed the pieces J_l.
+    # Both span the least subspace holding the relations and closed under
+    # the arrow maps, so the coordinate paths and rows agree, and so does
+    # a rejected bound.  (A closure pushed through the right maps only
+    # fails here.)
+    rng = random.Random(37)
+    presentations = [parse_presentation(text + f"nilpotency_bound {bound}\n")
+                     for text in BOUNDED for bound in (2, 3, 4, 5)]
+    presentations += [random_presentation(rng, False, rng.choice(
+        ["field Q", "field F 3", "field F 5"]), bound=rng.randint(2, 5))
+        for _ in range(24)]
+    built = 0
+    for pres in presentations:
+        try:
+            order, rows = bounded_by_pieces(pres)
+        except AdmissibilityError:
+            with pytest.raises(AdmissibilityError):
+                algebra._build_bounded(pres)
+            continue
+        got_order, got_rows = algebra._build_bounded(pres)
+        assert [p.label() for p in got_order] == [p.label() for p in order]
+        assert got_rows == rows
+        built += 1
+    assert built >= 20, built
 
 
 def test_too_small_bound_rejected_by_both():

@@ -97,6 +97,15 @@ def test_arrow_named_as_a_stationary_path_exits_2(capsys, tmp_path, text, vertex
         f"path at vertex '{vertex}' (line 2)\n")
 
 
+def test_second_nilpotency_bound_exits_2(capsys, tmp_path):
+    f = tmp_path / "bounds.quiver"
+    f.write_text("field Q\nvertices v\narrow x : v -> v\nrelation x*x - x*x*x\n"
+                 "nilpotency_bound 4\nnilpotency_bound 9\n")
+    for argv in (["info", str(f)], ["verdict", str(f), "--extend"]):
+        assert run(capsys, *argv) == (
+            2, "", "error: nilpotency_bound declared twice (line 6)\n"), argv
+
+
 def test_fp_denominator_divisible_by_p_exits_2(capsys, tmp_path):
     f = tmp_path / "den.quiver"
     f.write_text("field F 5\nvertices v\narrow x : v -> v\nrelation 1/5*x*x\n")

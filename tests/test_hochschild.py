@@ -11,11 +11,11 @@ from trivext import hochschild
 from trivext.algebra import FDAlgebra, build_algebra
 from trivext.dsl import parse_presentation
 from trivext.hochschild import chain_module, commutator_rank, hh_dims
-from trivext.linalg import QQ, SparseRank, row_reduce
+from trivext.linalg import QQ, Echelon, row_reduce
 from trivext.trivial_extension import trivial_extension
 
 from reference import (DimensionCapExceeded, ExactMatrix, boundary_matrix,
-                       boundary_squares_to_zero)
+                       boundary_squares_to_zero, commutator_rank_by_fractions)
 
 
 def build(text, **kw):
@@ -37,7 +37,7 @@ def periodic_resolution_hh_dual_numbers(n_max):
     A = build(DUAL)
     # multiplication by 2x in the basis (e, x): e -> 2x, x -> 0
     m2x = ExactMatrix.from_rows([[0, 0], [2, 0]], QQ)
-    ker_2x = len(row_reduce(QQ, m2x.images()))  # = 1
+    ker_2x = row_reduce(QQ, m2x.images()).rank  # = 1
     rank_2x = 2 - ker_2x                         # = 1
     dims = []
     for n in range(n_max + 1):
@@ -137,7 +137,7 @@ def _brute_force_full_b2_image(A):
                 # - a0 x (a1 a2): first factor fixed, second varies
                 for k, c in A.table[a1][a2].items():
                     key = a0 * d + k
-                    v = f.sub(out.get(key, f.zero()), c)
+                    v = f.add(out.get(key, f.zero()), f.neg(c))
                     if v:
                         out[key] = v
                     else:
@@ -155,11 +155,7 @@ def test_boundary_b2_full_dual_numbers_rank():
     m = boundary_matrix(A, 2, "full")
     assert (m.nrows, m.ncols) == (4, 8)
     assert m.rank() == 3
-    from trivext.linalg import SparseRank
-    eng = SparseRank(0)
-    for vec in _brute_force_full_b2_image(A):
-        eng.add(vec)
-    assert eng.rank == 3
+    assert Echelon(QQ, A.dim ** 3, _brute_force_full_b2_image(A)).rank == 3
     # the normalized complex collapses the same boundary to rank 1
     assert boundary_matrix(A, 2, "normalized").rank() == 1
 
@@ -265,7 +261,7 @@ class KNormalizedBar:
         if c:
             for k in self.B.idempotent_indices:
                 if k != self.unit_pivot:
-                    v = f.sub(out.get(k, f.zero()), c)
+                    v = f.add(out.get(k, f.zero()), f.neg(c))
                     if v:
                         out[k] = v
                     else:
@@ -317,11 +313,7 @@ def k_normalized_hh(B, n_max):
     ref = KNormalizedBar(B)
     ranks = {0: 0}
     for n in range(1, n_max + 2):
-        eng = SparseRank(B.field.characteristic)
-        for col in ref.columns(n):
-            if col:
-                eng.add(col)
-        ranks[n] = eng.rank
+        ranks[n] = Echelon(B.field, ref.chain_dim(n - 1), ref.columns(n)).rank
     return [(n, ref.chain_dim(n) - ranks[n] - ranks[n + 1])
             for n in range(n_max + 1)]
 
@@ -392,6 +384,9 @@ def test_e_relative_matches_k_normalized_and_full(field):
 
 HALF_SQUARE = ("field Q\nvertices 1 2 3 4\narrow c0 : 1 -> 2\narrow c1 : 2 -> 4\n"
                "arrow d0 : 1 -> 3\narrow d1 : 3 -> 4\nrelation c1*c0 - 1/2*d1*d0\n")
+# a quantum plane y x = 3/2 x y
+QUANTUM_PLANE = ("field Q\nvertices v\narrow x : v -> v\narrow y : v -> v\n"
+                 "relation x*x\nrelation y*y\nrelation y*x - 3/2*x*y\n")
 
 
 def test_e_relative_clears_denominators():
@@ -407,13 +402,26 @@ def test_e_relative_clears_denominators():
         Ap = build(HALF_SQUARE.replace("field Q", f"field F {p}"))
         assert hh_dims(Ap, 2).dims == k_normalized_hh(Ap, 2)
     # a quantum plane y x = 3/2 x y: dropping the 3/2 changes its homology
-    Q = build("field Q\nvertices v\narrow x : v -> v\narrow y : v -> v\n"
-              "relation x*x\nrelation y*y\nrelation y*x - 3/2*x*y\n")
+    Q = build(QUANTUM_PLANE)
     assert Fraction(3, 2) in {c for row in Q.table for prod in row
                               for c in prod.values()}
     assert hh_dims(Q, 3).dims == k_normalized_hh(Q, 3) == [(0, 3), (1, 2), (2, 2), (3, 2)]
     T = trivial_extension(Q).T
     assert hh_dims(T, 2).dims == k_normalized_hh(T, 2) == [(0, 5), (1, 6), (2, 6)]
+
+
+def test_commutator_rank_matches_fraction_columns(algebras, extensions):
+    # commutator_rank reads integer columns off the table that
+    # integer_tables scaled by the lcm of its denominators; the former
+    # routine subtracted Fraction entries.  Columns left unscaled, with
+    # their fractions truncated, fail here on the quantum plane and its
+    # T(A).
+    algs = list(algebras.values()) + [tri.T for tri in extensions.values()]
+    for text in (HALF_SQUARE, QUANTUM_PLANE):
+        A = build(text)
+        algs += [A, trivial_extension(A).T]
+    for B in algs:
+        assert commutator_rank(B) == commutator_rank_by_fractions(B), B
 
 
 def test_e_relative_shrinks_multi_vertex_chains(extensions):

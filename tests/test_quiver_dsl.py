@@ -63,6 +63,19 @@ def test_parse_errors_carry_positions():
         parse_presentation("field Q\nvertices v\nfrobnicate 3\n")
 
 
+@pytest.mark.parametrize("second", ["6", "2"])
+def test_second_declaration_is_a_parse_error(second):
+    # a later line would otherwise override the first, and a verdict
+    # conditional on the bound would rest on a bound the file never meant
+    base = "field Q\nvertices v\narrow x : v -> v\nrelation x*x - x*x*x\n"
+    with pytest.raises(DSLError) as err:
+        parse_presentation(base + f"nilpotency_bound 4\nnilpotency_bound {second}\n")
+    assert str(err.value) == "nilpotency_bound declared twice (line 6)"
+    with pytest.raises(DSLError) as err:
+        parse_presentation("field Q\n" + base)
+    assert str(err.value) == "field declared twice (line 2)"
+
+
 def test_zero_arrow_degree_is_a_parse_error():
     with pytest.raises(DSLError) as err:
         parse_presentation("field Q\nvertices v\narrow x : v -> v deg 0\n")

@@ -17,7 +17,8 @@ from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        extended_quiver, relations_up_to,
                                        trivial_extension)
 
-from reference import extension_table_by_scan, new_arrows_by_block_scan, phi
+from reference import (extension_table_by_scan, new_arrows_by_block_scan, phi,
+                       slice_kernel_by_blocks)
 from test_builder import random_presentation
 
 
@@ -118,7 +119,7 @@ def test_new_arrow_images_form_socle_dual_basis(extensions):
     # echelon pivots, so restriction to the socle gives a unit triangular
     # family
     for name, tri in extensions.items():
-        soc = socles(tri.base).bimodule.basis()
+        soc = socles(tri.base).bimodule.rows
         assert len(tri.new_arrows) == len(soc), name
         if soc:
             cols = [[row.get(tri.dual_index(na.basis_index), 0) for row in soc]
@@ -325,6 +326,47 @@ def test_relations_match_product_enumeration_longer(name):
         assert_relations_match_enumeration(tri, cap, name)
 
 
+def seeded_extensions(rng, count):
+    """`count` seeded T(A) of dimension at most 24, over Q, F_3 and F_5 in
+    turn."""
+    fields, out = ["field Q", "field F 3", "field F 5"], []
+    while len(out) < count:
+        pres = random_presentation(rng, rng.random() < 0.5, fields[len(out) % 3],
+                                   bound=rng.choice([None, None, 3]))
+        try:
+            tri = trivial_extension(build_algebra(pres, max_weight=8))
+        except (AlgebraBuildError, PathBudgetExceeded):
+            continue
+        if tri.T.dim <= 24:
+            out.append(tri)
+    return out
+
+
+def test_slice_kernel_matches_per_block_kernels(extensions, monkeypatch):
+    # one elimination over the whole layer, read in block order, gives the
+    # former per-block kernels on every length 2..loewy_length(T), for the
+    # corpus and for seeded T(A) over Q, F_3 and F_5.  Layers whose block
+    # order is not the pivot order occur, so reading the rows in pivot
+    # order fails here.
+    layers = reordered = 0
+
+    def spy(field, layer, values):
+        nonlocal layers, reordered
+        got = _slice_kernel(field, layer, values)
+        assert got == slice_kernel_by_blocks(field, layer, values), layer
+        layers += 1
+        reordered += [min(v) for v in got] != sorted(min(v) for v in got)
+        return got
+
+    monkeypatch.setattr(trivial_extension_module, "_slice_kernel", spy)
+    tris = list(extensions.values()) + seeded_extensions(random.Random(1507), 24)
+    for tri in tris:
+        calls = layers
+        relations_up_to(tri)
+        assert layers - calls == loewy_length(tri.T) - 1, tri.T
+    assert reordered >= 20, reordered
+
+
 def test_path_values_match_arrow_by_arrow_evaluation(extensions, monkeypatch):
     # relations_up_to evaluates each path p*a as the value of p, kept from
     # the layer below, times a; every length 2..loewy_length(T) it hands
@@ -339,18 +381,7 @@ def test_path_values_match_arrow_by_arrow_evaluation(extensions, monkeypatch):
     monkeypatch.setattr(trivial_extension_module, "_slice_kernel", spy)
     tris = list(extensions.values()) + [
         trivial_extension(extensions[name].T) for name in ("dual_numbers", "path_a2")]
-    rng, fields = random.Random(20151027), ["field Q", "field F 3", "field F 5"]
-    seeded = 0
-    while seeded < 24:
-        pres = random_presentation(rng, rng.random() < 0.5, fields[seeded % 3],
-                                   bound=rng.choice([None, None, 3]))
-        try:
-            tri = trivial_extension(build_algebra(pres, max_weight=8))
-        except (AlgebraBuildError, PathBudgetExceeded):
-            continue
-        if tri.T.dim <= 24:
-            tris.append(tri)
-            seeded += 1
+    tris += seeded_extensions(random.Random(20151027), 24)
     products = 0
     for tri in tris:
         seen.clear()
