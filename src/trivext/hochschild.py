@@ -24,16 +24,28 @@ basis elements and share the boundary
 * `"full"` is the unnormalized bar complex B (x) B^{(x) n} over k, with
   d^(n+1) tuples; it is kept as a cross-check oracle.
 
-Ranks of the boundary matrices are computed exactly and incrementally by
-`SparseRank`, which takes integer columns.  Over Q the structure
-constants are scaled once, in `_BarData.integer_tables`, by the lcm L of
-their denominators: every boundary term holds exactly one product, so the
-boundary is scaled by L and keeps its rank.  `commutator_rank` reads its
-columns off the same scaled table.  Over F_p the residues are integers
-already.  Row keys number the degree-(n-1) tuples in decreasing
-lexicographic order, so the pivot `SparseRank` takes, at the smallest
-key, is the largest tuple: the term of face 0 or of the wrap face, whose
-merged first factor is the longer path.
+Ranks are computed exactly and incrementally by `SparseRank`, which
+takes integer columns.  Over Q the structure constants are scaled once, in
+`_BarData.integer_tables`, by the lcm L of their denominators: every
+boundary term holds exactly one product, so the boundary is scaled by L
+and keeps its rank.  `commutator_rank` reads its columns off the same
+scaled table.  Over F_p the residues are integers already.  Row keys
+number tuples in decreasing lexicographic order, so the pivot `SparseRank`
+takes, at the smallest key, is the largest tuple.
+
+`hh_dims` ranks each boundary b_n as its coboundary delta_n = b_n^T :
+C_{n-1} -> C_n, whose columns `_BarData.coboundaries` reads off the
+inverted table `_BarData.cofaces`.  It goes up in n and clears as it goes
+(Chen-Kerber's twist, in the cohomology form of de Silva, Morozov and
+Vejdemo-Johansson): delta_{n+1} skips the columns at the pivot rows of
+the reduced delta_n.  This keeps the rank.  A reduced column R lies in
+im delta_n with pivot its largest tuple i, so R = c e_i + (smaller tuples),
+c != 0; as delta_{n+1} R = 0, delta_{n+1}(e_i) lies in the span of the
+columns of smaller tuples, and by induction over the pivots in the span
+of the columns of non-pivot tuples.  So delta_n eliminates only dim
+C_{n-1} - rank b_{n-1} columns, of which all but dim HH_{n-1} enlarge it,
+and `hh_dims(B, N)` never enumerates C_{N+1}, whose tuples are only row
+keys of delta_{N+1}.
 Columns whose tuples have different total degree (for a graded algebra)
 have disjoint row support, so elimination never mixes degree blocks.
 """
@@ -163,46 +175,57 @@ class _BarData:
         wrap = [table[k] for k in slots]
         return scale, first, mid, wrap
 
-    def columns(self, n: int):
-        """Yield the boundary column of every degree-n tuple, in the order
-        of `tuples`, with the integer entries of `integer_tables` (zeros
-        not dropped) keyed by minus the mixed-radix number of degree-(n-1)
-        tuples: (b_0, s_1, ..., s_m) has the digits b_0, s_1, ..., s_m in base
-        `dbar`, increasing in lexicographic order."""
-        _scale, first, mid, wrap = self.integer_tables
-        place = [self.dbar ** (n - 1 - i) for i in range(n)]  # of slot i in C_{n-1}
-        top = place[0]
+    @cached_property
+    def cofaces(self):
+        """`integer_tables` inverted: for each of first, mid and wrap, and
+        each basis element or slot k, the (j, l, c) with c * k in [j][l]."""
+        inv = [[[] for _ in range(size)] for size in (self.d, self.dbar, self.d)]
+        for table, out in zip(self.integer_tables[1:], inv):
+            for j, row in enumerate(table):
+                for l, prod in enumerate(row):
+                    for k, c in prod:
+                        out[k].append((j, l, c))
+        return inv
 
-        def shifted(table, shift, sign):
-            return [[[(-k * shift, sign * c) for k, c in prod] for prod in row]
-                    for row in table]
+    def coboundaries(self, n: int, cleared):
+        """Yield the column delta_n(u) of every degree-(n-1) tuple u whose
+        row key is not in `cleared`, in the order of `tuples`: the integer
+        coefficient of u in the boundary of each degree-n tuple (zeros not
+        dropped).  A tuple (b_0, s_1, ..., s_m) has the row key minus the
+        number with digits b_0, s_1, ..., s_m in base `dbar`."""
+        first, mid, wrap = self.cofaces
+        P = self.dbar
+        place = [P ** (n - 1 - i) for i in range(n)]  # of entry i of u
+        top = P * place[0]                            # of b_0 in C_n
 
-        first = shifted(first, top, 1)
-        # mid[i][s][t]: face i, merging slots i and i + 1 into slot i
-        mid = [None] + [shifted(mid, place[i], (-1) ** i) for i in range(1, n)]
-        wrap = shifted(wrap, top, (-1) ** n)
-        for tup in self.tuples(n):
-            b0 = tup[0]
-            # head[i]: minus the key of b_0, s_1, ..., s_i in their own places
-            head = [-b0 * top]
-            for i in range(1, n):
-                head.append(head[-1] - tup[i] * place[i])
-            # tail[i]: minus the key of s_i, ..., s_n moved one place left
-            tail = [0] * (n + 2)
-            for i in range(n, 1, -1):
-                tail[i] = tail[i + 1] - tup[i] * place[i - 1]
+        def shifted(table, key, sign):
+            return [[(-key(j, l), sign * c) for j, l, c in cof] for cof in table]
+
+        first = shifted(first, lambda b0, s: b0 * top + s * place[0], 1)
+        # mid[i]: face i, u_i split into the entries i and i + 1 of the coface
+        mid = [None] + [shifted(mid, lambda s, t, i=i: s * place[i - 1] + t * place[i],
+                                (-1) ** i) for i in range(1, n)]
+        wrap = shifted(wrap, lambda s, b0: b0 * top + s, (-1) ** n)
+        for u in self.tuples(n - 1):
+            key = sum(x * p for x, p in zip(u, place))
+            if -key in cleared:
+                continue
+            # a coface keeps the entries of u before a face one place
+            # higher (times P) and those after it in their own places
+            rest = key - u[0] * place[0]
             col = {}
-            base = tail[2]
-            for k, c in first[b0][tup[1]]:
-                col[base + k] = c
+            for k, c in first[u[0]]:
+                col[k - rest] = c
+            head = 0
             for i in range(1, n):
-                base = head[i - 1] + tail[i + 2]
-                for k, c in mid[i][tup[i]][tup[i + 1]]:
-                    k += base
+                head += u[i - 1] * place[i - 1]
+                base = (P - 1) * head + key - u[i] * place[i]
+                for k, c in mid[i][u[i]]:
+                    k -= base
                     col[k] = col.get(k, 0) + c
-            base = head[n - 1] + b0 * top
-            for k, c in wrap[tup[n]][b0]:
-                k += base
+            base = P * rest
+            for k, c in wrap[u[0]]:
+                k -= base
                 col[k] = col.get(k, 0) + c
             yield col
 
@@ -212,34 +235,38 @@ def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModu
     return ChainModuleDescriptor(degree=n, dimension=data.chain_dim(n), variant=variant)
 
 
-def _boundary_rank(data: _BarData, n: int) -> int:
+def _coboundary_rank(data: _BarData, n: int, cleared: set) -> tuple[int, set]:
+    """rank delta_n and the row keys of its pivots, from the columns of the
+    degree-(n-1) tuples outside `cleared`, the pivot rows of delta_{n-1}."""
     eng = SparseRank(data.B.field.characteristic)
-    for col in data.columns(n):
+    for col in data.coboundaries(n, cleared):
         if col:
             eng.add(col)
-    return eng.rank
+    return eng.rank, set(eng.pivots)
 
 
 def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
             cap: int = DEFAULT_TUPLE_CAP) -> HHReport:
     """dim HH_n for 0 <= n <= n_max.
 
-    dim HH_n = dim C_n - rank b_n - rank b_{n+1}, with b_0 = 0.  If a chain module
-    overflows the tuple cap the report is truncated at the last degree
-    whose two boundary ranks both fit.
+    dim HH_n = dim C_n - rank b_n - rank b_{n+1}, with b_0 = 0, each rank
+    taken on the cleared coboundary.  If a chain module overflows the tuple
+    cap the report is truncated at the last degree whose two ranks both fit.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     data = _BarData(B, variant)
     ranks: dict[int, int] = {}
     truncated_at = None
+    cleared: set = set()
     for n in range(1, n_max + 2):
         size = data.chain_dim(n)
         if size > cap:
             truncated_at = n
             break
-        # b_n has no columns on an empty chain module
-        ranks[n] = _boundary_rank(data, n) if size else 0
+        # delta_n is zero when C_n or C_(n-1) is empty, and clears nothing
+        ranks[n], cleared = (_coboundary_rank(data, n, cleared)
+                             if size and data.chain_dim(n - 1) else (0, set()))
     dims = []
     for n in range(0, n_max + 1):
         if n + 1 not in ranks:

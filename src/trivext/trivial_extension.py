@@ -156,10 +156,11 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     spanned by a * I_{l-1} and I_{l-1} * a over the arrows a, and the path
     layers have at most PATH_BUDGET paths.  For each length l <= cap and
     each Peirce block, a basis of the kernel of the evaluation on length-l
-    paths is then reduced modulo I_l; the vectors that enlarge it become
-    generators and join I_l.  The value in T(A) of each path p*a ("a
-    first") of a layer is the value v of p, kept from the layer below,
-    times a, read off the table as sum_l v_l T[l][a]: one product per path.
+    paths is then reduced modulo I_l, until I_l has the kernel's rank; the
+    vectors that enlarge it become generators and join I_l.  The value in
+    T(A) of each path p*a ("a first") of a layer is the value v of p, kept
+    from the layer below, times a, read off the table as sum_l v_l T[l][a]:
+    one product per path.
     The returned record also reports the dimension of the quotient by the
     generated ideal: if it equals dim T(A) the generator set presents the
     algebra.  The walk ends at the first slice lying wholly in the ideal;
@@ -194,8 +195,10 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
                         values[i] = T._combine((c, table[l][rep.basis_index])
                                                for l, c in below[k].items())
             if 2 <= length <= cap:
-                for vec in _slice_kernel(f, layer, values):
-                    if ideal.add(vec):
+                kernel = _slice_kernel(f, layer, values)
+                for vec in kernel:
+                    # I_l lies in the kernel, so at equal rank they are equal
+                    if ideal.rank < len(kernel) and ideal.add(vec):
                         gens.append(RelationExpr(tuple((vec[k], layer[k])
                                                        for k in sorted(vec))))
             quotient_dim += len(layer) - ideal.rank

@@ -2,11 +2,13 @@
 
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              SelfinjectivityCertificate, SelfinjectivityRefusal,
-                             SocleData, ideal_slice, radical_chain, socles,
-                             span_products)
+                             SocleData, ideal_slice, loewy_length, quotient_slices,
+                             radical_chain, socles, span_products)
+from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
-from trivext.linalg import QQ, Echelon, row_reduce
-from trivext.quiver import path_layer
+from trivext.linalg import QQ, Echelon, SparseRank, row_reduce
+from trivext.quiver import PathBudgetExceeded, path_layer
+from trivext.trivial_extension import RelationSet, _slice_kernel, extended_quiver
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -75,11 +77,74 @@ def apply_column(m, col: dict) -> dict:
 def key(data, tup) -> int:
     """Mixed-radix number of a tuple (b_0, s_1, ..., s_m) of `data`, a
     `_BarData`: increasing in lexicographic order, and the negated row key
-    of `_BarData.columns`."""
+    of `boundary_columns` and of `_BarData.coboundaries`."""
     out = tup[0]
     for s in tup[1:]:
         out = out * data.dbar + s
     return out
+
+
+def boundary_columns(data, n: int):
+    """The former `_BarData.columns`: yield the boundary column of every
+    degree-n tuple of `data`, in the order of `tuples`, with the integer
+    entries of `integer_tables` (zeros not dropped) keyed by minus the
+    mixed-radix number of degree-(n-1) tuples (see `key`)."""
+    _scale, first, mid, wrap = data.integer_tables
+    place = [data.dbar ** (n - 1 - i) for i in range(n)]  # of slot i in C_{n-1}
+    top = place[0]
+
+    def shifted(table, shift, sign):
+        return [[[(-k * shift, sign * c) for k, c in prod] for prod in row]
+                for row in table]
+
+    first = shifted(first, top, 1)
+    # mid[i][s][t]: face i, merging slots i and i + 1 into slot i
+    mid = [None] + [shifted(mid, place[i], (-1) ** i) for i in range(1, n)]
+    wrap = shifted(wrap, top, (-1) ** n)
+    for tup in data.tuples(n):
+        b0 = tup[0]
+        # head[i]: minus the key of b_0, s_1, ..., s_i in their own places
+        head = [-b0 * top]
+        for i in range(1, n):
+            head.append(head[-1] - tup[i] * place[i])
+        # tail[i]: minus the key of s_i, ..., s_n moved one place left
+        tail = [0] * (n + 2)
+        for i in range(n, 1, -1):
+            tail[i] = tail[i + 1] - tup[i] * place[i - 1]
+        col = {}
+        base = tail[2]
+        for k, c in first[b0][tup[1]]:
+            col[base + k] = c
+        for i in range(1, n):
+            base = head[i - 1] + tail[i + 2]
+            for k, c in mid[i][tup[i]][tup[i + 1]]:
+                k += base
+                col[k] = col.get(k, 0) + c
+        base = head[n - 1] + b0 * top
+        for k, c in wrap[tup[n]][b0]:
+            k += base
+            col[k] = col.get(k, 0) + c
+        yield col
+
+
+def boundary_rank(data, n: int) -> int:
+    """The former `_boundary_rank`: rank b_n from every boundary column."""
+    eng = SparseRank(data.B.field.characteristic)
+    for col in boundary_columns(data, n):
+        if col:
+            eng.add(col)
+    return eng.rank
+
+
+def boundary_hh_dims(B, n_max: int, variant: str = "normalized") -> list:
+    """The former `hh_dims` without a cap: (n, dim HH_n) for 0 <= n <= n_max
+    from the ranks of the boundaries b_1..b_{n_max+1}."""
+    data = _BarData(B, variant)
+    ranks = {0: 0}
+    for n in range(1, n_max + 2):
+        ranks[n] = boundary_rank(data, n) if data.chain_dim(n) else 0
+    return [(n, data.chain_dim(n) - ranks[n] - ranks[n + 1])
+            for n in range(n_max + 1)]
 
 
 def boundary_matrix(B, n: int, variant: str = "normalized",
@@ -97,7 +162,7 @@ def boundary_matrix(B, n: int, variant: str = "normalized",
     row_of = {-key(data, t): r for r, t in enumerate(data.tuples(n - 1))}
     scale = data.integer_tables[0]
     m = ExactMatrix(data.chain_dim(n - 1), data.chain_dim(n), f)
-    for idx, col in enumerate(data.columns(n)):
+    for idx, col in enumerate(boundary_columns(data, n)):
         col = {row_of[k]: f.coerce((c, scale)) for k, c in col.items()}
         m.cols[idx] = {r: c for r, c in col.items() if c}
     return m
@@ -414,3 +479,37 @@ def commutator_rank_by_fractions(B) -> int:
                     col.pop(k, None)
             ech.add(col)
     return ech.rank
+
+
+def relations_adding_every_kernel_vector(tri, cap=None):
+    """The former `relations_up_to`: every vector of each slice kernel is
+    added to the ideal slice, also once the slice has the kernel's rank."""
+    ll = loewy_length(tri.T)
+    if cap is None:
+        cap = ll
+    T = tri.T
+    f, table = T.field, T.table
+    values: list = []
+    gens: list = []
+    quotient_dim = 0
+    try:
+        for length, layer, steps, ideal in quotient_slices(
+                extended_quiver(tri), f, 1, max(cap, 3 * ll + 3), by_length=True):
+            if length == 0:
+                values = [T.idempotent(v) for v in range(len(layer))]
+            elif length <= cap:
+                below, values = values, [None] * len(layer)
+                for rep, (_, right, _) in zip(T.arrows, steps):
+                    for k, i in right.items():
+                        values[i] = T._combine((c, table[l][rep.basis_index])
+                                               for l, c in below[k].items())
+            if 2 <= length <= cap:
+                for vec in _slice_kernel(f, layer, values):
+                    if ideal.add(vec):
+                        gens.append(RelationExpr(tuple((vec[k], layer[k])
+                                                       for k in sorted(vec))))
+            quotient_dim += len(layer) - ideal.rank
+    except (AdmissibilityError, PathBudgetExceeded):
+        return RelationSet(generators=gens, cap=cap, quotient_dim=None, complete=False)
+    return RelationSet(generators=gens, cap=cap, quotient_dim=quotient_dim,
+                       complete=(quotient_dim == T.dim))

@@ -10,12 +10,13 @@ import pytest
 from trivext import hochschild
 from trivext.algebra import FDAlgebra, build_algebra
 from trivext.dsl import parse_presentation
-from trivext.hochschild import chain_module, commutator_rank, hh_dims
-from trivext.linalg import QQ, Echelon, row_reduce
+from trivext.hochschild import _BarData, chain_module, commutator_rank, hh_dims
+from trivext.linalg import QQ, Echelon, SparseRank, row_reduce
 from trivext.trivial_extension import trivial_extension
 
-from reference import (DimensionCapExceeded, ExactMatrix, boundary_matrix,
-                       boundary_squares_to_zero, commutator_rank_by_fractions)
+from reference import (DimensionCapExceeded, ExactMatrix, boundary_hh_dims,
+                       boundary_matrix, boundary_rank, boundary_squares_to_zero,
+                       commutator_rank_by_fractions, key)
 
 
 def build(text, **kw):
@@ -66,16 +67,16 @@ def test_hh_ground_field():
 
 
 def test_hh_ranks_no_boundary_on_an_empty_chain_module(algebras, monkeypatch):
-    # semisimple k has C_n = 0 for every n >= 1, so b_1..b_51 all have
-    # rank 0 without any elimination
+    # semisimple k has C_n = 0 for every n >= 1, so delta_1..delta_51 all
+    # have rank 0 without any elimination
     calls = []
-    real = hochschild._boundary_rank
+    real = hochschild._coboundary_rank
 
-    def spy(data, n):
+    def spy(data, n, cleared):
         calls.append(n)
-        return real(data, n)
+        return real(data, n, cleared)
 
-    monkeypatch.setattr(hochschild, "_boundary_rank", spy)
+    monkeypatch.setattr(hochschild, "_coboundary_rank", spy)
     rep = hh_dims(algebras["semisimple_k"], 50)
     assert rep.dims == [(0, 1)] + [(n, 0) for n in range(1, 51)]
     assert calls == []
@@ -468,3 +469,128 @@ def test_corroborates_infinite_needs_only_the_top_degree(extensions):
     assert rep.corroborates_infinite() is True
     assert hh_dims(T, 2).corroborates_infinite() is False
     assert hh_dims(T, 4, cap=1000).corroborates_infinite() is None
+
+
+# -- coboundaries with clearing against the former boundary path ---------------
+
+
+def coboundary_matrix(B, n, variant):
+    """delta_n as an exact matrix: one row per degree-n tuple and one column
+    per degree-(n-1) tuple, both in the order of `_BarData.tuples`."""
+    data = _BarData(B, variant)
+    f, scale = B.field, data.integer_tables[0]
+    row_of = {-key(data, t): r for r, t in enumerate(data.tuples(n))}
+    m = ExactMatrix(data.chain_dim(n), data.chain_dim(n - 1), f)
+    for idx, col in enumerate(data.coboundaries(n, set())):
+        col = {row_of[k]: f.coerce((c, scale)) for k, c in col.items()}
+        m.cols[idx] = {r: c for r, c in col.items() if c}
+    return m
+
+
+def entries(m, transpose=False) -> dict:
+    return {((c, r) if transpose else (r, c)): x
+            for c, col in enumerate(m.cols) for r, x in col.items()}
+
+
+def reversed_basis(B):
+    """B on its basis in reverse order, so that the non-idempotent basis
+    elements come first and head the largest tuples."""
+    d = B.dim
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            table[d - 1 - i][d - 1 - j] = {d - 1 - k: c for k, c in B.table[i][j].items()}
+    return FDAlgebra(B.field, B.basis_labels[::-1], B.vertex_names,
+                     [d - 1 - k for k in B.idempotent_indices], B.peirce[::-1], table, [])
+
+
+def oracle_inputs(algebras, extensions):
+    """Every corpus A and T(A), also on the reversed basis, then seeded A
+    and T(A) on 2 or 3 vertices over Q, F_3 and F_5."""
+    out = list(algebras.values()) + [tri.T for tri in extensions.values()]
+    out += [reversed_basis(B) for B in out]
+    for field in ("field Q", "field F 3", "field F 5"):
+        rng = random.Random(f"coboundaries {field}")
+        for _ in range(8):
+            A = random_quiver_algebra(rng, field)
+            out += [A, trivial_extension(A).T]
+    return out
+
+
+def top_degree(B, variant, limit, n_max=6):
+    """The largest N <= n_max with dim C_1, ..., C_{N+1} <= limit; -1 if
+    dim C_1 > limit."""
+    data = _BarData(B, variant)
+    N = -1
+    while N < n_max and data.chain_dim(N + 2) <= limit:
+        N += 1
+    return N
+
+
+def test_coboundary_is_the_transposed_boundary(algebras, extensions):
+    # delta_n = b_n^T entry by entry, against the former boundary columns,
+    # and hh_dims with clearing equals the ranks of the former boundaries,
+    # in both variants.  A flipped sign on the wrap face fails the first
+    # check; clearing with the pivots of delta_{n-1} instead of delta_n
+    # fails the second, and so does keeping the pivots of delta_{n-1}
+    # across an empty chain module: nakayama_cycle_3 has C_4 = 0 < C_3, C_5,
+    # and on its reversed basis keys of C_3 and C_5 tuples meet.
+    compared = skipped_empty = 0
+    for B in oracle_inputs(algebras, extensions):
+        for variant in ("normalized", "full"):
+            for n in range(1, top_degree(B, variant, 600, n_max=3) + 2):
+                assert entries(coboundary_matrix(B, n, variant)) == \
+                    entries(boundary_matrix(B, n, variant), transpose=True), (B, n)
+            N = top_degree(B, variant, 6000)
+            if N < 0:
+                continue
+            assert hh_dims(B, N, variant, cap=6000).dims == \
+                boundary_hh_dims(B, N, variant), (B, variant)
+            data = _BarData(B, variant)
+            skipped_empty += any(data.chain_dim(n - 1) and not data.chain_dim(n)
+                                 and data.chain_dim(n + 1) for n in range(2, N))
+            compared += 1
+    assert compared >= 120 and skipped_empty >= 2, (compared, skipped_empty)
+
+
+def test_coboundary_work_counts(algebras, extensions, monkeypatch):
+    # Clearing leaves delta_n the dim C_{n-1} - rank b_{n-1} columns outside
+    # the pivot rows of delta_{n-1}: rank b_n of them enlarge SparseRank,
+    # and the other dim HH_{n-1} are adds that do not or empty columns that
+    # hh_dims skips.  No tuple of the top module C_{N+1} is enumerated.
+    cases = []
+    for B in oracle_inputs(algebras, extensions):
+        for variant in ("normalized", "full"):
+            N = top_degree(B, variant, 6000)
+            data = _BarData(B, variant)
+            # on an empty chain module hh_dims enumerates nothing at all
+            if N >= 0 and all(data.chain_dim(n) for n in range(N + 2)):
+                ranks = sum(boundary_rank(data, n) for n in range(1, N + 2))
+                cases.append((B, variant, N, ranks))
+    assert len(cases) >= 40, len(cases)
+    adds, yielded, degrees = [], [], []
+    real_add, real_tuples = SparseRank.add, _BarData.tuples
+    real_cob = _BarData.coboundaries
+
+    def add(self, col):
+        adds.append(real_add(self, col))
+        return adds[-1]
+
+    def tuples(self, n):
+        degrees.append(n)
+        return real_tuples(self, n)
+
+    def coboundaries(self, n, cleared):
+        for col in real_cob(self, n, cleared):
+            yielded.append(col)
+            yield col
+
+    monkeypatch.setattr(SparseRank, "add", add)
+    monkeypatch.setattr(_BarData, "tuples", tuples)
+    monkeypatch.setattr(_BarData, "coboundaries", coboundaries)
+    for B, variant, N, ranks in cases:
+        adds.clear(), yielded.clear(), degrees.clear()
+        dims = hh_dims(B, N, variant, cap=6000).dims
+        assert sum(adds) == ranks, (B, variant)
+        assert len(yielded) - sum(adds) == sum(d for _n, d in dims), (B, variant)
+        assert max(degrees) == N, (B, variant)

@@ -18,7 +18,7 @@ from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        trivial_extension)
 
 from reference import (extension_table_by_scan, new_arrows_by_block_scan, phi,
-                       slice_kernel_by_blocks)
+                       relations_adding_every_kernel_vector, slice_kernel_by_blocks)
 from test_builder import random_presentation
 
 
@@ -365,6 +365,31 @@ def test_slice_kernel_matches_per_block_kernels(extensions, monkeypatch):
         relations_up_to(tri)
         assert layers - calls == loewy_length(tri.T) - 1, tri.T
     assert reordered >= 20, reordered
+
+
+def test_relations_stop_adding_at_the_kernel_rank(extensions, monkeypatch):
+    # once the ideal slice has the kernel's rank the two are equal, and
+    # relations_up_to adds no further kernel vector; the generators, the
+    # quotient dimension and the completeness flag stay those of the
+    # former loop, which added every kernel vector
+    adds = 0
+    real = Echelon.add
+
+    def spy(self, vec):
+        nonlocal adds
+        adds += 1
+        return real(self, vec)
+
+    monkeypatch.setattr(Echelon, "add", spy)
+    tris = list(extensions.values()) + seeded_extensions(random.Random(1507), 24)
+    skipped = []
+    for tri in tris:
+        start = adds
+        want = relations_adding_every_kernel_vector(tri)  # derives loewy_length too
+        mid = adds
+        assert relations_up_to(tri) == want, tri.T
+        skipped.append((mid - start) - (adds - mid))
+    assert min(skipped) >= 0 and sum(skipped) >= 10_000, skipped
 
 
 def test_path_values_match_arrow_by_arrow_evaluation(extensions, monkeypatch):
