@@ -21,14 +21,17 @@ Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
 over the ground field; every subspace of an algebra, such as a radical
 power or a socle, is an `Echelon` on its basis coordinates.  One walk,
-`arrow_layers`, multiplies the idempotents by the arrows layer by layer;
-`FDAlgebra.validate` checks that the layers span A and then proves
-associativity from arrow triples, the radical powers are sums of layers,
-and the socles are three kernels, each the `Echelon` that `row_reduce`
-returns.  These results and selfinjectivity are derived once per algebra,
-on first use, and stored on the instance; every other structural reader
-(Loewy lengths, radical powers, the weak socle condition, T(A), the CLI
-summaries) reads those stored results.
+`arrow_layers`, multiplies the idempotents by the arrows layer by layer,
+and one elimination over its layers, deepest first (`layer_sums`), gives
+both their span and the radical powers.  `FDAlgebra.validate` checks that
+the layers span A and then proves associativity from arrow triples; T(A)
+instead has its table read against A's (`trivial_extension.
+validate_extension`), as A ⋉ DA is associative once A is.  The socles are
+three kernels, each the `Echelon` that `row_reduce` returns.  The layer
+sums, the radical chain, the socles and selfinjectivity are derived once
+per algebra, on first use, and stored on the instance; every other
+structural reader (Loewy lengths, radical powers, the weak socle
+condition, T(A), the CLI summaries) reads those stored results.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class FDAlgebra:
     basis element lies in a single Peirce block (src, tgt), and arrows are
     represented by basis elements.
 
-    An instance is immutable after construction: `arrow_layers`,
+    An instance is immutable after construction: `layer_sums`,
     `radical_chain`, `socles` and `selfinjectivity` are derived once and
     stored on it, so neither the table nor a returned `Echelon` may be
     changed.  Copies (`copy.copy`, `copy.deepcopy`) do not carry the stored
@@ -166,10 +169,9 @@ class FDAlgebra:
         return True
 
     def check_generation(self) -> bool:
-        """The idempotents and the arrows generate the algebra: the arrow
-        layers (see `arrow_layers`) span it."""
-        return Echelon(self.field, self.dim, (
-            v for layer in arrow_layers(self) for v in layer.rows)).rank == self.dim
+        """The idempotents and the arrows generate the algebra: the sum of
+        the arrow layers, the first of the `layer_sums`, is all of it."""
+        return layer_sums(self)[0].rank == self.dim
 
     def check_associativity(self) -> bool:
         """(x y) z == x (y z) for all x, y, z, proved from arrow triples.
@@ -212,11 +214,16 @@ class FDAlgebra:
 
     def validate(self):
         """Raise AlgebraBuildError naming the first structural check that fails."""
+        self._validate(self.check_associativity, "multiplication is not associative")
+
+    def _validate(self, check_products, products_failure):
+        """`validate` with `check_products`, failing with `products_failure`,
+        in place of the associativity proof."""
         for check, failure in (
                 (self.check_peirce, "idempotent or Peirce axioms fail"),
                 (self.check_generation,
                  "the idempotents and arrows do not generate the algebra"),
-                (self.check_associativity, "multiplication is not associative"),
+                (check_products, products_failure),
                 (self.check_graded_products, "products do not respect the grading")):
             if not check():
                 raise AlgebraBuildError(failure)
@@ -467,7 +474,6 @@ def radical_power(A: FDAlgebra, m: int) -> Echelon:
     return chain[min(m, len(chain) - 1)]
 
 
-@_stored
 def arrow_layers(A: FDAlgebra) -> list[Echelon]:
     """The nonzero layers L_0 = span E and L_{k+1} = span of the g v over
     the arrows g and the rows v of L_k, each read off the arrow's row of
@@ -486,24 +492,41 @@ def arrow_layers(A: FDAlgebra) -> list[Echelon]:
 
 
 @_stored
+def layer_sums(A: FDAlgebra) -> list[Echelon]:
+    """[S_0, S_1, ..., S_m] with S_k = sum_{j >= k} L_j over the arrow
+    layers L_0, ..., L_m, from one elimination, deepest layer first: S_k is
+    the span once the rows of L_m, ..., L_k are added, and each S_k with
+    k >= 1 is kept as a copy.  S_0 is the span the idempotents and arrows
+    generate, which `check_generation` reads; the others are the radical
+    powers of `radical_chain`."""
+    layers = arrow_layers(A)
+    span, sums = Echelon(A.field, A.dim), []
+    for k in range(len(layers) - 1, -1, -1):
+        for v in layers[k].rows:
+            span.add(v)
+        sums.append(span.copy() if k else span)
+    return sums[::-1]
+
+
+@_stored
 def radical_chain(A: FDAlgebra) -> list[Echelon]:
     """[A, rad, rad^2, ...] down to the first zero power (inclusive).
 
-    chain[k] = sum_{j >= k} L_j over the arrow layers, for k >= 1.  Proof:
+    chain[k] = S_k = sum_{j >= k} L_j over the arrow layers (see
+    `layer_sums`), for k >= 1.  Proof:
     with J = sum_g gA over the arrows g, J^k = sum_g g J^{k-1} (as A = 1 A)
     is spanned by the products of k arrows times A, and by generation A =
     sum_j L_j, so J^k = sum_j L_{j+k}.  A nonzero L_dim makes J^dim != 0.
     Otherwise J is a nilpotent two-sided ideal, as A = span E + J, with A/J
     spanned by the idempotents E: the Jacobson radical.
     """
-    layers = arrow_layers(A)
-    if len(layers) > A.dim:
+    sums = layer_sums(A)
+    if len(sums) > A.dim:
         raise AlgebraBuildError(
             "the ideal generated by the arrows is not nilpotent; "
             "the algebra is not of the promised shape")
-    return [Echelon(A.field, A.dim, [A.basis_element(k) for k in range(A.dim)])] + [
-        Echelon(A.field, A.dim, [v for L in layers[k:] for v in L.rows])
-        for k in range(1, len(layers) + 1)]
+    return ([Echelon(A.field, A.dim, [A.basis_element(k) for k in range(A.dim)])]
+            + sums[1:] + [Echelon(A.field, A.dim)])
 
 
 def trace_form_radical(A: FDAlgebra) -> Echelon:

@@ -218,6 +218,15 @@ class Echelon:
         self._row_at[j] = v
         return True
 
+    def copy(self) -> "Echelon":
+        """An independent Echelon on the same rows."""
+        out = Echelon(self.field, self.width)
+        out.rows = [dict(row) for row in self.rows]
+        out.pivots = list(self.pivots)
+        out._row_at = dict(zip(out.pivots, out.rows))
+        out._holders = {k: set(ps) for k, ps in self._holders.items()}
+        return out
+
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
 

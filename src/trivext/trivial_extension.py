@@ -17,6 +17,11 @@ by `relations_up_to` may depend on these choices.  That extraction walks the
 extended path algebra by length slices with `algebra.quotient_slices`, the
 walk that also builds kQ/I, and takes the kernel of the evaluation on each
 slice with one `row_reduce` over the whole layer, read block by block.
+
+T(A) is validated by construction: `validate_extension` reads each entry
+of its table once against A's, which proves it associative given that A
+is, and keeps the Peirce, generation and grading checks of
+`FDAlgebra.validate`; the generic associativity proof is not run again.
 """
 
 from __future__ import annotations
@@ -71,7 +76,10 @@ def trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
     is graded with top degree s, T(A) is graded by keeping the degrees on A
     and giving the dual of a degree-l basis element degree s+1-l (including
     l = 0), so T(A) has top degree s+1.  The result is labelled T(<label
-    of A>) when A has a label, and has passed `FDAlgebra.validate`.
+    of A>) when A has a label, and has passed `validate_extension`.
+
+    A must be associative, as every algebra that `build_algebra` or
+    `trivial_extension` returns is.
     """
     f = A.field
     d = A.dim
@@ -113,8 +121,57 @@ def trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
                   table=table, arrows=arrows, degrees=degrees,
                   bound_conditional=A.bound_conditional,
                   label=f"T({A.label})" if A.label else "")
-    T.validate()
+    validate_extension(A, T)
     return TrivialExtensionData(base=A, T=T)
+
+
+def validate_extension(A: FDAlgebra, T: FDAlgebra):
+    """Raise AlgebraBuildError naming the first check that T fails as
+    T(A) of the associative algebra A: `FDAlgebra.validate` with
+    `_is_extension_table` in place of the associativity proof, failing
+    with "the table of T(A) is not A ⋉ DA".
+
+    That table check suffices.  As A is associative, DA is an A-bimodule
+    under (a·f)(y) = f(ya) and (f·b)(y) = f(by): both (a·(f·b))(y) and
+    ((a·f)·b)(y) are f(bya), (a·(a'·f))(y) = f(yaa') = ((aa')·f)(y), and
+    likewise on the right.  The bimodule axioms make A ⋉ DA associative:
+    ((a,f)(b,g))(c,h) and (a,f)((b,g)(c,h)) are both
+    (abc, ab·h + a·g·c + f·bc).  The grading needs no proof either: b_w*
+    has a coefficient in b_u b_v* only if b_v has one in b_w b_u, so
+    deg b_v = deg b_w + deg b_u, and deg b_w* = s+1-deg b_w is
+    deg b_u + deg b_v*; likewise for b_v* b_w.  The Peirce, generation and
+    grading checks still run: they read the idempotents, the new arrows
+    and the degrees, which the table check does not.
+    """
+    T._validate(lambda: _is_extension_table(A, T), "the table of T(A) is not A ⋉ DA")
+
+
+def _is_extension_table(A: FDAlgebra, T: FDAlgebra) -> bool:
+    """T's table is exactly that of A ⋉ DA, on the basis of A followed by
+    its dual basis, read one entry of T at a time.
+
+    The A x A block is A's table and DA · DA = 0.  Every coordinate of
+    b_u b_v* must be some b_w* whose coefficient is that of b_v in b_w b_u,
+    and every coordinate of b_v* b_w some b_u* with that same coefficient:
+    each lookup goes from an entry of T back to an entry of A.  Within one
+    mixed block distinct entries of T look up distinct nonzeros of A, so
+    each block has at most nnz(A) nonzeros; with 2 nnz(A) in all, each
+    block has one for every nonzero of A, and no entry is missing.
+    """
+    d, At, Tt = A.dim, A.table, T.table
+    mixed = 0
+    for x in range(d):
+        row, dual_row = Tt[x], Tt[d + x]
+        if row[:d] != At[x] or any(dual_row[d:]):
+            return False
+        for y in range(d):
+            # b_x b_y* and b_x* b_y
+            left, right = row[d + y], dual_row[y]
+            if (any(w < d or At[w - d][x].get(y) != c for w, c in left.items())
+                    or any(u < d or At[y][u - d].get(x) != c for u, c in right.items())):
+                return False
+            mixed += len(left) + len(right)
+    return mixed == 2 * sum(len(prod) for row in At for prod in row)
 
 
 def extended_quiver(tri: TrivialExtensionData) -> Quiver:

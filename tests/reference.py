@@ -2,8 +2,8 @@
 
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              SelfinjectivityCertificate, SelfinjectivityRefusal,
-                             SocleData, ideal_slice, loewy_length, quotient_slices,
-                             radical_chain, socles, span_products)
+                             SocleData, arrow_layers, ideal_slice, loewy_length,
+                             quotient_slices, radical_chain, socles, span_products)
 from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
 from trivext.linalg import QQ, Echelon, SparseRank, row_reduce
@@ -215,6 +215,19 @@ def radical_chain_by_products(X) -> list:
                 "the algebra is not of the promised shape")
         chain.append(nxt)
     return chain
+
+
+def radical_chain_by_layers(X) -> list:
+    """The former `radical_chain`: [X], then each power rebuilt from the
+    rows of all the deeper arrow layers."""
+    layers = arrow_layers(X)
+    if len(layers) > X.dim:
+        raise AlgebraBuildError(
+            "the ideal generated by the arrows is not nilpotent; "
+            "the algebra is not of the promised shape")
+    return [Echelon(X.field, X.dim, [X.basis_element(k) for k in range(X.dim)])] + [
+        Echelon(X.field, X.dim, [v for L in layers[k:] for v in L.rows])
+        for k in range(1, len(layers) + 1)]
 
 
 def annihilator_on(X, columns, left=True, right=True) -> Echelon:

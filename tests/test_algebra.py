@@ -11,7 +11,7 @@ from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              SelfinjectivityRefusal, arrow_layers,
                              build_algebra, is_local, is_selfinjective,
                              left_socle_in_bimodule_socle, loewy_length,
-                             quiver_of, radical_chain, radical_power,
+                             layer_sums, quiver_of, radical_chain, radical_power,
                              selfinjectivity, socles, span_products,
                              trace_form_radical)
 from trivext.dsl import parse_presentation
@@ -19,7 +19,8 @@ from trivext.linalg import GF, QQ, Echelon
 from trivext.trivial_extension import trivial_extension
 
 from reference import (generated_by_closure, non_idempotent_span,
-                       radical_chain_by_products, selfinjectivity_by_matching,
+                       radical_chain_by_layers, radical_chain_by_products,
+                       selfinjectivity_by_matching,
                        socles_by_blocks, vertex_loewy_lengths)
 from test_builder import random_presentation
 from test_properties import random_monomial_presentation
@@ -279,6 +280,44 @@ def test_arrow_walk_agrees_with_former_routines(algebras, extensions):
             assert socles(Y) == socles_by_blocks(Y), (X, n)
             proper += span.rank < Y.dim
     assert proper >= len(inputs)
+
+
+def test_one_elimination_gives_generation_and_the_chain(algebras, extensions,
+                                                        monkeypatch):
+    # layer_sums adds each arrow layer row once, deepest layer first;
+    # check_generation reads its rank and radical_chain its copies, which
+    # equal the former chain that rebuilt each power from all the deeper
+    # layers.  Mutants each fails: the sums kept without copies; the
+    # layers added shallowest first
+    seeded = seeded_algebras()
+    inputs = (list(algebras.values()) + [tri.T for tri in extensions.values()]
+              + seeded + [trivial_extension(A).T for A in seeded])
+    adds = 0
+    real = Echelon.add
+
+    def spy(self, vec):
+        nonlocal adds
+        adds += 1
+        return real(self, vec)
+
+    def adds_in(fn, *args):
+        start = adds
+        fn(*args)
+        return adds - start
+
+    monkeypatch.setattr(Echelon, "add", spy)
+    deep = 0
+    for X in inputs:
+        want = radical_chain_by_layers(X)
+        Y = copy.copy(X)  # without the structure X derived
+        walk = adds_in(arrow_layers, Y)
+        rows = sum(L.rank for L in arrow_layers(Y))
+        assert adds_in(Y.check_generation) == walk + rows, X
+        assert adds_in(radical_chain, Y) == Y.dim, X  # the rows of A itself
+        assert radical_chain(Y) == want, X
+        assert layer_sums(Y)[0].rank == Y.dim
+        deep += len(want) > 3
+    assert deep >= 10, deep
 
 
 def test_non_nilpotent_arrow_ideal_passes_validate_without_radical_chain():

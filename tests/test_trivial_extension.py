@@ -1,13 +1,15 @@
 """T(A) = A ⋉ DA: structure constants, extended quiver, relations."""
 
+import copy
 import random
+from collections import Counter
 from types import ModuleType
 
 import pytest
 
 import trivext.trivial_extension as trivial_extension_module
-from trivext.algebra import (AlgebraBuildError, build_algebra, loewy_length,
-                             selfinjectivity,
+from trivext.algebra import (AlgebraBuildError, FDAlgebra, build_algebra,
+                             loewy_length, selfinjectivity,
                              SelfinjectivityCertificate,
                              left_socle_in_bimodule_socle, socles)
 from trivext.dsl import RelationExpr, parse_presentation
@@ -15,11 +17,12 @@ from trivext.linalg import Echelon
 from trivext.quiver import Path, PathBudgetExceeded, compose
 from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        extended_quiver, relations_up_to,
-                                       trivial_extension)
+                                       trivial_extension, validate_extension)
 
 from reference import (extension_table_by_scan, new_arrows_by_block_scan, phi,
                        relations_adding_every_kernel_vector, slice_kernel_by_blocks)
 from test_builder import random_presentation
+from test_validation import associative_on_all_triples
 
 
 def build(text, **kw):
@@ -340,6 +343,37 @@ def seeded_extensions(rng, count):
         if tri.T.dim <= 24:
             out.append(tri)
     return out
+
+
+def test_extension_check_agrees_with_the_generic_oracles(extensions):
+    # T(A) is checked against A's table instead of by the associativity
+    # proof; on every corpus T(A) and 24 seeded T(A) over Q, F_3 and F_5
+    # the generic validate, its associativity proof and the all-triples
+    # reference accept it too
+    tris = list(extensions.values()) + seeded_extensions(random.Random(1607), 24)
+    assert {tri.T.field.characteristic for tri in tris} == {0, 3, 5}
+    for tri in tris:
+        T = copy.copy(tri.T)  # without the structure T(A) derived
+        validate_extension(tri.base, T)
+        T.validate()
+        assert T.check_associativity() and associative_on_all_triples(T), T
+
+
+def test_building_extension_runs_no_generic_validation(presentations, monkeypatch):
+    # build_algebra validates A once; trivial_extension neither validates
+    # T(A) generically nor proves its associativity
+    calls = Counter()
+    for name in ("validate", "check_associativity"):
+        def spy(self, _real=getattr(FDAlgebra, name), _name=name):
+            calls[_name] += 1
+            return _real(self)
+        monkeypatch.setattr(FDAlgebra, name, spy)
+    for name, pres in presentations.items():
+        calls.clear()
+        A = build_algebra(pres)
+        assert calls == {"validate": 1, "check_associativity": 1}, name
+        trivial_extension(trivial_extension(A).T)
+        assert calls == {"validate": 1, "check_associativity": 1}, name
 
 
 def test_slice_kernel_matches_per_block_kernels(extensions, monkeypatch):

@@ -1,12 +1,15 @@
-"""The structural checks behind `FDAlgebra.validate`, against perturbed
-structure tables and an all-triples reference for associativity."""
+"""The structural checks behind `FDAlgebra.validate` and
+`validate_extension`, against perturbed structure tables and an
+all-triples reference for associativity."""
 
 import copy
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from trivext.algebra import AlgebraBuildError
+from trivext.trivial_extension import validate_extension
 
 from reference import peirce_by_sandwiches
 
@@ -132,3 +135,59 @@ def test_validate_rejects_arrows_that_do_not_generate(extensions):
     with pytest.raises(AlgebraBuildError, match="generate") as err:
         T.validate()
     assert "associative" not in str(err.value)
+
+
+# the single-coordinate perturbations of each small T(A) that the generic
+# validate accepts: associative tables, but not A ⋉ DA of the given A
+ASSOCIATIVE_PERTURBATIONS = {"dual_numbers": 4, "local_two_loops": 16,
+                             "nakayama_cycle_2": 8, "nakayama_cycle_3": 6,
+                             "path_a2": 2}
+
+
+def extension_failure(A, T):
+    """The message `validate_extension` raises on T over A, or None."""
+    try:
+        validate_extension(A, T)
+    except AlgebraBuildError as err:
+        return str(err)
+    return None
+
+
+def test_extension_check_rejects_every_perturbation(algebras, extensions):
+    # validate_extension reads T(A)'s table against A's instead of proving
+    # associativity; the table of A ⋉ DA is determined by A, so it rejects
+    # every table the generic validate rejects and the associative ones
+    # it accepts too.  Mutants each fails: DA * DA left unread; only the
+    # mixed block b_u b_v* compared
+    by_validate = Counter()
+    for name in SMALL:
+        A, T = algebras[name], extensions[name].T
+        assert extension_failure(A, T) is None, name
+        for i, j, k in product(range(T.dim), repeat=3):
+            Y = perturbed(T, i, j, k)
+            assert extension_failure(A, Y) is not None, (name, i, j, k)
+            by_validate[name, accepted(Y)] += 1
+    assert sum(n for (_name, ok), n in by_validate.items() if not ok) == 2772
+    assert {name: n for (name, ok), n in by_validate.items() if ok} == \
+        ASSOCIATIVE_PERTURBATIONS
+
+
+def test_extension_check_rejects_every_dropped_entry(extensions):
+    # a fill that leaves out one nonzero entry of T(A); every entry left is
+    # right, so among the table reads only the count of the mixed nonzeros
+    # sees a dropped mixed entry.  The mutant without that count fails
+    messages = Counter()
+    for name, tri in extensions.items():
+        A, T = tri.base, tri.T
+        for i, j in product(range(T.dim), repeat=2):
+            for k in T.table[i][j]:
+                Y = copy.copy(T)
+                Y.table = [list(row) for row in T.table]
+                Y.table[i][j] = {l: c for l, c in T.table[i][j].items() if l != k}
+                failure = extension_failure(A, Y)
+                assert failure is not None, (name, i, j, k)
+                messages[failure] += 1
+    # idempotent and generator entries trip the earlier checks
+    assert messages == {"idempotent or Peirce axioms fail": 119,
+                        "the idempotents and arrows do not generate the algebra": 15,
+                        "the table of T(A) is not A ⋉ DA": 34}, messages
