@@ -34,18 +34,34 @@ number tuples in decreasing lexicographic order, so the pivot `SparseRank`
 takes, at the smallest key, is the largest tuple.
 
 `hh_dims` ranks each boundary b_n as its coboundary delta_n = b_n^T :
-C_{n-1} -> C_n, whose columns `_BarData.coboundaries` reads off the
-inverted table `_BarData.cofaces`.  It goes up in n and clears as it goes
-(Chen-Kerber's twist, in the cohomology form of de Silva, Morozov and
-Vejdemo-Johansson): delta_{n+1} skips the columns at the pivot rows of
-the reduced delta_n.  This keeps the rank.  A reduced column R lies in
-im delta_n with pivot its largest tuple i, so R = c e_i + (smaller tuples),
-c != 0; as delta_{n+1} R = 0, delta_{n+1}(e_i) lies in the span of the
-columns of smaller tuples, and by induction over the pivots in the span
-of the columns of non-pivot tuples.  So delta_n eliminates only dim
-C_{n-1} - rank b_{n-1} columns, of which all but dim HH_{n-1} enlarge it,
-and `hh_dims(B, N)` never enumerates C_{N+1}, whose tuples are only row
-keys of delta_{N+1}.
+C_{n-1} -> C_n, whose columns `_Coboundary` reads off the inverted table
+`_BarData.cofaces`.  It goes up in n and clears as it goes (Chen-Kerber's
+twist, in the cohomology form of de Silva, Morozov and Vejdemo-Johansson):
+delta_{n+1} skips the columns at the pivot rows of the reduced delta_n.
+This keeps the rank.  A reduced column R lies in im delta_n with pivot its
+largest tuple i, so R = c e_i + (smaller tuples), c != 0; as
+delta_{n+1} R = 0, delta_{n+1}(e_i) lies in the span of the columns of
+smaller tuples, and by induction over the pivots in the span of the
+columns of non-pivot tuples.  So delta_n eliminates only dim C_{n-1} -
+rank b_{n-1} columns, of which all but dim HH_{n-1} enlarge it, and
+`hh_dims(B, N)` enumerates C_0, ..., C_N only: the tuples of C_{N+1} are
+row keys of delta_{N+1}, so the tuple cap applies to C_0, ..., C_N.
+
+Most of these columns become pivots exactly as they stand, so a column
+is built only when elimination needs it (Bauer's emergent pairs, in
+Ripser).  Each face of the column of u is one coface list of
+`_BarData.cofaces`, sorted once per degree by shifted key and shifted by
+a constant that depends on u, and within one face the keys are
+distinct.  So the column's smallest key j is the least of the faces'
+first keys, and its entry there is the sum c of the first coefficients
+of the faces that reach j; `_Coboundary.leads` reads (j, c) without
+building the column.  If c != 0 (mod p) and j is not yet a pivot, the
+column needs no reduction: `SparseRank.defer` records the pivot at j as
+the tuple u and raises the rank, and the column is built, stored as
+`add` would have stored it, only when a later reduction meets j.
+Otherwise (c cancels, or j is a pivot) the column is built and added.
+The elimination is the one that adds every column, deferred: the same
+pivots, so the same clearing and the same ranks.
 Columns whose tuples have different total degree (for a graded algebra)
 have disjoint row support, so elimination never mixes degree blocks.
 """
@@ -56,6 +72,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .algebra import FDAlgebra
 from .linalg import SparseRank
@@ -187,47 +204,98 @@ class _BarData:
                         out[k].append((j, l, c))
         return inv
 
-    def coboundaries(self, n: int, cleared):
-        """Yield the column delta_n(u) of every degree-(n-1) tuple u whose
-        row key is not in `cleared`, in the order of `tuples`: the integer
-        coefficient of u in the boundary of each degree-n tuple (zeros not
-        dropped).  A tuple (b_0, s_1, ..., s_m) has the row key minus the
-        number with digits b_0, s_1, ..., s_m in base `dbar`."""
-        first, mid, wrap = self.cofaces
-        P = self.dbar
-        place = [P ** (n - 1 - i) for i in range(n)]  # of entry i of u
-        top = P * place[0]                            # of b_0 in C_n
+
+class _Coboundary:
+    """delta_n of one `_BarData`, read a column or a leading entry at a time.
+
+    The column of a degree-(n-1) tuple u = (b_0, s_1, ..., s_m) holds the
+    integer coefficient of u in the boundary of each degree-n tuple (zeros
+    not dropped), at the row key minus the number with digits b_0, s_1, ...
+    in base `dbar`.  Each face contributes one coface list of `cofaces`,
+    shifted by a constant that depends on u only: the entries of u before
+    the face move one place higher (times dbar), those after it keep their
+    places.  The lists are sorted here by shifted key, so each face's
+    smallest key is its first entry.
+    """
+
+    def __init__(self, data: _BarData, n: int):
+        first, mid, wrap = data.cofaces
+        self.data, self.n = data, n
+        self.P = P = data.dbar
+        self.place = place = [P ** (n - 1 - i) for i in range(n)]  # of entry i of u
+        top = P * place[0]                                         # of b_0 in C_n
 
         def shifted(table, key, sign):
-            return [[(-key(j, l), sign * c) for j, l, c in cof] for cof in table]
+            return [sorted((-key(j, l), sign * c) for j, l, c in cof) for cof in table]
 
-        first = shifted(first, lambda b0, s: b0 * top + s * place[0], 1)
+        self.first = shifted(first, lambda b0, s: b0 * top + s * place[0], 1)
         # mid[i]: face i, u_i split into the entries i and i + 1 of the coface
-        mid = [None] + [shifted(mid, lambda s, t, i=i: s * place[i - 1] + t * place[i],
-                                (-1) ** i) for i in range(1, n)]
-        wrap = shifted(wrap, lambda s, b0: b0 * top + s, (-1) ** n)
-        for u in self.tuples(n - 1):
-            key = sum(x * p for x, p in zip(u, place))
+        self.mid = [None] + [shifted(mid, lambda s, t, i=i: s * place[i - 1] + t * place[i],
+                                     (-1) ** i) for i in range(1, n)]
+        self.wrap = shifted(wrap, lambda s, b0: b0 * top + s, (-1) ** n)
+
+    def column(self, u) -> dict:
+        """The column delta_n(u), as a dict {row key: integer}."""
+        P, place = self.P, self.place
+        key = sum(map(mul, u, place))
+        rest = key - u[0] * place[0]
+        col = {}
+        for k, c in self.first[u[0]]:
+            col[k - rest] = c
+        head = 0
+        for i in range(1, self.n):
+            head += u[i - 1] * place[i - 1]
+            base = (P - 1) * head + key - u[i] * place[i]
+            for k, c in self.mid[i][u[i]]:
+                k -= base
+                col[k] = col.get(k, 0) + c
+        base = P * rest
+        for k, c in self.wrap[u[0]]:
+            k -= base
+            col[k] = col.get(k, 0) + c
+        return col
+
+    def leads(self, cleared):
+        """Yield (u, j, c) for every degree-(n-1) tuple u whose row key is
+        not in `cleared`, in the order of `_BarData.tuples`, without
+        building its column: j is the smallest row key of delta_n(u) and c
+        the sum over the faces of their coefficients at j; (u, None, 0) if
+        the column is empty.  Each face's keys are its sorted list shifted
+        by one constant, and are distinct, so j is the least of the faces'
+        first keys and c the column's entry at j: its leading entry unless
+        c cancels (mod p)."""
+        P, n, place = self.P, self.n, self.place
+        none = (None, 0)
+        first = [cof[0] if cof else none for cof in self.first]
+        wrap = [cof[0] if cof else none for cof in self.wrap]
+        mid = [None] + [[cof[0] if cof else none for cof in m] for m in self.mid[1:]]
+        p0 = place[0]
+        for u in self.data.tuples(n - 1):
+            key = sum(map(mul, u, place))
             if -key in cleared:
                 continue
-            # a coface keeps the entries of u before a face one place
-            # higher (times P) and those after it in their own places
-            rest = key - u[0] * place[0]
-            col = {}
-            for k, c in first[u[0]]:
-                col[k - rest] = c
+            rest = key - u[0] * p0
+            j, c = first[u[0]]
+            if j is not None:
+                j -= rest
+            k, x = wrap[u[0]]
+            if k is not None:
+                k -= P * rest
+                if j is None or k < j:
+                    j, c = k, x
+                elif k == j:
+                    c += x
             head = 0
             for i in range(1, n):
                 head += u[i - 1] * place[i - 1]
-                base = (P - 1) * head + key - u[i] * place[i]
-                for k, c in mid[i][u[i]]:
-                    k -= base
-                    col[k] = col.get(k, 0) + c
-            base = P * rest
-            for k, c in wrap[u[0]]:
-                k -= base
-                col[k] = col.get(k, 0) + c
-            yield col
+                k, x = mid[i][u[i]]
+                if k is not None:
+                    k -= (P - 1) * head + key - u[i] * place[i]
+                    if j is None or k < j:
+                        j, c = k, x
+                    elif k == j:
+                        c += x
+            yield u, j, c
 
 
 def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModuleDescriptor:
@@ -237,12 +305,20 @@ def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModu
 
 def _coboundary_rank(data: _BarData, n: int, cleared: set) -> tuple[int, set]:
     """rank delta_n and the row keys of its pivots, from the columns of the
-    degree-(n-1) tuples outside `cleared`, the pivot rows of delta_{n-1}."""
-    eng = SparseRank(data.B.field.characteristic)
-    for col in data.coboundaries(n, cleared):
-        if col:
-            eng.add(col)
-    return eng.rank, set(eng.pivots)
+    degree-(n-1) tuples outside `cleared`, the pivot rows of delta_{n-1}.
+    A column whose leading entry is a new pivot is stored as its tuple and
+    built only if a later reduction meets it; the others are built and
+    reduced."""
+    delta = _Coboundary(data, n)
+    p = data.B.field.characteristic
+    eng = SparseRank(p, delta.column)
+    pivots = eng.pivots
+    for u, j, c in delta.leads(cleared):
+        if (c % p if p else c) and j not in pivots:
+            eng.defer(j, u)
+        elif j is not None:
+            eng.add(delta.column(u))
+    return eng.rank, set(pivots)
 
 
 def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
@@ -250,8 +326,10 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
     """dim HH_n for 0 <= n <= n_max.
 
     dim HH_n = dim C_n - rank b_n - rank b_{n+1}, with b_0 = 0, each rank
-    taken on the cleared coboundary.  If a chain module overflows the tuple
-    cap the report is truncated at the last degree whose two ranks both fit.
+    taken on the cleared coboundary.  delta_{n+1} enumerates C_n, so the
+    tuple cap applies to C_0, ..., C_{n_max}; C_{n_max+1} only holds row
+    keys.  If C_k overflows the cap, the report is truncated at k and
+    gives the degrees below it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -260,13 +338,13 @@ def hh_dims(B: FDAlgebra, n_max: int, variant: str = "normalized",
     truncated_at = None
     cleared: set = set()
     for n in range(1, n_max + 2):
-        size = data.chain_dim(n)
+        size = data.chain_dim(n - 1)
         if size > cap:
-            truncated_at = n
+            truncated_at = n - 1
             break
         # delta_n is zero when C_n or C_(n-1) is empty, and clears nothing
         ranks[n], cleared = (_coboundary_rank(data, n, cleared)
-                             if size and data.chain_dim(n - 1) else (0, set()))
+                             if size and data.chain_dim(n) else (0, set()))
     dims = []
     for n in range(0, n_max + 1):
         if n + 1 not in ranks:

@@ -13,7 +13,7 @@ returns its kernel as an `Echelon`.  `SparseRank` only counts the rank of
 integer columns fed one at a time (residues over F_p), eliminating over Q
 by integer cross multiplication; it serves the large bar-complex
 boundaries of the homology oracle, whose callers scale their columns to
-integers once.
+integers once and build a column only when elimination needs it.
 """
 
 from __future__ import annotations
@@ -294,14 +294,22 @@ class SparseRank:
     step is the bit length of the column checked, and its content divided
     out when an entry is longer than _NORMALIZE_BITS.  Over F_p pivots are
     stored with leading entry 1 and ordinary modular elimination is used.
+
+    A caller that knows a column's leading index j and that j is not yet a
+    pivot can `defer` the column instead of adding it: the pivot at j is
+    stored as a tuple, the cell from which `build(cell)` makes the column,
+    and the column is built and stored, as `add` would have stored it, the
+    first time a reduction meets j.  A new leading index needs no
+    reduction, so the pivots and the rank are those of adding every column.
     """
 
     _NORMALIZE_BITS = 256
 
-    def __init__(self, p: int = 0):
+    def __init__(self, p: int = 0, build=None):
         self.p = p
-        self.pivots: dict = {}  # leading index -> reduced column
+        self.pivots: dict = {}  # leading index -> reduced column, or a deferred cell
         self.rank = 0
+        self._build = build
 
     @staticmethod
     def _normalize_content(col: dict) -> dict:
@@ -312,17 +320,52 @@ class SparseRank:
                 return col
         return {k: x // g for k, x in col.items()}
 
+    def _entries(self, col: dict) -> dict:
+        """The nonzero entries of a column, as residues over F_p."""
+        p = self.p
+        if p:
+            return {k: x % p for k, x in col.items() if x % p}
+        return {k: x for k, x in col.items() if x}
+
+    def _store(self, j: int, v: dict) -> dict:
+        """Store v, nonzero and led by j, as the pivot at j: its content
+        divided out over Q, its leading entry scaled to 1 over F_p."""
+        p = self.p
+        if p:
+            inv = pow(v[j], -1, p)
+            v = {k: x * inv % p for k, x in v.items()}
+        else:
+            v = self._normalize_content(v)
+        self.pivots[j] = v
+        return v
+
+    def _pivot(self, j: int):
+        """The reduced column at j, built if it was deferred; None if j is
+        not a pivot.  A deferred column that does not lead at j would
+        never be cleared at j, so it raises."""
+        piv = self.pivots.get(j)
+        if type(piv) is tuple:
+            v = self._entries(self._build(piv))
+            if min(v, default=None) != j:
+                raise ValueError(f"the column deferred at {j} does not lead there")
+            piv = self._store(j, v)
+        return piv
+
+    def defer(self, j: int, cell: tuple) -> None:
+        """Record the pivot at j, which must be new, as `cell`."""
+        self.pivots[j] = cell
+        self.rank += 1
+
     def add(self, col: dict) -> bool:
         """Insert a column; True iff the rank increased."""
+        v = self._entries(col)
         if self.p:
-            return self._add_mod_p(col)
-        v = {k: x for k, x in col.items() if x}
-        pivots = self.pivots
+            return self._add_mod_p(v)
         while v:
             j = min(v)
-            piv = pivots.get(j)
+            piv = self._pivot(j)
             if piv is None:
-                pivots[j] = self._normalize_content(v)
+                self._store(j, v)
                 self.rank += 1
                 return True
             a, c = piv[j], v[j]
@@ -344,16 +387,13 @@ class SparseRank:
                 v = self._normalize_content(v)
         return False
 
-    def _add_mod_p(self, col: dict) -> bool:
+    def _add_mod_p(self, v: dict) -> bool:
         p = self.p
-        v = {k: x % p for k, x in col.items() if x % p}
-        pivots = self.pivots
         while v:
             j = min(v)
-            piv = pivots.get(j)
+            piv = self._pivot(j)
             if piv is None:
-                inv = pow(v[j], -1, p)
-                pivots[j] = {k: x * inv % p for k, x in v.items()}
+                self._store(j, v)
                 self.rank += 1
                 return True
             c = v[j]
@@ -363,6 +403,8 @@ class SparseRank:
                     v[k] = z
                 else:
                     del v[k]
+            if j in v:  # a pivot not led by 1 would meet j forever
+                raise ValueError(f"the pivot at {j} is not led by 1")
         return False
 
 

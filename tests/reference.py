@@ -77,7 +77,7 @@ def apply_column(m, col: dict) -> dict:
 def key(data, tup) -> int:
     """Mixed-radix number of a tuple (b_0, s_1, ..., s_m) of `data`, a
     `_BarData`: increasing in lexicographic order, and the negated row key
-    of `boundary_columns` and of `_BarData.coboundaries`."""
+    of `boundary_columns`, `coboundary_columns` and `_Coboundary`."""
     out = tup[0]
     for s in tup[1:]:
         out = out * data.dbar + s
@@ -134,6 +134,60 @@ def boundary_rank(data, n: int) -> int:
         if col:
             eng.add(col)
     return eng.rank
+
+
+def coboundary_columns(data, n: int, cleared):
+    """The former `_BarData.coboundaries`: yield the column delta_n(u) of
+    every degree-(n-1) tuple u of `data` whose row key is not in `cleared`,
+    in the order of `tuples`, each column built in full: the integer
+    coefficient of u in the boundary of each degree-n tuple (zeros not
+    dropped), keyed by minus the mixed-radix number of the coface (see
+    `key`)."""
+    first, mid, wrap = data.cofaces
+    P = data.dbar
+    place = [P ** (n - 1 - i) for i in range(n)]  # of entry i of u
+    top = P * place[0]                            # of b_0 in C_n
+
+    def shifted(table, key, sign):
+        return [[(-key(j, l), sign * c) for j, l, c in cof] for cof in table]
+
+    first = shifted(first, lambda b0, s: b0 * top + s * place[0], 1)
+    # mid[i]: face i, u_i split into the entries i and i + 1 of the coface
+    mid = [None] + [shifted(mid, lambda s, t, i=i: s * place[i - 1] + t * place[i],
+                            (-1) ** i) for i in range(1, n)]
+    wrap = shifted(wrap, lambda s, b0: b0 * top + s, (-1) ** n)
+    for u in data.tuples(n - 1):
+        key = sum(x * p for x, p in zip(u, place))
+        if -key in cleared:
+            continue
+        # a coface keeps the entries of u before a face one place
+        # higher (times P) and those after it in their own places
+        rest = key - u[0] * place[0]
+        col = {}
+        for k, c in first[u[0]]:
+            col[k - rest] = c
+        head = 0
+        for i in range(1, n):
+            head += u[i - 1] * place[i - 1]
+            base = (P - 1) * head + key - u[i] * place[i]
+            for k, c in mid[i][u[i]]:
+                k -= base
+                col[k] = col.get(k, 0) + c
+        base = P * rest
+        for k, c in wrap[u[0]]:
+            k -= base
+            col[k] = col.get(k, 0) + c
+        yield col
+
+
+def coboundary_rank_by_columns(data, n: int, cleared) -> SparseRank:
+    """The former `_coboundary_rank`: every column of delta_n outside
+    `cleared` built and added, none deferred; the engine is returned."""
+    eng = SparseRank(data.B.field.characteristic)
+    for col in coboundary_columns(data, n, cleared):
+        if col:
+            eng.add(col)
+    return eng
 
 
 def boundary_hh_dims(B, n_max: int, variant: str = "normalized") -> list:

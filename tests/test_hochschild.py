@@ -10,13 +10,14 @@ import pytest
 from trivext import hochschild
 from trivext.algebra import FDAlgebra, build_algebra
 from trivext.dsl import parse_presentation
-from trivext.hochschild import _BarData, chain_module, commutator_rank, hh_dims
+from trivext.hochschild import (DEFAULT_TUPLE_CAP, _BarData, _Coboundary, chain_module,
+                                commutator_rank, hh_dims)
 from trivext.linalg import QQ, Echelon, SparseRank, row_reduce
 from trivext.trivial_extension import trivial_extension
 
 from reference import (DimensionCapExceeded, ExactMatrix, boundary_hh_dims,
                        boundary_matrix, boundary_rank, boundary_squares_to_zero,
-                       commutator_rank_by_fractions, key)
+                       coboundary_rank_by_columns, commutator_rank_by_fractions, key)
 
 
 def build(text, **kw):
@@ -206,8 +207,23 @@ def test_dimension_cap_refusal():
     assert err.value.required == 972
     rep = hh_dims(T, 5, cap=900)
     assert rep.truncated_at == 5
-    # degrees 0..3 still computable (need ranks b_1..b_4)
+    # degrees 0..4 still computable: their ranks b_1..b_5 enumerate C_0..C_4
+    # (C_4 = 324); C_5 is enumerated only by delta_6
+    assert [n for n, _ in rep.dims] == [0, 1, 2, 3, 4]
+    rep = hh_dims(T, 5, cap=300)
+    assert rep.truncated_at == 4
     assert [n for n, _ in rep.dims] == [0, 1, 2, 3]
+
+
+def test_cap_applies_to_the_enumerated_modules():
+    # hh_dims(B, N) enumerates C_0..C_N; C_{N+1} holds only row keys, so
+    # T(dual_numbers) at N = 8 fits the default cap although its C_9 = 78 732
+    # tuples do not
+    T = trivial_extension(build(DUAL)).T
+    assert chain_module(T, 8).dimension <= DEFAULT_TUPLE_CAP < chain_module(T, 9).dimension
+    rep = hh_dims(T, 8)
+    assert rep.truncated_at is None
+    assert rep.dims[8] == (8, 11)
 
 
 def test_hh_over_prime_fields():
@@ -481,8 +497,9 @@ def coboundary_matrix(B, n, variant):
     f, scale = B.field, data.integer_tables[0]
     row_of = {-key(data, t): r for r, t in enumerate(data.tuples(n))}
     m = ExactMatrix(data.chain_dim(n), data.chain_dim(n - 1), f)
-    for idx, col in enumerate(data.coboundaries(n, set())):
-        col = {row_of[k]: f.coerce((c, scale)) for k, c in col.items()}
+    delta = _Coboundary(data, n)
+    for idx, u in enumerate(data.tuples(n - 1)):
+        col = {row_of[k]: f.coerce((c, scale)) for k, c in delta.column(u).items()}
         m.cols[idx] = {r: c for r, c in col.items() if c}
     return m
 
@@ -553,11 +570,76 @@ def test_coboundary_is_the_transposed_boundary(algebras, extensions):
     assert compared >= 120 and skipped_empty >= 2, (compared, skipped_empty)
 
 
+def test_leading_entry_is_read_without_the_column(algebras, extensions):
+    # the lead of every column of delta_n, read off the first entries of
+    # the faces' coface lists, against the column built in full: its
+    # smallest key and the integer there.  Where the faces' coefficients
+    # cancel (mod p) the lead is not the column's leading entry.  Leaving
+    # the wrap face out of the scan, or not summing ties across faces,
+    # fails here.
+    checked = cancelled = 0
+    for B in oracle_inputs(algebras, extensions):
+        p = B.field.characteristic
+        for variant in ("normalized", "full"):
+            data = _BarData(B, variant)
+            for n in range(1, top_degree(B, variant, 600, n_max=3) + 2):
+                delta = _Coboundary(data, n)
+                for u, j, c in delta.leads(set()):
+                    col = delta.column(u)
+                    if j is None:
+                        assert not col, (B, u)
+                        continue
+                    assert (j, c) == (min(col), col[j]), (B, variant, u)
+                    nonzero = [k for k, x in col.items() if (x % p if p else x)]
+                    if c % p if p else c:
+                        assert j == min(nonzero), (B, variant, u)
+                    else:
+                        cancelled += 1
+                        assert all(k > j for k in nonzero), (B, variant, u)
+                    checked += 1
+    assert checked >= 5000 and cancelled >= 1, (checked, cancelled)
+
+
+def test_deferred_pivots_match_every_column_elimination(algebras, extensions,
+                                                        monkeypatch):
+    # once every deferred pivot is built, the pivots of each delta_n are the
+    # reduced columns that adding every column stores, over Q, F_3 and F_5:
+    # the same keys, the same clearing and the same normalization.
+    # Deferring a cancelled lead, or storing an F_p pivot unscaled, fails
+    # here.
+    engines = []
+
+    def recording(*args):
+        engines.append(SparseRank(*args))
+        return engines[-1]
+
+    monkeypatch.setattr(hochschild, "SparseRank", recording)
+    compared = {0: 0, 3: 0, 5: 0}
+    for B in oracle_inputs(algebras, extensions):
+        for variant in ("normalized", "full"):
+            data = _BarData(B, variant)
+            cleared = ref_cleared = set()
+            for n in range(1, top_degree(B, variant, 2000) + 2):
+                if not (data.chain_dim(n - 1) and data.chain_dim(n)):
+                    cleared = ref_cleared = set()
+                    continue
+                rank, cleared = hochschild._coboundary_rank(data, n, cleared)
+                eng = engines[-1]
+                for j in list(eng.pivots):
+                    eng._pivot(j)
+                ref = coboundary_rank_by_columns(data, n, ref_cleared)
+                assert (rank, eng.pivots) == (ref.rank, ref.pivots), (B, variant, n)
+                ref_cleared = set(ref.pivots)
+                compared[B.field.characteristic] += 1
+    assert min(compared.values()) >= 80, compared
+
+
 def test_coboundary_work_counts(algebras, extensions, monkeypatch):
     # Clearing leaves delta_n the dim C_{n-1} - rank b_{n-1} columns outside
-    # the pivot rows of delta_{n-1}: rank b_n of them enlarge SparseRank,
-    # and the other dim HH_{n-1} are adds that do not or empty columns that
-    # hh_dims skips.  No tuple of the top module C_{N+1} is enumerated.
+    # the pivot rows of delta_{n-1}: rank b_n of them are deferred pivots or
+    # enlarge SparseRank, and the other dim HH_{n-1} are adds that do not or
+    # empty columns that hh_dims skips.  No tuple of the top module C_{N+1}
+    # is enumerated, and fewer than half of the columns are built.
     cases = []
     for B in oracle_inputs(algebras, extensions):
         for variant in ("normalized", "full"):
@@ -568,29 +650,45 @@ def test_coboundary_work_counts(algebras, extensions, monkeypatch):
                 ranks = sum(boundary_rank(data, n) for n in range(1, N + 2))
                 cases.append((B, variant, N, ranks))
     assert len(cases) >= 40, len(cases)
-    adds, yielded, degrees = [], [], []
-    real_add, real_tuples = SparseRank.add, _BarData.tuples
-    real_cob = _BarData.coboundaries
+    adds, deferred, leads, built, degrees = [], [], [], [], []
+    real_add, real_defer = SparseRank.add, SparseRank.defer
+    real_tuples = _BarData.tuples
+    real_leads, real_column = _Coboundary.leads, _Coboundary.column
 
     def add(self, col):
         adds.append(real_add(self, col))
         return adds[-1]
 
+    def defer(self, j, cell):
+        deferred.append(j)
+        return real_defer(self, j, cell)
+
     def tuples(self, n):
         degrees.append(n)
         return real_tuples(self, n)
 
-    def coboundaries(self, n, cleared):
-        for col in real_cob(self, n, cleared):
-            yielded.append(col)
-            yield col
+    def lead_scan(self, cleared):
+        for lead in real_leads(self, cleared):
+            leads.append(lead[1])
+            yield lead
+
+    def column(self, u):
+        built.append(u)
+        return real_column(self, u)
 
     monkeypatch.setattr(SparseRank, "add", add)
+    monkeypatch.setattr(SparseRank, "defer", defer)
     monkeypatch.setattr(_BarData, "tuples", tuples)
-    monkeypatch.setattr(_BarData, "coboundaries", coboundaries)
+    monkeypatch.setattr(_Coboundary, "leads", lead_scan)
+    monkeypatch.setattr(_Coboundary, "column", column)
+    columns = columns_built = 0
     for B, variant, N, ranks in cases:
-        adds.clear(), yielded.clear(), degrees.clear()
+        adds.clear(), deferred.clear(), leads.clear(), built.clear(), degrees.clear()
         dims = hh_dims(B, N, variant, cap=6000).dims
-        assert sum(adds) == ranks, (B, variant)
-        assert len(yielded) - sum(adds) == sum(d for _n, d in dims), (B, variant)
+        assert len(deferred) + sum(adds) == ranks, (B, variant)
+        assert len(adds) - sum(adds) + leads.count(None) == \
+            sum(d for _n, d in dims), (B, variant)
         assert max(degrees) == N, (B, variant)
+        columns += len(leads)
+        columns_built += len(built)
+    assert columns_built < columns / 2, (columns_built, columns)

@@ -465,3 +465,27 @@ def test_sparse_rank_mod_p():
     assert not eng.add({0: 2, 1: 4})  # same line mod 3
     assert eng.add({1: 1})
     assert eng.rank == 2
+
+
+def test_sparse_rank_builds_a_deferred_pivot_as_add_stores_it():
+    # a deferred column is built the first time a reduction meets its key,
+    # with its content divided out over Q and its leading entry 1 over F_p;
+    # a column that does not lead at its key, or an F_p pivot not led by 1,
+    # raises instead of reducing forever
+    col = {3: 4, 5: -6, 8: 2}
+    for p in (0, 5):
+        ref = SparseRank(p)
+        ref.add(col)
+        eng = SparseRank(p, {("u",): col}.__getitem__)
+        eng.defer(3, ("u",))
+        assert (eng.rank, eng.pivots) == (1, {3: ("u",)})
+        assert not eng.add({3: 2, 5: -3, 8: 1})
+        assert eng.pivots == ref.pivots
+    eng = SparseRank(0, {("u",): col}.__getitem__)
+    eng.defer(5, ("u",))
+    with pytest.raises(ValueError, match="does not lead"):
+        eng.add({5: 1})
+    eng = SparseRank(5)
+    eng.pivots[3] = {3: 2, 4: 1}
+    with pytest.raises(ValueError, match="not led by 1"):
+        eng.add({3: 1})
