@@ -130,11 +130,16 @@ class FDAlgebra:
                              for i, xi in x.items() for j, yj in y.items())
 
     def _combine(self, terms) -> dict:
-        """The sparse linear combination sum c * v over (c, v) in `terms`."""
-        add, mul, out = self.field.add, self.field.mul, {}
+        """The sparse linear combination sum c * v over (c, v) in `terms`,
+        in the arithmetic of `GroundField.add` and `mul`, inlined."""
+        p, out = self.field.p, {}
         for c, v in terms:
             for k, ck in v.items():
-                x = add(out[k], mul(c, ck)) if k in out else mul(c, ck)
+                x = out.get(k, 0) + c * ck
+                if p:
+                    x %= p
+                elif type(x) is not int and x.denominator == 1:
+                    x = x.numerator
                 if x:
                     out[k] = x
                 else:
@@ -497,8 +502,8 @@ def layer_sums(A: FDAlgebra) -> list[Echelon]:
     layers L_0, ..., L_m, from one elimination, deepest layer first: S_k is
     the span once the rows of L_m, ..., L_k are added, and each S_k with
     k >= 1 is kept as a copy.  S_0 is the span the idempotents and arrows
-    generate, which `check_generation` reads; the others are the radical
-    powers of `radical_chain`."""
+    generate, which `check_generation` reads and `radical_chain` takes as
+    A; the others are the radical powers."""
     layers = arrow_layers(A)
     span, sums = Echelon(A.field, A.dim), []
     for k in range(len(layers) - 1, -1, -1):
@@ -513,7 +518,9 @@ def radical_chain(A: FDAlgebra) -> list[Echelon]:
     """[A, rad, rad^2, ...] down to the first zero power (inclusive).
 
     chain[k] = S_k = sum_{j >= k} L_j over the arrow layers (see
-    `layer_sums`), for k >= 1.  Proof:
+    `layer_sums`), for k >= 1, and chain[0] is S_0 when the idempotents and
+    arrows generate A, as on every validated algebra: the reduced echelon
+    form of all of A is the identity.  Proof:
     with J = sum_g gA over the arrows g, J^k = sum_g g J^{k-1} (as A = 1 A)
     is spanned by the products of k arrows times A, and by generation A =
     sum_j L_j, so J^k = sum_j L_{j+k}.  A nonzero L_dim makes J^dim != 0.
@@ -525,8 +532,9 @@ def radical_chain(A: FDAlgebra) -> list[Echelon]:
         raise AlgebraBuildError(
             "the ideal generated by the arrows is not nilpotent; "
             "the algebra is not of the promised shape")
-    return ([Echelon(A.field, A.dim, [A.basis_element(k) for k in range(A.dim)])]
-            + sums[1:] + [Echelon(A.field, A.dim)])
+    full = (sums[0] if sums[0].rank == A.dim else
+            Echelon(A.field, A.dim, [A.basis_element(k) for k in range(A.dim)]))
+    return [full] + sums[1:] + [Echelon(A.field, A.dim)]
 
 
 def trace_form_radical(A: FDAlgebra) -> Echelon:

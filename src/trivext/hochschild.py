@@ -159,16 +159,34 @@ class _BarData:
                 yield from product(heads, *walk)
 
     def _block_walks(self, u, goal, k):
-        """Lists of k slot blocks that chain from vertex u to `goal`."""
-        if k == 0:
-            if u == goal:
-                yield []
+        """Lists of k slot blocks that chain from vertex u to `goal`, in
+        lexicographic order of their vertices.  One depth-first walk over
+        the steps that `walks` says can still reach `goal`: every step
+        taken lies on a yielded walk, so the work is one step per distinct
+        prefix, not k generator resumptions per walk."""
+        if not self.walks(k)[u][goal]:
             return
-        reach = self._walks[k - 1]
-        for v, block in enumerate(self.blocks[u]):
-            if block and reach[v][goal]:
-                for rest in self._block_walks(v, goal, k - 1):
-                    yield [block] + rest
+        if k == 0:
+            yield []
+            return
+        m = len(self.blocks)
+        # steps[r][w]: the (vertex, block) moves out of w that leave a
+        # walk of r - 1 steps to goal
+        steps = [None] + [[[(v, block) for v, block in enumerate(self.blocks[w])
+                            if block and self._walks[r - 1][v][goal]]
+                           for w in range(m)] for r in range(1, k + 1)]
+        walk, stack = [], [iter(steps[k][u])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if walk:
+                    walk.pop()
+            elif len(walk) == k - 1:
+                yield walk + [step[1]]
+            else:
+                walk.append(step[1])
+                stack.append(iter(steps[k - len(walk)][step[0]]))
 
     @cached_property
     def integer_tables(self):

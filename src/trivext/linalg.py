@@ -1,9 +1,11 @@
 """Exact scalars, sparse elimination and integer-polynomial determinants.
 
-The ground field is either Q (scalars are `fractions.Fraction`, always in
-lowest terms with positive denominator) or F_p for a prime p (scalars are
-ints in [0, p)).  Everything in this module is exact; no floating point is
-used anywhere in the package.
+The ground field is either Q or F_p for a prime p.  A scalar of Q is an
+exact `int` when it is integral and a `fractions.Fraction` (in lowest
+terms, with denominator > 1) otherwise, so the 1s and -1s that fill most
+tables cost integer arithmetic; `Fraction(n) == n` with equal hashes, and
+both print alike.  A scalar of F_p is an int in [0, p).  Everything in this
+module is exact; no floating point is used anywhere in the package.
 
 Vectors are sparse dicts {coordinate: value}, and there is one row type.
 `Echelon` holds a subspace in reduced echelon form: every span, socle,
@@ -38,11 +40,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x):
+    """The Q scalar x: its numerator if x is a Fraction with denominator 1."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class GroundField:
     """Descriptor for Q (characteristic 0) or F_p, owning scalar arithmetic.
 
     All code manipulating scalars goes through the field object, so callers
-    never branch on the characteristic themselves.
+    never branch on the characteristic themselves.  Every method returns a
+    scalar of the field in the one representation the module docstring
+    gives: over Q an `int` when integral, never a Fraction with denominator
+    1 nor a `bool`.  The elimination loops of `Echelon` and
+    `FDAlgebra._combine` inline the same arithmetic.
     """
 
     __slots__ = ("p",)
@@ -72,10 +83,10 @@ class GroundField:
             num, den = value
             return self.div(self.coerce(num), self.coerce(den))
         if self.p == 0:
-            if isinstance(value, Fraction):
-                return value
             if isinstance(value, int):
-                return Fraction(value)
+                return int(value)  # also turns a bool into 0 or 1
+            if isinstance(value, Fraction):
+                return _rational(value)
             raise FieldMismatchError(f"cannot coerce {value!r} into QQ")
         if isinstance(value, int):
             return value % self.p
@@ -84,19 +95,19 @@ class GroundField:
         raise FieldMismatchError(f"cannot coerce {value!r} into GF({self.p})")
 
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return 1
 
     def is_zero(self, a) -> bool:
         return not a
 
     def add(self, a, b):
-        return a + b if self.p == 0 else (a + b) % self.p
+        return _rational(a + b) if self.p == 0 else (a + b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p == 0 else (a * b) % self.p
+        return _rational(a * b) if self.p == 0 else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p == 0 else (-a) % self.p
@@ -104,7 +115,7 @@ class GroundField:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.p == 0 else pow(a, -1, self.p)
+        return _rational(1 / Fraction(a)) if self.p == 0 else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -158,10 +169,13 @@ class Echelon:
                 f"vector of length {len(vec)} in ambient dimension {self.width}")
         else:
             items = enumerate(vec)
-        coerce, out = self.field.coerce, {}
+        coerce, p, out = self.field.coerce, self.field.p, {}
         for k, x in items:
             if x:
-                x = coerce(x)
+                if type(x) is not int:
+                    x = coerce(x)
+                elif p:
+                    x %= p
                 if x:
                     out[k] = x
         return out
@@ -176,6 +190,8 @@ class Echelon:
                 x = v.get(k, 0) - c * b
                 if p:
                     x %= p
+                elif type(x) is not int and x.denominator == 1:
+                    x = x.numerator
                 if x:
                     v[k] = x
                 else:
@@ -200,6 +216,8 @@ class Echelon:
                 x = row.get(k, 0) - d * b
                 if p:
                     x %= p
+                elif type(x) is not int and x.denominator == 1:
+                    x = x.numerator
                 if not x:
                     del row[k]
                     if k != j:

@@ -1,14 +1,56 @@
 """Routines the package no longer needs, kept for tests as references."""
 
+from fractions import Fraction
+from itertools import product
+
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              SelfinjectivityCertificate, SelfinjectivityRefusal,
                              SocleData, arrow_layers, ideal_slice, loewy_length,
                              quotient_slices, radical_chain, socles, span_products)
 from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
-from trivext.linalg import QQ, Echelon, SparseRank, row_reduce
+from trivext.linalg import (QQ, Echelon, FieldMismatchError, GroundField, SparseRank,
+                            row_reduce)
 from trivext.quiver import PathBudgetExceeded, path_layer
 from trivext.trivial_extension import RelationSet, _slice_kernel, extended_quiver
+
+
+class FractionField(GroundField):
+    """The former arithmetic of QQ: every scalar a `Fraction`, the
+    integral ones too."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def coerce(self, value):
+        if isinstance(value, tuple):
+            num, den = value
+            return self.div(self.coerce(num), self.coerce(den))
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        raise FieldMismatchError(f"cannot coerce {value!r} into QQ")
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / Fraction(a)
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -527,6 +569,26 @@ def bounded_by_pieces(pres):
     if any(order[k].length >= N for k in ech.free_columns()):
         raise AdmissibilityError(f"nilpotency bound {N} is too small")
     return order, dict(zip(ech.pivots, ech.rows))
+
+
+def tuples_by_nested_walks(data, n: int):
+    """The former `_BarData.tuples`: each walk of slot blocks rebuilt
+    through a chain of nested generators, one per degree."""
+    def block_walks(u, goal, k):
+        if k == 0:
+            if u == goal:
+                yield []
+            return
+        reach = data.walks(k - 1)
+        for v, block in enumerate(data.blocks[u]):
+            if block and reach[v][goal]:
+                for rest in block_walks(v, goal, k - 1):
+                    yield [block] + rest
+
+    data.walks(n)
+    for (u, v), heads in data.heads.items():
+        for walk in block_walks(v, u, n):
+            yield from product(heads, *walk)
 
 
 def commutator_rank_by_fractions(B) -> int:

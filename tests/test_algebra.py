@@ -3,6 +3,7 @@
 import copy
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,19 @@ def test_multiply_examples():
         y = B.basis_element(k)
         assert B.multiply(one, y) == y
         assert B.multiply(y, one) == y
+
+
+def test_products_store_integral_rationals_as_ints():
+    # _combine inlines the field's arithmetic: over Q a sum or product that
+    # is integral comes out an int, over F_p a residue
+    A = build("field Q\nvertices v\narrow x : v -> v\nrelation x*x\n")
+    third = Fraction(1, 3)
+    got = A._combine([(third, {0: 1, 1: Fraction(3, 2)}), (2 * third, {0: 1, 1: 3})])
+    assert got == {0: 1, 1: Fraction(5, 2)} and type(got[0]) is int
+    got = A.multiply({0: Fraction(3, 2), 1: 1}, {0: Fraction(2, 3), 1: Fraction(-2, 3)})
+    assert got == {0: 1, 1: Fraction(-1, 3)} and type(got[0]) is int
+    B = build("field F 5\nvertices v\narrow x : v -> v\nrelation x*x\n")
+    assert B._combine([(3, {0: 4, 1: 1}), (2, {1: 1})]) == {0: 2}
 
 
 def test_radical_powers():
@@ -285,9 +299,9 @@ def test_arrow_walk_agrees_with_former_routines(algebras, extensions):
 def test_one_elimination_gives_generation_and_the_chain(algebras, extensions,
                                                         monkeypatch):
     # layer_sums adds each arrow layer row once, deepest layer first;
-    # check_generation reads its rank and radical_chain its copies, which
-    # equal the former chain that rebuilt each power from all the deeper
-    # layers.  Mutants each fails: the sums kept without copies; the
+    # check_generation reads its rank and radical_chain S_0 and the copies,
+    # which equal the former chain that rebuilt each power from all the
+    # deeper layers.  Mutants each fails: the sums kept without copies; the
     # layers added shallowest first
     seeded = seeded_algebras()
     inputs = (list(algebras.values()) + [tri.T for tri in extensions.values()]
@@ -313,9 +327,18 @@ def test_one_elimination_gives_generation_and_the_chain(algebras, extensions,
         walk = adds_in(arrow_layers, Y)
         rows = sum(L.rank for L in arrow_layers(Y))
         assert adds_in(Y.check_generation) == walk + rows, X
-        assert adds_in(radical_chain, Y) == Y.dim, X  # the rows of A itself
+        # chain[0] is S_0, which generation makes all of A: no add of its own
+        assert adds_in(radical_chain, Y) == 0, X
         assert radical_chain(Y) == want, X
-        assert layer_sums(Y)[0].rank == Y.dim
+        assert radical_chain(Y)[0] is layer_sums(Y)[0]
+        identity = Echelon(Y.field, Y.dim, [Y.basis_element(k) for k in range(Y.dim)])
+        assert radical_chain(Y)[0] == identity, X
+        # without arrows S_0 is span E; chain[0] is still all of A
+        Z = copy.copy(X)
+        Z.arrows = []
+        layer_sums(Z)
+        assert adds_in(radical_chain, Z) == (Z.dim if Z.dim > Z.num_vertices else 0)
+        assert radical_chain(Z)[0] == identity, X
         deep += len(want) > 3
     assert deep >= 10, deep
 

@@ -17,7 +17,8 @@ from trivext.trivial_extension import trivial_extension
 
 from reference import (DimensionCapExceeded, ExactMatrix, boundary_hh_dims,
                        boundary_matrix, boundary_rank, boundary_squares_to_zero,
-                       coboundary_rank_by_columns, commutator_rank_by_fractions, key)
+                       coboundary_rank_by_columns, commutator_rank_by_fractions, key,
+                       tuples_by_nested_walks)
 
 
 def build(text, **kw):
@@ -568,6 +569,29 @@ def test_coboundary_is_the_transposed_boundary(algebras, extensions):
                                  and data.chain_dim(n + 1) for n in range(2, N))
             compared += 1
     assert compared >= 120 and skipped_empty >= 2, (compared, skipped_empty)
+
+
+def test_tuples_keep_the_order_of_the_nested_walks(algebras, extensions):
+    # _BarData.tuples walks the Peirce blocks depth first off the
+    # reachability table; its sequence equals the former one, built through
+    # nested generators, on which the leads and hence the clearing depend.
+    # T(path_a2) has one slot per block, so there each walk is one tuple.
+    compared = 0
+    inputs = oracle_inputs(algebras, extensions)
+    for B in inputs:
+        for variant in ("normalized", "full"):
+            data = _BarData(B, variant)
+            n = 0
+            while n <= 8 and data.chain_dim(n) <= 2000:
+                got = list(data.tuples(n))
+                assert got == list(tuples_by_nested_walks(data, n)), (B, variant, n)
+                assert len(got) == data.chain_dim(n)
+                compared += 1
+                n += 1
+    data = _BarData(extensions["path_a2"].T, "normalized")
+    for n in (12, 13):
+        assert list(data.tuples(n)) == list(tuples_by_nested_walks(data, n))
+    assert compared >= 4 * len(inputs), compared
 
 
 def test_leading_entry_is_read_without_the_column(algebras, extensions):

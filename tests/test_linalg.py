@@ -9,7 +9,7 @@ from trivext.linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
                             IntPolynomial, SparseRank, poly_det,
                             row_reduce)
 
-from reference import ExactMatrix, apply_column
+from reference import ExactMatrix, FractionField, apply_column
 
 
 def test_identity_matrix_full_rank():
@@ -320,6 +320,112 @@ def test_rationals_stay_reduced():
     assert f.denominator > 0
     r = GF(5).coerce(Fraction(1, 2))  # 1/2 = 3 mod 5
     assert r == 3
+
+
+def is_q_scalar(x) -> bool:
+    """x is a scalar of QQ as the package stores it: an exact int, or a
+    Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_integral_rationals_are_ints():
+    # the unit cases of the representation: a bool is coerced to an int
+    # (str(True) is "True"), an integral Fraction to its numerator, and
+    # every operation returns an int where the value is integral
+    assert type(QQ.coerce(True)) is int and str(QQ.coerce(True)) == "1"
+    assert type(QQ.coerce(False)) is int
+    assert type(GF(5).coerce(True)) is int
+    two = QQ.coerce(Fraction(4, 2))
+    assert two == 2 and type(two) is int
+    assert type(QQ.coerce((6, 3))) is int and QQ.coerce((6, 3)) == 2
+    for a in (1, -1):
+        assert QQ.inv(a) == a and type(QQ.inv(a)) is int
+    assert QQ.inv(Fraction(-1, 3)) == -3 and type(QQ.inv(Fraction(-1, 3))) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    results = [QQ.zero(), QQ.one(), QQ.add(half, half), QQ.mul(two_thirds, Fraction(3, 2)),
+               QQ.div(two_thirds, two_thirds), QQ.neg(QQ.one()), QQ.add(two_thirds, 1),
+               QQ.mul(half, 3)]
+    assert results == [0, 1, 1, 1, 1, -1, Fraction(5, 3), Fraction(3, 2)]
+    assert all(is_q_scalar(x) for x in results)
+    rng = random.Random(1804)
+    for _ in range(200):
+        a, b = (QQ.coerce(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
+                for _ in range(2))
+        values = [a, b, QQ.add(a, b), QQ.mul(a, b), QQ.neg(a)]
+        if b:
+            values += [QQ.inv(b), QQ.div(a, b)]
+        assert all(is_q_scalar(x) for x in values), values
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_echelon_reads_ints_as_scalars(field):
+    # an int entry skips `coerce`, so over F_p it must still be read as its
+    # residue: raw ints, negative or past p, give the coerced rows
+    rng = random.Random(1806 + field.p)
+    for _ in range(40):
+        width = rng.randrange(1, 7)
+        rows = [[rng.randrange(-12, 13) for _ in range(width)]
+                for _ in range(rng.randrange(1, 6))]
+        ech = Echelon(field, width, rows)
+        assert ech == Echelon(field, width, [[field.coerce(x) for x in row] for row in rows])
+        assert all(is_q_scalar(x) if not field.p else type(x) is int and 0 < x < field.p
+                   for row in ech.rows for x in row.values())
+        probe = [rng.randrange(-12, 13) for _ in range(width)]
+        assert ech.reduce(probe) == ech.reduce([field.coerce(x) for x in probe])
+
+
+def cancelling_rows(rng, nrows, ncols):
+    """Rows over Q that mix integers with fractions whose products are
+    often integral (2/3 * 3/2, 1/2 * 2, ...), plus sums of scaled rows."""
+    entries = [0, 0, 0, 1, -1, 2, 3, Fraction(2, 3), Fraction(3, 2), Fraction(-3, 2),
+               Fraction(1, 2), Fraction(4, 3), Fraction(3, 4)]
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rng.choice(entries[3:]), rng.choice(entries[3:])
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+        else:
+            rows.append([rng.choice(entries) for _ in range(ncols)])
+    return rows
+
+
+def test_echelon_and_row_reduce_match_fraction_arithmetic():
+    # Echelon and row_reduce over QQ against the dense references run in
+    # the former arithmetic, where every scalar is a Fraction: the same
+    # pivots, rows, residuals and kernels, and every value the package
+    # stores is an int or a non-integral Fraction.  Inputs come as
+    # Fractions (integral ones too) and as ints.
+    rng = random.Random(1805)
+    old = FractionField()
+    integral = fractional = 0
+    for trial in range(80):
+        width = rng.randrange(1, 9)
+        rows = cancelling_rows(rng, rng.randrange(1, 10), width)
+        if trial % 2:
+            rows = [[old.coerce(x) for x in row] for row in rows]
+        ech, ref = Echelon(QQ, width), DenseEchelon(old, width)
+        for row in rows:
+            assert ech.add(row) == ref.add(row)
+            assert ech.pivots == ref.pivots
+            assert [dense(r, width, QQ) for r in ech.rows] == ref.rows
+            assert all(is_q_scalar(x) for r in ech.rows for x in r.values()), ech.rows
+        for probe in rows + cancelling_rows(rng, 4, width):
+            residual = ech.reduce(probe)
+            assert dense(residual, width, QQ) == ref.reduce(probe)
+            assert all(is_q_scalar(x) for x in residual.values()), residual
+        m = ExactMatrix.from_rows(rows, old)
+        kernel = row_reduce(QQ, m.images())
+        rank, ref_kernel, pivots = dense_row_reduce(m)
+        assert width - kernel.rank == rank
+        assert [dense(r, width, QQ) for r in kernel.rows] == ref_kernel
+        assert all(is_q_scalar(x) for r in kernel.rows for x in r.values()), kernel.rows
+        values = [x for r in ech.rows + kernel.rows for x in r.values()]
+        integral += sum(type(x) is int and x not in (0, 1) for x in values)
+        fractional += sum(type(x) is Fraction for x in values)
+    # both kinds of value occur, integral ones other than the pivots' 1s
+    assert integral >= 50 and fractional >= 50, (integral, fractional)
 
 
 def test_prime_check():

@@ -3,17 +3,19 @@
 import copy
 import random
 from collections import Counter
+from fractions import Fraction
 from types import ModuleType
 
 import pytest
 
 import trivext.trivial_extension as trivial_extension_module
 from trivext.algebra import (AlgebraBuildError, FDAlgebra, build_algebra,
-                             loewy_length, selfinjectivity,
+                             loewy_length, radical_chain, selfinjectivity,
                              SelfinjectivityCertificate,
-                             left_socle_in_bimodule_socle, socles)
+                             left_socle_in_bimodule_socle, socles,
+                             trace_form_radical)
 from trivext.dsl import RelationExpr, parse_presentation
-from trivext.linalg import Echelon
+from trivext.linalg import QQ, Echelon
 from trivext.quiver import Path, PathBudgetExceeded, compose
 from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        extended_quiver, relations_up_to,
@@ -22,6 +24,7 @@ from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
 from reference import (extension_table_by_scan, new_arrows_by_block_scan, phi,
                        relations_adding_every_kernel_vector, slice_kernel_by_blocks)
 from test_builder import random_presentation
+from test_linalg import is_q_scalar
 from test_validation import associative_on_all_triples
 
 
@@ -542,3 +545,34 @@ def test_dual_blocks_match_the_scan_reference(algebras, extensions):
         multi_key += sum(len(x) > 1 for row in want for x in row[A.dim:])
         multi_key += sum(len(x) > 1 for row in want[A.dim:] for x in row)
     assert multi_key  # dual-block entries with several keys occur
+
+
+RATIONAL_PRESENTATIONS = (
+    "field Q\nvertices v\narrow x : v -> v\narrow y : v -> v\n"
+    "relation x*x\nrelation y*y\nrelation x*y - 2/3*y*x\n",
+    "field Q\nvertices a b c d\narrow x : a -> b\narrow y : b -> d\narrow z : a -> c\n"
+    "arrow w : c -> d\nrelation 3/2*y*x - 4*w*z\n",
+)
+
+
+def test_rational_scalars_are_stored_as_ints_when_integral(extensions):
+    # over Q every scalar the package stores is an int or a non-integral
+    # Fraction: the tables of A and T(A), the rows of the radical chain,
+    # the socles and the trace-form radical (kernels of row_reduce), and
+    # the coefficients of the relations of T(A)
+    tris = [tri for tri in extensions.values() if tri.T.field == QQ]
+    tris += [tri for tri in seeded_extensions(random.Random(1806), 36)
+             if tri.T.field == QQ]
+    tris += [trivial_extension(build(text)) for text in RATIONAL_PRESENTATIONS]
+    fractional = 0
+    for tri in tris:
+        values = [c for gen in relations_up_to(tri).generators for c, _ in gen.terms]
+        for X in (tri.base, tri.T):
+            soc = socles(X)
+            spaces = (radical_chain(X) + soc.left + soc.right
+                      + [soc.bimodule, trace_form_radical(X)])
+            values += [c for row in X.table for prod in row for c in prod.values()]
+            values += [c for ech in spaces for row in ech.rows for c in row.values()]
+        assert all(is_q_scalar(c) for c in values), tri.T
+        fractional += any(type(c) is Fraction for c in values)
+    assert len(tris) >= 20 and fractional >= 4, (len(tris), fractional)
