@@ -23,7 +23,7 @@ from .algebra import (AlgebraBuildError, FDAlgebra, build_algebra, is_local,
 from .corpus import run_corpus
 from .criteria import graded_cartan, hhdim_verdict
 from .dsl import DSLError, parse_presentation
-from .hochschild import DEFAULT_TUPLE_CAP, hh_dims
+from .hochschild import DEFAULT_TUPLE_CAP, chain_module, hh_dims
 from .quiver import PathBudgetExceeded
 from .trivial_extension import (check_new_products_vanish, relations_up_to,
                                 trivial_extension)
@@ -42,12 +42,24 @@ MINIMUM = {"--hh-check": 1, "--max": 0, "--relations-cap": 2}
 
 def _tuple_cap() -> int:
     env = os.environ.get("TRIVEXT_DIM_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DSLError(f"TRIVEXT_DIM_CAP must be an integer, got {env!r}")
-    return DEFAULT_TUPLE_CAP
+    if env is None:
+        return DEFAULT_TUPLE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise DSLError(f"TRIVEXT_DIM_CAP must be an integer, got {env!r}")
+    if cap < 0:
+        raise DSLError(f"TRIVEXT_DIM_CAP must be at least 0, got {cap}")
+    return cap
+
+
+def _cap_error(B: FDAlgebra, report, cap: int) -> None:
+    """The error line of a report the tuple cap truncated: the chain
+    module over the cap, its dimension and the cap."""
+    k = report.truncated_at
+    size = chain_module(B, k, report.variant).dimension
+    print(f"error: dim C_{k} = {size} is over the tuple cap {cap} "
+          "(TRIVEXT_DIM_CAP)", file=sys.stderr)
 
 
 def _load(path: str):
@@ -194,10 +206,11 @@ def cmd_verdict(args) -> int:
             "corroborates_infinite": (hh.corroborates_infinite()
                                       if verdict.is_infinite else None),
         }
-        if hh.truncated_at is not None:
-            code = EXIT_CAP
     rep = _report("verdict", result, digest, args.file)
     _emit(rep, args)
+    if args.hh_check is not None and hh.truncated_at is not None:
+        _cap_error(verdict.algebra, hh, cap)
+        return EXIT_CAP
     return code
 
 
@@ -229,7 +242,10 @@ def cmd_hh(args) -> int:
     }
     rep = _report("hh", result, digest, args.file)
     _emit(rep, args)
-    return EXIT_CAP if report.truncated_at is not None else EXIT_OK
+    if report.truncated_at is not None:
+        _cap_error(A, report, cap)
+        return EXIT_CAP
+    return EXIT_OK
 
 
 def cmd_corpus(args) -> int:

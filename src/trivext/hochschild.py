@@ -50,18 +50,36 @@ row keys of delta_{N+1}, so the tuple cap applies to C_0, ..., C_N.
 Most of these columns become pivots exactly as they stand, so a column
 is built only when elimination needs it (Bauer's emergent pairs, in
 Ripser).  Each face of the column of u is one coface list of
-`_BarData.cofaces`, sorted once per degree by shifted key and shifted by
-a constant that depends on u, and within one face the keys are
-distinct.  So the column's smallest key j is the least of the faces'
-first keys, and its entry there is the sum c of the first coefficients
-of the faces that reach j; `_Coboundary.leads` reads (j, c) without
-building the column.  If c != 0 (mod p) and j is not yet a pivot, the
-column needs no reduction: `SparseRank.defer` records the pivot at j as
-the tuple u and raises the rank, and the column is built, stored as
-`add` would have stored it, only when a later reduction meets j.
-Otherwise (c cancels, or j is a pivot) the column is built and added.
-The elimination is the one that adds every column, deferred: the same
-pivots, so the same clearing and the same ranks.
+`_BarData.cofaces`, shifted by a constant that depends on u, and within
+one face the keys are distinct.  The lists are sorted once per algebra:
+in every degree the keys of a list are place[i] (j P + l), or
+b_0 P^n + s for the wrap face, with l, s < P = dbar, so their order does
+not depend on the degree or the face.  So the column's smallest key j is
+the least of the faces' first keys, and its entry there is the sum c of
+the first coefficients of the faces that reach j; `_Coboundary.leads`
+reads (j, c) without building the column.  If c != 0 (mod p) and j is
+not yet a pivot, the column needs no reduction: `SparseRank.defer`
+records the pivot at j as the row key of u and raises the rank, and the
+column is built, stored as `add` would have stored it, only when a later
+reduction meets j.  Otherwise (c cancels, or j is a pivot) the column is
+built and added.  The elimination is the one that adds every column,
+deferred: the same pivots, so the same clearing and the same ranks.
+
+The lead costs O(1) per tuple, not one step per face.  With
+h_i = -(u_0 place_0 + ... + u_{i-1} place_{i-1}), face i < n of u (the
+first face is i = 0) leads at m_i[u_i] + u_i place_i + (P - 1) h_i -
+key(u), m_i[x] the first key of face i's list at x.  Only key(u) depends
+on the suffix, so the least of these values over the prefix faces, with
+its coefficient summed over ties, is carried from each prefix
+u_0 ... u_i to its extensions.  `_BarData.block_trie` enumerates the
+tuples as a trie of Peirce blocks whose walks share the nodes of common
+prefixes, so this is one state per distinct prefix, and each tuple adds
+only its key, the `cleared` test and the wrap face, the one face that
+reads the whole tuple.  On the 58 corroborate benchmark inputs of seed 17
+the scan takes 0.025 s per pass where the face-by-face one took 0.084 s,
+and `hh_dims` 0.077 s where it took 0.138 s; `hh_dims(T(path_a2), 14)`
+takes 0.66 s where it took 0.99 s (2 cores, Python 3.11.7).
+
 Columns whose tuples have different total degree (for a graded algebra)
 have disjoint row support, so elimination never mixes degree blocks.
 """
@@ -70,9 +88,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import lcm
-from operator import mul
 
 from .algebra import FDAlgebra
 from .linalg import SparseRank
@@ -149,44 +165,37 @@ class _BarData:
         walks = self.walks(n)
         return sum(len(heads) * walks[v][u] for (u, v), heads in self.heads.items())
 
-    def tuples(self, n: int):
-        """Yield every degree-n tuple (b_0, s_1, ..., s_n), with s_i slot
-        indices, grouped by the Peirce blocks of its entries and in
-        lexicographic order within a group."""
-        self.walks(n)
-        for (u, v), heads in self.heads.items():
-            for walk in self._block_walks(v, u, n):
-                yield from product(heads, *walk)
-
-    def _block_walks(self, u, goal, k):
-        """Lists of k slot blocks that chain from vertex u to `goal`, in
-        lexicographic order of their vertices.  One depth-first walk over
-        the steps that `walks` says can still reach `goal`: every step
-        taken lies on a yielded walk, so the work is one step per distinct
-        prefix, not k generator resumptions per walk."""
-        if not self.walks(k)[u][goal]:
-            return
-        if k == 0:
-            yield []
-            return
+    def block_trie(self, n: int):
+        """The degree-n tuples (b_0, s_1, ..., s_n), s_i slot indices, as a
+        trie of Peirce blocks: yield (depth, members) for each node in
+        depth-first preorder, depth 0 for the heads b_0 of one Peirce block
+        and depth i for the slot block that s_i ranges over.  The tuples
+        are the products of the members along each path from depth 0 to
+        depth n, grouped by path in lexicographic order of the blocks'
+        vertices and lexicographic within a path.  Every node lies on such
+        a path, as `walks` says which moves can still reach the goal, and
+        paths that share a prefix of blocks share its nodes."""
+        walks = self.walks(n)
         m = len(self.blocks)
-        # steps[r][w]: the (vertex, block) moves out of w that leave a
-        # walk of r - 1 steps to goal
-        steps = [None] + [[[(v, block) for v, block in enumerate(self.blocks[w])
-                            if block and self._walks[r - 1][v][goal]]
-                           for w in range(m)] for r in range(1, k + 1)]
-        walk, stack = [], [iter(steps[k][u])]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                if walk:
-                    walk.pop()
-            elif len(walk) == k - 1:
-                yield walk + [step[1]]
-            else:
-                walk.append(step[1])
-                stack.append(iter(steps[k - len(walk)][step[0]]))
+        for (goal, start), heads in self.heads.items():
+            if not walks[start][goal]:
+                continue
+            yield 0, heads
+            # steps[r][w]: the (vertex, block) moves out of w that leave a
+            # walk of r - 1 steps to goal
+            steps = [None] + [[[(v, block) for v, block in enumerate(self.blocks[w])
+                                if block and self._walks[r - 1][v][goal]]
+                               for w in range(m)] for r in range(1, n + 1)]
+            stack = [iter(steps[n][start])] if n else []
+            while stack:
+                step = next(stack[-1], None)
+                if step is None:
+                    stack.pop()
+                    continue
+                depth = len(stack)
+                yield depth, step[1]
+                if depth < n:
+                    stack.append(iter(steps[n - depth][step[0]]))
 
     @cached_property
     def integer_tables(self):
@@ -213,27 +222,37 @@ class _BarData:
     @cached_property
     def cofaces(self):
         """`integer_tables` inverted: for each of first, mid and wrap, and
-        each basis element or slot k, the (j, l, c) with c * k in [j][l]."""
+        each basis element or slot k, the (j, l, c) with c * k in [j][l],
+        in descending order of the pair the coface's key reads first:
+        (j, l) for first and mid, (l, j) = (b_0, s) for wrap.  The second
+        entry of that pair is a slot, below `dbar`, so the order is that of
+        the keys `_Coboundary` gives the cofaces in every degree, reversed."""
         inv = [[[] for _ in range(size)] for size in (self.d, self.dbar, self.d)]
         for table, out in zip(self.integer_tables[1:], inv):
             for j, row in enumerate(table):
                 for l, prod in enumerate(row):
                     for k, c in prod:
                         out[k].append((j, l, c))
+        for cof in inv[0] + inv[1]:
+            cof.sort(reverse=True)
+        for cof in inv[2]:
+            cof.sort(key=lambda e: (e[1], e[0]), reverse=True)
         return inv
 
 
 class _Coboundary:
     """delta_n of one `_BarData`, read a column or a leading entry at a time.
 
-    The column of a degree-(n-1) tuple u = (b_0, s_1, ..., s_m) holds the
+    A degree-(n-1) tuple u = (u_0, ..., u_{n-1}) is named by its row key
+    -key(u), where key(u) = sum u_i place_i is its number with digits
+    u_0 = b_0, u_1 = s_1, ... in base `dbar`.  Its column holds the
     integer coefficient of u in the boundary of each degree-n tuple (zeros
-    not dropped), at the row key minus the number with digits b_0, s_1, ...
-    in base `dbar`.  Each face contributes one coface list of `cofaces`,
-    shifted by a constant that depends on u only: the entries of u before
-    the face move one place higher (times dbar), those after it keep their
-    places.  The lists are sorted here by shifted key, so each face's
-    smallest key is its first entry.
+    not dropped), at that tuple's row key.  Each face contributes one
+    coface list of `cofaces`, shifted by a constant that depends on u
+    only: the entries of u before the face move one place higher (times
+    dbar), those after it keep their places.  `cofaces` keeps each list in
+    ascending order of its shifted keys, so each face's smallest key is
+    its first entry.
     """
 
     def __init__(self, data: _BarData, n: int):
@@ -244,7 +263,7 @@ class _Coboundary:
         top = P * place[0]                                         # of b_0 in C_n
 
         def shifted(table, key, sign):
-            return [sorted((-key(j, l), sign * c) for j, l, c in cof) for cof in table]
+            return [[(-key(j, l), sign * c) for j, l, c in cof] for cof in table]
 
         self.first = shifted(first, lambda b0, s: b0 * top + s * place[0], 1)
         # mid[i]: face i, u_i split into the entries i and i + 1 of the coface
@@ -252,16 +271,21 @@ class _Coboundary:
                                      (-1) ** i) for i in range(1, n)]
         self.wrap = shifted(wrap, lambda s, b0: b0 * top + s, (-1) ** n)
 
-    def column(self, u) -> dict:
-        """The column delta_n(u), as a dict {row key: integer}."""
-        P, place = self.P, self.place
-        key = sum(map(mul, u, place))
+    def column(self, r: int) -> dict:
+        """The column delta_n(u) of the tuple u with row key r, as a dict
+        {row key: integer}."""
+        P, n, place = self.P, self.n, self.place
+        key = rest = -r
+        u = [0] * n
+        for i in range(n - 1, 0, -1):
+            rest, u[i] = divmod(rest, P)
+        u[0] = rest
         rest = key - u[0] * place[0]
         col = {}
         for k, c in self.first[u[0]]:
             col[k - rest] = c
         head = 0
-        for i in range(1, self.n):
+        for i in range(1, n):
             head += u[i - 1] * place[i - 1]
             base = (P - 1) * head + key - u[i] * place[i]
             for k, c in self.mid[i][u[i]]:
@@ -274,46 +298,71 @@ class _Coboundary:
         return col
 
     def leads(self, cleared):
-        """Yield (u, j, c) for every degree-(n-1) tuple u whose row key is
-        not in `cleared`, in the order of `_BarData.tuples`, without
+        """Yield (r, j, c) for the row key r of every degree-(n-1) tuple u
+        not in `cleared`, in the order of `_BarData.block_trie`, without
         building its column: j is the smallest row key of delta_n(u) and c
-        the sum over the faces of their coefficients at j; (u, None, 0) if
+        the sum over the faces of their coefficients at j; (r, None, 0) if
         the column is empty.  Each face's keys are its sorted list shifted
         by one constant, and are distinct, so j is the least of the faces'
         first keys and c the column's entry at j: its leading entry unless
-        c cancels (mod p)."""
+        c cancels (mod p).
+
+        Face i < n leads at g_i - key(u), g_i a value of the prefix
+        u_0 ... u_i (module docstring), so each prefix of the trie keeps
+        one state (h, g, c): h = -(its key), g the least g_i of its faces
+        and c their coefficients summed over ties at g.  A tuple adds its
+        key, the `cleared` test and the wrap face."""
         P, n, place = self.P, self.n, self.place
-        none = (None, 0)
-        first = [cof[0] if cof else none for cof in self.first]
-        wrap = [cof[0] if cof else none for cof in self.wrap]
-        mid = [None] + [[cof[0] if cof else none for cof in m] for m in self.mid[1:]]
-        p0 = place[0]
-        for u in self.data.tuples(n - 1):
-            key = sum(map(mul, u, place))
-            if -key in cleared:
+        q, p0 = P - 1, place[0]
+        # the first key of a face without cofaces: above dbar * key(u) for
+        # every u, so that it never leads
+        big = self.data.d * (P + 1) ** n + 1
+
+        def firsts(faces, i):
+            return [(cof[0][0] + x * place[i], cof[0][1], x * place[i]) if cof
+                    else (big, 0, x * place[i]) for x, cof in enumerate(faces)]
+
+        lead = [firsts(faces, i) for i, faces in enumerate([self.first, *self.mid[1:]])]
+        wrap = [(cof[0][0] + P * b * p0, cof[0][1]) if cof else (big, 0)
+                for b, cof in enumerate(self.wrap)]
+        # states[i]: (h, g, c) of the current prefixes of i entries
+        states = [[(0, big, 0)]]
+        for depth, members in self.data.block_trie(n - 1):
+            faces = lead[depth]
+            if depth < n - 1:
+                out = []
+                for h, g, c in states[depth]:
+                    qh = q * h
+                    for e in members:
+                        G, x, shift = faces[e]
+                        G += qh
+                        out.append((h - shift, G, x) if G < g else
+                                   (h - shift, g, c + x) if G == g else (h - shift, g, c))
+                states[depth + 1:] = [out]
                 continue
-            rest = key - u[0] * p0
-            j, c = first[u[0]]
-            if j is not None:
-                j -= rest
-            k, x = wrap[u[0]]
-            if k is not None:
-                k -= P * rest
-                if j is None or k < j:
-                    j, c = k, x
-                elif k == j:
-                    c += x
-            head = 0
-            for i in range(1, n):
-                head += u[i - 1] * place[i - 1]
-                k, x = mid[i][u[i]]
-                if k is not None:
-                    k -= (P - 1) * head + key - u[i] * place[i]
-                    if j is None or k < j:
-                        j, c = k, x
-                    elif k == j:
-                        c += x
-            yield u, j, c
+            for h, g, c in states[depth]:
+                qh = q * h
+                for e in members:
+                    G, x, shift = faces[e]
+                    r = h - shift
+                    if r in cleared:
+                        continue
+                    G += qh
+                    if G < g:
+                        j = G
+                    elif G == g:
+                        j, x = g, c + x
+                    else:
+                        j, x = g, c
+                    j += r
+                    W, y = wrap[-r // p0]
+                    W += P * r
+                    if W < j:
+                        j, x = W, y
+                    elif W == j:
+                        x += y
+                    # row keys are <= 0: j > 0 only if every face is empty
+                    yield r, (j if j <= 0 else None), x
 
 
 def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModuleDescriptor:
@@ -331,11 +380,11 @@ def _coboundary_rank(data: _BarData, n: int, cleared: set) -> tuple[int, set]:
     p = data.B.field.characteristic
     eng = SparseRank(p, delta.column)
     pivots = eng.pivots
-    for u, j, c in delta.leads(cleared):
+    for r, j, c in delta.leads(cleared):
         if (c % p if p else c) and j not in pivots:
-            eng.defer(j, u)
+            eng.defer(j, r)
         elif j is not None:
-            eng.add(delta.column(u))
+            eng.add(delta.column(r))
     return eng.rank, set(pivots)
 
 

@@ -315,10 +315,11 @@ class SparseRank:
 
     A caller that knows a column's leading index j and that j is not yet a
     pivot can `defer` the column instead of adding it: the pivot at j is
-    stored as a tuple, the cell from which `build(cell)` makes the column,
-    and the column is built and stored, as `add` would have stored it, the
-    first time a reduction meets j.  A new leading index needs no
-    reduction, so the pivots and the rank are those of adding every column.
+    stored as a cell, any value but None or a dict, from which
+    `build(cell)` makes the column, and the column is built and stored, as
+    `add` would have stored it, the first time a reduction meets j.  A new
+    leading index needs no reduction, so the pivots and the rank are those
+    of adding every column.
     """
 
     _NORMALIZE_BITS = 256
@@ -362,14 +363,14 @@ class SparseRank:
         not a pivot.  A deferred column that does not lead at j would
         never be cleared at j, so it raises."""
         piv = self.pivots.get(j)
-        if type(piv) is tuple:
+        if piv is not None and type(piv) is not dict:
             v = self._entries(self._build(piv))
             if min(v, default=None) != j:
                 raise ValueError(f"the column deferred at {j} does not lead there")
             piv = self._store(j, v)
         return piv
 
-    def defer(self, j: int, cell: tuple) -> None:
+    def defer(self, j: int, cell) -> None:
         """Record the pivot at j, which must be new, as `cell`."""
         self.pivots[j] = cell
         self.rank += 1

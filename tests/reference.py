@@ -143,7 +143,7 @@ def boundary_columns(data, n: int):
     # mid[i][s][t]: face i, merging slots i and i + 1 into slot i
     mid = [None] + [shifted(mid, place[i], (-1) ** i) for i in range(1, n)]
     wrap = shifted(wrap, top, (-1) ** n)
-    for tup in data.tuples(n):
+    for tup in tuples(data, n):
         b0 = tup[0]
         # head[i]: minus the key of b_0, s_1, ..., s_i in their own places
         head = [-b0 * top]
@@ -198,7 +198,7 @@ def coboundary_columns(data, n: int, cleared):
     mid = [None] + [shifted(mid, lambda s, t, i=i: s * place[i - 1] + t * place[i],
                             (-1) ** i) for i in range(1, n)]
     wrap = shifted(wrap, lambda s, b0: b0 * top + s, (-1) ** n)
-    for u in data.tuples(n - 1):
+    for u in tuples(data, n - 1):
         key = sum(x * p for x, p in zip(u, place))
         if -key in cleared:
             continue
@@ -255,7 +255,7 @@ def boundary_matrix(B, n: int, variant: str = "normalized",
         if size > cap:
             raise DimensionCapExceeded(deg, size, cap)
     f = B.field
-    row_of = {-key(data, t): r for r, t in enumerate(data.tuples(n - 1))}
+    row_of = {-key(data, t): r for r, t in enumerate(tuples(data, n - 1))}
     scale = data.integer_tables[0]
     m = ExactMatrix(data.chain_dim(n - 1), data.chain_dim(n), f)
     for idx, col in enumerate(boundary_columns(data, n)):
@@ -571,9 +571,42 @@ def bounded_by_pieces(pres):
     return order, dict(zip(ech.pivots, ech.rows))
 
 
+def tuples(data, n: int):
+    """The former `_BarData.tuples`: every degree-n tuple (b_0, s_1, ...,
+    s_n) of `data`, grouped by the Peirce blocks of its entries and in
+    lexicographic order within a group, the walks of slot blocks taken
+    depth first off the reachability table."""
+    def block_walks(u, goal, k):
+        if not data.walks(k)[u][goal]:
+            return
+        if k == 0:
+            yield []
+            return
+        m = len(data.blocks)
+        steps = [None] + [[[(v, block) for v, block in enumerate(data.blocks[w])
+                            if block and data.walks(r - 1)[v][goal]]
+                           for w in range(m)] for r in range(1, k + 1)]
+        walk, stack = [], [iter(steps[k][u])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if walk:
+                    walk.pop()
+            elif len(walk) == k - 1:
+                yield walk + [step[1]]
+            else:
+                walk.append(step[1])
+                stack.append(iter(steps[k - len(walk)][step[0]]))
+
+    for (u, v), heads in data.heads.items():
+        for walk in block_walks(v, u, n):
+            yield from product(heads, *walk)
+
+
 def tuples_by_nested_walks(data, n: int):
-    """The former `_BarData.tuples`: each walk of slot blocks rebuilt
-    through a chain of nested generators, one per degree."""
+    """The `tuples` before the depth-first walks: each walk of slot
+    blocks rebuilt through a chain of nested generators, one per degree."""
     def block_walks(u, goal, k):
         if k == 0:
             if u == goal:
@@ -589,6 +622,46 @@ def tuples_by_nested_walks(data, n: int):
     for (u, v), heads in data.heads.items():
         for walk in block_walks(v, u, n):
             yield from product(heads, *walk)
+
+
+def leads_by_faces(delta, cleared):
+    """The former `_Coboundary.leads`: yield (u, j, c) for every
+    degree-(n-1) tuple u of `tuples` whose row key is not in `cleared`,
+    reading the least key of each of its n + 1 faces in turn: j the least
+    of them, c the sum of the coefficients of the faces that reach it,
+    (u, None, 0) if every face is empty."""
+    P, n, place = delta.P, delta.n, delta.place
+    none = (None, 0)
+    first = [min(cof, default=none) for cof in delta.first]
+    wrap = [min(cof, default=none) for cof in delta.wrap]
+    mid = [None] + [[min(cof, default=none) for cof in m] for m in delta.mid[1:]]
+    p0 = place[0]
+    for u in tuples(delta.data, n - 1):
+        key = sum(x * y for x, y in zip(u, place))
+        if -key in cleared:
+            continue
+        rest = key - u[0] * p0
+        j, c = first[u[0]]
+        if j is not None:
+            j -= rest
+        k, x = wrap[u[0]]
+        if k is not None:
+            k -= P * rest
+            if j is None or k < j:
+                j, c = k, x
+            elif k == j:
+                c += x
+        head = 0
+        for i in range(1, n):
+            head += u[i - 1] * place[i - 1]
+            k, x = mid[i][u[i]]
+            if k is not None:
+                k -= (P - 1) * head + key - u[i] * place[i]
+                if j is None or k < j:
+                    j, c = k, x
+                elif k == j:
+                    c += x
+        yield u, j, c
 
 
 def commutator_rank_by_fractions(B) -> int:

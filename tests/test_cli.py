@@ -172,12 +172,29 @@ def test_verdict_hh_check(capsys, dual_file):
 
 def test_verdict_hh_check_cap_exit(capsys, dual_file, monkeypatch):
     monkeypatch.setenv("TRIVEXT_DIM_CAP", "10")
-    code, out, _ = run(capsys, "verdict", dual_file, "--extend", "--hh-check", "4")
+    code, out, err = run(capsys, "verdict", dual_file, "--extend", "--hh-check", "4")
     assert code == 4
     hh_check = json.loads(out)["result"]["hh_check"]
-    assert hh_check["truncated_at"] is not None
+    assert hh_check["truncated_at"] == 1
     # degrees cut off by the cap corroborate nothing
     assert hh_check["corroborates_infinite"] is None
+    # C_1 of T(dual_numbers) has 4 * 3 tuples
+    assert err == "error: dim C_1 = 12 is over the tuple cap 10 (TRIVEXT_DIM_CAP)\n"
+
+
+@pytest.mark.parametrize("value", ["-3", "ten"])
+def test_tuple_cap_must_be_a_nonnegative_integer(capsys, dual_file, monkeypatch, value):
+    monkeypatch.setenv("TRIVEXT_DIM_CAP", value)
+    for argv in (["hh", dual_file, "--max", "3"],
+                 ["verdict", dual_file, "--extend", "--hh-check", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: TRIVEXT_DIM_CAP must be") and err.count("\n") == 1
+    # a cap of 0 is a cap: C_0 is over it
+    monkeypatch.setenv("TRIVEXT_DIM_CAP", "0")
+    code, out, err = run(capsys, "hh", dual_file, "--max", "3")
+    assert code == 4 and json.loads(out)["result"]["truncated_at"] == 0
+    assert err == "error: dim C_0 = 2 is over the tuple cap 0 (TRIVEXT_DIM_CAP)\n"
 
 
 def corpus_file(tmp_path, name):
@@ -258,9 +275,10 @@ def test_hh_command_and_cap(capsys, dual_file, monkeypatch):
 
     # the normalized chain modules of the dual numbers all have dimension 2
     monkeypatch.setenv("TRIVEXT_DIM_CAP", "1")
-    code, out, _ = run(capsys, "hh", dual_file, "--max", "3")
+    code, out, err = run(capsys, "hh", dual_file, "--max", "3")
     assert code == 4
     assert json.loads(out)["result"]["truncated_at"] is not None
+    assert err == "error: dim C_0 = 2 is over the tuple cap 1 (TRIVEXT_DIM_CAP)\n"
 
 
 def test_reports_byte_identical(capsys, dual_file):

@@ -18,7 +18,7 @@ from trivext.trivial_extension import trivial_extension
 from reference import (DimensionCapExceeded, ExactMatrix, boundary_hh_dims,
                        boundary_matrix, boundary_rank, boundary_squares_to_zero,
                        coboundary_rank_by_columns, commutator_rank_by_fractions, key,
-                       tuples_by_nested_walks)
+                       leads_by_faces, tuples, tuples_by_nested_walks)
 
 
 def build(text, **kw):
@@ -493,14 +493,15 @@ def test_corroborates_infinite_needs_only_the_top_degree(extensions):
 
 def coboundary_matrix(B, n, variant):
     """delta_n as an exact matrix: one row per degree-n tuple and one column
-    per degree-(n-1) tuple, both in the order of `_BarData.tuples`."""
+    per degree-(n-1) tuple, both in the order of `tuples`."""
     data = _BarData(B, variant)
     f, scale = B.field, data.integer_tables[0]
-    row_of = {-key(data, t): r for r, t in enumerate(data.tuples(n))}
+    row_of = {-key(data, t): r for r, t in enumerate(tuples(data, n))}
     m = ExactMatrix(data.chain_dim(n), data.chain_dim(n - 1), f)
     delta = _Coboundary(data, n)
-    for idx, u in enumerate(data.tuples(n - 1)):
-        col = {row_of[k]: f.coerce((c, scale)) for k, c in delta.column(u).items()}
+    for idx, u in enumerate(tuples(data, n - 1)):
+        col = {row_of[k]: f.coerce((c, scale)) for k, c in
+               delta.column(-key(data, u)).items()}
         m.cols[idx] = {r: c for r, c in col.items() if c}
     return m
 
@@ -571,10 +572,21 @@ def test_coboundary_is_the_transposed_boundary(algebras, extensions):
     assert compared >= 120 and skipped_empty >= 2, (compared, skipped_empty)
 
 
+def trie_tuples(data, n):
+    """The tuples of `_BarData.block_trie(n)`: the product of the members
+    along each path from depth 0 to depth n, in the order of the paths."""
+    path = []
+    for depth, members in data.block_trie(n):
+        path[depth:] = [members]
+        if depth == n:
+            yield from product(*path)
+
+
 def test_tuples_keep_the_order_of_the_nested_walks(algebras, extensions):
-    # _BarData.tuples walks the Peirce blocks depth first off the
-    # reachability table; its sequence equals the former one, built through
-    # nested generators, on which the leads and hence the clearing depend.
+    # _BarData.block_trie shares the nodes of walks with a common prefix;
+    # its tuples, in order, equal the former enumeration through nested
+    # generators, on which the leads and hence the clearing depend, and so
+    # do those of `tuples`, the depth-first walks the tests enumerate with.
     # T(path_a2) has one slot per block, so there each walk is one tuple.
     compared = 0
     inputs = oracle_inputs(algebras, extensions)
@@ -583,15 +595,62 @@ def test_tuples_keep_the_order_of_the_nested_walks(algebras, extensions):
             data = _BarData(B, variant)
             n = 0
             while n <= 8 and data.chain_dim(n) <= 2000:
-                got = list(data.tuples(n))
+                got = list(trie_tuples(data, n))
                 assert got == list(tuples_by_nested_walks(data, n)), (B, variant, n)
+                assert got == list(tuples(data, n)), (B, variant, n)
                 assert len(got) == data.chain_dim(n)
                 compared += 1
                 n += 1
     data = _BarData(extensions["path_a2"].T, "normalized")
     for n in (12, 13):
-        assert list(data.tuples(n)) == list(tuples_by_nested_walks(data, n))
+        assert list(trie_tuples(data, n)) == list(tuples_by_nested_walks(data, n))
     assert compared >= 4 * len(inputs), compared
+
+
+def assert_leads_match_faces(data, N, first=1):
+    """Run the clearing of hh_dims(B, N) and compare, for each delta_n with
+    n >= first, the stream of `_Coboundary.leads` with the former scan over
+    every face, under the real cleared set.  Returns the leads compared and
+    the tuples cleared."""
+    leads = skipped = 0
+    cleared = set()
+    for n in range(1, N + 2):
+        if not (data.chain_dim(n - 1) and data.chain_dim(n)):
+            cleared = set()
+            continue
+        if n >= first:
+            delta = _Coboundary(data, n)
+            got = list(delta.leads(cleared))
+            want = [(-key(data, u), j, c) for u, j, c in leads_by_faces(delta, cleared)]
+            assert got == want, (data.B, data.dbar == data.d, n)
+            leads += len(got)
+            skipped += data.chain_dim(n - 1) - len(got)
+        _rank, cleared = hochschild._coboundary_rank(data, n, cleared)
+    return leads, skipped
+
+
+def test_prefix_scan_yields_the_face_by_face_stream(algebras, extensions):
+    # leads carries the least key of the prefix faces down the block trie
+    # and adds only the wrap face per tuple; it yields the former stream,
+    # the same tuples in the same order with the same (j, c), under the
+    # cleared sets hh_dims uses, in both variants over Q, F_3 and F_5.
+    # Not summing ties, leaving the wrap face out, or restarting the prefix
+    # states at every walk of blocks fails here.
+    counts = {0: [0, 0], 3: [0, 0], 5: [0, 0]}
+    for B in oracle_inputs(algebras, extensions):
+        for variant in ("normalized", "full"):
+            N = top_degree(B, variant, 2000)
+            if N >= 0:
+                leads, skipped = assert_leads_match_faces(_BarData(B, variant), N)
+                counts[B.field.characteristic][0] += leads
+                counts[B.field.characteristic][1] += skipped
+    assert all(leads >= 5_000 and skipped >= 1_000 for leads, skipped in counts.values()), \
+        counts
+    # long walks of one-slot blocks, and a three-vertex cycle
+    data = _BarData(extensions["path_a2"].T, "normalized")
+    assert assert_leads_match_faces(data, 14, first=13)[0] >= 50_000
+    data = _BarData(extensions["nakayama_cycle_3"].T, "normalized")
+    assert assert_leads_match_faces(data, 8)[0] >= 10_000
 
 
 def test_leading_entry_is_read_without_the_column(algebras, extensions):
@@ -600,7 +659,8 @@ def test_leading_entry_is_read_without_the_column(algebras, extensions):
     # smallest key and the integer there.  Where the faces' coefficients
     # cancel (mod p) the lead is not the column's leading entry.  Leaving
     # the wrap face out of the scan, or not summing ties across faces,
-    # fails here.
+    # fails here.  The coface lists, sorted once per algebra, are in
+    # ascending order of their keys in every degree and face.
     checked = cancelled = 0
     for B in oracle_inputs(algebras, extensions):
         p = B.field.characteristic
@@ -608,18 +668,20 @@ def test_leading_entry_is_read_without_the_column(algebras, extensions):
             data = _BarData(B, variant)
             for n in range(1, top_degree(B, variant, 600, n_max=3) + 2):
                 delta = _Coboundary(data, n)
-                for u, j, c in delta.leads(set()):
-                    col = delta.column(u)
+                for faces in (delta.first, *delta.mid[1:], delta.wrap):
+                    assert all(cof == sorted(cof) for cof in faces), (B, variant, n)
+                for r, j, c in delta.leads(set()):
+                    col = delta.column(r)
                     if j is None:
-                        assert not col, (B, u)
+                        assert not col, (B, r)
                         continue
-                    assert (j, c) == (min(col), col[j]), (B, variant, u)
+                    assert (j, c) == (min(col), col[j]), (B, variant, r)
                     nonzero = [k for k, x in col.items() if (x % p if p else x)]
                     if c % p if p else c:
-                        assert j == min(nonzero), (B, variant, u)
+                        assert j == min(nonzero), (B, variant, r)
                     else:
                         cancelled += 1
-                        assert all(k > j for k in nonzero), (B, variant, u)
+                        assert all(k > j for k in nonzero), (B, variant, r)
                     checked += 1
     assert checked >= 5000 and cancelled >= 1, (checked, cancelled)
 
@@ -663,7 +725,8 @@ def test_coboundary_work_counts(algebras, extensions, monkeypatch):
     # the pivot rows of delta_{n-1}: rank b_n of them are deferred pivots or
     # enlarge SparseRank, and the other dim HH_{n-1} are adds that do not or
     # empty columns that hh_dims skips.  No tuple of the top module C_{N+1}
-    # is enumerated, and fewer than half of the columns are built.
+    # is enumerated (the deepest block trie walked is that of C_N), and
+    # fewer than half of the columns are built.
     cases = []
     for B in oracle_inputs(algebras, extensions):
         for variant in ("normalized", "full"):
@@ -676,7 +739,7 @@ def test_coboundary_work_counts(algebras, extensions, monkeypatch):
     assert len(cases) >= 40, len(cases)
     adds, deferred, leads, built, degrees = [], [], [], [], []
     real_add, real_defer = SparseRank.add, SparseRank.defer
-    real_tuples = _BarData.tuples
+    real_trie = _BarData.block_trie
     real_leads, real_column = _Coboundary.leads, _Coboundary.column
 
     def add(self, col):
@@ -687,9 +750,9 @@ def test_coboundary_work_counts(algebras, extensions, monkeypatch):
         deferred.append(j)
         return real_defer(self, j, cell)
 
-    def tuples(self, n):
+    def block_trie(self, n):
         degrees.append(n)
-        return real_tuples(self, n)
+        return real_trie(self, n)
 
     def lead_scan(self, cleared):
         for lead in real_leads(self, cleared):
@@ -702,7 +765,7 @@ def test_coboundary_work_counts(algebras, extensions, monkeypatch):
 
     monkeypatch.setattr(SparseRank, "add", add)
     monkeypatch.setattr(SparseRank, "defer", defer)
-    monkeypatch.setattr(_BarData, "tuples", tuples)
+    monkeypatch.setattr(_BarData, "block_trie", block_trie)
     monkeypatch.setattr(_Coboundary, "leads", lead_scan)
     monkeypatch.setattr(_Coboundary, "column", column)
     columns = columns_built = 0
