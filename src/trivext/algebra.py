@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import wraps
 
 from .dsl import Presentation
-from .linalg import Echelon, GroundField, row_reduce
+from .linalg import Echelon, GroundField, combine, row_reduce
 from .quiver import Arrow, Path, Quiver, compose, path_layer
 
 
@@ -126,25 +126,8 @@ class FDAlgebra:
     def multiply(self, x: dict, y: dict) -> dict:
         """Bilinear extension of the structure constants (x*y, y first)."""
         mul = self.field.mul
-        return self._combine((mul(xi, yj), self.table[i][j])
-                             for i, xi in x.items() for j, yj in y.items())
-
-    def _combine(self, terms) -> dict:
-        """The sparse linear combination sum c * v over (c, v) in `terms`,
-        in the arithmetic of `GroundField.add` and `mul`, inlined."""
-        p, out = self.field.p, {}
-        for c, v in terms:
-            for k, ck in v.items():
-                x = out.get(k, 0) + c * ck
-                if p:
-                    x %= p
-                elif type(x) is not int and x.denominator == 1:
-                    x = x.numerator
-                if x:
-                    out[k] = x
-                else:
-                    out.pop(k, None)
-        return out
+        return combine(self.field, ((mul(xi, yj), self.table[i][j])
+                                    for i, xi in x.items() for j, yj in y.items()))
 
     def radical_basis_indices(self) -> list[int]:
         idem = set(self.idempotent_indices)
@@ -192,7 +175,7 @@ class FDAlgebra:
         x -> g x, as ((g x) y) z = g ((x y) z) = g (x (y z)) = (g x)(y z),
         so generation gives S = A.
         """
-        T, peirce = self.table, self.peirce
+        f, T, peirce = self.field, self.table, self.peirce
         if any(peirce[j][0] != peirce[k][1] or peirce[l] != (peirce[k][0], peirce[j][1])
                for j, row in enumerate(T) for k, prod in enumerate(row) for l in prod):
             return False
@@ -204,8 +187,8 @@ class FDAlgebra:
                 for k, jk in enumerate(T[j]):
                     if not (gj or jk) or peirce[k][1] != peirce[j][0]:
                         continue  # both sides are 0
-                    lhs = self._combine((c, T[l][k]) for l, c in gj.items())
-                    rhs = self._combine((c, Tg[l]) for l, c in jk.items())
+                    lhs = combine(f, ((c, T[l][k]) for l, c in gj.items()))
+                    rhs = combine(f, ((c, Tg[l]) for l, c in jk.items()))
                     if lhs != rhs:
                         return False
         return True
@@ -488,7 +471,7 @@ def arrow_layers(A: FDAlgebra) -> list[Echelon]:
     rows = [A.table[rep.basis_index] for rep in A.arrows]
     layers = [Echelon(f, d, [A.basis_element(e) for e in A.idempotent_indices])]
     while len(layers) <= d:
-        layer = Echelon(f, d, filter(None, (A._combine((c, Tg[k]) for k, c in v.items())
+        layer = Echelon(f, d, filter(None, (combine(f, ((c, Tg[k]) for k, c in v.items()))
                                             for Tg in rows for v in layers[-1].rows)))
         if not layer.rank:
             break
@@ -518,9 +501,10 @@ def radical_chain(A: FDAlgebra) -> list[Echelon]:
     """[A, rad, rad^2, ...] down to the first zero power (inclusive).
 
     chain[k] = S_k = sum_{j >= k} L_j over the arrow layers (see
-    `layer_sums`), for k >= 1, and chain[0] is S_0 when the idempotents and
-    arrows generate A, as on every validated algebra: the reduced echelon
-    form of all of A is the identity.  Proof:
+    `layer_sums`), and chain[0] = S_0 is all of A, whose reduced echelon
+    form is the identity, as the idempotents and arrows generate A on every
+    validated algebra; where they do not, AlgebraBuildError is raised, as
+    the proof needs generation.  Proof:
     with J = sum_g gA over the arrows g, J^k = sum_g g J^{k-1} (as A = 1 A)
     is spanned by the products of k arrows times A, and by generation A =
     sum_j L_j, so J^k = sum_j L_{j+k}.  A nonzero L_dim makes J^dim != 0.
@@ -528,13 +512,13 @@ def radical_chain(A: FDAlgebra) -> list[Echelon]:
     spanned by the idempotents E: the Jacobson radical.
     """
     sums = layer_sums(A)
+    if sums[0].rank != A.dim:
+        raise AlgebraBuildError("the idempotents and arrows do not generate the algebra")
     if len(sums) > A.dim:
         raise AlgebraBuildError(
             "the ideal generated by the arrows is not nilpotent; "
             "the algebra is not of the promised shape")
-    full = (sums[0] if sums[0].rank == A.dim else
-            Echelon(A.field, A.dim, [A.basis_element(k) for k in range(A.dim)]))
-    return [full] + sums[1:] + [Echelon(A.field, A.dim)]
+    return sums + [Echelon(A.field, A.dim)]
 
 
 def trace_form_radical(A: FDAlgebra) -> Echelon:

@@ -108,7 +108,7 @@ def _tokenize_expr(text, line_no, col_offset):
             if not stripped:
                 break
             raise DSLError(f"unexpected character {stripped[0]!r}",
-                           line_no, col_offset + pos + 1)
+                           line_no, col_offset + len(text) - len(stripped) + 1)
         tokens.append((m.group(1), col_offset + m.start(1) + 1))
         pos = m.end()
     return tokens
@@ -155,9 +155,9 @@ class _ExprParser:
             self.fail("expected a term")
         if tok.isdigit():
             coeff = self.coefficient()
-            tok, col = self.next()
-            if tok != "*":
-                self.fail("expected '*' after coefficient", col)
+            star, star_col = self.next()
+            if star != "*":
+                self.fail("expected '*' after coefficient", star_col)
         coeff = self.field.mul(sign, coeff)
         if self.field.is_zero(coeff):
             self.fail("relation coefficient vanishes in the ground field", col)
@@ -267,7 +267,9 @@ def parse_presentation(text: str) -> Presentation:
         elif keyword == "relation":
             if not rest:
                 raise DSLError("empty relation", line_no)
-            relation_lines.append((line_no, rest))
+            # columns count from the start of the raw line
+            relation_lines.append((line_no, rest, len(raw) - len(raw.lstrip())
+                                   + len(line) - len(rest)))
         elif keyword == "nilpotency_bound":
             if bound is not None:
                 raise DSLError("nilpotency_bound declared twice", line_no)
@@ -290,8 +292,7 @@ def parse_presentation(text: str) -> Presentation:
     quiver = Quiver(vertices, arrows)
 
     relations = []
-    for line_no, expr_text in relation_lines:
-        col_offset = 0
+    for line_no, expr_text, col_offset in relation_lines:
         tokens = _tokenize_expr(expr_text, line_no, col_offset)
         parser = _ExprParser(tokens, line_no, quiver, field)
         relations.append(parser.parse())

@@ -75,10 +75,7 @@ u_0 ... u_i to its extensions.  `_BarData.block_trie` enumerates the
 tuples as a trie of Peirce blocks whose walks share the nodes of common
 prefixes, so this is one state per distinct prefix, and each tuple adds
 only its key, the `cleared` test and the wrap face, the one face that
-reads the whole tuple.  On the 58 corroborate benchmark inputs of seed 17
-the scan takes 0.025 s per pass where the face-by-face one took 0.084 s,
-and `hh_dims` 0.077 s where it took 0.138 s; `hh_dims(T(path_a2), 14)`
-takes 0.66 s where it took 0.99 s (2 cores, Python 3.11.7).
+reads the whole tuple.
 
 Columns whose tuples have different total degree (for a graded algebra)
 have disjoint row support, so elimination never mixes degree blocks.

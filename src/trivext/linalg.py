@@ -8,14 +8,19 @@ both print alike.  A scalar of F_p is an int in [0, p).  Everything in this
 module is exact; no floating point is used anywhere in the package.
 
 Vectors are sparse dicts {coordinate: value}, and there is one row type.
+`combine` is the one sparse linear-combination kernel: the products of
+the algebras, their associativity proof, the arrow layers, the path values
+of T(A)'s relations and the residuals of `Echelon.reduce` are all
+combinations of rows, so no module above this one normalizes a scalar.
 `Echelon` holds a subspace in reduced echelon form: every span, socle,
 radical power, ideal slice and kernel of the package is one, and
 `row_reduce` reads a linear map as the dict of its sparse images and
 returns its kernel as an `Echelon`.  `SparseRank` only counts the rank of
-integer columns fed one at a time (residues over F_p), eliminating over Q
-by integer cross multiplication; it serves the large bar-complex
-boundaries of the homology oracle, whose callers scale their columns to
-integers once and build a column only when elimination needs it.
+integer columns fed one at a time, in one elimination loop for both
+fields: over Q by integer cross multiplication, over F_p on residues with
+pivots led by 1.  It serves the large bar-complex boundaries of the
+homology oracle, whose callers scale their columns to integers once and
+build a column only when elimination needs it.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ class GroundField:
     never branch on the characteristic themselves.  Every method returns a
     scalar of the field in the one representation the module docstring
     gives: over Q an `int` when integral, never a Fraction with denominator
-    1 nor a `bool`.  The elimination loops of `Echelon` and
-    `FDAlgebra._combine` inline the same arithmetic.
+    1 nor a `bool`.  `combine` and the clearing loop of `Echelon.add`
+    inline the same arithmetic.
     """
 
     __slots__ = ("p",)
@@ -132,6 +137,29 @@ def GF(p: int) -> GroundField:
 # sparse row spaces
 
 
+def combine(field: GroundField, terms, out=None) -> dict:
+    """The sparse linear combination out + sum c * v over the (c, v) in
+    `terms`, accumulated into `out` (a fresh dict when None) and returned.
+    The arithmetic is that of `GroundField.add` and `mul`, inlined: over
+    F_p every entry is reduced mod p, over Q an integral Fraction becomes
+    an int, and an entry that cancels is removed."""
+    p = field.p
+    if out is None:
+        out = {}
+    for c, v in terms:
+        for k, ck in v.items():
+            x = out.get(k, 0) + c * ck
+            if p:
+                x %= p
+            elif type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            if x:
+                out[k] = x
+            else:
+                out.pop(k, None)
+    return out
+
+
 class Echelon:
     """A subspace of k^width kept in reduced echelon form over a ground field.
 
@@ -182,21 +210,11 @@ class Echelon:
 
     def reduce(self, vec) -> dict:
         """Canonical residual of `vec` modulo the current row space:
-        v - sum of v[p] * row_p over the pivots p in the support of v."""
-        v = self._sparse(vec)
-        row_at, p = self._row_at, self.field.p
-        for j, c in [(j, c) for j, c in v.items() if j in row_at]:
-            for k, b in row_at[j].items():
-                x = v.get(k, 0) - c * b
-                if p:
-                    x %= p
-                elif type(x) is not int and x.denominator == 1:
-                    x = x.numerator
-                if x:
-                    v[k] = x
-                else:
-                    del v[k]
-        return v
+        v - sum of v[p] * row_p over the pivots p in the support of v,
+        combined into the fresh copy of v."""
+        v, row_at = self._sparse(vec), self._row_at
+        terms = [(-c, row_at[j]) for j, c in v.items() if j in row_at]
+        return combine(self.field, terms, v)
 
     def add(self, vec) -> bool:
         """Insert `vec`; True iff it enlarged the span."""
@@ -311,7 +329,8 @@ class SparseRank:
     +-1 is subtracted without scaling the column; only after a scaling
     step is the bit length of the column checked, and its content divided
     out when an entry is longer than _NORMALIZE_BITS.  Over F_p pivots are
-    stored with leading entry 1 and ordinary modular elimination is used.
+    stored with leading entry 1, so the same loop takes the +-1 branch with
+    every entry reduced mod p; a pivot not led by 1 raises ValueError.
 
     A caller that knows a column's leading index j and that j is not yet a
     pivot can `defer` the column instead of adding it: the pivot at j is
@@ -377,9 +396,7 @@ class SparseRank:
 
     def add(self, col: dict) -> bool:
         """Insert a column; True iff the rank increased."""
-        v = self._entries(col)
-        if self.p:
-            return self._add_mod_p(v)
+        v, p = self._entries(col), self.p
         while v:
             j = min(v)
             piv = self._pivot(j)
@@ -390,6 +407,8 @@ class SparseRank:
             a, c = piv[j], v[j]
             scaled = a != 1 and a != -1
             if scaled:
+                if p:  # F_p pivots are stored led by 1; no other would clear j
+                    raise ValueError(f"the pivot at {j} is not led by 1")
                 g = gcd(a, c)
                 a, c = a // g, c // g
                 v = {k: a * x for k, x in v.items()}
@@ -397,6 +416,8 @@ class SparseRank:
                 c *= a  # v - (c / a) piv, with 1 / a = a
             for k, y in piv.items():
                 z = v.get(k, 0) - c * y
+                if p:
+                    z %= p
                 if z:
                     v[k] = z
                 else:
@@ -404,26 +425,6 @@ class SparseRank:
             if (scaled and v and max(abs(x) for x in v.values()).bit_length()
                     > self._NORMALIZE_BITS):
                 v = self._normalize_content(v)
-        return False
-
-    def _add_mod_p(self, v: dict) -> bool:
-        p = self.p
-        while v:
-            j = min(v)
-            piv = self._pivot(j)
-            if piv is None:
-                self._store(j, v)
-                self.rank += 1
-                return True
-            c = v[j]
-            for k, y in piv.items():
-                z = (v.get(k, 0) - c * y) % p
-                if z:
-                    v[k] = z
-                else:
-                    del v[k]
-            if j in v:  # a pivot not led by 1 would meet j forever
-                raise ValueError(f"the pivot at {j} is not led by 1")
         return False
 
 

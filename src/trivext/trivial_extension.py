@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .algebra import (AdmissibilityError, ArrowRep, FDAlgebra, loewy_length,
                       quotient_slices, socles)
 from .dsl import RelationExpr
-from .linalg import row_reduce
+from .linalg import combine, row_reduce
 from .quiver import Arrow, PathBudgetExceeded, Quiver
 # unused here; kept as a module binding because the bench tests check that
 # the tracer patches every module's `compose`
@@ -249,8 +249,8 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
                 below, values = values, [None] * len(layer)
                 for rep, (_, right, _) in zip(T.arrows, steps):
                     for k, i in right.items():
-                        values[i] = T._combine((c, table[l][rep.basis_index])
-                                               for l, c in below[k].items())
+                        values[i] = combine(f, ((c, table[l][rep.basis_index])
+                                                for l, c in below[k].items()))
             if 2 <= length <= cap:
                 kernel = _slice_kernel(f, layer, values)
                 for vec in kernel:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              SelfinjectivityCertificate, SelfinjectivityRefusal,
@@ -10,7 +11,7 @@ from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
 from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
 from trivext.linalg import (QQ, Echelon, FieldMismatchError, GroundField, SparseRank,
-                            row_reduce)
+                            combine, row_reduce)
 from trivext.quiver import PathBudgetExceeded, path_layer
 from trivext.trivial_extension import RelationSet, _slice_kernel, extended_quiver
 
@@ -99,6 +100,61 @@ class ExactMatrix:
 
     def rank(self) -> int:
         return Echelon(self.field, self.nrows, self.cols).rank
+
+
+class TwoLoopSparseRank(SparseRank):
+    """The former `SparseRank.add`: one elimination loop for Q and a
+    second, `_add_mod_p`, for F_p."""
+
+    def add(self, col: dict) -> bool:
+        v = self._entries(col)
+        if self.p:
+            return self._add_mod_p(v)
+        while v:
+            j = min(v)
+            piv = self._pivot(j)
+            if piv is None:
+                self._store(j, v)
+                self.rank += 1
+                return True
+            a, c = piv[j], v[j]
+            scaled = a != 1 and a != -1
+            if scaled:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                v = {k: a * x for k, x in v.items()}
+            else:
+                c *= a  # v - (c / a) piv, with 1 / a = a
+            for k, y in piv.items():
+                z = v.get(k, 0) - c * y
+                if z:
+                    v[k] = z
+                else:
+                    del v[k]
+            if (scaled and v and max(abs(x) for x in v.values()).bit_length()
+                    > self._NORMALIZE_BITS):
+                v = self._normalize_content(v)
+        return False
+
+    def _add_mod_p(self, v: dict) -> bool:
+        p = self.p
+        while v:
+            j = min(v)
+            piv = self._pivot(j)
+            if piv is None:
+                self._store(j, v)
+                self.rank += 1
+                return True
+            c = v[j]
+            for k, y in piv.items():
+                z = (v.get(k, 0) - c * y) % p
+                if z:
+                    v[k] = z
+                else:
+                    del v[k]
+            if j in v:  # a pivot not led by 1 would meet j forever
+                raise ValueError(f"the pivot at {j} is not led by 1")
+        return False
 
 
 def apply_column(m, col: dict) -> dict:
@@ -358,16 +414,16 @@ def peirce_by_sandwiches(X) -> bool:
     """The former pair of checks: e_a e_b = delta_ab e_a with the sum of
     the e_a a two-sided unit, and then e_j b e_i = [(i, j) == block] b,
     multiplied out for every basis element b and pair of vertices."""
-    T, idem, one = X.table, X.idempotent_indices, X.field.one()
+    f, T, idem, one = X.field, X.table, X.idempotent_indices, X.field.one()
     if any(T[a][b] != ({a: one} if a == b else {}) for a in idem for b in idem):
         return False
-    if not all(X._combine((one, T[e][k]) for e in idem) == {k: one}
-               == X._combine((one, T[k][e]) for e in idem) for k in range(X.dim)):
+    if not all(combine(f, ((one, T[e][k]) for e in idem)) == {k: one}
+               == combine(f, ((one, T[k][e]) for e in idem)) for k in range(X.dim)):
         return False
     for k, block in enumerate(X.peirce):
         for i, ei in enumerate(idem):
             for j, ej in enumerate(idem):
-                sandwich = X._combine((c, T[ej][l]) for l, c in T[k][ei].items())
+                sandwich = combine(f, ((c, T[ej][l]) for l, c in T[k][ei].items()))
                 if sandwich != ({k: one} if (i, j) == block else {}):
                     return False
     return True
@@ -703,8 +759,8 @@ def relations_adding_every_kernel_vector(tri, cap=None):
                 below, values = values, [None] * len(layer)
                 for rep, (_, right, _) in zip(T.arrows, steps):
                     for k, i in right.items():
-                        values[i] = T._combine((c, table[l][rep.basis_index])
-                                               for l, c in below[k].items())
+                        values[i] = combine(f, ((c, table[l][rep.basis_index])
+                                                for l, c in below[k].items()))
             if 2 <= length <= cap:
                 for vec in _slice_kernel(f, layer, values):
                     if ideal.add(vec):

@@ -111,7 +111,7 @@ def test_fp_denominator_divisible_by_p_exits_2(capsys, tmp_path):
     f.write_text("field F 5\nvertices v\narrow x : v -> v\nrelation 1/5*x*x\n")
     assert run(capsys, "info", str(f)) == (
         2, "", "error: denominator of 1/5 is not invertible in F 5 "
-        "(line 4, column 3)\n")
+        "(line 4, column 12)\n")
 
 
 def test_free_loop_exits_2_with_the_window_message(capsys, tmp_path):

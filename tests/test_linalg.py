@@ -9,7 +9,7 @@ from trivext.linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
                             IntPolynomial, SparseRank, poly_det,
                             row_reduce)
 
-from reference import ExactMatrix, FractionField, apply_column
+from reference import ExactMatrix, FractionField, TwoLoopSparseRank, apply_column
 
 
 def test_identity_matrix_full_rank():
@@ -88,6 +88,41 @@ def test_sparse_rank_unit_and_scaled_pivots(monkeypatch, normalize_bits):
                 vec = {r: field.coerce(x) for r, x in col.items()}
                 assert eng.add(col) == ech.add(vec)
             assert eng.rank == ech.rank
+
+
+@pytest.mark.parametrize("p", [0, 3, 5])
+def test_one_loop_sparse_rank_matches_the_two_loop_one(p):
+    # the merged loop of SparseRank.add against the former pair of loops,
+    # fed the same columns and deferrals: leading entries other than +-1,
+    # entries past _NORMALIZE_BITS, dependent columns, and columns deferred
+    # at a new leading index and built when a later reduction meets it
+    rng = random.Random(2020 + p)
+    big = 2 ** (SparseRank._NORMALIZE_BITS + 4)
+    pool = [1, -1, 2, -2, 3, 4, -6, 7, big + 1, -3 * big, 5 * big * big - 2]
+    deferred = scaled = 0
+    for _ in range(80):
+        rows, cols = rng.randrange(1, 10), rng.randrange(1, 12)
+        columns = [{r: rng.choice(pool) for r in range(rows) if rng.random() < 0.5}
+                   for _ in range(cols)]
+        for _ in range(rng.randrange(0, 4)):
+            a, b = rng.choice(columns), rng.choice(columns)
+            c = rng.choice(pool)
+            columns.append({r: a.get(r, 0) + c * b.get(r, 0) for r in set(a) | set(b)})
+        rng.shuffle(columns)
+        new, old = (cls(p, columns.__getitem__) for cls in (SparseRank, TwoLoopSparseRank))
+        for i, col in enumerate(columns):
+            lead = min((r for r, x in col.items() if (x % p if p else x)), default=None)
+            if lead is not None and lead not in new.pivots and rng.random() < 0.4:
+                new.defer(lead, i)
+                old.defer(lead, i)
+                deferred += 1
+            else:
+                scaled += any(type(v) is dict and abs(v[j]) != 1
+                              for j, v in new.pivots.items() if j in col)
+                assert new.add(col) == old.add(col)
+            assert (new.rank, new.pivots) == (old.rank, old.pivots)
+    assert deferred > 40
+    assert p or scaled > 100
 
 
 # -- the sparse echelon engine against the dense one it replaced ---------------

@@ -111,6 +111,45 @@ def test_detector_flags_an_unread_local(tmp_path):
     assert unread_locals(src) == ["f: col (line 3)", "h: dead (line 12)"]
 
 
+# modules above linalg, which owns the Q / F_p scalar arithmetic
+FIELD_FREE = ("algebra", "trivial_extension", "criteria", "corpus", "cli", "quiver")
+
+
+def field_normalizations(path: Path) -> list[str]:
+    """The places where `path` normalizes a scalar by hand: a `.numerator`
+    or `.denominator` read, or a `%` (or `%=`) by `p`, `.p` or
+    `.characteristic`.  Other remainders, such as index wraps `% n`, are
+    not scalar arithmetic and are left out."""
+    def is_modulus(node):
+        return ((isinstance(node, ast.Name) and node.id == "p")
+                or (isinstance(node, ast.Attribute) and node.attr in ("p", "characteristic")))
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+            found.append((node.lineno, f".{node.attr}"))
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+              and is_modulus(node.right if isinstance(node, ast.BinOp) else node.value)):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("name", FIELD_FREE)
+def test_scalar_arithmetic_lives_in_linalg(name):
+    path = Path(trivext.__file__).parent / f"{name}.py"
+    assert field_normalizations(path) == []
+
+
+def test_detector_flags_a_field_normalization(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("def f(x, p, field, i, n):\n"
+                   "    if x.denominator == 1:\n        x = x.numerator\n"
+                   "    x %= p\n    y = (x + 1) % field.p\n"
+                   "    return y % field.characteristic, (i + 1) % n, '%d' % i\n")
+    assert field_normalizations(src) == [
+        ".denominator (line 2)", ".numerator (line 3)", "x %= p (line 4)",
+        "(x + 1) % field.p (line 5)", "y % field.characteristic (line 6)"]
+
+
 def _definitions(tree):
     """(qualified name, node) of every top-level function and class and of
     every method of a top-level class, dunder methods left out."""

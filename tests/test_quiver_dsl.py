@@ -130,10 +130,30 @@ def test_fp_denominator_divisible_by_p_is_a_parse_error():
             parse_presentation("field F 5\nvertices v\narrow x : v -> v\n"
                                f"relation {coeff}*x*x\n")
         assert "not invertible in F 5" in str(err.value)
-        assert (err.value.line, err.value.col) == (4, 3)
+        assert (err.value.line, err.value.col) == (4, 12)  # the denominator
     p = parse_presentation("field F 5\nvertices v\narrow x : v -> v\n"
                            "relation 5/10*x*x\n")
     assert [c for c, _ in p.relations[0].terms] == [3]
+
+
+@pytest.mark.parametrize("raw, bad", [
+    ("relation x*x + ?", "?"),                 # unexpected character
+    ("relation x*x + x*  ?", "?"),
+    ("  relation   x*y", "y"),                 # unknown arrow
+    ("\t relation x*x - 2*y*x", "y"),
+    (" relation 1/5*x*x", "5"),                # bad denominator
+    ("  relation  3/1 *x*x + 2/0*x*x", "0"),
+    ("   relation x*+x", "+"),                 # expected an arrow
+    ("  relation x*x + 10*x*x", "1"),          # coefficient vanishes in F_5
+    ("relation   x*x  + x*x*7  # note", "7"),
+])
+def test_relation_errors_point_into_the_raw_line(raw, bad):
+    # columns count from the start of the line as written, leading
+    # whitespace included, not from the start of the expression
+    with pytest.raises(DSLError) as err:
+        parse_presentation(f"field F 5\nvertices v\narrow x : v -> v\n{raw}\n")
+    assert err.value.line == 4
+    assert raw[err.value.col - 1] == bad, (raw, err.value.col)
 
 
 def test_round_trip_on_corpus(presentations):
