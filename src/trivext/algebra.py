@@ -6,7 +6,9 @@ side through the index maps of `path_layer`.  When the relations are
 homogeneous for some admissible weighting of the arrows (explicit
 degrees, or path length), one walk, `quotient_slices`, grows the path
 layers and pushes the rows of earlier slices into each new one with
-`ideal_slice`, and stops once a full window of consecutive slices dies,
+`ideal_slice`, which places the pushes p -> p*a as rows that are already
+reduced and eliminates only the pushes p -> a*p; the walk stops once a
+full window of consecutive slices dies,
 which certifies that every longer path lies in the ideal; the same walk
 extracts the relations of T(A) in `relations_up_to`.  Otherwise an
 explicit nilpotency bound is required: the ideal is closed on one
@@ -27,7 +29,9 @@ both their span and the radical powers.  `FDAlgebra.validate` checks that
 the layers span A and then proves associativity from arrow triples; T(A)
 instead has its table read against A's (`trivial_extension.
 validate_extension`), as A ⋉ DA is associative once A is.  The socles are
-three kernels, each the `Echelon` that `row_reduce` returns.  The layer
+two kernels, each the `Echelon` that `row_reduce` returns, and the
+bimodule socle is their intersection, read as a kernel on the left
+kernel's rows and placed without elimination.  The layer
 sums, the radical chain, the socles and selfinjectivity are derived once
 per algebra, on first use, and stored on the instance; every other
 structural reader (Loewy lengths, radical powers, the weak socle
@@ -247,9 +251,35 @@ def ideal_slice(field, width, pieces) -> Echelon:
     ideal pushed from its earlier slices, as a fresh Echelon on `width`
     coordinates.  Each piece (ideal, right, left) pushes the reduced
     echelon rows of an earlier slice through the index maps of one arrow.
+
+    Every row lies in one Peirce block, as relations and the vectors added
+    to a slice are combinations of parallel paths, so each map pushes a
+    row whole or drops it; a row that a map pushes only in part raises
+    AlgebraBuildError.  The right pushes p -> p*a need no elimination:
+    `path_layer` numbers p*a increasingly in p, so a pushed row keeps its
+    pivot and the zeros of the other rows there, and the pieces are
+    listed arrow by arrow, whose paths p*a ("a first") are distinct and
+    listed arrow-major, so the pushes of all pieces in order are a reduced
+    echelon basis by ascending pivot.  Only the left pushes are added.
     """
-    return Echelon(field, width, (vec for ideal, right, left in pieces
-                                  for vec in _pushed(ideal.rows, (right, left))))
+    ech = Echelon.of_reduced(field, width, [
+        vec for ideal, right, _left in pieces for vec in _pushed_whole(ideal.rows, right)])
+    for ideal, _right, left in pieces:
+        for vec in _pushed_whole(ideal.rows, left):
+            ech.add(vec)
+    return ech
+
+
+def _pushed_whole(rows, ext):
+    """The nonzero images of `rows` under the index map `ext`; a row that
+    `ext` maps only in part raises AlgebraBuildError."""
+    for row in rows:
+        out = {ext[k]: c for k, c in row.items() if k in ext}
+        if out:
+            if len(out) != len(row):
+                raise AlgebraBuildError(
+                    "an ideal row mixes paths that an arrow does and does not extend")
+            yield out
 
 
 def quotient_slices(quiver: Quiver, field: GroundField, window: int,
@@ -560,14 +590,14 @@ class SocleData:
     bimodule: Echelon         # socle of A as a bimodule
 
 
-def _annihilator(A: FDAlgebra, sides) -> Echelon:
+def _annihilator(A: FDAlgebra, side) -> Echelon:
     """The vectors that every arrow representative a kills by
-    multiplication on each of `sides`: "L" for a x, "R" for x a."""
+    multiplication on `side`: "L" for a x, "R" for x a."""
     f, T, d = A.field, A.table, A.dim
-    # b_k maps to one block of d coordinates per arrow a and side
-    blocks = [(rep.basis_index, side) for rep in A.arrows for side in sides]
+    # b_k maps to one block of d coordinates per arrow a
+    arrows = [rep.basis_index for rep in A.arrows]
     return row_reduce(f, {
-        k: {off * d + r: x for off, (a, side) in enumerate(blocks)
+        k: {off * d + r: x for off, a in enumerate(arrows)
             for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
         for k in range(d)})
 
@@ -575,18 +605,37 @@ def _annihilator(A: FDAlgebra, sides) -> Echelon:
 @_stored
 def socles(A: FDAlgebra) -> SocleData:
     """Left socles of the Ae_i, right socles of the e_jA and the bimodule
-    socle: three joint kernels of multiplication by the arrows.  Left
-    multiplication keeps sources, so the left kernel is the direct sum of
-    the left socles, whose reduced echelon rows are its rows split by the
-    source of each pivot; the right kernel splits by target alike."""
+    socle, from two joint kernels of multiplication by the arrows.
+
+    Left multiplication keeps sources, so the left kernel is the direct
+    sum of the left socles, whose reduced echelon rows are its rows split
+    by the source of each pivot, as any subset of a reduced echelon basis
+    is one; the right kernel splits by target alike.  The bimodule socle
+    is the left kernel intersected with the right one: the sums
+    x = sum_p c_p row_p over the rows of the left kernel, keyed by their
+    pivots p, with x a = 0 for every arrow a, so c is the kernel of
+    c -> (sum_p c_p row_p a)_a.  The rows are reduced, so x is c_p at each
+    pivot p, and its least coordinate is the least p with c_p != 0: the
+    reduced echelon rows of c give those of the socle.
+    """
+    f, d, T = A.field, A.dim, A.table
+    left = _annihilator(A, "L")
+
     def split(kernel, end):
-        return [Echelon(A.field, A.dim, [row for p, row in zip(kernel.pivots, kernel.rows)
-                                         if A.peirce[p][end] == i])
+        return [Echelon.of_reduced(f, d, [row for p, row in zip(kernel.pivots, kernel.rows)
+                                          if A.peirce[p][end] == i])
                 for i in range(A.num_vertices)]
 
-    return SocleData(left=split(_annihilator(A, "L"), 0),
-                     right=split(_annihilator(A, "R"), 1),
-                     bimodule=_annihilator(A, "LR"))
+    arrows = [rep.basis_index for rep in A.arrows]
+    meet = row_reduce(f, {
+        p: {off * d + r: x for off, a in enumerate(arrows)
+            for r, x in combine(f, ((c, T[k][a]) for k, c in row.items())).items()}
+        for p, row in zip(left.pivots, left.rows)})
+    row_at = dict(zip(left.pivots, left.rows))
+    bimodule = Echelon.of_reduced(f, d, [
+        combine(f, ((c, row_at[p]) for p, c in vec.items())) for vec in meet.rows])
+    return SocleData(left=split(left, 0), right=split(_annihilator(A, "R"), 1),
+                     bimodule=bimodule)
 
 
 def is_local(A: FDAlgebra) -> bool:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import (AlgebraBuildError, FDAlgebra, build_algebra, is_local,
@@ -126,7 +126,55 @@ def _emit(rep: dict, args) -> None:
     if args.pretty:
         _print_pretty(rep)
     else:
-        print(json.dumps(rep, sort_keys=True, indent=2))
+        print(_json(rep))
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """`obj` as `json.dumps(obj, sort_keys=True, indent=2)` writes it,
+    byte for byte, without the pure-Python encoder that `indent` selects.
+    Keys are sorted, strings get ASCII escapes, items are separated by `,`
+    and keys followed by `: `, and `pad` (a newline and the current
+    indent) comes before each item and each closing bracket.  A key that
+    is not a str is written as its scalar, then quoted.  Exact strs and
+    ints, which fill the reports, are tested first."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k if isinstance(k, str) else _scalar(k)) + ": "
+            + _json(v, inner) for k, v in sorted(obj.items())]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in obj]) + pad + "]"
+    return _scalar(obj)
+
+
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(obj) -> str:
+    """A JSON scalar as `json` writes it: str, None, bool, int or float."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_NAMES.get(text, text)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _print_pretty(rep: dict, indent: int = 0) -> None:

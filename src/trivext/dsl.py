@@ -115,17 +115,20 @@ def _tokenize_expr(text, line_no, col_offset):
 
 
 class _ExprParser:
-    """Recursive-descent parser for relation expressions."""
+    """Recursive-descent parser for relation expressions.  Past the last
+    token it reads (None, end_col), the column just after the expression,
+    where an error about a missing token points."""
 
-    def __init__(self, tokens, line_no, quiver, field):
+    def __init__(self, tokens, line_no, quiver, field, end_col):
         self.tokens = tokens
         self.i = 0
         self.line = line_no
         self.quiver = quiver
         self.field = field
+        self.end_col = end_col
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, self.end_col)
 
     def next(self):
         tok = self.peek()
@@ -152,7 +155,7 @@ class _ExprParser:
         coeff = self.field.one()
         tok, col = self.peek()
         if tok is None:
-            self.fail("expected a term")
+            self.fail("expected a term", col)
         if tok.isdigit():
             coeff = self.coefficient()
             star, star_col = self.next()
@@ -201,7 +204,7 @@ class _ExprParser:
     def arrow_name(self) -> str:
         tok, col = self.next()
         if tok is None:
-            self.fail("expected an arrow name")
+            self.fail("expected an arrow name", col)
         if not _NAME_RE.fullmatch(tok):
             self.fail(f"expected an arrow name, got {tok!r}", col)
         if tok not in self.quiver.arrow_index:
@@ -294,8 +297,16 @@ def parse_presentation(text: str) -> Presentation:
     relations = []
     for line_no, expr_text, col_offset in relation_lines:
         tokens = _tokenize_expr(expr_text, line_no, col_offset)
-        parser = _ExprParser(tokens, line_no, quiver, field)
-        relations.append(parser.parse())
+        parser = _ExprParser(tokens, line_no, quiver, field,
+                             col_offset + len(expr_text) + 1)
+        try:
+            relations.append(parser.parse())
+        except DSLError as exc:
+            if exc.line is not None:
+                raise
+            # raised by RelationExpr, which knows no position: name the
+            # relation's line and the column where its expression starts
+            raise DSLError(exc.args[0], line_no, col_offset + 1) from None
     return Presentation(quiver=quiver, field=field, relations=tuple(relations),
                         nilpotency_bound=bound)
 

@@ -13,9 +13,12 @@ the algebras, their associativity proof, the arrow layers, the path values
 of T(A)'s relations and the residuals of `Echelon.reduce` are all
 combinations of rows, so no module above this one normalizes a scalar.
 `Echelon` holds a subspace in reduced echelon form: every span, socle,
-radical power, ideal slice and kernel of the package is one, and
-`row_reduce` reads a linear map as the dict of its sparse images and
-returns its kernel as an `Echelon`.  `SparseRank` only counts the rank of
+radical power, ideal slice and kernel of the package is one.  Rows that
+are already reduced (a kernel read off one elimination, a subset or a
+monotone relabelling of reduced rows) are placed with `Echelon.of_reduced`
+instead of being eliminated again.  `row_reduce` reads a linear map as the
+dict of its sparse images and returns its kernel, placed that way, from
+one elimination of the map's rows.  `SparseRank` only counts the rank of
 integer columns fed one at a time, in one elimination loop for both
 fields: over Q by integer cross multiplication, over F_p on residues with
 pivots led by 1.  It serves the large bar-complex boundaries of the
@@ -254,14 +257,29 @@ class Echelon:
         self._row_at[j] = v
         return True
 
+    @classmethod
+    def of_reduced(cls, field: GroundField, width: int, rows) -> "Echelon":
+        """The Echelon whose rows are `rows`, which must already be a
+        reduced echelon basis listed by ascending pivot: nonzero sparse
+        dicts of field scalars, each led by 1 at its pivot, and each pivot
+        zero in every other row.  Nothing is eliminated; the pivot and
+        holder indexes are read off in one pass, and the rows are taken
+        over, not copied."""
+        out = cls(field, width)
+        out.rows = rows = list(rows)
+        out.pivots = pivots = [min(row) for row in rows]
+        out._row_at = dict(zip(pivots, rows))
+        holders = out._holders
+        for j, row in zip(pivots, rows):
+            for k in row:
+                if k != j:
+                    holders.setdefault(k, set()).add(j)
+        return out
+
     def copy(self) -> "Echelon":
         """An independent Echelon on the same rows."""
-        out = Echelon(self.field, self.width)
-        out.rows = [dict(row) for row in self.rows]
-        out.pivots = list(self.pivots)
-        out._row_at = dict(zip(out.pivots, out.rows))
-        out._holders = {k: set(ps) for k, ps in self._holders.items()}
-        return out
+        return Echelon.of_reduced(self.field, self.width,
+                                  [dict(row) for row in self.rows])
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
@@ -298,24 +316,30 @@ def row_reduce(field: GroundField, images: dict) -> Echelon:
     `images[k]` is the sparse image {row: value} of coordinate k; the
     result spans {x : sum_k x_k images[k] = 0}, keyed by the caller's own
     coordinates, with width one past the largest of them.  The nonzero
-    rows of the map are echelonized, and each free coordinate j gives the
-    kernel vector e_j - sum over the pivot rows p of row_p[j] e_p.
+    rows of the map are echelonized with the coordinates in reverse
+    order, so that the pivot p of each reduced row is its largest
+    coordinate.  A free coordinate j then gives the kernel vector
+    e_j - sum over the pivot rows p of row_p[j] e_p, where row_p[j] != 0
+    only if j < p: its least coordinate is j, with coefficient 1, and it
+    is zero at every other free coordinate.  So these vectors, one per
+    free j in ascending order, are already the reduced echelon basis of
+    the kernel, and no second elimination is run.
     """
+    width = max(images, default=-1) + 1
+    top = width - 1
     rows: dict = {}
     for k, image in images.items():
         for r, x in image.items():
-            rows.setdefault(r, {})[k] = x
-    width = max(images, default=-1) + 1
+            rows.setdefault(r, {})[top - k] = x
     ech = Echelon(field, width, (rows[r] for r in sorted(rows)))
-    pivots, kernel = set(ech.pivots), Echelon(field, width)
-    for j in images:
-        if j not in pivots:
-            v = {j: field.one()}
-            for row, p in zip(ech.rows, ech.pivots):
-                if j in row:
-                    v[p] = field.neg(row[j])
-            kernel.add(v)
-    return kernel
+    pivots = {top - q for q in ech.pivots}
+    one, neg = field.one(), field.neg
+    kernel = {j: {j: one} for j in sorted(images) if j not in pivots}
+    for q, row in zip(ech.pivots, ech.rows):
+        for k, x in row.items():
+            if k != q:
+                kernel[top - k][top - q] = neg(x)
+    return Echelon.of_reduced(field, width, kernel.values())
 
 
 class SparseRank:

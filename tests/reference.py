@@ -6,7 +6,7 @@ from math import gcd
 
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              SelfinjectivityCertificate, SelfinjectivityRefusal,
-                             SocleData, arrow_layers, ideal_slice, loewy_length,
+                             SocleData, _pushed, arrow_layers, loewy_length,
                              quotient_slices, radical_chain, socles, span_products)
 from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
@@ -398,6 +398,49 @@ def annihilator_on(X, columns, left=True, right=True) -> Echelon:
         for k in columns}).rows)
 
 
+def row_reduce_by_two_eliminations(field, images) -> Echelon:
+    """The former `row_reduce`: the rows of the map echelonized in the
+    order of the coordinates, and the kernel vector of each free
+    coordinate j, e_j - sum_p row_p[j] e_p, added to a second Echelon."""
+    rows: dict = {}
+    for k, image in images.items():
+        for r, x in image.items():
+            rows.setdefault(r, {})[k] = x
+    width = max(images, default=-1) + 1
+    ech = Echelon(field, width, (rows[r] for r in sorted(rows)))
+    pivots, kernel = set(ech.pivots), Echelon(field, width)
+    for j in images:
+        if j not in pivots:
+            v = {j: field.one()}
+            for row, p in zip(ech.rows, ech.pivots):
+                if j in row:
+                    v[p] = field.neg(row[j])
+            kernel.add(v)
+    return kernel
+
+
+def socles_by_three_kernels(X) -> SocleData:
+    """The former `socles`: a left, a right and a two-sided kernel of
+    multiplication by the arrows over all of X, each by two eliminations,
+    the first two split by the source or target of each pivot."""
+    f, T, d = X.field, X.table, X.dim
+
+    def kernel(sides):
+        blocks = [(rep.basis_index, side) for rep in X.arrows for side in sides]
+        return row_reduce_by_two_eliminations(f, {
+            k: {off * d + r: x for off, (a, side) in enumerate(blocks)
+                for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
+            for k in range(d)})
+
+    def split(ker, end):
+        return [Echelon(f, d, [row for p, row in zip(ker.pivots, ker.rows)
+                               if X.peirce[p][end] == i])
+                for i in range(X.num_vertices)]
+
+    return SocleData(left=split(kernel("L"), 0), right=split(kernel("R"), 1),
+                     bimodule=kernel("LR"))
+
+
 def socles_by_blocks(X) -> SocleData:
     """The former socles: 2r + 1 kernels, one per vertex and side on the
     basis elements with that source or target, and one two-sided."""
@@ -596,6 +639,14 @@ def slice_kernel_by_blocks(field, layer, values) -> list:
             for row in row_reduce(field, {k: values[k] for k in blocks[key]}).rows]
 
 
+def ideal_slice_adding_every_push(field, width, pieces) -> Echelon:
+    """The former `ideal_slice`: every push of every row, right and left,
+    added to a fresh Echelon.  Coordinates a map leaves out are dropped,
+    so it also takes the truncating maps of `bounded_by_pieces`."""
+    return Echelon(field, width, (vec for ideal, right, left in pieces
+                                  for vec in _pushed(ideal.rows, (right, left))))
+
+
 def bounded_by_pieces(pres):
     """The former `_build_bounded`: the ideal as the sum of the pieces J_l,
     J_0 spanned by the relations and J_l by the pushes of the rows of
@@ -621,7 +672,8 @@ def bounded_by_pieces(pres):
     while piece.rank:
         for row in piece.rows:
             ech.add(row)
-        piece = ideal_slice(f, len(order), [(piece, jr, jl) for jr, jl in maps])
+        piece = ideal_slice_adding_every_push(f, len(order),
+                                              [(piece, jr, jl) for jr, jl in maps])
     if any(order[k].length >= N for k in ech.free_columns()):
         raise AdmissibilityError(f"nilpotency bound {N} is too small")
     return order, dict(zip(ech.pivots, ech.rows))

@@ -270,7 +270,7 @@ def seeded_algebras():
 def test_arrow_walk_agrees_with_former_routines(algebras, extensions):
     # the layers' span against the former generation closure, the chain of
     # layer sums against the former arrows-times-chain products, and the
-    # three socle kernels against the former 2r + 1.  Mutants each catches:
+    # socles against the former 2r + 1 kernels.  Mutants each catches:
     # layers multiplied by every non-idempotent basis element instead of
     # the arrows (on a prefix of the arrows); the chain summed from
     # layers[2:]; left socles split by target

@@ -1,15 +1,24 @@
 """The command line surface: reports, determinism, exit codes."""
 
 import json
+import os
+import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import trivext.algebra
 import trivext.criteria
-from trivext.cli import main
-from trivext.corpus import corpus_text
+from trivext.algebra import AlgebraBuildError, build_algebra
+from trivext.cli import _json, main
+from trivext.corpus import CORPUS, corpus_text
+from trivext.dsl import serialize_presentation
+from trivext.quiver import PathBudgetExceeded
+
+from test_builder import random_presentation
 
 DUAL = corpus_text("dual_numbers")
 A2 = corpus_text("path_a2")
@@ -295,6 +304,72 @@ def test_timing_flag_adds_timing(capsys, k_file):
     assert "timing" in json.loads(out)
 
 
+def reports_of(capsys, paths):
+    """The parsed reports of info, trivext, verdict --extend (with a timing
+    float on one of them) and hh --max 2 on each file."""
+    out = []
+    for path in paths:
+        for argv in (["info", path], ["trivext", path], ["verdict", path, "--extend"],
+                     ["--timing", "verdict", path], ["hh", path, "--max", "2"]):
+            main(argv)
+            out.append(json.loads(capsys.readouterr().out))
+    return out
+
+
+def seeded_files(tmp_path, count):
+    """`count` seeded presentation files that build, over Q, F_3 and F_5."""
+    rng, fields, out = random.Random(2118), ["field Q", "field F 3", "field F 5"], []
+    while len(out) < count:
+        pres = random_presentation(rng, rng.random() < 0.5, fields[len(out) % 3],
+                                   bound=rng.choice([None, None, 3]))
+        try:
+            build_algebra(pres, max_weight=8)
+        except (AlgebraBuildError, PathBudgetExceeded):
+            continue
+        f = tmp_path / f"seeded{len(out)}.quiver"
+        f.write_text(serialize_presentation(pres))
+        out.append(str(f))
+    return out
+
+
+def test_report_writer_matches_json_dumps(capsys, tmp_path):
+    # the reports are written by `_json`, which must give the bytes of
+    # json.dumps(..., sort_keys=True, indent=2) on every report and value
+    paths = [corpus_file(tmp_path, e.name) for e in CORPUS] + seeded_files(tmp_path, 12)
+    reports = reports_of(capsys, paths)
+    assert any(isinstance(r.get("timing", {}).get("seconds"), float) for r in reports)
+    main(["corpus"])
+    reports.append(json.loads(capsys.readouterr().out))
+    odd = [{}, [], {"a": {}, "b": [[], {}]}, [[[1]], {"x": [None]}], (1, (2, 3)),
+           "plain", "λ*α", "e_\u00e9*\u2020", "quote \" back \\ slash / tab \t nl \n\x00\x7f",
+           "\U0001d49c", True, False, None, 0, -17, 2 ** 80, 0.125, 1e-07, 3.0,
+           -0.0, 1e300, float("nan"), float("inf"), float("-inf"),
+           {"z": 1, "a": [True, None], "é": "ü", "": ""},
+           {1: "int key", 2.5: "float key", False: "bool key"}, {None: "null key"},
+           {"deep": {"er": {"est": [{"k": ({"v": 1},)}]}}}]
+    for obj in reports + odd:
+        assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2), obj
+    for bad in ({(1, 2): 3}, {"set": {1}}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _json(bad)
+
+
+def test_python_m_trivext_runs_the_cli(capsys, tmp_path):
+    # `python -m trivext` gives the stdout and exit code of cli.main
+    src = str(Path(trivext.algebra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for name in ("dual_numbers", "path_a2"):
+        path = corpus_file(tmp_path, name)
+        code = main(["verdict", path, "--extend"])
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "trivext", "verdict", path, "--extend"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
 def test_pretty_output_is_text(capsys, k_file):
     code, out, _ = run(capsys, "--pretty", "info", k_file)
     assert code == 0
@@ -378,9 +453,9 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
         layers[A] += "arrow_layers" not in A._derived  # a derivation
         return arrow_layers(A)
 
-    def count_annihilators(A, sides):
+    def count_annihilators(A, side):
         annihilators[A] += 1
-        return annihilator(A, sides)
+        return annihilator(A, side)
 
     monkeypatch.setattr(trivext.algebra, "arrow_layers", count_layers)
     monkeypatch.setattr(trivext.algebra, "_annihilator", count_annihilators)
@@ -392,11 +467,12 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
     summaries = [res["algebra"], res["extension"]]
     assert all(s["selfinjective"] for s in summaries)
     # one arrow walk serves validation and the radical chain; the socles
-    # take one left, one right and one two-sided kernel
+    # take one left and one right kernel, and the bimodule socle is their
+    # intersection, not a third kernel over all of A
     dims = sorted(s["dimension"] for s in summaries)
     assert sorted(X.dim for X in layers) == dims
     assert set(layers.values()) == {1}
-    assert {X.dim: n for X, n in annihilators.items()} == {d: 3 for d in dims}
+    assert {X.dim: n for X, n in annihilators.items()} == {d: 2 for d in dims}
 
 
 def test_verdict_verifies_the_cycle_once(capsys, monkeypatch, dual_file):

@@ -1,0 +1,221 @@
+"""Rows placed without elimination: `Echelon.of_reduced` and its callers.
+
+`row_reduce` reads the canonical kernel off one elimination, `socles`
+takes the bimodule socle as the left kernel intersected with the right,
+and `ideal_slice` places its right pushes; each is compared here with
+the elimination it replaced (`reference.py`), on the corpus and on seeded
+algebras and their trivial extensions over Q, F_3 and F_5.
+"""
+
+import copy
+import random
+
+import pytest
+
+import trivext.algebra
+import trivext.trivial_extension
+from trivext.algebra import (AlgebraBuildError, build_algebra, ideal_slice, socles,
+                             trace_form_radical)
+from trivext.cli import main
+from trivext.corpus import CORPUS, corpus_text, run_corpus
+from trivext.linalg import GF, QQ, Echelon, row_reduce
+from trivext.quiver import PathBudgetExceeded
+from trivext.trivial_extension import relations_up_to, trivial_extension
+
+from reference import (ideal_slice_adding_every_push, row_reduce_by_two_eliminations,
+                       socles_by_three_kernels)
+from test_builder import random_presentation
+
+
+def seeded_presentations(seed, count):
+    """`count` seeded presentations that build, over Q, F_3 and F_5 in
+    turn, graded by length, by arrow degrees or under a nilpotency bound."""
+    rng, fields, out = random.Random(seed), ["field Q", "field F 3", "field F 5"], []
+    while len(out) < count:
+        pres = random_presentation(rng, rng.random() < 0.5, fields[len(out) % 3],
+                                   bound=rng.choice([None, None, 3]))
+        try:
+            A = build_algebra(pres, max_weight=8)
+            if trivial_extension(A).T.dim <= 30:
+                out.append(pres)
+        except (AlgebraBuildError, PathBudgetExceeded):
+            continue
+    return out
+
+
+@pytest.fixture(scope="module")
+def inputs(presentations):
+    """The corpus and 30 seeded presentations."""
+    return list(presentations.values()) + seeded_presentations(2121, 30)
+
+
+def fresh_algebras(pres_list):
+    """Each presentation's A and T(A), built anew so that nothing they
+    derive is stored yet."""
+    out = []
+    for pres in pres_list:
+        A = build_algebra(pres)
+        out += [A, trivial_extension(A).T]
+    return out
+
+
+def state(E):
+    """What an Echelon holds: its rows by pivot, and its holder index with
+    the empty sets that clearing leaves dropped, each checked against the
+    rows."""
+    assert E.pivots == sorted(E.pivots) and len(set(E.pivots)) == E.rank
+    assert all(E._row_at[p] is row and min(row) == p and row[p] == 1
+               for p, row in zip(E.pivots, E.rows))
+    holders = {k: ps for k, ps in E._holders.items() if ps}
+    expected: dict = {}
+    for p, row in zip(E.pivots, E.rows):
+        for k in row:
+            if k != p:
+                expected.setdefault(k, set()).add(p)
+    assert holders == expected
+    return E.field, E.width, E.pivots, E.rows, holders
+
+
+def test_of_reduced_builds_the_indexes_elimination_builds():
+    for field in (QQ, GF(3), GF(5)):
+        rng = random.Random(field.p)
+        for _ in range(40):
+            width = rng.randint(1, 9)
+            vecs = [{k: rng.randint(-4, 4) for k in rng.sample(range(width), rng.randint(1, width))}
+                    for _ in range(rng.randint(0, 6))]
+            built = Echelon(field, width, vecs)
+            placed = Echelon.of_reduced(field, width, [dict(r) for r in built.rows])
+            assert state(placed) == state(built)
+            copied = built.copy()
+            assert state(copied) == state(built)
+            extra = {k: 1 for k in range(width)}
+            copied.add(extra)
+            placed.add(extra)
+            assert state(copied) == state(placed)
+            assert not any(a is b for a, b in zip(built.rows, copied.rows))
+    assert Echelon.of_reduced(QQ, 3, []) == Echelon(QQ, 3)
+
+
+def test_row_reduce_matches_two_eliminations(inputs, monkeypatch):
+    # every map the program hands to row_reduce (the socle annihilators,
+    # their intersection, the relation slice kernels and the trace-form
+    # radical) against the former two eliminations; and random maps with
+    # gaps in their keys and zero entries
+    calls = []
+
+    def spy(field, images):
+        got = row_reduce(field, images)
+        assert got == row_reduce_by_two_eliminations(field, images)
+        calls.append((field.p, got.rank))
+        return got
+
+    for module in (trivext.algebra, trivext.trivial_extension):
+        monkeypatch.setattr(module, "row_reduce", spy)
+    for X in fresh_algebras(inputs):
+        socles(X)
+        if X.field == QQ:
+            trace_form_radical(X)
+    for pres in inputs:
+        relations_up_to(trivial_extension(build_algebra(pres)))
+    assert {p for p, _ in calls} == {0, 3, 5}
+    assert sum(rank > 1 for _, rank in calls) >= 100
+    rng = random.Random(21)
+    for field in (QQ, GF(3), GF(5)):
+        for _ in range(60):
+            keys = sorted(rng.sample(range(12), rng.randint(1, 8)))
+            images = {k: {r: rng.randint(-3, 3) for r in rng.sample(range(6), rng.randint(0, 4))}
+                      for k in keys}
+            assert row_reduce(field, images) == row_reduce_by_two_eliminations(field, images)
+
+
+def test_socles_match_three_kernels(inputs):
+    # the bimodule socle as the left kernel met with the right one, against
+    # the former third kernel over all of A.  Taking the intersection
+    # against the left map again would return the whole left kernel,
+    # which differs from the bimodule socle on many of these inputs
+    proper = 0
+    for X in fresh_algebras(inputs):
+        got = socles(X)
+        assert got == socles_by_three_kernels(X), X
+        proper += sum(s.rank for s in got.left) > got.bimodule.rank
+    assert proper >= 20, proper
+
+
+def test_ideal_slice_matches_adding_every_push(inputs, monkeypatch):
+    # every slice that kQ/I and the relation search of T(A) walk, against
+    # adding every right and left push
+    seen = {"slices": 0, "placed": 0, "added": 0}
+
+    def spy(field, width, pieces):
+        got = ideal_slice(field, width, pieces)
+        assert got == ideal_slice_adding_every_push(field, width, pieces)
+        seen["slices"] += 1
+        right = [v for ideal, r, _l in pieces for row in ideal.rows
+                 for v in [{r[k] for k in row if k in r}] if v]
+        seen["placed"] += len(right)
+        seen["added"] += got.rank > len(right)
+        return got
+
+    monkeypatch.setattr(trivext.algebra, "ideal_slice", spy)
+    fields = set()
+    for pres in inputs:
+        A = build_algebra(pres)
+        relations_up_to(trivial_extension(A))
+        fields.add(A.field)
+    assert fields == {QQ, GF(3), GF(5)}
+    assert seen["slices"] >= 300 and seen["placed"] >= 300 and seen["added"] >= 50, seen
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_row_pushed_in_part_raises(side):
+    # rows of an ideal slice lie in one Peirce block, so an arrow extends
+    # all of a row's paths or none; a row it extends in part is not
+    # dropped but refused
+    slice_ = Echelon(QQ, 3, [{0: 1, 1: 2}, {2: 1}])
+    partial, whole = {0: 0}, {0: 0, 1: 1, 2: 2}
+    maps = (partial, whole) if side == "right" else (whole, partial)
+    with pytest.raises(AlgebraBuildError, match="does and does not extend"):
+        ideal_slice(QQ, 3, [(slice_, *maps)])
+    # a row a map drops whole is dropped
+    assert ideal_slice(QQ, 3, [(slice_, {2: 2}, {2: 0})]) == Echelon(QQ, 3, [{0: 1}, {2: 1}])
+
+
+def test_placed_echelons_match_elimination_during_a_corpus_run(monkeypatch, tmp_path,
+                                                                capsys):
+    # every Echelon placed by `of_reduced` in a corpus run and in the CLI
+    # reports of every corpus file is re-eliminated from its rows, and each
+    # further add is mirrored on the re-eliminated twin; the two must agree
+    # at every step
+    placed_by = Echelon.__dict__["of_reduced"].__func__
+    add = Echelon.add
+    twins: dict = {}
+    counts = {"placed": 0, "adds": 0}
+
+    def spy_of_reduced(cls, field, width, rows):
+        rows = list(rows)
+        twin = Echelon(field, width, [dict(row) for row in rows])
+        out = placed_by(cls, field, width, rows)
+        assert state(out) == state(twin)
+        twins[id(out)] = out, twin
+        counts["placed"] += 1
+        return out
+
+    def spy_add(self, vec):
+        got = add(self, vec)
+        pair = twins.get(id(self))
+        if pair is not None and pair[0] is self:
+            assert add(pair[1], copy.deepcopy(vec)) == got
+            assert state(self) == state(pair[1])
+            counts["adds"] += 1
+        return got
+
+    monkeypatch.setattr(Echelon, "of_reduced", classmethod(spy_of_reduced))
+    monkeypatch.setattr(Echelon, "add", spy_add)
+    assert run_corpus()["ok"]
+    for e in CORPUS:
+        f = tmp_path / f"{e.name}.quiver"
+        f.write_text(corpus_text(e.name))
+        for argv in (["trivext", str(f)], ["verdict", str(f), "--extend"]):
+            main(argv)
+    capsys.readouterr()
+    assert counts["placed"] >= 400 and counts["adds"] >= 150, counts

@@ -156,6 +156,37 @@ def test_relation_errors_point_into_the_raw_line(raw, bad):
     assert raw[err.value.col - 1] == bad, (raw, err.value.col)
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("relation x", "relation term x has length 1 < 2 (relations must lie in "
+                   "the square of the arrow ideal)"),
+    ("relation x*x - y*x", "relation terms are not parallel paths"),
+    ("relation x*x - 2*x*x", "duplicate path among relation terms"),
+])
+def test_relation_shape_errors_name_their_line(raw, message):
+    # RelationExpr raises these without a position; the parser names the
+    # relation's line and the column where its expression starts
+    with pytest.raises(DSLError) as err:
+        parse_presentation("field Q\nvertices v w\narrow x : v -> v\n"
+                           f"arrow y : v -> w\n  {raw}\n")
+    assert (err.value.line, err.value.col) == (5, 12)
+    assert str(err.value) == f"{message} (line 5, column 12)"
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("relation x*", "expected an arrow name"),
+    ("relation x*x +", "expected a term"),
+    ("relation x*x - 2", "expected '*' after coefficient"),
+    ("relation 1/", "expected denominator after '/'"),
+])
+def test_errors_at_the_end_of_a_relation_point_past_it(raw, message):
+    # a missing token is reported at the column just after the expression
+    with pytest.raises(DSLError) as err:
+        parse_presentation("field Q\nvertices v\narrow x : v -> v\n\n"
+                           f"  {raw}   # comment\n")
+    assert (err.value.line, err.value.col) == (5, len(raw) + 3)
+    assert str(err.value) == f"{message} (line 5, column {len(raw) + 3})"
+
+
 def test_round_trip_on_corpus(presentations):
     for name, p in presentations.items():
         text = serialize_presentation(p)
