@@ -79,9 +79,13 @@ def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
         keep = {i for i, rep in enumerate(A.arrows) if rep.is_new}
         adj = {i: [j for j in adj[i] if j in keep] for i in sorted(keep)}
 
+    preds: dict = {}   # the reversed graph, built once for every search
+    for v, succ in adj.items():
+        for w in succ:
+            preds.setdefault(w, []).append(v)
     best = start = back = None
     for v in sorted(adj):
-        dist = _bfs_exact(adj, v)
+        dist = _bfs_exact(preds, v)
         if v in dist and (best is None or dist[v] < best):
             best, start, back = dist[v], v, dist
     if start is None:
@@ -104,13 +108,9 @@ def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
     return cert
 
 
-def _bfs_exact(adj, target):
+def _bfs_exact(preds, target):
     """Shortest positive walk length from each node to `target`: one
-    breadth-first search from `target` along the reversed edges."""
-    preds: dict = {}
-    for v, succ in adj.items():
-        for w in succ:
-            preds.setdefault(w, []).append(v)
+    breadth-first search from `target` along the reversed edges `preds`."""
     dist = {}
     frontier, k = [target], 0
     while frontier:

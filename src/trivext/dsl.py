@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .linalg import QQ, GF, GroundField
-from .quiver import Arrow, Path, Quiver
+from .quiver import Arrow, Path, Quiver, QuiverError
 
 
 class DSLError(ValueError):
@@ -187,21 +187,19 @@ class _ExprParser:
         return self.field.coerce(num)
 
     def path(self) -> Path:
-        names = [self.arrow_name()]
+        factors = [self.arrow()]
         while self.peek()[0] == "*":
             self.next()
-            names.append(self.arrow_name())
-        # written function-order: rightmost factor applies first
-        arrows = []
-        for name in reversed(names):
-            arrows.append(self.quiver.arrow(name))
-        for prev, nxt in zip(arrows, arrows[1:]):
+            factors.append(self.arrow())
+        factors.reverse()  # written function-order: rightmost factor applies first
+        for (prev, _), (nxt, col) in zip(factors, factors[1:]):
             if prev.target != nxt.source:
                 self.fail(f"path is not composable: {prev.name} ends at "
-                          f"{prev.target}, {nxt.name} starts at {nxt.source}")
-        return Path(arrows[0].source, arrows[-1].target, tuple(arrows))
+                          f"{prev.target}, {nxt.name} starts at {nxt.source}", col)
+        arrows = tuple(a for a, _ in factors)
+        return Path(arrows[0].source, arrows[-1].target, arrows)
 
-    def arrow_name(self) -> str:
+    def arrow(self) -> tuple[Arrow, int]:
         tok, col = self.next()
         if tok is None:
             self.fail("expected an arrow name", col)
@@ -209,7 +207,7 @@ class _ExprParser:
             self.fail(f"expected an arrow name, got {tok!r}", col)
         if tok not in self.quiver.arrow_index:
             self.fail(f"unknown arrow {tok!r}", col)
-        return tok
+        return self.quiver.arrow(tok), col
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -248,6 +246,9 @@ def parse_presentation(text: str) -> Presentation:
             for v in names:
                 if v in vertices:
                     raise DSLError(f"duplicate vertex {v!r}", line_no)
+                if "*" in v:
+                    raise DSLError(f"bad vertex name {v!r} (must not contain '*', "
+                                   "which joins the arrows of a path label)", line_no)
                 vertices.append(v)
         elif keyword == "arrow":
             m = re.fullmatch(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)(?:\s+deg\s+(\d+))?", rest)
@@ -282,17 +283,17 @@ def parse_presentation(text: str) -> Presentation:
         else:
             raise DSLError(f"unknown declaration {keyword!r}", line_no)
 
-    for a, line_no in zip(arrows, arrow_lines):
-        if a.name.startswith("e_") and a.name[2:] in vertices:
-            raise DSLError(f"arrow name {a.name!r} is the label of the stationary "
-                           f"path at vertex {a.name[2:]!r}", line_no)
     if field is None:
         field = QQ
     degs = [a.degree for a in arrows]
     if any(d is not None for d in degs) and any(d is None for d in degs):
         raise DSLError("partial degree assignment: either all arrows carry "
                        "'deg' or none do")
-    quiver = Quiver(vertices, arrows)
+    try:
+        quiver = Quiver(vertices, arrows)
+    except QuiverError as exc:  # an arrow named e_v, declared before or after v
+        line_no = next((n for a, n in zip(arrows, arrow_lines) if a.name == exc.arrow), None)
+        raise DSLError(exc.args[0], line_no) from None
 
     relations = []
     for line_no, expr_text, col_offset in relation_lines:

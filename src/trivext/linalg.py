@@ -10,7 +10,7 @@ module is exact; no floating point is used anywhere in the package.
 Vectors are sparse dicts {coordinate: value}, and there is one row type.
 `combine` is the one sparse linear-combination kernel: the products of
 the algebras, their associativity proof, the arrow layers, the path values
-of T(A)'s relations and the residuals of `Echelon.reduce` are all
+of T(A)'s relations and every row operation of `Echelon` are all
 combinations of rows, so no module above this one normalizes a scalar.
 `Echelon` holds a subspace in reduced echelon form: every span, socle,
 radical power, ideal slice and kernel of the package is one.  Rows that
@@ -60,8 +60,7 @@ class GroundField:
     never branch on the characteristic themselves.  Every method returns a
     scalar of the field in the one representation the module docstring
     gives: over Q an `int` when integral, never a Fraction with denominator
-    1 nor a `bool`.  `combine` and the clearing loop of `Echelon.add`
-    inline the same arithmetic.
+    1 nor a `bool`.  `combine` inlines the same arithmetic for sparse rows.
     """
 
     __slots__ = ("p",)
@@ -172,9 +171,10 @@ class Echelon:
     canonical: two echelons over one field and width are equal iff they
     span the same subspace.  Vectors may be given as dicts or as dense
     lists of length `width`; the work per operation is proportional to the
-    nonzeros it touches.  Every span, socle, radical power, kernel and
-    ideal slice of the package is one; the bar-complex ranks use
-    `SparseRank`.
+    nonzeros it touches, and each row operation is one `combine`.  The
+    column index of `add` lists, for each column, a superset of the rows
+    that use it.  Every span, socle, radical power, kernel and ideal slice
+    of the package is one; the bar-complex ranks use `SparseRank`.
     """
 
     def __init__(self, field: GroundField, width: int, vectors=()):
@@ -183,7 +183,7 @@ class Echelon:
         self.rows: list[dict] = []    # ordered by pivot
         self.pivots: list[int] = []
         self._row_at: dict = {}       # pivot column -> its row
-        self._holders: dict = {}      # other column -> pivots of the rows using it
+        self._holders: dict = {}      # other column -> pivots of rows that may use it
         for vec in vectors:
             self.add(vec)
 
@@ -226,31 +226,18 @@ class Echelon:
             return False
         f, j = self.field, min(v)
         if v[j] != 1:
-            c = f.inv(v[j])
-            v = {k: f.mul(c, x) for k, x in v.items()}
-        p, holders = f.p, self._holders
-        # clear column j in the rows that use it
+            v = combine(f, ((f.inv(v[j]), v),))
+        row_at, holders = self._row_at, self._holders
+        # clear j in the rows that may use it; they and j may then use v's columns
+        users = [j]
         for i in holders.pop(j, ()):
-            row = self._row_at[i]
-            d = row[j]
-            for k, b in v.items():
-                x = row.get(k, 0) - d * b
-                if p:
-                    x %= p
-                elif type(x) is not int and x.denominator == 1:
-                    x = x.numerator
-                if not x:
-                    del row[k]
-                    if k != j:
-                        holders[k].discard(i)
-                elif k not in row:
-                    row[k] = x
-                    holders.setdefault(k, set()).add(i)
-                else:
-                    row[k] = x
+            d = row_at[i].get(j)
+            if d:
+                combine(f, ((-d, v),), row_at[i])
+                users.append(i)
         for k in v:
             if k != j:
-                holders.setdefault(k, set()).add(j)
+                holders.setdefault(k, set()).update(users)
         at = bisect_left(self.pivots, j)
         self.rows.insert(at, v)
         self.pivots.insert(at, j)
@@ -263,8 +250,8 @@ class Echelon:
         reduced echelon basis listed by ascending pivot: nonzero sparse
         dicts of field scalars, each led by 1 at its pivot, and each pivot
         zero in every other row.  Nothing is eliminated; the pivot and
-        holder indexes are read off in one pass, and the rows are taken
-        over, not copied."""
+        column indexes are read off in one pass, the latter exact, and the
+        rows are taken over, not copied."""
         out = cls(field, width)
         out.rows = rows = list(rows)
         out.pivots = pivots = [min(row) for row in rows]

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 
 class QuiverError(ValueError):
-    pass
+    """A malformed quiver or path; `arrow` names the arrow at fault, if one is."""
+
+    def __init__(self, message, arrow=None):
+        super().__init__(message)
+        self.arrow = arrow
 
 
 class CompositionError(QuiverError):
@@ -29,13 +33,17 @@ class Arrow:
 
 
 class Quiver:
-    """A finite quiver: ordered vertices and ordered arrows."""
+    """A finite quiver: ordered vertices and ordered arrows, named so that
+    distinct paths have distinct labels (see `Path.label`)."""
 
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
         self.arrows = tuple(arrows)
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex names")
+        for v in self.vertices:
+            if "*" in v:
+                raise QuiverError(f"vertex name {v!r} contains '*', which joins arrow names")
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise QuiverError("duplicate arrow names")
@@ -43,6 +51,9 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise QuiverError(f"arrow {a.name}: undeclared endpoint")
+            if a.name.startswith("e_") and a.name[2:] in vset:
+                raise QuiverError(f"arrow name {a.name!r} is the label of the stationary "
+                                  f"path at vertex {a.name[2:]!r}", a.name)
         degs = [a.degree for a in self.arrows]
         if any(d is not None for d in degs):
             if any(d is None for d in degs):

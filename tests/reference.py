@@ -1,5 +1,6 @@
 """Routines the package no longer needs, kept for tests as references."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -155,6 +156,50 @@ class TwoLoopSparseRank(SparseRank):
             if j in v:  # a pivot not led by 1 would meet j forever
                 raise ValueError(f"the pivot at {j} is not led by 1")
         return False
+
+
+class ExactIndexEchelon(Echelon):
+    """The former `Echelon.add`: a clearing loop of its own, beside
+    `combine`, that keeps the column index exact, adding a pivot under a
+    column when its row gains the column and discarding it when the row
+    loses it."""
+
+    def add(self, vec) -> bool:
+        v = self.reduce(vec)
+        if not v:
+            return False
+        f, j = self.field, min(v)
+        if v[j] != 1:
+            c = f.inv(v[j])
+            v = {k: f.mul(c, x) for k, x in v.items()}
+        p, holders = f.p, self._holders
+        # clear column j in the rows that use it
+        for i in holders.pop(j, ()):
+            row = self._row_at[i]
+            d = row[j]
+            for k, b in v.items():
+                x = row.get(k, 0) - d * b
+                if p:
+                    x %= p
+                elif type(x) is not int and x.denominator == 1:
+                    x = x.numerator
+                if not x:
+                    del row[k]
+                    if k != j:
+                        holders[k].discard(i)
+                elif k not in row:
+                    row[k] = x
+                    holders.setdefault(k, set()).add(i)
+                else:
+                    row[k] = x
+        for k in v:
+            if k != j:
+                holders.setdefault(k, set()).add(j)
+        at = bisect_left(self.pivots, j)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, j)
+        self._row_at[j] = v
+        return True
 
 
 def apply_column(m, col: dict) -> dict:

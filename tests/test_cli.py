@@ -106,6 +106,18 @@ def test_arrow_named_as_a_stationary_path_exits_2(capsys, tmp_path, text, vertex
         f"path at vertex '{vertex}' (line 2)\n")
 
 
+def test_vertex_name_with_a_star_exits_2(capsys, tmp_path):
+    # with a vertex a*b, the path b then e_a would be labelled e_a*b, the
+    # label of the stationary path at a*b
+    f = tmp_path / "star.quiver"
+    f.write_text("field Q\nvertices a*b\narrow e_a : a*b -> a*b\narrow b : a*b -> a*b\n"
+                 "relation e_a*e_a\nrelation e_a*b\nrelation b*e_a\nrelation b*b\n")
+    for argv in (["info", str(f)], ["verdict", str(f), "--extend"]):
+        assert run(capsys, *argv) == (
+            2, "", "error: bad vertex name 'a*b' (must not contain '*', which joins "
+            "the arrows of a path label) (line 2)\n"), argv
+
+
 def test_second_nilpotency_bound_exits_2(capsys, tmp_path):
     f = tmp_path / "bounds.quiver"
     f.write_text("field Q\nvertices v\narrow x : v -> v\nrelation x*x - x*x*x\n"

@@ -232,8 +232,12 @@ def test_bfs_matches_scan_reference():
                            if rng.random() < density] for v in range(n)})
     kinds = Counter()
     for adj in graphs:
+        preds = {}
+        for v, succ in adj.items():
+            for w in succ:
+                preds.setdefault(w, []).append(v)
         for target in list(adj) + [len(adj)]:
-            got = _bfs_exact(adj, target)
+            got = _bfs_exact(preds, target)
             assert got == bfs_by_scan(adj, target), (adj, target)
             kinds["reached" if target in got else "unreached"] += 1
             kinds["self-loop"] += target in adj.get(target, ())

@@ -115,22 +115,27 @@ def test_detector_flags_an_unread_local(tmp_path):
 FIELD_FREE = ("algebra", "trivial_extension", "criteria", "corpus", "cli", "quiver")
 
 
+def _normalizations(tree):
+    """(line, text) of every `.numerator` or `.denominator` read and every
+    `%` (or `%=`) by `p`, `.p` or `.characteristic` in `tree`."""
+    def is_modulus(node):
+        return ((isinstance(node, ast.Name) and node.id == "p")
+                or (isinstance(node, ast.Attribute) and node.attr in ("p", "characteristic")))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+            yield node.lineno, f".{node.attr}"
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+              and is_modulus(node.right if isinstance(node, ast.BinOp) else node.value)):
+            yield node.lineno, ast.unparse(node)
+
+
 def field_normalizations(path: Path) -> list[str]:
     """The places where `path` normalizes a scalar by hand: a `.numerator`
     or `.denominator` read, or a `%` (or `%=`) by `p`, `.p` or
     `.characteristic`.  Other remainders, such as index wraps `% n`, are
     not scalar arithmetic and are left out."""
-    def is_modulus(node):
-        return ((isinstance(node, ast.Name) and node.id == "p")
-                or (isinstance(node, ast.Attribute) and node.attr in ("p", "characteristic")))
-    found = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
-            found.append((node.lineno, f".{node.attr}"))
-        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
-              and is_modulus(node.right if isinstance(node, ast.BinOp) else node.value)):
-            found.append((node.lineno, ast.unparse(node)))
-    return [f"{text} (line {line})" for line, text in sorted(found)]
+    found = sorted(_normalizations(ast.parse(path.read_text())))
+    return [f"{text} (line {line})" for line, text in found]
 
 
 @pytest.mark.parametrize("name", FIELD_FREE)
@@ -148,6 +153,34 @@ def test_detector_flags_a_field_normalization(tmp_path):
     assert field_normalizations(src) == [
         ".denominator (line 2)", ".numerator (line 3)", "x %= p (line 4)",
         "(x + 1) % field.p (line 5)", "y % field.characteristic (line 6)"]
+
+
+# the definitions of linalg that may normalize a scalar by hand, each with
+# every method of a class listed: the scalar arithmetic, the one sparse
+# row kernel, the coercion of the rows an Echelon is given, and the
+# integer engine of the bar-complex ranks
+LINALG_NORMALIZERS = {"_rational", "GroundField", "combine", "Echelon._sparse",
+                      "SparseRank"}
+
+
+def normalizing_definitions(path: Path) -> set[str]:
+    """The innermost definitions of `path`, named as `_definitions` names
+    them, that hold a field normalization; one in a dunder method counts
+    as its class's."""
+    tree = ast.parse(path.read_text())
+    spans = [(node.lineno, node.end_lineno, name) for name, node in _definitions(tree)]
+    return {max((name for lo, hi, name in spans if lo <= line <= hi),
+                key=lambda name: name.count("."), default="<module>")
+            for line, _ in _normalizations(tree)}
+
+
+def test_linalg_normalizes_scalars_in_its_kernels_only():
+    # Echelon's row operations go through `combine`; a normalization
+    # anywhere else in linalg is a second copy of that arithmetic
+    places = normalizing_definitions(Path(trivext.__file__).parent / "linalg.py")
+    assert "combine" in places
+    assert {place for place in places if place not in LINALG_NORMALIZERS
+            and place.partition(".")[0] not in LINALG_NORMALIZERS} == set()
 
 
 def _definitions(tree):

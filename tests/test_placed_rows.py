@@ -1,14 +1,18 @@
-"""Rows placed without elimination: `Echelon.of_reduced` and its callers.
+"""Rows placed without elimination, `Echelon.of_reduced` and its callers,
+and the rows `Echelon.add` eliminates through `combine`.
 
 `row_reduce` reads the canonical kernel off one elimination, `socles`
 takes the bimodule socle as the left kernel intersected with the right,
 and `ideal_slice` places its right pushes; each is compared here with
 the elimination it replaced (`reference.py`), on the corpus and on seeded
-algebras and their trivial extensions over Q, F_3 and F_5.
+algebras and their trivial extensions over Q, F_3 and F_5.  `add` keeps
+a column index of the rows that may use a column, a superset of those
+that do; it is compared with the former add, which kept it exact.
 """
 
 import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,8 +26,8 @@ from trivext.linalg import GF, QQ, Echelon, row_reduce
 from trivext.quiver import PathBudgetExceeded
 from trivext.trivial_extension import relations_up_to, trivial_extension
 
-from reference import (ideal_slice_adding_every_push, row_reduce_by_two_eliminations,
-                       socles_by_three_kernels)
+from reference import (ExactIndexEchelon, ideal_slice_adding_every_push,
+                       row_reduce_by_two_eliminations, socles_by_three_kernels)
 from test_builder import random_presentation
 
 
@@ -60,20 +64,18 @@ def fresh_algebras(pres_list):
 
 
 def state(E):
-    """What an Echelon holds: its rows by pivot, and its holder index with
-    the empty sets that clearing leaves dropped, each checked against the
-    rows."""
+    """What an Echelon holds: its rows by pivot, each checked to lead with
+    1 at its pivot, each pivot column checked to be zero in every other
+    row, and the column index checked to list every row that uses a
+    column (it may list more)."""
     assert E.pivots == sorted(E.pivots) and len(set(E.pivots)) == E.rank
     assert all(E._row_at[p] is row and min(row) == p and row[p] == 1
                for p, row in zip(E.pivots, E.rows))
-    holders = {k: ps for k, ps in E._holders.items() if ps}
-    expected: dict = {}
+    pivots = set(E.pivots)
     for p, row in zip(E.pivots, E.rows):
-        for k in row:
-            if k != p:
-                expected.setdefault(k, set()).add(p)
-    assert holders == expected
-    return E.field, E.width, E.pivots, E.rows, holders
+        assert row.keys() & pivots == {p}
+        assert all(p in E._holders.get(k, ()) for k in row if k != p)
+    return E.field, E.width, E.pivots, E.rows
 
 
 def test_of_reduced_builds_the_indexes_elimination_builds():
@@ -180,6 +182,18 @@ def test_a_row_pushed_in_part_raises(side):
     assert ideal_slice(QQ, 3, [(slice_, {2: 2}, {2: 0})]) == Echelon(QQ, 3, [{0: 1}, {2: 1}])
 
 
+def run_corpus_and_reports(tmp_path, capsys):
+    """A corpus run, and the `trivext` and `verdict --extend` reports of
+    every corpus file."""
+    assert run_corpus()["ok"]
+    for e in CORPUS:
+        f = tmp_path / f"{e.name}.quiver"
+        f.write_text(corpus_text(e.name))
+        for argv in (["trivext", str(f)], ["verdict", str(f), "--extend"]):
+            main(argv)
+    capsys.readouterr()
+
+
 def test_placed_echelons_match_elimination_during_a_corpus_run(monkeypatch, tmp_path,
                                                                 capsys):
     # every Echelon placed by `of_reduced` in a corpus run and in the CLI
@@ -211,11 +225,57 @@ def test_placed_echelons_match_elimination_during_a_corpus_run(monkeypatch, tmp_
 
     monkeypatch.setattr(Echelon, "of_reduced", classmethod(spy_of_reduced))
     monkeypatch.setattr(Echelon, "add", spy_add)
-    assert run_corpus()["ok"]
-    for e in CORPUS:
-        f = tmp_path / f"{e.name}.quiver"
-        f.write_text(corpus_text(e.name))
-        for argv in (["trivext", str(f)], ["verdict", str(f), "--extend"]):
-            main(argv)
-    capsys.readouterr()
+    run_corpus_and_reports(tmp_path, capsys)
     assert counts["placed"] >= 400 and counts["adds"] >= 150, counts
+
+
+def ordered(E):
+    """The rows of E with their keys in insertion order, which the rows
+    of the reports follow."""
+    return E.pivots, [list(row.items()) for row in E.rows]
+
+
+def stale(E, twin) -> bool:
+    """True iff E's column index lists a row that its exact twin's does not."""
+    return any(ps - twin._holders.get(k, set()) for k, ps in E._holders.items())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=repr)
+def test_add_matches_the_exact_index_add(field):
+    # random rows, dense enough that clearing a pivot both drops entries
+    # of the cleared rows (leaving stale index entries) and adds new ones
+    rng, seen = random.Random(2200 + field.p), Counter()
+    for _ in range(80):
+        width = rng.randint(1, 12)
+        got, want = Echelon(field, width), ExactIndexEchelon(field, width)
+        for _ in range(rng.randint(1, 14)):
+            vec = {k: rng.randint(-4, 4)
+                   for k in rng.sample(range(width), rng.randint(1, min(width, 5)))}
+            assert got.add(vec) == want.add(vec)
+            assert state(got) == state(want) and ordered(got) == ordered(want)
+            seen["stale"] += stale(got, want)
+            seen["scaled"] += any(x != 1 for x in vec.values())
+    assert seen["stale"] >= 50 and seen["scaled"] >= 50, seen
+
+
+def test_add_matches_the_exact_index_add_during_a_corpus_run(monkeypatch, tmp_path, capsys):
+    # every add to every Echelon of a corpus run and of the CLI reports of
+    # every corpus file is mirrored on a twin with the former exact index,
+    # placed from the rows the Echelon holds at its first add; rows, their
+    # key order and pivots must agree after each add
+    add, twins, counts = Echelon.add, {}, Counter()
+
+    def spy_add(self, vec):
+        if id(self) not in twins:  # each Echelon is kept, so its id is not reused
+            twins[id(self)] = self, ExactIndexEchelon.of_reduced(
+                self.field, self.width, [dict(row) for row in self.rows])
+        twin = twins[id(self)][1]
+        got = add(self, vec)
+        assert twin.add(copy.deepcopy(vec)) == got
+        assert state(self) == state(twin) and ordered(self) == ordered(twin)
+        counts["adds"] += 1
+        return got
+
+    monkeypatch.setattr(Echelon, "add", spy_add)
+    run_corpus_and_reports(tmp_path, capsys)
+    assert counts["adds"] >= 1000, counts

@@ -187,6 +187,21 @@ def test_errors_at_the_end_of_a_relation_point_past_it(raw, message):
     assert str(err.value) == f"{message} (line 5, column {len(raw) + 3})"
 
 
+@pytest.mark.parametrize("raw, message, col", [
+    ("relation   y*x", "x ends at w, y starts at v", 12),
+    ("relation   z*y*x", "x ends at w, y starts at v", 14),
+    # of two breaks, the one met first in application order is named
+    ("relation   y*y*x", "x ends at w, y starts at v", 14),
+    ("relation   z*x - z*y*x", "x ends at w, y starts at v", 20),
+])
+def test_a_path_that_does_not_compose_names_the_factor(raw, message, col):
+    # the column of the written factor that cannot follow its right neighbour
+    with pytest.raises(DSLError) as err:
+        parse_presentation("field Q\nvertices v w\narrow x : v -> w\narrow y : v -> w\n"
+                           f"{raw}\narrow z : w -> v\n")
+    assert str(err.value) == f"path is not composable: {message} (line 5, column {col})"
+
+
 def test_round_trip_on_corpus(presentations):
     for name, p in presentations.items():
         text = serialize_presentation(p)
@@ -279,6 +294,12 @@ def test_quiver_validation():
         Quiver(["v"], [Arrow("x", "v", "v", 2), Arrow("y", "v", "v")])
     with pytest.raises(QuiverError):
         Path("v", "w", ())
+    # labels must tell paths apart: e_v names the stationary path at v, and
+    # '*' joins the arrows of a label
+    with pytest.raises(QuiverError, match="label of the stationary path"):
+        Quiver(["v"], [Arrow("e_v", "v", "v")])
+    with pytest.raises(QuiverError, match="contains '\\*'"):
+        Quiver(["a*b"], [])
 
 
 def test_path_layer_index_maps():
