@@ -24,6 +24,16 @@ fields: over Q by integer cross multiplication, over F_p on residues with
 pivots led by 1.  It serves the large bar-complex boundaries of the
 homology oracle, whose callers scale their columns to integers once and
 build a column only when elimination needs it.
+
+`poly_det` takes the determinant of a matrix C over Z[x] by Kronecker
+substitution.  The coefficients of det C are bounded in absolute value by
+M = prod_i sum_j ||C_ij||_1, since the l1 norm of a product of
+polynomials is at most the product of their l1 norms.  With b =
+M.bit_length() + 1, so that 2^(b-1) > M, the entries are evaluated at
+x = 2^b by shifts, one fraction-free Bareiss elimination over Z gives
+det C(2^b), and its balanced base-2^b digits, each in [-2^(b-1), 2^(b-1)),
+are the coefficients: that range holds every coefficient and a balanced
+expansion is unique.
 """
 
 from __future__ import annotations
@@ -506,31 +516,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(out)
 
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Quotient self/other when the division is exact in Z[x]."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return IntPolynomial()
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            raise ArithmeticError("inexact polynomial division")
-        out = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            lead = rem[k + len(div) - 1]
-            q, r = divmod(lead, div[-1])
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            out[k] = q
-            if q:
-                for i, c in enumerate(div):
-                    rem[k + i] -= q * c
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        return IntPolynomial(out)
-
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -571,29 +556,59 @@ POLY_ONE = IntPolynomial((1,))
 
 
 def poly_det(rows) -> IntPolynomial:
-    """Exact determinant in Z[x] of the square matrix with the given rows
-    of IntPolynomial entries, by fraction-free Bareiss elimination.
+    """Exact determinant in Z[x] of the square matrix C with the given rows
+    of IntPolynomial entries, by Kronecker substitution: one Bareiss
+    elimination over Z on C(2^b), whose value is read back as the
+    coefficients of det C.
 
-    Every division in the Bareiss recurrence is exact over Z[x], so no
-    rational coefficients ever appear.
+    The l1 norm (sum of absolute coefficients) is submultiplicative under
+    products of polynomials, so every coefficient of det C is at most
+    M = prod_i sum_j ||C_ij||_1 in absolute value.  With b =
+    M.bit_length() + 1, 2^(b-1) > M, and the base-2^b digits of
+    det C(2^b) = sum_i d_i 2^(b i) taken in [-2^(b-1), 2^(b-1)) are the d_i:
+    a balanced digit expansion is unique, and every |d_i| <= M lies in that
+    range.  Every division of the Bareiss recurrence is exact over Z.
     """
     n = len(rows)
     if n == 0:
         return POLY_ONE
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = POLY_ONE
+    bound = 1
+    for row in rows:
+        bound *= sum(abs(c) for entry in row for c in entry.coeffs)
+    b = bound.bit_length() + 1
+    a = []
+    for row in rows:
+        values = []
+        for entry in row:
+            v = 0  # entry(2^b), by Horner's rule
+            for c in reversed(entry.coeffs):
+                v = (v << b) + c
+            values.append(v)
+        a.append(values)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 return POLY_ZERO
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = a[i]
+            c = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = POLY_ZERO
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+                row[j] = (pivot * row[j] - c * pivot_row[j]) // prev
+        prev = pivot
+    det = sign * a[n - 1][n - 1]
+    base, half = 1 << b, 1 << (b - 1)
+    coeffs = []
+    # deg det C <= sum_i max_j deg C_ij, so this many digits hold all of it
+    for _ in range(sum(max(len(entry.coeffs) for entry in row) for row in rows)):
+        d = det & (base - 1)
+        if d >= half:
+            d -= base
+        coeffs.append(d)
+        det = (det - d) >> b
+    return IntPolynomial(coeffs)

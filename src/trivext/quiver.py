@@ -54,6 +54,13 @@ class Quiver:
             if a.name.startswith("e_") and a.name[2:] in vset:
                 raise QuiverError(f"arrow name {a.name!r} is the label of the stationary "
                                   f"path at vertex {a.name[2:]!r}", a.name)
+        by_name = {a.name: a for a in self.arrows}
+        for a in self.arrows:
+            path = _path_labelled(a.name, by_name) if "*" in a.name else None
+            if path:
+                raise QuiverError(f"arrow name {a.name!r} is the label of the path "
+                                  f"{' then '.join(reversed(path))} of other arrows",
+                                  a.name)
         degs = [a.degree for a in self.arrows]
         if any(d is not None for d in degs):
             if any(d is None for d in degs):
@@ -76,6 +83,30 @@ class Quiver:
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
+
+
+def _path_labelled(label: str, by_name: dict) -> list[str] | None:
+    """The names, in label order, of a composable path of at least two of
+    the arrows `by_name` whose label is `label`; None if there is none.
+
+    The label is split at every '*' and the pieces are grouped from the
+    right: `tails[i]` maps the target of the last applied arrow of a
+    composable path labelled by pieces i.. to the names of one such path.  An arrow name
+    may contain '*' itself, so a group may hold several pieces.
+    """
+    parts = label.split("*")
+    n = len(parts)
+    tails: list[dict] = [{} for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n + 1):
+            a = by_name.get("*".join(parts[i:j]))
+            if a is None or (i, j) == (0, n):
+                continue
+            if j == n:
+                tails[i].setdefault(a.target, [a.name])
+            elif a.source in tails[j]:
+                tails[i].setdefault(a.target, [a.name] + tails[j][a.source])
+    return next(iter(tails[0].values()), None)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              quotient_slices, radical_chain, socles, span_products)
 from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
-from trivext.linalg import (QQ, Echelon, FieldMismatchError, GroundField, SparseRank,
-                            combine, row_reduce)
+from trivext.linalg import (POLY_ONE, POLY_ZERO, QQ, Echelon, FieldMismatchError,
+                            GroundField, IntPolynomial, SparseRank, combine, row_reduce)
 from trivext.quiver import PathBudgetExceeded, path_layer
 from trivext.trivial_extension import RelationSet, _slice_kernel, extended_quiver
 
@@ -868,3 +868,55 @@ def relations_adding_every_kernel_vector(tri, cap=None):
         return RelationSet(generators=gens, cap=cap, quotient_dim=None, complete=False)
     return RelationSet(generators=gens, cap=cap, quotient_dim=quotient_dim,
                        complete=(quotient_dim == T.dim))
+
+
+def exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
+    """The former `IntPolynomial.exact_div`: the quotient num/den when the
+    division is exact in Z[x]; ArithmeticError otherwise."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.is_zero():
+        return IntPolynomial()
+    rem = list(num.coeffs)
+    div = den.coeffs
+    dq = len(rem) - len(div)
+    if dq < 0:
+        raise ArithmeticError("inexact polynomial division")
+    out = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        lead = rem[k + len(div) - 1]
+        q, r = divmod(lead, div[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        out[k] = q
+        if q:
+            for i, c in enumerate(div):
+                rem[k + i] -= q * c
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return IntPolynomial(out)
+
+
+def poly_det_by_polynomial_bareiss(rows) -> IntPolynomial:
+    """The former `poly_det`: fraction-free Bareiss elimination with
+    IntPolynomial entries, every division exact over Z[x]."""
+    n = len(rows)
+    if n == 0:
+        return POLY_ONE
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = POLY_ONE
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return POLY_ZERO
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+            a[i][k] = POLY_ZERO
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det

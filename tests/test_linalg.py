@@ -9,7 +9,8 @@ from trivext.linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
                             IntPolynomial, SparseRank, poly_det,
                             row_reduce)
 
-from reference import ExactMatrix, FractionField, TwoLoopSparseRank, apply_column
+from reference import (ExactMatrix, FractionField, TwoLoopSparseRank, apply_column,
+                       exact_div, poly_det_by_polynomial_bareiss)
 
 
 def test_identity_matrix_full_rank():
@@ -553,10 +554,10 @@ def test_int_polynomial_basics():
     assert x_poly() == IntPolynomial([0, 0])
     assert x_poly().degree == -1
     assert (x_poly(1, 1) * x_poly(-1, 1)) == x_poly(-1, 0, 1)
-    assert x_poly(1, 0, 1).exact_div(x_poly(1)) == x_poly(1, 0, 1)
-    assert (x_poly(1, 1) * x_poly(2, 3, 4)).exact_div(x_poly(1, 1)) == x_poly(2, 3, 4)
+    assert exact_div(x_poly(1, 0, 1), x_poly(1)) == x_poly(1, 0, 1)
+    assert exact_div(x_poly(1, 1) * x_poly(2, 3, 4), x_poly(1, 1)) == x_poly(2, 3, 4)
     with pytest.raises(ArithmeticError):
-        x_poly(1, 0, 1).exact_div(x_poly(1, 1))
+        exact_div(x_poly(1, 0, 1), x_poly(1, 1))
 
 
 def test_poly_det_trivial_cases():
@@ -598,6 +599,56 @@ def test_poly_det_matches_cofactor_expansion_random():
 def test_poly_det_needs_pivot_swap():
     m = [[x_poly(), x_poly(1)], [x_poly(1), x_poly()]]
     assert poly_det(m) == x_poly(-1)
+
+
+def _random_poly(rng, degree, huge):
+    """A polynomial of degree at most `degree` with small coefficients,
+    some of them near +-2^70 when `huge`."""
+    def coeff():
+        if huge and rng.random() < 0.3:
+            return rng.choice((-1, 1)) * (2 ** 70 + rng.randrange(-3, 4))
+        return rng.randrange(-3, 4) if rng.random() < 0.7 else 0
+    return IntPolynomial([coeff() for _ in range(rng.randrange(0, degree + 2))])
+
+
+def test_poly_det_matches_the_polynomial_bareiss_random():
+    rng = random.Random(2323)
+    for n in range(7):
+        for degree in range(6):
+            for huge in (False, True):
+                for _ in range(4):
+                    m = [[_random_poly(rng, degree, huge) for _ in range(n)]
+                         for _ in range(n)]
+                    assert poly_det(m) == poly_det_by_polynomial_bareiss(m), m
+
+
+def test_poly_det_matches_the_polynomial_bareiss_on_special_shapes():
+    x = x_poly
+    cases = [
+        [],
+        # one term whose coefficient is the bound M itself, a power of two
+        [[x(4)]], [[x(0, 0, 0, -8)]], [[x(2), x()], [x(), x(0, 2)]],
+        # coefficients of det C reaching M = 4: (1 + x)^2 and (1 - x)^2
+        [[x(1, 1), x()], [x(), x(1, 1)]], [[x(1, -1), x()], [x(), x(1, -1)]],
+        # singular: a zero row, two equal rows, and a rank-1 polynomial matrix
+        [[x(1, 2), x(3)], [x(), x()]],
+        [[x(1, 2), x(3), x(0, 1)], [x(5), x(-1, 1), x(2)], [x(1, 2), x(3), x(0, 1)]],
+        [[x(1, 1), x(1, 0, -1)], [x(2), x(2, -2)]],
+        # pivot swaps, first and later
+        [[x(), x(1)], [x(1), x()]],
+        [[x(), x(), x(2, 1)], [x(), x(1, -1), x()], [x(0, 3), x(), x()]],
+        [[x(1), x(1), x(1)], [x(1), x(1), x(0, 1)], [x(0, 1), x(1), x()]],
+        # negative leading coefficients and a negative determinant
+        [[x(1, -1), x(0, -2)], [x(3, 0, -1), x(-1, -1)]],
+        [[x(0, -1), x(-1)], [x(1), x(0, 0, -5)]],
+    ]
+    for m in cases:
+        assert poly_det(m) == poly_det_by_polynomial_bareiss(m), m
+    assert poly_det([[x(4)]]) == x(4)
+    assert poly_det(cases[4]) == x(1, 2, 1)
+    assert poly_det(cases[5]) == x(1, -2, 1)
+    assert poly_det(cases[8]) == x()
+    assert poly_det(cases[9]) == x(-1)
 
 
 def test_sparse_rank_mod_p():

@@ -300,6 +300,22 @@ def test_quiver_validation():
         Quiver(["v"], [Arrow("e_v", "v", "v")])
     with pytest.raises(QuiverError, match="contains '\\*'"):
         Quiver(["a*b"], [])
+    # ... and an arrow may not be named by the label of a composable path
+    # of at least two other arrows, split at '*' on arrow names, not characters
+    a, b, c = Arrow("a", "u", "v"), Arrow("b", "v", "w"), Arrow("c", "w", "u")
+    with pytest.raises(QuiverError, match="'b\\*a' is the label of the path a then b") as exc:
+        Quiver(["u", "v", "w"], [a, b, Arrow("b*a", "u", "w")])
+    assert exc.value.arrow == "b*a"
+    with pytest.raises(QuiverError, match="path a then b then c of"):
+        Quiver(["u", "v", "w"], [a, b, c, Arrow("c*b*a", "u", "u")])
+    with pytest.raises(QuiverError, match="path a then c\\*b of"):
+        Quiver(["u", "v", "w"], [a, Arrow("c*b", "v", "u"), Arrow("c*b*a", "u", "u")])
+    # T(A)'s arrows x* and e_v* contain '*', and a label of arrows that do not
+    # compose names no path
+    Quiver(["u", "v"], [Arrow("x", "u", "v"), Arrow("x*", "v", "u"),
+                        Arrow("e_u*", "u", "u")])
+    Quiver(["u", "v", "w"], [Arrow("a", "u", "v"), Arrow("b", "u", "w"),
+                             Arrow("b*a", "u", "w")])
 
 
 def test_path_layer_index_maps():
