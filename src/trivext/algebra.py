@@ -24,11 +24,15 @@ selfinjective, weak socle condition) are all plain exact linear algebra
 over the ground field; every subspace of an algebra, such as a radical
 power or a socle, is an `Echelon` on its basis coordinates.  One walk,
 `arrow_layers`, multiplies the idempotents by the arrows layer by layer,
-and one elimination over its layers, deepest first (`layer_sums`), gives
-both their span and the radical powers.  `FDAlgebra.validate` checks that
-the layers span A and then proves associativity from arrow triples; T(A)
-instead has its table read against A's (`trivial_extension.
-validate_extension`), as A ⋉ DA is associative once A is.  The socles are
+computing g v only when the support of v meets the nonzero columns of
+the arrow's row, and one elimination over its layers, deepest first
+(`layer_sums`), gives both their span and the radical powers.
+`FDAlgebra.validate` checks that the layers span A and then proves
+associativity from arrow triples; T(A) instead has its table read
+against A's (`trivial_extension.validate_extension`), as A ⋉ DA is
+associative once A is.  The table reads of the Peirce, grading and block
+checks, of that table check and of the walk visit the nonzero entries
+only: `nonzero_columns` skips the empty slots of a row.  The socles are
 two kernels, each the `Echelon` that `row_reduce` returns, and the
 bimodule socle is their intersection, read as a kernel on the left
 kernel's rows and placed without elimination.  The layer
@@ -42,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from itertools import compress
+from operator import itemgetter
 
 from .dsl import Presentation
 from .linalg import Echelon, GroundField, combine, row_reduce
@@ -149,15 +155,32 @@ class FDAlgebra:
         sum_a b e_a.  Conversely the unit gives b e_i = sum_j e_j b e_i =
         [i == src] b, likewise e_i b, and e_a = e_a e_a e_a puts e_a in
         block (a, a).  So they hold iff the axioms do.
+
+        They are read off the nonzero entries of the column and the row of
+        each e_i: b_k e_i is nonzero exactly for the b_k of source i, and
+        e_i b_k exactly for those of target i, each then b_k itself.
         """
         T, idem, one = self.table, self.idempotent_indices, self.field.one()
         if any(self.peirce[e] != (a, a) for a, e in enumerate(idem)):
             return False
+        n = len(idem)
+        sources, targets = [[] for _ in idem], [[] for _ in idem]
         for k, (src, tgt) in enumerate(self.peirce):
-            bk = {k: one}
-            if any(T[k][e] != (bk if i == src else {})
-                   or T[e][k] != (bk if i == tgt else {}) for i, e in enumerate(idem)):
+            if 0 <= src < n:
+                sources[src].append(k)
+            if 0 <= tgt < n:
+                targets[tgt].append(k)
+        for e, of_source, of_target in zip(idem, sources, targets):
+            column, row = list(map(itemgetter(e), T)), T[e]
+            if (list(nonzero_columns(column)) != of_source
+                    or list(nonzero_columns(row)) != of_target):
                 return False
+            for k in of_source:
+                if column[k] != {k: one}:
+                    return False
+            for k in of_target:
+                if row[k] != {k: one}:
+                    return False
         return True
 
     def check_generation(self) -> bool:
@@ -181,7 +204,7 @@ class FDAlgebra:
         """
         f, T, peirce = self.field, self.table, self.peirce
         if any(peirce[j][0] != peirce[k][1] or peirce[l] != (peirce[k][0], peirce[j][1])
-               for j, row in enumerate(T) for k, prod in enumerate(row) for l in prod):
+               for j, row in enumerate(T) for k in nonzero_columns(row) for l in row[k]):
             return False
         for g in [rep.basis_index for rep in self.arrows]:
             Tg = T[g]
@@ -202,7 +225,7 @@ class FDAlgebra:
         deg = self.degrees
         return deg is None or all(deg[k] == deg[i] + deg[j]
                                   for i, row in enumerate(self.table)
-                                  for j, prod in enumerate(row) for k in prod)
+                                  for j in nonzero_columns(row) for k in row[j])
 
     def validate(self):
         """Raise AlgebraBuildError naming the first structural check that fails."""
@@ -223,6 +246,13 @@ class FDAlgebra:
     def __repr__(self):
         name = self.label or "FDAlgebra"
         return f"<{name}: dim {self.dim}, {self.num_vertices} vertices>"
+
+
+def nonzero_columns(row):
+    """The j with row[j] nonzero, ascending, for a row (or a column, as a
+    list) of a structure table; the empty slots are skipped in C, with no
+    Python step each."""
+    return compress(range(len(row)), row)
 
 
 def span_products(A: FDAlgebra, left: Echelon, right: Echelon) -> Echelon:
@@ -494,15 +524,26 @@ def radical_power(A: FDAlgebra, m: int) -> Echelon:
 
 def arrow_layers(A: FDAlgebra) -> list[Echelon]:
     """The nonzero layers L_0 = span E and L_{k+1} = span of the g v over
-    the arrows g and the rows v of L_k, each read off the arrow's row of
-    the table as sum_k v_k T[g][k].  L_k is spanned by the products of k
-    arrows.  The walk ends at the first zero layer, or at L_dim."""
+    the arrows g and the rows v of L_k, each read off the nonzero entries
+    of the arrow's row of the table as sum_k v_k T[g][k].  A product is
+    computed only when the support of v meets the nonzero columns of T[g];
+    otherwise it is 0, which the layer would drop.  This reads the table
+    alone, with no Peirce precondition, so an unvalidated algebra gets the
+    same layers.  L_k is spanned by the products of k arrows.  The walk
+    ends at the first zero layer, or at L_dim."""
     f, d = A.field, A.dim
-    rows = [A.table[rep.basis_index] for rep in A.arrows]
+    rows = [{k: Tg[k] for k in nonzero_columns(Tg)}
+            for Tg in (A.table[rep.basis_index] for rep in A.arrows)]
+
+    def products(layer):
+        for Tg in rows:
+            for v in layer.rows:
+                if not Tg.keys().isdisjoint(v):
+                    yield combine(f, [(c, Tg[k]) for k, c in v.items() if k in Tg])
+
     layers = [Echelon(f, d, [A.basis_element(e) for e in A.idempotent_indices])]
     while len(layers) <= d:
-        layer = Echelon(f, d, filter(None, (combine(f, ((c, Tg[k]) for k, c in v.items()))
-                                            for Tg in rows for v in layers[-1].rows)))
+        layer = Echelon(f, d, filter(None, products(layers[-1])))
         if not layer.rank:
             break
         layers.append(layer)

@@ -18,10 +18,11 @@ extended path algebra by length slices with `algebra.quotient_slices`, the
 walk that also builds kQ/I, and takes the kernel of the evaluation on each
 slice with one `row_reduce` over the whole layer, read block by block.
 
-T(A) is validated by construction: `validate_extension` reads each entry
-of its table once against A's, which proves it associative given that A
-is, and keeps the Peirce, generation and grading checks of
-`FDAlgebra.validate`; the generic associativity proof is not run again.
+T(A) is validated by construction: `validate_extension` checks that T(A)
+has dimension 2 dim A, reads each nonzero entry of its table once against
+A's, which proves it associative given that A is, and keeps the Peirce,
+generation and grading checks of `FDAlgebra.validate`; the generic
+associativity proof is not run again.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (AdmissibilityError, ArrowRep, FDAlgebra, loewy_length,
-                      quotient_slices, socles)
+                      nonzero_columns, quotient_slices, socles)
 from .dsl import RelationExpr
 from .linalg import combine, row_reduce
 from .quiver import Arrow, PathBudgetExceeded, Quiver
@@ -129,7 +130,9 @@ def validate_extension(A: FDAlgebra, T: FDAlgebra):
     """Raise AlgebraBuildError naming the first check that T fails as
     T(A) of the associative algebra A: `FDAlgebra.validate` with
     `_is_extension_table` in place of the associativity proof, failing
-    with "the table of T(A) is not A ⋉ DA".
+    with "the table of T(A) is not A ⋉ DA", which also covers a T whose
+    dimension is not 2 dim A.  Every check reads only the nonzero entries
+    of T's table.
 
     That table check suffices.  As A is associative, DA is an A-bimodule
     under (a·f)(y) = f(ya) and (f·b)(y) = f(by): both (a·(f·b))(y) and
@@ -148,30 +151,41 @@ def validate_extension(A: FDAlgebra, T: FDAlgebra):
 
 def _is_extension_table(A: FDAlgebra, T: FDAlgebra) -> bool:
     """T's table is exactly that of A ⋉ DA, on the basis of A followed by
-    its dual basis, read one entry of T at a time.
+    its dual basis, read one nonzero entry of T at a time.
 
-    The A x A block is A's table and DA · DA = 0.  Every coordinate of
-    b_u b_v* must be some b_w* whose coefficient is that of b_v in b_w b_u,
-    and every coordinate of b_v* b_w some b_u* with that same coefficient:
-    each lookup goes from an entry of T back to an entry of A.  Within one
-    mixed block distinct entries of T look up distinct nonzeros of A, so
-    each block has at most nnz(A) nonzeros; with 2 nnz(A) in all, each
-    block has one for every nonzero of A, and no entry is missing.
+    T has dimension 2 dim A and a square table of that size.  The A x A
+    block is A's table and DA · DA = 0.  Every coordinate of b_u b_v* must
+    be some b_w* whose coefficient is that of b_v in b_w b_u, and every
+    coordinate of b_v* b_w some b_u* with that same coefficient: each
+    lookup goes from a nonzero entry of T back to an entry of A, and the
+    empty slots of the mixed blocks are skipped unread.  Within one mixed
+    block distinct entries of T look up distinct nonzeros of A, so each
+    block has at most nnz(A) nonzeros; with 2 nnz(A) in all, each block
+    has one for every nonzero of A, and no entry is missing.
     """
     d, At, Tt = A.dim, A.table, T.table
+    if not (T.dim == len(Tt) == 2 * d and all(len(row) == 2 * d for row in Tt)):
+        return False
     mixed = 0
     for x in range(d):
         row, dual_row = Tt[x], Tt[d + x]
         if row[:d] != At[x] or any(dual_row[d:]):
             return False
-        for y in range(d):
-            # b_x b_y* and b_x* b_y
-            left, right = row[d + y], dual_row[y]
-            if (any(w < d or At[w - d][x].get(y) != c for w, c in left.items())
-                    or any(u < d or At[y][u - d].get(x) != c for u, c in right.items())):
-                return False
-            mixed += len(left) + len(right)
-    return mixed == 2 * sum(len(prod) for row in At for prod in row)
+        # b_x b_y* = sum_w c b_w* with c = A's coefficient of b_y in b_w b_x
+        for y in nonzero_columns(row[d:]):
+            left = row[d + y]
+            for w, c in left.items():
+                if not d <= w < 2 * d or At[w - d][x].get(y) != c:
+                    return False
+            mixed += len(left)
+        # b_x* b_y = sum_u c b_u* with c = A's coefficient of b_x in b_y b_u
+        for y in nonzero_columns(dual_row[:d]):
+            right = dual_row[y]
+            for u, c in right.items():
+                if not d <= u < 2 * d or At[y][u - d].get(x) != c:
+                    return False
+            mixed += len(right)
+    return mixed == 2 * sum(sum(map(len, row)) for row in At)
 
 
 def extended_quiver(tri: TrivialExtensionData) -> Quiver:

@@ -427,6 +427,22 @@ def radical_chain_by_layers(X) -> list:
         for k in range(1, len(layers) + 1)]
 
 
+def arrow_layers_by_every_product(X) -> list:
+    """The former `arrow_layers`: every g v over the arrows g and the rows
+    v of the last layer is multiplied out over the whole arrow row, the
+    empty entries of T[g] and the products that vanish included."""
+    f, d = X.field, X.dim
+    rows = [X.table[rep.basis_index] for rep in X.arrows]
+    layers = [Echelon(f, d, [X.basis_element(e) for e in X.idempotent_indices])]
+    while len(layers) <= d:
+        layer = Echelon(f, d, filter(None, (combine(f, ((c, Tg[k]) for k, c in v.items()))
+                                            for Tg in rows for v in layers[-1].rows)))
+        if not layer.rank:
+            break
+        layers.append(layer)
+    return layers
+
+
 def annihilator_on(X, columns, left=True, right=True) -> Echelon:
     """The former `_annihilator`: the vectors on the given coordinate set
     that every arrow representative kills by multiplication on the chosen
@@ -515,6 +531,70 @@ def peirce_by_sandwiches(X) -> bool:
                 if sandwich != ({k: one} if (i, j) == block else {}):
                     return False
     return True
+
+
+def peirce_by_slots(X) -> bool:
+    """The former `check_peirce`: for every basis element b_k and every
+    vertex i, the slots b_k e_i and e_i b_k compared with [i == src] b_k
+    and [i == tgt] b_k, the empty ones included."""
+    T, idem, one = X.table, X.idempotent_indices, X.field.one()
+    if any(X.peirce[e] != (a, a) for a, e in enumerate(idem)):
+        return False
+    for k, (src, tgt) in enumerate(X.peirce):
+        bk = {k: one}
+        if any(T[k][e] != (bk if i == src else {})
+               or T[e][k] != (bk if i == tgt else {}) for i, e in enumerate(idem)):
+            return False
+    return True
+
+
+def graded_products_by_slots(X) -> bool:
+    """The former `check_graded_products`, one generator step per slot."""
+    deg = X.degrees
+    return deg is None or all(deg[k] == deg[i] + deg[j]
+                              for i, row in enumerate(X.table)
+                              for j, prod in enumerate(row) for k in prod)
+
+
+def associativity_by_slots(X) -> bool:
+    """The former `check_associativity`, whose block read stepped through
+    every slot of the table; the arrow triples are as they are now."""
+    f, T, peirce = X.field, X.table, X.peirce
+    if any(peirce[j][0] != peirce[k][1] or peirce[l] != (peirce[k][0], peirce[j][1])
+           for j, row in enumerate(T) for k, prod in enumerate(row) for l in prod):
+        return False
+    for g in [rep.basis_index for rep in X.arrows]:
+        Tg = T[g]
+        for j, gj in enumerate(Tg):
+            if peirce[j][1] != peirce[g][0]:
+                continue
+            for k, jk in enumerate(T[j]):
+                if not (gj or jk) or peirce[k][1] != peirce[j][0]:
+                    continue
+                lhs = combine(f, ((c, T[l][k]) for l, c in gj.items()))
+                rhs = combine(f, ((c, Tg[l]) for l, c in jk.items()))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def is_extension_table_by_slots(A, T) -> bool:
+    """The former `_is_extension_table`: two `any()` generators for every
+    slot (x, y) of the mixed blocks, the empty ones included, and no check
+    of T's dimension, so it accepts a T with basis elements past 2 dim A."""
+    d, At, Tt = A.dim, A.table, T.table
+    mixed = 0
+    for x in range(d):
+        row, dual_row = Tt[x], Tt[d + x]
+        if row[:d] != At[x] or any(dual_row[d:]):
+            return False
+        for y in range(d):
+            left, right = row[d + y], dual_row[y]
+            if (any(w < d or At[w - d][x].get(y) != c for w, c in left.items())
+                    or any(u < d or At[y][u - d].get(x) != c for u, c in right.items())):
+                return False
+            mixed += len(left) + len(right)
+    return mixed == 2 * sum(len(prod) for row in At for prod in row)
 
 
 def extension_table_by_scan(A) -> list:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import trivext.algebra
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              FDAlgebra, SelfinjectivityCertificate,
                              SelfinjectivityRefusal, arrow_layers,
@@ -294,6 +295,37 @@ def test_arrow_walk_agrees_with_former_routines(algebras, extensions):
             assert socles(Y) == socles_by_blocks(Y), (X, n)
             proper += span.rank < Y.dim
     assert proper >= len(inputs)
+
+
+def test_arrow_walk_multiplies_only_rows_that_meet_the_arrow(algebras, extensions,
+                                                            monkeypatch):
+    # arrow_layers computes g v only when the support of v meets the
+    # nonzero columns of the arrow row T[g], so every product it hands to
+    # `combine` has a nonzero term, and their number is that of the pairs
+    # (g, v) that meet, over the rows v of the layers it multiplies (all
+    # but an L_dim).  The former walk multiplied every pair and fails here
+    seeded = seeded_algebras()
+    inputs = (list(algebras.values()) + [tri.T for tri in extensions.values()]
+              + seeded + [trivial_extension(A).T for A in seeded])
+    products = []
+
+    def spy(field, terms, out=None):
+        terms = list(terms)
+        products.append(terms)
+        return combine(field, terms, out)
+
+    monkeypatch.setattr(trivext.algebra, "combine", spy)
+    computed = pairs = 0
+    for X in inputs:
+        products.clear()
+        walked = arrow_layers(X)[:X.dim]
+        assert all(any(vec for _c, vec in terms) for terms in products), X
+        rows = [X.table[rep.basis_index] for rep in X.arrows]
+        meet = sum(any(Tg[k] for k in v) for Tg in rows for L in walked for v in L.rows)
+        assert len(products) == meet, X
+        computed += len(products)
+        pairs += len(rows) * sum(L.rank for L in walked)
+    assert (computed, pairs) == (818, 3924)
 
 
 def test_one_elimination_gives_generation_and_the_chain(algebras, extensions,

@@ -1,6 +1,6 @@
 """The structural checks behind `FDAlgebra.validate` and
-`validate_extension`, against perturbed structure tables and an
-all-triples reference for associativity."""
+`validate_extension`, against perturbed structure tables, an all-triples
+reference for associativity, and the former slot-by-slot table reads."""
 
 import copy
 from collections import Counter
@@ -8,10 +8,15 @@ from itertools import product
 
 import pytest
 
-from trivext.algebra import AlgebraBuildError
-from trivext.trivial_extension import validate_extension
+from trivext.algebra import AlgebraBuildError, ArrowRep, arrow_layers
+from trivext.linalg import Echelon
+from trivext.trivial_extension import (_is_extension_table, trivial_extension,
+                                       validate_extension)
 
-from reference import peirce_by_sandwiches
+from reference import (arrow_layers_by_every_product, associativity_by_slots,
+                       graded_products_by_slots, is_extension_table_by_slots,
+                       peirce_by_sandwiches, peirce_by_slots)
+from test_algebra import seeded_algebras
 
 SMALL = ["semisimple_k", "dual_numbers", "local_two_loops", "semisimple_k2",
          "nakayama_cycle_2", "nakayama_cycle_3", "path_a2"]  # dim T(A) <= 16
@@ -191,3 +196,133 @@ def test_extension_check_rejects_every_dropped_entry(extensions):
     assert messages == {"idempotent or Peirce axioms fail": 119,
                         "the idempotents and arrows do not generate the algebra": 15,
                         "the table of T(A) is not A ⋉ DA": 34}, messages
+
+
+def test_extension_check_rejects_a_basis_element_past_twice_dim_a(algebras, extensions):
+    # T(k[x]/x²) with one more basis element z at the vertex, e z = z e = z,
+    # every other product of z zero, and z an arrow representative: an
+    # associative, graded algebra that the generic validate accepts, but
+    # not T(A), as its dimension is 5 and not 2 dim A = 4.  So is T(A) with
+    # one row one slot too long.  The former table check read only the
+    # first 2 dim A rows and columns and accepted both
+    A, T = algebras["dual_numbers"], extensions["dual_numbers"].T
+    z, e = T.dim, T.idempotent_indices[0]
+    Z = copy.copy(T)
+    Z.dim, Z.basis_labels = z + 1, T.basis_labels + ["z"]
+    Z.peirce, Z.degrees = T.peirce + [(0, 0)], T.degrees + [1]
+    Z.table = [row + [{}] for row in T.table] + [[{} for _ in range(z + 1)]]
+    Z.table[e][z] = Z.table[z][e] = {z: T.field.one()}
+    Z.arrows = T.arrows + [ArrowRep("z", 0, 0, z, 1, is_new=True)]
+    assert accepted(Z) and associative_on_all_triples(Z)
+    assert is_extension_table_by_slots(A, Z)
+    assert extension_failure(A, Z) == "the table of T(A) is not A ⋉ DA"
+
+    W = copy.copy(T)
+    W.table = [list(row) for row in T.table]
+    W.table[1] = W.table[1] + [{}]
+    assert is_extension_table_by_slots(A, W)
+    assert extension_failure(A, W) == "the table of T(A) is not A ⋉ DA"
+
+
+def walk_with_adds(walk, X, monkeypatch):
+    """The layers `walk(X)` returns and the number of `Echelon.add` calls
+    it makes."""
+    adds = 0
+    real = Echelon.add
+
+    def spy(self, vec):
+        nonlocal adds
+        adds += 1
+        return real(self, vec)
+
+    with monkeypatch.context() as m:
+        m.setattr(Echelon, "add", spy)
+        layers = walk(X)
+    return layers, adds
+
+
+def assert_reads_agree(X, monkeypatch, base=None):
+    """Every table read agrees with its former slot scan on X, and the
+    arrow walk gives the same layers, rows and adds; with `base`, X is
+    also read as T(base).  Returns the verdicts of the predicates."""
+    verdicts = (X.check_peirce(), X.check_graded_products(), X.check_associativity())
+    assert verdicts == (peirce_by_slots(X), graded_products_by_slots(X),
+                        associativity_by_slots(X)), X
+    got = walk_with_adds(arrow_layers, X, monkeypatch)
+    want = walk_with_adds(arrow_layers_by_every_product, X, monkeypatch)
+    assert got == want, X
+    if base is not None:
+        verdicts += (_is_extension_table(base, X),)
+        assert verdicts[-1] == is_extension_table_by_slots(base, X), X
+    return verdicts
+
+
+def test_nonzero_reads_agree_with_the_slot_scans_on_generated_algebras(
+        algebras, extensions, monkeypatch):
+    # every corpus A and T(A), and the seeded ones over Q, F_3 and F_5
+    seeded = seeded_algebras()
+    assert {A.field.characteristic for A in seeded} == {0, 3, 5}
+    pairs = ([(A, extensions[name].T) for name, A in algebras.items()]
+             + [(A, trivial_extension(A).T) for A in seeded])
+    for A, T in pairs:
+        assert assert_reads_agree(A, monkeypatch) == (True, True, True), A
+        assert assert_reads_agree(T, monkeypatch, base=A) == (True,) * 4, T
+
+
+def test_nonzero_reads_agree_with_the_slot_scans_on_every_perturbation(
+        algebras, extensions, monkeypatch):
+    # every single-coordinate perturbation of the small A and T(A); T(A)
+    # is also read as the extension of A, which none of them is.  The
+    # other predicates take both values, so the agreement is not vacuous
+    outcomes = Counter()
+    for name in SMALL:
+        A, T = algebras[name], extensions[name].T
+        for X, base in ((A, None), (T, A)):
+            for i, j, k in product(range(X.dim), repeat=3):
+                verdicts = assert_reads_agree(perturbed(X, i, j, k), monkeypatch, base)
+                outcomes.update(enumerate(verdicts))
+    assert sum(outcomes[0, v] for v in (True, False)) == 3159
+    assert all(outcomes[n, True] and outcomes[n, False] for n in range(3)), outcomes
+    assert outcomes[3, False] == 2808 and not outcomes[3, True]
+
+
+def peirce_breaks(X):
+    """Copies of X whose declared blocks or idempotent products break the
+    Peirce axioms: each non-idempotent b_k moved to every block (s, t) with
+    s, t in -1..n, vertex indices past the vertices included; and b_k's
+    products with the idempotents moved to the pattern of every other
+    source and target, its declared block kept."""
+    n, one = X.num_vertices, X.field.one()
+    for k in X.radical_basis_indices():
+        for block in product(range(-1, n + 1), repeat=2):
+            if block != X.peirce[k]:
+                Y = copy.copy(X)
+                Y.peirce = list(X.peirce)
+                Y.peirce[k] = block
+                yield Y
+        for src, tgt in product(range(n), repeat=2):
+            if (src, tgt) == X.peirce[k]:
+                continue
+            Y = copy.copy(X)
+            Y.table = [list(row) for row in X.table]
+            for i, e in enumerate(X.idempotent_indices):
+                Y.table[k][e] = {k: one} if i == src else {}
+                Y.table[e] = list(Y.table[e])
+                Y.table[e][k] = {k: one} if i == tgt else {}
+            yield Y
+
+
+def test_nonzero_reads_agree_with_the_slot_scans_on_broken_peirce_tables(
+        algebras, extensions, monkeypatch):
+    # the small A and T(A) with blocks or idempotent products that break
+    # the Peirce axioms, on which the table reads may not assume them
+    broken = Counter()
+    for name in SMALL:
+        A, T = algebras[name], extensions[name].T
+        for X, base in ((A, None), (T, A)):
+            for Y in peirce_breaks(X):
+                verdicts = assert_reads_agree(Y, monkeypatch, base)
+                broken[verdicts[0]] += 1
+    # every break fails the Peirce check; the other reads, which do not
+    # assume the axioms, still agree with the former ones on each
+    assert broken == {False: 750}, broken
