@@ -2,7 +2,9 @@
 
 An algebra kQ/I is realized on a basis of path normal forms.  An ideal
 grows by one step, `_pushed`: vectors multiplied by an arrow on either
-side through the index maps of `path_layer`.  When the relations are
+side through the index maps of `path_layer`, whose layers are lists of
+arrow-index words; the walks build no `Path`, and `build_algebra` makes
+one only for each basis path.  When the relations are
 homogeneous for some admissible weighting of the arrows (explicit
 degrees, or path length), one walk, `quotient_slices`, grows the path
 layers and pushes the rows of earlier slices into each new one with
@@ -35,7 +37,11 @@ checks, of that table check and of the walk visit the nonzero entries
 only: `nonzero_columns` skips the empty slots of a row.  The socles are
 two kernels, each the `Echelon` that `row_reduce` returns, and the
 bimodule socle is their intersection, read as a kernel on the left
-kernel's rows and placed without elimination.  The layer
+kernel's rows and placed without elimination; those of a trivial
+extension T = A ⋉ DA, which `trivial_extension` marks, are the spans of
+the duals of the idempotents, placed off the construction
+(`_extension_socles`) when rad A is the span of A's non-idempotent basis
+vectors.  The layer
 sums, the radical chain, the socles and selfinjectivity are derived once
 per algebra, on first use, and stored on the instance; every other
 structural reader (Loewy lengths, radical powers, the weak socle
@@ -51,7 +57,7 @@ from operator import itemgetter
 
 from .dsl import Presentation
 from .linalg import Echelon, GroundField, combine, row_reduce
-from .quiver import Arrow, Path, Quiver, compose, path_layer
+from .quiver import Arrow, Path, Quiver, compose, path_layer, word_labels
 
 
 class AlgebraBuildError(ValueError):
@@ -88,8 +94,10 @@ class FDAlgebra:
     An instance is immutable after construction: `layer_sums`,
     `radical_chain`, `socles` and `selfinjectivity` are derived once and
     stored on it, so neither the table nor a returned `Echelon` may be
-    changed.  Copies (`copy.copy`, `copy.deepcopy`) do not carry the stored
-    results, so a copy whose table is then edited derives its own.
+    changed.  `trivial_extension` stores its mark, `extension_of`, with
+    them.  Copies (`copy.copy`, `copy.deepcopy`) and pickles carry neither
+    the stored results nor the mark, so a copy whose table is then edited
+    derives its own.
     """
 
     def __init__(self, field: GroundField, labels, vertex_names, idempotent_indices,
@@ -201,19 +209,26 @@ class FDAlgebra:
         so checking the remaining triples puts g in S.  S is closed under
         x -> g x, as ((g x) y) z = g ((x y) z) = g (x (y z)) = (g x)(y z),
         so generation gives S = A.
+
+        The triples are read off the nonzero entries: for an arrow g, the
+        b_j run over the basis elements of target src g; when g b_j != 0
+        the b_k run over every basis element of target src b_j, and
+        otherwise over the nonzero columns of b_j's row, which the block
+        read has put there.  Every other pair has both sides 0.
         """
         f, T, peirce = self.field, self.table, self.peirce
         if any(peirce[j][0] != peirce[k][1] or peirce[l] != (peirce[k][0], peirce[j][1])
                for j, row in enumerate(T) for k in nonzero_columns(row) for l in row[k]):
             return False
+        into: dict = {}  # vertex -> the basis elements of that target
+        for k, (_src, tgt) in enumerate(peirce):
+            into.setdefault(tgt, []).append(k)
         for g in [rep.basis_index for rep in self.arrows]:
             Tg = T[g]
-            for j, gj in enumerate(Tg):
-                if peirce[j][1] != peirce[g][0]:
-                    continue
-                for k, jk in enumerate(T[j]):
-                    if not (gj or jk) or peirce[k][1] != peirce[j][0]:
-                        continue  # both sides are 0
+            for j in into.get(peirce[g][0], ()):
+                gj, Tj = Tg[j], T[j]
+                for k in into.get(peirce[j][0], ()) if gj else nonzero_columns(Tj):
+                    jk = Tj[k]
                     lhs = combine(f, ((c, T[l][k]) for l, c in gj.items()))
                     rhs = combine(f, ((c, Tg[l]) for l, c in jk.items()))
                     if lhs != rhs:
@@ -316,8 +331,9 @@ def quotient_slices(quiver: Quiver, field: GroundField, window: int,
                     max_weight: int, by_length: bool = False):
     """Walk kQ modulo a homogeneous two-sided ideal one weight slice at a time.
 
-    Yields (w, paths, steps, ideal) for w = 0, 1, ...: the path layer of
-    weight w with its index maps (see `path_layer`) and the slice of the
+    Yields (w, layer, steps, ideal) for w = 0, 1, ...: the path layer of
+    weight w, as start vertices, end vertices and arrow-index words, with
+    its index maps (see `path_layer`) and the slice of the
     ideal pushed from the earlier slices by `ideal_slice`.  The caller adds
     its weight-w generators to `ideal` before asking for the next slice.
     The walk stops after `window` consecutive slices that hold every path;
@@ -326,7 +342,7 @@ def quotient_slices(quiver: Quiver, field: GroundField, window: int,
     AdmissibilityError past `max_weight`, and PathBudgetExceeded (from
     `path_layer`) when a layer outgrows PATH_BUDGET.
     """
-    layers: dict[int, list[Path]] = {}
+    layers: dict[int, tuple] = {}
     ideals: dict[int, Echelon] = {}
     w = streak = 0
     while streak < window:
@@ -335,40 +351,47 @@ def quotient_slices(quiver: Quiver, field: GroundField, window: int,
                 f"no window of {window} empty weight slices up to weight "
                 f"{max_weight}; the presentation may not define a finite "
                 "dimensional algebra")
-        paths, steps = path_layer(quiver, layers, w, by_length)
-        ideal = ideal_slice(field, len(paths),
+        layer, steps = path_layer(quiver, layers, w, by_length)
+        width = len(layer[2])
+        ideal = ideal_slice(field, width,
                             [(ideals[v], right, left) for v, right, left in steps])
-        yield w, paths, steps, ideal
-        layers[w], ideals[w] = paths, ideal
+        yield w, layer, steps, ideal
+        layers[w], ideals[w] = layer, ideal
         layers.pop(w - window, None)
         ideals.pop(w - window, None)
-        streak = streak + 1 if ideal.rank == len(paths) else 0
+        streak = streak + 1 if ideal.rank == width else 0
         w += 1
 
 
 def _build_homogeneous(pres: Presentation, max_weight: int):
     """Slice-by-slice quotient construction for homogeneous relations.
 
-    Returns (order, rows): every walked path in weight order, and the
-    reduced echelon rows of the ideal on those coordinates, keyed by
-    pivot.  Every path of a larger weight lies in the ideal.
+    Returns (starts, words, rows): the start vertex and the arrow-index
+    word of every walked path, in weight order, and the reduced echelon
+    rows of the ideal on those coordinates, keyed by pivot.  Every path of
+    a larger weight lies in the ideal.
     """
     q, f = pres.quiver, pres.field
     window = max((a.degree or 1) for a in q.arrows) if q.arrows else 1
     by_weight: dict[int, list] = {}
     for rel in pres.relations:
         by_weight.setdefault(next(iter(rel.weights())), []).append(rel)
-    order: list[Path] = []
+    starts: list[str] = []
+    words: list[tuple] = []
     rows: dict[int, dict] = {}
-    for w, paths, _steps, ideal in quotient_slices(q, f, window, max_weight):
-        index = {p.label(): k for k, p in enumerate(paths)}
-        for rel in by_weight.get(w, ()):
-            ideal.add({index[t.label()]: c for c, t in rel.terms})
-        start = len(order)
-        order.extend(paths)
+    for w, (w_starts, _ends, w_words), _steps, ideal in quotient_slices(
+            q, f, window, max_weight):
+        if w in by_weight:
+            # relation terms have length >= 2, so their words are not empty
+            index = {word: k for k, word in enumerate(w_words)}
+            for rel in by_weight[w]:
+                ideal.add({index[q.word(t)]: c for c, t in rel.terms})
+        start = len(words)
+        starts += w_starts
+        words += w_words
         for k, row in zip(ideal.pivots, ideal.rows):
             rows[start + k] = {start + j: c for j, c in row.items()}
-    return order, rows
+    return starts, words, rows
 
 
 def _build_bounded(pres: Presentation):
@@ -387,35 +410,39 @@ def _build_bounded(pres: Presentation):
     containment of the N-th radical power in the ideal would force it to
     vanish.  Correctness is otherwise conditional on that promise.
     Only untagged quivers reach this construction, so weight is length.
-    Returns (order, rows) as `_build_homogeneous` does.
+    Returns (starts, words, rows) as `_build_homogeneous` does.
     """
     q, f, N = pres.quiver, pres.field, pres.nilpotency_bound
-    order: list[Path] = []
-    layers: list[list[Path]] = []
+    starts: list[str] = []
+    words: list[tuple] = []
+    layers: list[tuple] = []
     # per arrow, the maps p -> p*a and p -> a*p on all paths of length <= N
     maps = [({}, {}) for _ in q.arrows]
     for w in range(N + 1):
-        paths, steps = path_layer(q, layers, w)
+        layer, steps = path_layer(q, layers, w)
         for (v, right, left), (jr, jl) in zip(steps, maps):
-            start = len(order) - len(layers[v])
-            jr.update((start + k, len(order) + i) for k, i in right.items())
-            jl.update((start + k, len(order) + i) for k, i in left.items())
-        layers.append(paths)
-        order.extend(paths)
-    path_index = {p.label(): k for k, p in enumerate(order)}
-    ech = Echelon(f, len(order))
-    new = [{path_index[t.label()]: c for c, t in rel.terms if t.length <= N}
+            start = len(words) - len(layers[v][2])
+            jr.update((start + k, len(words) + i) for k, i in right.items())
+            jl.update((start + k, len(words) + i) for k, i in left.items())
+        layers.append(layer)
+        starts += layer[0]
+        words += layer[2]
+    # relation terms have length >= 2, so the stationary paths need no key
+    path_index = {word: k for k, word in enumerate(words) if word}
+    ech = Echelon(f, len(words))
+    new = [{path_index[q.word(t)]: c for c, t in rel.terms if t.length <= N}
            for rel in pres.relations]
     while new:
         new = list(_pushed([vec for vec in new if ech.add(vec)],
                            [ext for pair in maps for ext in pair]))
     for k in ech.free_columns():
-        if order[k].length >= N:
+        if len(words[k]) >= N:
             raise AdmissibilityError(
-                f"nilpotency bound {N} is too small: the path {order[k].label()} "
-                f"of length {N} does not vanish, so the promised containment of "
-                "the N-th radical power in the ideal is unverifiable")
-    return order, dict(zip(ech.pivots, ech.rows))
+                f"nilpotency bound {N} is too small: the path "
+                f"{q.path(starts[k], words[k]).label()} of length {N} does not "
+                "vanish, so the promised containment of the N-th radical power "
+                "in the ideal is unverifiable")
+    return starts, words, dict(zip(ech.pivots, ech.rows))
 
 
 def build_algebra(pres: Presentation, *, max_weight: int = 256,
@@ -429,11 +456,13 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
     cases, and always contains the stationary idempotents and the arrows.
     Raises PathBudgetExceeded when a path layer outgrows PATH_BUDGET.
 
-    Both builders return coordinate paths and the ideal's reduced echelon
-    rows on them, keyed by pivot.  The basis is the non-pivot paths.  A
-    basis path is its own normal form, a pivot path's normal form is minus
-    its row off the pivot, and a path past the coordinates lies in the
-    ideal.
+    Both builders return the coordinate paths, as start vertices and
+    arrow-index words, and the ideal's reduced echelon rows on them, keyed
+    by pivot.  The basis is the non-pivot paths, and only they are built
+    as `Path`s; the others are found by their labels, joined from the
+    words.  A basis path is its own normal form, a pivot path's normal
+    form is minus its row off the pivot, and a path past the coordinates
+    lies in the ideal.
     """
     q, f = pres.quiver, pres.field
     if not q.vertices:
@@ -454,11 +483,11 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
             "relations are inhomogeneous in every available grading and no "
             "nilpotency_bound was given")
 
-    order, rows = (_build_homogeneous(pres, max_weight) if graded_mode
-                   else _build_bounded(pres))
-    position = {p.label(): k for k, p in enumerate(order)}
-    column = {k: i for i, k in enumerate(k for k in range(len(order)) if k not in rows)}
-    basis_paths = [order[k] for k in column]
+    starts, words, rows = (_build_homogeneous(pres, max_weight) if graded_mode
+                           else _build_bounded(pres))
+    position = {label: k for k, label in enumerate(word_labels(q, starts, words))}
+    column = {k: i for i, k in enumerate(k for k in range(len(words)) if k not in rows)}
+    basis_paths = [q.path(starts[k], words[k]) for k in column]
     degrees = [p.weight() for p in basis_paths] if graded_mode else None
     vertex_of = q.vertex_index
     idempotent_indices = [column[position[Path.stationary(v).label()]]
@@ -646,7 +675,9 @@ def _annihilator(A: FDAlgebra, side) -> Echelon:
 @_stored
 def socles(A: FDAlgebra) -> SocleData:
     """Left socles of the Ae_i, right socles of the e_jA and the bimodule
-    socle, from two joint kernels of multiplication by the arrows.
+    socle: read off the construction when A is a trivial extension (see
+    `_extension_socles`), and otherwise from two joint kernels of
+    multiplication by the arrows.
 
     Left multiplication keeps sources, so the left kernel is the direct
     sum of the left socles, whose reduced echelon rows are its rows split
@@ -659,6 +690,9 @@ def socles(A: FDAlgebra) -> SocleData:
     pivot p, and its least coordinate is the least p with c_p != 0: the
     reduced echelon rows of c give those of the socle.
     """
+    base = A._derived.get("extension_of")
+    if base is not None and _radical_is_non_idempotent_span(base):
+        return _extension_socles(A, base)
     f, d, T = A.field, A.dim, A.table
     left = _annihilator(A, "L")
 
@@ -677,6 +711,49 @@ def socles(A: FDAlgebra) -> SocleData:
         combine(f, ((c, row_at[p]) for p, c in vec.items())) for vec in meet.rows])
     return SocleData(left=split(left, 0), right=split(_annihilator(A, "R"), 1),
                      bimodule=bimodule)
+
+
+def _radical_is_non_idempotent_span(A: FDAlgebra) -> bool:
+    """rad A is spanned by the basis vectors of A that are not idempotents,
+    read off the rows of `radical_chain(A)[1]`: its rank is dim A - n and
+    no row has a coordinate at an idempotent.  False also when A has no
+    radical chain."""
+    try:
+        rad = radical_chain(A)[1]
+    except AlgebraBuildError:
+        return False
+    idem = set(A.idempotent_indices)
+    return (rad.rank == A.dim - A.num_vertices
+            and all(idem.isdisjoint(row) for row in rad.rows))
+
+
+def _extension_socles(T: FDAlgebra, A: FDAlgebra) -> SocleData:
+    """The socles of T = A ⋉ DA, which `trivial_extension` has validated,
+    when rad A is the span of A's non-idempotent basis vectors: the left
+    socle of T e_i and the right socle of e_i T are both span(e_i*), and
+    the bimodule socle is the span of all the e_v*, where e_v* is the dual
+    of the idempotent e_v.  They are placed without elimination.
+
+    Proof.  Let J = rad A, the span of the products of arrows of A; by the
+    precondition it is the span of the non-idempotent basis vectors, of
+    codimension n.  J ⊕ DA is then a two-sided ideal of T that holds every
+    arrow of T.  T is generated by its idempotents and arrows, so the span
+    of the products of at least one arrow of T has codimension at most n,
+    and lies in J ⊕ DA, so it is J ⊕ DA.  Hence x is killed by every arrow
+    on the left iff it is killed by J ⊕ DA.  Take x = (a, f).
+    (0, g)(a, 0) = g·a with (g·a)(y) = g(ay), which is 0 for every g only
+    if a = 0.  Then (r, 0)(0, f) = r·f with (r·f)(y) = f(yr), which is 0
+    for every r in J iff f vanishes on AJ = J, that is, iff f is in the
+    span of the e_v*.
+    The right socle follows in the same way, from f·r and a·g, and the
+    bimodule socle is their intersection.  e_v* lies in the Peirce block
+    (v, v), so it is the part of vertex v on either side.
+    """
+    f, width, one = T.field, T.dim, T.field.one()
+    duals = [A.dim + e for e in A.idempotent_indices]
+    return SocleData(left=[Echelon.of_reduced(f, width, [{k: one}]) for k in duals],
+                     right=[Echelon.of_reduced(f, width, [{k: one}]) for k in duals],
+                     bimodule=Echelon.of_reduced(f, width, [{k: one} for k in sorted(duals)]))
 
 
 def is_local(A: FDAlgebra) -> bool:

@@ -5,6 +5,13 @@ means "a, then b", and a path alpha_n ... alpha_1 starts at the source of
 alpha_1 and ends at the target of alpha_n.  Arrows may carry positive
 integer degrees (all of them or none); a degree-tagged quiver induces a
 grading on its path algebra.
+
+`path_layer` grows the paths of each weight as arrow-index words: a layer
+is three parallel lists of start vertices, end vertices and words, a word
+being the tuple of the indices in `Quiver.arrows` of a path's arrows, in
+order of application, so walking a layer builds no `Path`.
+`Quiver.path` and `word_labels` turn a word back into a `Path` or its
+label, for what leaves the walk.
 """
 
 from __future__ import annotations
@@ -76,6 +83,16 @@ class Quiver:
 
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index[name]]
+
+    def path(self, start: str, word) -> "Path":
+        """The path from `start` whose arrows have the indices `word`, in
+        order of application (see `path_layer`)."""
+        arrows = tuple(self.arrows[i] for i in word)
+        return Path(start, arrows[-1].target if arrows else start, arrows)
+
+    def word(self, path: "Path") -> tuple[int, ...]:
+        """The arrow indices of `path`, in order of application."""
+        return tuple(self.arrow_index[a.name] for a in path.arrows)
 
     def __eq__(self, other):
         return (isinstance(other, Quiver) and self.vertices == other.vertices
@@ -181,36 +198,51 @@ class PathBudgetExceeded(RuntimeError):
 
 
 def path_layer(quiver: Quiver, layers, w: int, by_length: bool = False):
-    """The paths of weight w, grown from the path lists `layers[v]` of the
+    """The paths of weight w, grown from the layers `layers[v]` of the
     smaller weights v (weight is the arrow degree, or 1 for untagged arrows
     and when `by_length`).
 
-    Weight 0 holds the stationary paths.  The paths p*a ("a first") are
-    listed arrow-major, then in the order of layer w - |a|.  Returns the
-    layer and, for each arrow a with |a| <= w, a triple (w - |a|, right,
-    left): `right` maps the index of p in layer w - |a| to the index of p*a,
-    `left` to the index of a*p.  Raises PathBudgetExceeded past PATH_BUDGET.
+    A layer is three parallel lists (starts, ends, words): path k runs
+    from vertex starts[k] to vertex ends[k] and its word, words[k], is the
+    tuple of the indices in `quiver.arrows` of its arrows, in order of
+    application.  Weight 0 holds the stationary paths, whose words are
+    empty.  The paths p*a ("a first") are listed arrow-major, then in the
+    order of layer w - |a|.  Returns the layer and, for each arrow a with
+    |a| <= w, a triple (w - |a|, right, left): `right` maps the index of p
+    in layer w - |a| to the index of p*a, `left` to the index of a*p, found
+    by its word.  Raises PathBudgetExceeded past PATH_BUDGET.
     """
     if w == 0:
-        return [Path.stationary(v) for v in quiver.vertices], []
-    paths, grown = [], []
-    for a in quiver.arrows:
+        return (list(quiver.vertices), list(quiver.vertices), [()] * len(quiver.vertices)), []
+    starts, ends, words, grown = [], [], [], []
+    for i, a in enumerate(quiver.arrows):
         v = w - (1 if by_length or a.degree is None else a.degree)
         if v < 0:
             continue
-        right = {}
-        for k, p in enumerate(layers[v]):
-            if p.start == a.target:
-                right[k] = len(paths)
-                paths.append(Path(a.source, p.end, (a,) + p.arrows))
-        if len(paths) > PATH_BUDGET:
+        below_starts, below_ends, below_words = layers[v]
+        grow = [k for k, s in enumerate(below_starts) if s == a.target]
+        right = dict(zip(grow, range(len(words), len(words) + len(grow))))
+        starts += [a.source] * len(grow)
+        ends += [below_ends[k] for k in grow]
+        words += [(i,) + below_words[k] for k in grow]
+        if len(words) > PATH_BUDGET:
             raise PathBudgetExceeded(
                 f"more than {PATH_BUDGET} paths of weight {w}")
-        grown.append((v, a, right))
-    index = {p.arrows: k for k, p in enumerate(paths)}
-    return paths, [(v, right, {k: index[p.arrows + (a,)]
-                               for k, p in enumerate(layers[v]) if p.end == a.source})
-                   for v, a, right in grown]
+        grown.append((v, i, right))
+    index = {word: k for k, word in enumerate(words)}
+    return (starts, ends, words), [
+        (v, right, {k: index[word + (i,)]
+                    for k, (t, word) in enumerate(zip(layers[v][1], layers[v][2]))
+                    if t == quiver.arrows[i].source})
+        for v, i, right in grown]
+
+
+def word_labels(quiver: Quiver, starts, words) -> list[str]:
+    """The labels (see `Path.label`) of the paths with these start
+    vertices and words, read without building the paths."""
+    names = [a.name for a in quiver.arrows]
+    return ["*".join([names[i] for i in reversed(word)]) if word else "e_" + s
+            for s, word in zip(starts, words)]
 
 
 def enumerate_paths(quiver: Quiver, max_length: int) -> list[Path]:
@@ -219,6 +251,7 @@ def enumerate_paths(quiver: Quiver, max_length: int) -> list[Path]:
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     layers = [path_layer(quiver, [], 0)[0]]
-    while len(layers) <= max_length and layers[-1]:
+    while len(layers) <= max_length and layers[-1][2]:
         layers.append(path_layer(quiver, layers, len(layers), by_length=True)[0])
-    return [p for layer in layers for p in layer]
+    return [quiver.path(s, word) for starts, _ends, words in layers
+            for s, word in zip(starts, words)]

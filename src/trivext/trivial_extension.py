@@ -15,14 +15,17 @@ this makes both the arrow set and the representatives deterministic.  The
 extended quiver itself is an invariant of T(A); the relation ideal extracted
 by `relations_up_to` may depend on these choices.  That extraction walks the
 extended path algebra by length slices with `algebra.quotient_slices`, the
-walk that also builds kQ/I, and takes the kernel of the evaluation on each
-slice with one `row_reduce` over the whole layer, read block by block.
+walk that also builds kQ/I, on arrow-index words, and takes the kernel of
+the evaluation on each slice with one `row_reduce` over the whole layer,
+read block by block; a `Path` is made only for each term of a generator.
 
 T(A) is validated by construction: `validate_extension` checks that T(A)
 has dimension 2 dim A, reads each nonzero entry of its table once against
 A's, which proves it associative given that A is, and keeps the Peirce,
 generation and grading checks of `FDAlgebra.validate`; the generic
-associativity proof is not run again.
+associativity proof is not run again.  The T it returns is then marked as
+A ⋉ DA, so that `algebra.socles(T)` places the spans of the duals e_v* of
+the idempotents instead of eliminating; copies of T drop the mark.
 """
 
 from __future__ import annotations
@@ -123,6 +126,8 @@ def trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
                   bound_conditional=A.bound_conditional,
                   label=f"T({A.label})" if A.label else "")
     validate_extension(A, T)
+    # read by `socles`; like every stored result, copies do not carry it
+    T._derived["extension_of"] = A
     return TrivialExtensionData(base=A, T=T)
 
 
@@ -249,18 +254,20 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
         raise ValueError("relation cap must be >= 2")
     T = tri.T
     f, table = T.field, T.table
+    qext = extended_quiver(tri)
     values: list = []
     gens: list[RelationExpr] = []
     quotient_dim = 0
     try:
         for length, layer, steps, ideal in quotient_slices(
-                extended_quiver(tri), f, 1, max(cap, 3 * ll + 3), by_length=True):
+                qext, f, 1, max(cap, 3 * ll + 3), by_length=True):
+            starts, _ends, words = layer
             if length == 0:
-                values = [T.idempotent(v) for v in range(len(layer))]
+                values = [T.idempotent(v) for v in range(len(words))]
             elif length <= cap:
                 # one step per arrow, in T.arrows order (all arrows have
                 # length 1): step a maps the index of p below to that of p*a
-                below, values = values, [None] * len(layer)
+                below, values = values, [None] * len(words)
                 for rep, (_, right, _) in zip(T.arrows, steps):
                     for k, i in right.items():
                         values[i] = combine(f, ((c, table[l][rep.basis_index])
@@ -270,9 +277,9 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
                 for vec in kernel:
                     # I_l lies in the kernel, so at equal rank they are equal
                     if ideal.rank < len(kernel) and ideal.add(vec):
-                        gens.append(RelationExpr(tuple((vec[k], layer[k])
-                                                       for k in sorted(vec))))
-            quotient_dim += len(layer) - ideal.rank
+                        gens.append(RelationExpr(tuple(
+                            (vec[k], qext.path(starts[k], words[k])) for k in sorted(vec))))
+            quotient_dim += len(words) - ideal.rank
     except (AdmissibilityError, PathBudgetExceeded):
         # the probe limit passed without a dead slice, or runaway path
         # growth (cap far below the Loewy length): the dimension is left
@@ -286,9 +293,9 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
 
 def _slice_kernel(field, layer, values):
     """Reduced echelon basis of the kernel of the evaluation map on one
-    length slice, where `values[k]` is the element of T(A) that path
-    `layer[k]` evaluates to, in block order: by the endpoints of each
-    row's pivot path, then by pivot.
+    length slice, where `values[k]` is the element of T(A) that path k of
+    `layer` (see `path_layer`) evaluates to, in block order: by the start
+    and end vertex names of each row's pivot path, then by pivot.
 
     Paths with different endpoints (s, t) evaluate into the Peirce block
     e_t T e_s, on coordinates disjoint from every other block's, so the
@@ -298,6 +305,7 @@ def _slice_kernel(field, layer, values):
     in `trivial_extension`: every kernel vector is a combination of
     parallel paths.  One elimination over the whole layer gives them all.
     """
+    starts, ends, _words = layer
     kernel = row_reduce(field, dict(enumerate(values)))
     return [row for _k, row in sorted(zip(kernel.pivots, kernel.rows), key=lambda kr: (
-        layer[kr[0]].start, layer[kr[0]].end, kr[0]))]
+        starts[kr[0]], ends[kr[0]], kr[0]))]

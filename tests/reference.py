@@ -7,14 +7,14 @@ from math import gcd
 
 from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
                              SelfinjectivityCertificate, SelfinjectivityRefusal,
-                             SocleData, _pushed, arrow_layers, loewy_length,
-                             quotient_slices, radical_chain, socles, span_products)
+                             SocleData, _pushed, arrow_layers, ideal_slice,
+                             loewy_length, radical_chain, socles, span_products)
 from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
 from trivext.linalg import (POLY_ONE, POLY_ZERO, QQ, Echelon, FieldMismatchError,
                             GroundField, IntPolynomial, SparseRank, combine, row_reduce)
-from trivext.quiver import PathBudgetExceeded, path_layer
-from trivext.trivial_extension import RelationSet, _slice_kernel, extended_quiver
+from trivext.quiver import PATH_BUDGET, Path, PathBudgetExceeded
+from trivext.trivial_extension import RelationSet, extended_quiver
 
 
 class FractionField(GroundField):
@@ -557,8 +557,8 @@ def graded_products_by_slots(X) -> bool:
 
 
 def associativity_by_slots(X) -> bool:
-    """The former `check_associativity`, whose block read stepped through
-    every slot of the table; the arrow triples are as they are now."""
+    """The former `check_associativity`, whose block read and arrow
+    triples stepped through every slot of the table."""
     f, T, peirce = X.field, X.table, X.peirce
     if any(peirce[j][0] != peirce[k][1] or peirce[l] != (peirce[k][0], peirce[j][1])
            for j, row in enumerate(T) for k, prod in enumerate(row) for l in prod):
@@ -755,13 +755,88 @@ def phi(tri, path) -> dict:
 
 def slice_kernel_by_blocks(field, layer, values) -> list:
     """The former `_slice_kernel`: one kernel per Peirce block of the
-    layer, blocks in the order of their (start, end) vertex names, each
+    layer (start vertices, end vertices and words, as `path_layer` gives
+    it), blocks in the order of their (start, end) vertex names, each
     block's reduced echelon rows in pivot order."""
     blocks: dict = {}
-    for k, p in enumerate(layer):
-        blocks.setdefault((p.start, p.end), []).append(k)
+    for k, ends in enumerate(zip(layer[0], layer[1])):
+        blocks.setdefault(ends, []).append(k)
     return [row for key in sorted(blocks)
             for row in row_reduce(field, {k: values[k] for k in blocks[key]}).rows]
+
+
+def path_layer_of_paths(quiver, layers, w: int, by_length: bool = False):
+    """The former `path_layer`: the layer a list of `Path`s grown from the
+    lists `layers[v]`, and each left map found by a dict keyed by the
+    tuples of `Arrow`s of the paths."""
+    if w == 0:
+        return [Path.stationary(v) for v in quiver.vertices], []
+    paths, grown = [], []
+    for a in quiver.arrows:
+        v = w - (1 if by_length or a.degree is None else a.degree)
+        if v < 0:
+            continue
+        right = {}
+        for k, p in enumerate(layers[v]):
+            if p.start == a.target:
+                right[k] = len(paths)
+                paths.append(Path(a.source, p.end, (a,) + p.arrows))
+        if len(paths) > PATH_BUDGET:
+            raise PathBudgetExceeded(
+                f"more than {PATH_BUDGET} paths of weight {w}")
+        grown.append((v, a, right))
+    index = {p.arrows: k for k, p in enumerate(paths)}
+    return paths, [(v, right, {k: index[p.arrows + (a,)]
+                               for k, p in enumerate(layers[v]) if p.end == a.source})
+                   for v, a, right in grown]
+
+
+def quotient_slices_of_paths(quiver, field, window, max_weight, by_length=False):
+    """The former `quotient_slices`, on the `Path` layers of
+    `path_layer_of_paths`: yields (w, paths, steps, ideal)."""
+    layers, ideals = {}, {}
+    w = streak = 0
+    while streak < window:
+        if w > max_weight:
+            raise AdmissibilityError(f"no window of {window} empty weight slices")
+        paths, steps = path_layer_of_paths(quiver, layers, w, by_length)
+        ideal = ideal_slice(field, len(paths),
+                            [(ideals[v], right, left) for v, right, left in steps])
+        yield w, paths, steps, ideal
+        layers[w], ideals[w] = paths, ideal
+        layers.pop(w - window, None)
+        ideals.pop(w - window, None)
+        streak = streak + 1 if ideal.rank == len(paths) else 0
+        w += 1
+
+
+def homogeneous_by_paths(pres, max_weight):
+    """The former `_build_homogeneous`, on the `Path` walk: (order, rows),
+    every walked path in weight order and the ideal's reduced echelon rows
+    keyed by pivot."""
+    q, f = pres.quiver, pres.field
+    window = max((a.degree or 1) for a in q.arrows) if q.arrows else 1
+    by_weight = {}
+    for rel in pres.relations:
+        by_weight.setdefault(next(iter(rel.weights())), []).append(rel)
+    order, rows = [], {}
+    for w, paths, _steps, ideal in quotient_slices_of_paths(q, f, window, max_weight):
+        index = {p.label(): k for k, p in enumerate(paths)}
+        for rel in by_weight.get(w, ()):
+            ideal.add({index[t.label()]: c for c, t in rel.terms})
+        start = len(order)
+        order.extend(paths)
+        for k, row in zip(ideal.pivots, ideal.rows):
+            rows[start + k] = {start + j: c for j, c in row.items()}
+    return order, rows
+
+
+def slice_kernel_of_paths(field, layer, values) -> list:
+    """The former `_slice_kernel`, on a layer of `Path`s: one elimination,
+    its rows sorted by the endpoints of their pivot paths, then by pivot."""
+    kernel = row_reduce(field, dict(enumerate(values)))
+    return [row for _k, row in sorted(zip(kernel.pivots, kernel.rows), key=lambda kr: (
+        layer[kr[0]].start, layer[kr[0]].end, kr[0]))]
 
 
 def ideal_slice_adding_every_push(field, width, pieces) -> Echelon:
@@ -782,7 +857,7 @@ def bounded_by_pieces(pres):
     order, layers = [], []
     maps = [({}, {}) for _ in q.arrows]
     for w in range(N + 1):
-        paths, steps = path_layer(q, layers, w)
+        paths, steps = path_layer_of_paths(q, layers, w)
         for (v, right, left), (jr, jl) in zip(steps, maps):
             start = len(order) - len(layers[v])
             jr.update((start + k, len(order) + i) for k, i in right.items())
@@ -917,8 +992,9 @@ def commutator_rank_by_fractions(B) -> int:
 
 
 def relations_adding_every_kernel_vector(tri, cap=None):
-    """The former `relations_up_to`: every vector of each slice kernel is
-    added to the ideal slice, also once the slice has the kernel's rank."""
+    """The former `relations_up_to`, on the `Path` walk: every vector of
+    each slice kernel is added to the ideal slice, also once the slice has
+    the kernel's rank."""
     ll = loewy_length(tri.T)
     if cap is None:
         cap = ll
@@ -928,7 +1004,7 @@ def relations_adding_every_kernel_vector(tri, cap=None):
     gens: list = []
     quotient_dim = 0
     try:
-        for length, layer, steps, ideal in quotient_slices(
+        for length, layer, steps, ideal in quotient_slices_of_paths(
                 extended_quiver(tri), f, 1, max(cap, 3 * ll + 3), by_length=True):
             if length == 0:
                 values = [T.idempotent(v) for v in range(len(layer))]
@@ -939,7 +1015,7 @@ def relations_adding_every_kernel_vector(tri, cap=None):
                         values[i] = combine(f, ((c, table[l][rep.basis_index])
                                                 for l, c in below[k].items()))
             if 2 <= length <= cap:
-                for vec in _slice_kernel(f, layer, values):
+                for vec in slice_kernel_of_paths(f, layer, values):
                     if ideal.add(vec):
                         gens.append(RelationExpr(tuple((vec[k], layer[k])
                                                        for k in sorted(vec))))

@@ -20,7 +20,7 @@ import pytest
 from trivext import algebra
 from trivext.algebra import AdmissibilityError, Echelon, build_algebra
 from trivext.dsl import parse_presentation
-from trivext.quiver import Arrow, Path, Quiver, compose, enumerate_paths
+from trivext.quiver import Arrow, Path, Quiver, compose, enumerate_paths, word_labels
 
 from reference import bounded_by_pieces
 
@@ -199,13 +199,15 @@ def reference_outcome(pres, max_weight):
 
 
 def builder_pair(pres, max_weight):
-    """The package builder's (coordinate paths, rows keyed by pivot), or
-    the type of its build error."""
+    """The package builder's (coordinate paths, rows keyed by pivot), with
+    the paths built from their start vertices and words, or the type of
+    its build error."""
     try:
-        return (algebra._build_homogeneous(pres, max_weight) if graded(pres)
-                else algebra._build_bounded(pres))
+        starts, words, rows = (algebra._build_homogeneous(pres, max_weight)
+                               if graded(pres) else algebra._build_bounded(pres))
     except AdmissibilityError:
         return AdmissibilityError
+    return [pres.quiver.path(s, word) for s, word in zip(starts, words)], rows
 
 
 def outcome(pres, **kw):
@@ -339,8 +341,8 @@ def test_bounded_closure_matches_piecewise_sum():
             with pytest.raises(AdmissibilityError):
                 algebra._build_bounded(pres)
             continue
-        got_order, got_rows = algebra._build_bounded(pres)
-        assert [p.label() for p in got_order] == [p.label() for p in order]
+        starts, words, got_rows = algebra._build_bounded(pres)
+        assert word_labels(pres.quiver, starts, words) == [p.label() for p in order]
         assert got_rows == rows
         built += 1
     assert built >= 20, built

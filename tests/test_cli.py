@@ -479,12 +479,13 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
     summaries = [res["algebra"], res["extension"]]
     assert all(s["selfinjective"] for s in summaries)
     # one arrow walk serves validation and the radical chain; the socles
-    # take one left and one right kernel, and the bimodule socle is their
-    # intersection, not a third kernel over all of A
+    # of A take one left and one right kernel, and the bimodule socle is
+    # their intersection, not a third kernel over all of A; those of T(A)
+    # are read off its construction, with no kernel
     dims = sorted(s["dimension"] for s in summaries)
     assert sorted(X.dim for X in layers) == dims
     assert set(layers.values()) == {1}
-    assert {X.dim: n for X, n in annihilators.items()} == {d: 2 for d in dims}
+    assert {X.dim: n for X, n in annihilators.items()} == {res["algebra"]["dimension"]: 2}
 
 
 def test_verdict_verifies_the_cycle_once(capsys, monkeypatch, dual_file):

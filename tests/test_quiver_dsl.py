@@ -8,6 +8,8 @@ from trivext.quiver import (Arrow, CompositionError, Path, Quiver, QuiverError,
                             compose, enumerate_paths, path_layer,
                             PathBudgetExceeded, PATH_BUDGET)
 
+from reference import path_layer_of_paths
+
 FIVE_VERTEX = """
 field Q
 vertices 1 2 3 4 5
@@ -319,24 +321,34 @@ def test_quiver_validation():
 
 
 def test_path_layer_index_maps():
+    # the word maps agree with `compose` on the paths the words stand for,
+    # and each layer lists the paths of the former `Path` walk, in its order
     q = Quiver(["1", "2"], [Arrow("a", "1", "2", 1), Arrow("b", "2", "1", 2),
                             Arrow("c", "2", "2", 1)])
-    layers = []
+    layers, former = [], []
     for w in range(6):
-        paths, steps = path_layer(q, layers, w)
+        layer, steps = path_layer(q, layers, w)
+        starts, ends, words = layer
+        paths = [q.path(s, word) for s, word in zip(starts, words)]
+        assert [(p.start, p.end) for p in paths] == list(zip(starts, ends))
+        assert all(q.word(p) == word for p, word in zip(paths, words))
+        former_paths, former_steps = path_layer_of_paths(q, former, w)
+        assert paths == former_paths and steps == former_steps
         assert all(p.weight() == w for p in paths)
         assert len(steps) == sum(a.degree <= w for a in q.arrows)
         for a, (v, right, left) in zip([a for a in q.arrows if a.degree <= w], steps):
             assert v == w - a.degree
             arrow = Path.of_arrow(a)
-            for k, p in enumerate(layers[v]):
+            below = [q.path(s, word) for s, word in zip(layers[v][0], layers[v][2])]
+            for k, p in enumerate(below):
                 if p.start == a.target:
                     assert paths[right[k]] == compose(p, arrow)
                 if p.end == a.source:
                     assert paths[left[k]] == compose(arrow, p)
-            assert len(right) == sum(p.start == a.target for p in layers[v])
-            assert len(left) == sum(p.end == a.source for p in layers[v])
-        layers.append(paths)
+            assert len(right) == sum(p.start == a.target for p in below)
+            assert len(left) == sum(p.end == a.source for p in below)
+        layers.append(layer)
+        former.append(former_paths)
 
 
 def test_path_layer_budget():

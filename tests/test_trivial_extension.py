@@ -2,6 +2,7 @@
 
 import copy
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from types import ModuleType
@@ -22,7 +23,8 @@ from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        trivial_extension, validate_extension)
 
 from reference import (extension_table_by_scan, new_arrows_by_block_scan, phi,
-                       relations_adding_every_kernel_vector, slice_kernel_by_blocks)
+                       relations_adding_every_kernel_vector, slice_kernel_by_blocks,
+                       slice_kernel_of_paths)
 from test_builder import random_presentation
 from test_linalg import is_q_scalar
 from test_validation import associative_on_all_triples
@@ -284,7 +286,7 @@ def relations_by_enumeration(tri, cap=None):
                             vec[k] = f.add(vec.get(k, f.zero()), c)
                         ideal.add(vec)
         if 2 <= length <= cap:
-            for vec in _slice_kernel(f, layer, [phi(tri, p) for p in layer]):
+            for vec in slice_kernel_of_paths(f, layer, [phi(tri, p) for p in layer]):
                 if ideal.add(vec):
                     gens.append(RelationExpr(tuple(
                         (vec[k], layer[k]) for k in sorted(vec))))
@@ -334,9 +336,12 @@ def test_relations_match_product_enumeration_longer(name):
 
 def seeded_extensions(rng, count):
     """`count` seeded T(A) of dimension at most 24, over Q, F_3 and F_5 in
-    turn."""
+    turn, from at most 10 presentations per extension (about five times
+    what the seeds here use); fails when they do not give `count`."""
     fields, out = ["field Q", "field F 3", "field F 5"], []
-    while len(out) < count:
+    for _ in range(10 * count):
+        if len(out) == count:
+            return out
         pres = random_presentation(rng, rng.random() < 0.5, fields[len(out) % 3],
                                    bound=rng.choice([None, None, 3]))
         try:
@@ -345,7 +350,26 @@ def seeded_extensions(rng, count):
             continue
         if tri.T.dim <= 24:
             out.append(tri)
+    if len(out) < count:
+        pytest.fail(f"{10 * count} seeded presentations gave {len(out)} T(A) of "
+                    f"dimension <= 24, not {count}")
     return out
+
+
+def test_seeded_extensions_fail_when_every_build_raises(monkeypatch):
+    # a fault that refuses every T(A) ends the search with a failure,
+    # after the bounded number of presentations, instead of a hang
+    tried = 0
+
+    def refuse(A):
+        nonlocal tried
+        tried += 1
+        raise AlgebraBuildError("refused")
+
+    monkeypatch.setattr(sys.modules[__name__], "trivial_extension", refuse)
+    with pytest.raises(pytest.fail.Exception, match="30 seeded presentations gave 0 T"):
+        seeded_extensions(random.Random(1607), 3)
+    assert 0 < tried <= 30
 
 
 def test_extension_check_agrees_with_the_generic_oracles(extensions):
@@ -449,8 +473,10 @@ def test_path_values_match_arrow_by_arrow_evaluation(extensions, monkeypatch):
         seen.clear()
         relations_up_to(tri)
         assert len(seen) == loewy_length(tri.T) - 1, tri.T
-        for layer, values in seen:
-            assert values == [phi(tri, p) for p in layer], tri.T
+        qext = extended_quiver(tri)
+        for (starts, _ends, words), values in seen:
+            paths = [qext.path(s, word) for s, word in zip(starts, words)]
+            assert values == [phi(tri, p) for p in paths], tri.T
             products += sum(len(v) > 1 or any(c != 1 for c in v.values())
                             for v in values)
     assert products  # values with several terms or a coefficient != 1 occur
