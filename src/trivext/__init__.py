@@ -1,9 +1,9 @@
 """Trivial extensions of quiver algebras, their extended quivers, and
 machine-checkable certificates of infinite Hochschild homology dimension."""
 
-from .algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep, FDAlgebra,
+from .algebra import (AdmissibilityError, AlgebraBuildError, FDAlgebra,
                       SelfinjectivityCertificate, SelfinjectivityRefusal,
-                      build_algebra, is_local, is_selfinjective,
+                      arrows_of, build_algebra, is_local, is_selfinjective,
                       left_socle_in_bimodule_socle, loewy_length, quiver_of,
                       radical_power, selfinjectivity, socles)
 from .criteria import (GradedCartanData, TruncatedCycleCertificate, Verdict,

@@ -69,27 +69,16 @@ class AdmissibilityError(AlgebraBuildError):
     dimensional algebra of the promised shape."""
 
 
-@dataclass
-class ArrowRep:
-    """An arrow of the (extended) quiver together with its representative
-    element in the algebra."""
-
-    name: str
-    source: int  # vertex indices
-    target: int
-    basis_index: int
-    degree: int | None = None
-    is_new: bool = False  # lifted from the dual part of a trivial extension
-
-
 class FDAlgebra:
     """A finite dimensional algebra on a distinguished basis.
 
     `table[i][j]` holds the coordinates of basis_i * basis_j as a sparse
     dict; products follow function order, so basis_i * basis_j means
     "basis_j first".  The stationary idempotents are basis elements, every
-    basis element lies in a single Peirce block (src, tgt), and arrows are
-    represented by basis elements.
+    basis element lies in a single Peirce block (src, tgt), and `arrows`
+    lists the basis indices of the arrows' representatives.  An arrow's
+    name, endpoints and degree are its basis label, Peirce block and
+    degree (see `arrows_of`).
 
     An instance is immutable after construction: `layer_sums`,
     `radical_chain`, `socles` and `selfinjectivity` are derived once and
@@ -223,7 +212,7 @@ class FDAlgebra:
         into: dict = {}  # vertex -> the basis elements of that target
         for k, (_src, tgt) in enumerate(peirce):
             into.setdefault(tgt, []).append(k)
-        for g in [rep.basis_index for rep in self.arrows]:
+        for g in self.arrows:
             Tg = T[g]
             for j in into.get(peirce[g][0], ()):
                 gj, Tj = Tg[j], T[j]
@@ -508,20 +497,11 @@ def build_algebra(pres: Presentation, *, max_weight: int = 256,
             elif k is not None:
                 table[i][j] = {column[k]: one}
 
-    arrow_reps = []
-    for a in q.arrows:
-        arrow_reps.append(ArrowRep(
-            name=a.name,
-            source=vertex_of[a.source],
-            target=vertex_of[a.target],
-            basis_index=column[position[Path.of_arrow(a).label()]],
-            degree=a.degree if q.is_graded else (1 if graded_mode == "length" else None),
-            is_new=False))
-
     A = FDAlgebra(field=f, labels=[p.label() for p in basis_paths],
                   vertex_names=list(q.vertices),
                   idempotent_indices=idempotent_indices, peirce=peirce,
-                  table=table, arrows=arrow_reps, degrees=degrees,
+                  table=table, arrows=[column[position[a.name]] for a in q.arrows],
+                  degrees=degrees,
                   bound_conditional=not graded_mode, label=label)
     A.validate()
     return A
@@ -562,7 +542,7 @@ def arrow_layers(A: FDAlgebra) -> list[Echelon]:
     ends at the first zero layer, or at L_dim."""
     f, d = A.field, A.dim
     rows = [{k: Tg[k] for k in nonzero_columns(Tg)}
-            for Tg in (A.table[rep.basis_index] for rep in A.arrows)]
+            for Tg in (A.table[g] for g in A.arrows)]
 
     def products(layer):
         for Tg in rows:
@@ -665,9 +645,8 @@ def _annihilator(A: FDAlgebra, side) -> Echelon:
     multiplication on `side`: "L" for a x, "R" for x a."""
     f, T, d = A.field, A.table, A.dim
     # b_k maps to one block of d coordinates per arrow a
-    arrows = [rep.basis_index for rep in A.arrows]
     return row_reduce(f, {
-        k: {off * d + r: x for off, a in enumerate(arrows)
+        k: {off * d + r: x for off, a in enumerate(A.arrows)
             for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
         for k in range(d)})
 
@@ -701,9 +680,8 @@ def socles(A: FDAlgebra) -> SocleData:
                                           if A.peirce[p][end] == i])
                 for i in range(A.num_vertices)]
 
-    arrows = [rep.basis_index for rep in A.arrows]
     meet = row_reduce(f, {
-        p: {off * d + r: x for off, a in enumerate(arrows)
+        p: {off * d + r: x for off, a in enumerate(A.arrows)
             for r, x in combine(f, ((c, T[k][a]) for k, c in row.items())).items()}
         for p, row in zip(left.pivots, left.rows)})
     row_at = dict(zip(left.pivots, left.rows))
@@ -817,7 +795,8 @@ def is_selfinjective(A: FDAlgebra) -> bool:
 
 
 def quiver_of(A: FDAlgebra):
-    """The quiver of A read off from rad/rad^2, with arrow representatives.
+    """The quiver of A read off from rad/rad^2, with the basis indices of
+    its arrow representatives.
 
     The number of arrows i -> j is dim e_j (rad/rad^2) e_i; the
     representatives are the basis elements at the non-pivot coordinates of
@@ -825,19 +804,20 @@ def quiver_of(A: FDAlgebra):
     """
     rad2 = radical_power(A, 2)
     idem = set(A.idempotent_indices)
-    reps: list[ArrowRep] = []
+    reps: list[int] = []
     for k_src in range(A.num_vertices):
         for k_tgt in range(A.num_vertices):
             block = [k for k, (s, t) in enumerate(A.peirce)
                      if (s, t) == (k_src, k_tgt) and k not in idem]
-            if not block:
-                continue
-            for c in rad2.restrict(block).free_columns():
-                k = block[c]
-                reps.append(ArrowRep(
-                    name=A.basis_labels[k], source=k_src, target=k_tgt,
-                    basis_index=k,
-                    degree=A.degrees[k] if A.degrees is not None else None))
-    arrows = [Arrow(rep.name, A.vertex_names[rep.source], A.vertex_names[rep.target],
-                    rep.degree) for rep in reps]
-    return Quiver(A.vertex_names, arrows), reps
+            if block:
+                reps += [block[c] for c in rad2.restrict(block).free_columns()]
+    return Quiver(A.vertex_names, arrows_of(A, reps)), reps
+
+
+def arrows_of(A: FDAlgebra, indices) -> list[Arrow]:
+    """The quiver arrows of the basis elements `indices` of A: each is
+    named by its basis label, goes from the source to the target of its
+    Peirce block, and has its degree when A is graded."""
+    names, deg = A.vertex_names, A.degrees
+    return [Arrow(A.basis_labels[k], names[A.peirce[k][0]], names[A.peirce[k][1]],
+                  deg[k] if deg is not None else None) for k in indices]

@@ -17,8 +17,8 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .algebra import (AlgebraBuildError, FDAlgebra, build_algebra, is_local,
-                      radical_chain, selfinjectivity,
+from .algebra import (AlgebraBuildError, FDAlgebra, arrows_of, build_algebra,
+                      is_local, radical_chain, selfinjectivity,
                       SelfinjectivityCertificate, socles)
 from .corpus import run_corpus
 from .criteria import graded_cartan, hhdim_verdict
@@ -73,7 +73,9 @@ def _load(path: str):
     return pres, digest
 
 
-def _algebra_summary(A: FDAlgebra) -> dict:
+def _algebra_summary(A: FDAlgebra, new=()) -> dict:
+    """The structure report of A; the arrows whose basis indices are in
+    `new` are flagged new."""
     chain = radical_chain(A)
     soc = socles(A)
     selfinj = selfinjectivity(A)
@@ -81,9 +83,8 @@ def _algebra_summary(A: FDAlgebra) -> dict:
         "dimension": A.dim,
         "vertices": list(A.vertex_names),
         "basis": list(A.basis_labels),
-        "arrows": [{"name": r.name, "source": A.vertex_names[r.source],
-                    "target": A.vertex_names[r.target], "new": r.is_new}
-                   for r in A.arrows],
+        "arrows": [{"name": a.name, "source": a.source, "target": a.target,
+                    "new": k in new} for k, a in zip(A.arrows, arrows_of(A, A.arrows))],
         "radical_filtration": [s.rank for s in chain],
         "loewy_length": len(chain) - 1,
         "socle_dims": {
@@ -214,13 +215,9 @@ def cmd_trivext(args) -> int:
     rels = relations_up_to(tri, args.relations_cap)
     result = {
         "algebra": _algebra_summary(A),
-        "extension": _algebra_summary(tri.T),
-        "new_arrows": [{
-            "name": na.name,
-            "source": A.vertex_names[na.source],
-            "target": A.vertex_names[na.target],
-            "x_beta": tri.T.basis_labels[na.basis_index],
-        } for na in tri.new_arrows],
+        "extension": _algebra_summary(tri.T, tri.new_arrows),
+        "new_arrows": [{"name": a.name, "source": a.source, "target": a.target,
+                        "x_beta": a.name} for a in arrows_of(tri.T, tri.new_arrows)],
         "dual_part_products_vanish": check_new_products_vanish(tri),
         "relations": {
             "cap": rels.cap,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import (FDAlgebra, build_algebra, is_local,
+from .algebra import (FDAlgebra, arrows_of, build_algebra, is_local,
                       left_socle_in_bimodule_socle, radical_power,
                       selfinjectivity, SelfinjectivityCertificate, socles,
                       span_products, quiver_of, trace_form_radical)
@@ -148,8 +148,8 @@ def quiver_match_checks(tri: TrivialExtensionData) -> dict:
             if dim:
                 soc_block_dims[(A.vertex_names[i], A.vertex_names[j])] = dim
     new_counts: dict = {}
-    for na in tri.new_arrows:
-        key = (A.vertex_names[na.source], A.vertex_names[na.target])
+    for a in arrows_of(T, tri.new_arrows):
+        key = (a.source, a.target)
         new_counts[key] = new_counts.get(key, 0) + 1
     return {"extended_quiver_matches_radical": counts_from_radical == counts_from_ext,
             "new_arrow_counts_match_socle": new_counts == soc_block_dims}
@@ -162,8 +162,9 @@ def nakayama_incoming_arrow_checks(A: FDAlgebra, tri: TrivialExtensionData) -> d
     if not isinstance(cert, SelfinjectivityCertificate):
         return {"selfinjective": False}
     incoming = {i: set() for i in range(A.num_vertices)}
-    for na in tri.new_arrows:
-        incoming[na.target].add(na.source)
+    for k in tri.new_arrows:
+        src, tgt = tri.T.peirce[k]
+        incoming[tgt].add(src)
     every_vertex = all(incoming[i] for i in range(A.num_vertices))
     from_pi = all(cert.permutation[i] in incoming[i] for i in range(A.num_vertices))
     return {"selfinjective": True, "every_vertex_has_incoming_new_arrow": every_vertex,
@@ -198,11 +199,11 @@ def entry_checks(entry: CorpusEntry) -> tuple[dict, TrivialExtensionData]:
 
     if entry.selfinjective:
         checks.update(nakayama_incoming_arrow_checks(A, tri))
-        cyc = find_two_truncated_cycle(T, restrict_to_new=True)
+        cyc = find_two_truncated_cycle(T, among=tri.new_arrows)
         checks["dual_part_cycle_found"] = cyc is not None and \
             verify_cycle_certificate(T, cyc)
     if left_socle_in_bimodule_socle(A):
-        incoming = {i for na in tri.new_arrows for i in [na.target]}
+        incoming = {T.peirce[k][1] for k in tri.new_arrows}
         checks["weak_socle_gives_incoming_arrows"] = (
             incoming == set(range(A.num_vertices)))
 

@@ -50,17 +50,18 @@ def zero_composition_graph(A: FDAlgebra) -> dict[int, list[int]]:
     """Directed graph on the arrow representatives: an edge a -> b means
     b can follow a (target of a = source of b) and the product b*a
     vanishes in the algebra: the table entry of the two representatives,
-    which is what `multiply` returns on their unit vectors."""
-    T = A.table
-    adj: dict[int, list[int]] = {i: [] for i in range(len(A.arrows))}
-    for i, a in enumerate(A.arrows):
-        for j, b in enumerate(A.arrows):
-            if a.target == b.source and not T[b.basis_index][a.basis_index]:
+    which is what `multiply` returns on their unit vectors.  The nodes are
+    positions in `A.arrows`, and the endpoints are read off `A.peirce`."""
+    T, peirce, arrows = A.table, A.peirce, A.arrows
+    adj: dict[int, list[int]] = {i: [] for i in range(len(arrows))}
+    for i, a in enumerate(arrows):
+        for j, b in enumerate(arrows):
+            if peirce[a][1] == peirce[b][0] and not T[b][a]:
                 adj[i].append(j)
     return adj
 
 
-def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
+def find_two_truncated_cycle(A: FDAlgebra, among=None):
     """The lexicographically least minimum-length cycle in the
     zero-composition graph, re-verified by `verify_cycle_certificate`, or
     None.  A failed re-check raises RuntimeError, so every returned cycle
@@ -71,12 +72,14 @@ def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
     successor w with back[w] == best - k: a successor with a shorter way
     back would close a shorter cycle through the start.
 
-    With `restrict_to_new` the search runs on the arrows lifted from the
-    dual part of a trivial extension only.
+    With `among`, a collection of basis indices, the search runs on the
+    arrows whose representatives are in it only: the new arrows of a
+    trivial extension, say.  An arrow's name is its basis label and its
+    source is read off `A.peirce`.
     """
     adj = zero_composition_graph(A)
-    if restrict_to_new:
-        keep = {i for i, rep in enumerate(A.arrows) if rep.is_new}
+    if among is not None:
+        keep = {i for i, k in enumerate(A.arrows) if k in among}
         adj = {i: [j for j in adj[i] if j in keep] for i in sorted(keep)}
 
     preds: dict = {}   # the reversed graph, built once for every search
@@ -95,13 +98,12 @@ def find_two_truncated_cycle(A: FDAlgebra, restrict_to_new: bool = False):
     for k in range(1, best):
         seq.append(min(w for w in adj[seq[-1]] if back.get(w) == best - k))
 
-    reps = A.arrows
+    names = [A.basis_labels[A.arrows[i]] for i in seq]
     cert = TruncatedCycleCertificate(
-        arrow_names=[reps[i].name for i in seq],
+        arrow_names=names,
         arrow_indices=seq,
-        base_vertex=A.vertex_names[reps[start].source],
-        evaluations=[(reps[later].name, reps[earlier].name)
-                     for earlier, later in zip(seq, seq[1:] + seq[:1])])
+        base_vertex=A.vertex_names[A.peirce[A.arrows[start]][0]],
+        evaluations=list(zip(names[1:] + names[:1], names)))
     if not verify_cycle_certificate(A, cert):
         raise RuntimeError("cycle extraction produced a non-composable pair "
                            "or a nonzero product")
@@ -127,20 +129,14 @@ def _bfs_exact(preds, target):
 
 def verify_cycle_certificate(A: FDAlgebra, cert: TruncatedCycleCertificate) -> bool:
     """Standalone re-check of a cycle certificate: composability and the
-    table entry of each consecutive pair of representatives."""
-    by_name = {rep.name: rep for rep in A.arrows}
+    table entry of each consecutive pair of representatives, with each
+    arrow named by its basis label and its endpoints read off `A.peirce`."""
+    by_name = {A.basis_labels[k]: k for k in A.arrows}
     reps = [by_name.get(name) for name in cert.arrow_names]
-    if not reps or any(r is None for r in reps):
+    if not reps or None in reps:
         return False
-    n = len(reps)
-    for i in range(n):
-        earlier = reps[i]
-        later = reps[(i + 1) % n]
-        if earlier.target != later.source:
-            return False
-        if A.table[later.basis_index][earlier.basis_index]:
-            return False
-    return True
+    return not any(A.peirce[earlier][1] != A.peirce[later][0] or A.table[later][earlier]
+                   for earlier, later in zip(reps, reps[1:] + reps[:1]))
 
 
 # ---------------------------------------------------------------------------

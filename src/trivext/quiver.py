@@ -156,10 +156,6 @@ class Path:
     def stationary(cls, vertex: str) -> "Path":
         return cls(vertex, vertex)
 
-    @classmethod
-    def of_arrow(cls, arrow: Arrow) -> "Path":
-        return cls(arrow.source, arrow.target, (arrow,))
-
     @property
     def length(self) -> int:
         return len(self.arrows)

@@ -11,9 +11,12 @@ A together with one new arrow i -> j for every basis vector of
 e_j(D soc)e_i, where soc is the socle of A as a bimodule.  The chosen
 representative of a new arrow is the dual functional of a pivot of the
 reduced echelon basis of e_i(soc)e_j, extended by zero off that basis path;
-this makes both the arrow set and the representatives deterministic.  The
-extended quiver itself is an invariant of T(A); the relation ideal extracted
-by `relations_up_to` may depend on these choices.  That extraction walks the
+this makes both the arrow set and the representatives deterministic.  Like
+every algebra's, the arrows of T(A) are basis indices: those of A, then the
+duals of these pivots, so a new arrow's name, endpoints and degree are the
+label, Peirce block and degree of its dual basis vector.  The extended
+quiver itself is an invariant of T(A); the relation ideal extracted by
+`relations_up_to` may depend on these choices.  That extraction walks the
 extended path algebra by length slices with `algebra.quotient_slices`, the
 walk that also builds kQ/I, on arrow-index words, and takes the kernel of
 the evaluation on each slice with one `row_reduce` over the whole layer,
@@ -32,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (AdmissibilityError, ArrowRep, FDAlgebra, loewy_length,
+from .algebra import (AdmissibilityError, FDAlgebra, arrows_of, loewy_length,
                       nonzero_columns, quotient_slices, socles)
 from .dsl import RelationExpr
 from .linalg import combine, row_reduce
-from .quiver import Arrow, PathBudgetExceeded, Quiver
+from .quiver import PathBudgetExceeded, Quiver
 # unused here; kept as a module binding because the bench tests check that
 # the tracer patches every module's `compose`
 from .quiver import compose  # noqa: F401
@@ -44,14 +47,14 @@ from .quiver import compose  # noqa: F401
 
 class TrivialExtensionData:
     """T(A) over its base algebra A; the new arrows are the arrows of T(A)
-    past those of A."""
+    past those of A, as basis indices of T(A)."""
 
     def __init__(self, base: FDAlgebra, T: FDAlgebra):
         self.base = base
         self.T = T
 
     @property
-    def new_arrows(self) -> list[ArrowRep]:
+    def new_arrows(self) -> list[int]:
         return self.T.arrows[len(self.base.arrows):]
 
     def dual_index(self, k: int) -> int:
@@ -105,20 +108,13 @@ def trivial_extension(A: FDAlgebra) -> TrivialExtensionData:
 
     # the arrows of A, then one new arrow i -> j per pivot k of the reduced
     # echelon basis of e_i(soc)e_j (k a path j -> i), ordered by (i, j, k);
-    # its representative is the dual of the pivot basis path.  soc is a
-    # sub-bimodule, so it is the direct sum of its Peirce blocks, and the
-    # reduced echelon basis of a direct sum on disjoint coordinates is the
-    # union of the blocks' bases: the pivots of soc in a block are exactly
-    # the pivots of that block.
-    arrows = [ArrowRep(rep.name, rep.source, rep.target, rep.basis_index,
-                       rep.degree, is_new=False) for rep in A.arrows]
-    for k in sorted(socles(A).bimodule.pivots,
-                    key=lambda k: A.peirce[k][::-1] + (k,)):
-        j, i = A.peirce[k]
-        b = d + k
-        arrows.append(ArrowRep(labels[b], i, j, b,
-                               degrees[b] if degrees is not None else None,
-                               is_new=True))
+    # its representative is the dual d + k of the pivot basis path, in
+    # block (i, j).  soc is a sub-bimodule, so it is the direct sum of its
+    # Peirce blocks, and the reduced echelon basis of a direct sum on
+    # disjoint coordinates is the union of the blocks' bases: the pivots of
+    # soc in a block are exactly the pivots of that block.
+    arrows = list(A.arrows) + [d + k for k in sorted(
+        socles(A).bimodule.pivots, key=lambda k: A.peirce[k][::-1] + (k,))]
 
     T = FDAlgebra(field=f, labels=labels, vertex_names=A.vertex_names,
                   idempotent_indices=list(A.idempotent_indices), peirce=peirce,
@@ -195,24 +191,15 @@ def _is_extension_table(A: FDAlgebra, T: FDAlgebra) -> bool:
 
 def extended_quiver(tri: TrivialExtensionData) -> Quiver:
     """The quiver of T(A): the arrows of A plus the new arrows."""
-    names = tri.base.vertex_names
-    graded = tri.T.degrees is not None
-    arrows = []
-    for rep in tri.T.arrows:
-        arrows.append(Arrow(rep.name, names[rep.source], names[rep.target],
-                            rep.degree if graded else None))
-    return Quiver(names, arrows)
+    return Quiver(tri.T.vertex_names, arrows_of(tri.T, tri.T.arrows))
 
 
 def check_new_products_vanish(tri: TrivialExtensionData) -> bool:
     """Products of any two composable new arrows vanish in T(A) (the dual
     part has square zero)."""
-    reps, table = tri.new_arrows, tri.T.table
-    for b2 in reps:
-        for b1 in reps:
-            if b1.target == b2.source and table[b2.basis_index][b1.basis_index]:
-                return False
-    return True
+    new, peirce, table = tri.new_arrows, tri.T.peirce, tri.T.table
+    return not any(peirce[b1][1] == peirce[b2][0] and table[b2][b1]
+                   for b2 in new for b1 in new)
 
 
 @dataclass
@@ -268,9 +255,9 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
                 # one step per arrow, in T.arrows order (all arrows have
                 # length 1): step a maps the index of p below to that of p*a
                 below, values = values, [None] * len(words)
-                for rep, (_, right, _) in zip(T.arrows, steps):
+                for g, (_, right, _) in zip(T.arrows, steps):
                     for k, i in right.items():
-                        values[i] = combine(f, ((c, table[l][rep.basis_index])
+                        values[i] = combine(f, ((c, table[l][g])
                                                 for l, c in below[k].items()))
             if 2 <= length <= cap:
                 kernel = _slice_kernel(f, layer, values)

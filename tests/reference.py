@@ -1,11 +1,12 @@
 """Routines the package no longer needs, kept for tests as references."""
 
 from bisect import bisect_left
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
+from trivext.algebra import (AdmissibilityError, AlgebraBuildError,
                              SelfinjectivityCertificate, SelfinjectivityRefusal,
                              SocleData, _pushed, arrow_layers, ideal_slice,
                              loewy_length, radical_chain, socles, span_products)
@@ -392,8 +393,8 @@ def generated_by_closure(X) -> Echelon:
     todo = [v for v in (X.basis_element(e) for e in X.idempotent_indices) if span.add(v)]
     while todo:
         v = todo.pop()
-        for rep in X.arrows:
-            w = X.multiply(X.basis_element(rep.basis_index), v)
+        for g in X.arrows:
+            w = X.multiply(X.basis_element(g), v)
             if w and span.add(w):
                 todo.append(w)
     return span
@@ -402,7 +403,7 @@ def generated_by_closure(X) -> Echelon:
 def radical_chain_by_products(X) -> list:
     """The former radical chain: [X], then the span of the arrows times the
     last entry, until 0."""
-    arrows = Echelon(X.field, X.dim, [X.basis_element(rep.basis_index) for rep in X.arrows])
+    arrows = Echelon(X.field, X.dim, [X.basis_element(g) for g in X.arrows])
     chain = [Echelon(X.field, X.dim, [X.basis_element(k) for k in range(X.dim)])]
     while chain[-1].rank > 0:
         nxt = span_products(X, arrows, chain[-1])
@@ -432,7 +433,7 @@ def arrow_layers_by_every_product(X) -> list:
     v of the last layer is multiplied out over the whole arrow row, the
     empty entries of T[g] and the products that vanish included."""
     f, d = X.field, X.dim
-    rows = [X.table[rep.basis_index] for rep in X.arrows]
+    rows = [X.table[g] for g in X.arrows]
     layers = [Echelon(f, d, [X.basis_element(e) for e in X.idempotent_indices])]
     while len(layers) <= d:
         layer = Echelon(f, d, filter(None, (combine(f, ((c, Tg[k]) for k, c in v.items()))
@@ -450,7 +451,7 @@ def annihilator_on(X, columns, left=True, right=True) -> Echelon:
     f, T, d = X.field, X.table, X.dim
     if not X.arrows:
         return Echelon(f, d, [{k: f.one()} for k in columns])
-    blocks = [(rep.basis_index, side) for rep in X.arrows
+    blocks = [(g, side) for g in X.arrows
               for side in (("L",) if left and not right else
                            ("R",) if right and not left else ("L", "R"))]
     return Echelon(f, d, row_reduce(f, {
@@ -487,7 +488,7 @@ def socles_by_three_kernels(X) -> SocleData:
     f, T, d = X.field, X.table, X.dim
 
     def kernel(sides):
-        blocks = [(rep.basis_index, side) for rep in X.arrows for side in sides]
+        blocks = [(g, side) for g in X.arrows for side in sides]
         return row_reduce_by_two_eliminations(f, {
             k: {off * d + r: x for off, (a, side) in enumerate(blocks)
                 for r, x in (T[a][k] if side == "L" else T[k][a]).items()}
@@ -563,7 +564,7 @@ def associativity_by_slots(X) -> bool:
     if any(peirce[j][0] != peirce[k][1] or peirce[l] != (peirce[k][0], peirce[j][1])
            for j, row in enumerate(T) for k, prod in enumerate(row) for l in prod):
         return False
-    for g in [rep.basis_index for rep in X.arrows]:
+    for g in X.arrows:
         Tg = T[g]
         for j, gj in enumerate(Tg):
             if peirce[j][1] != peirce[g][0]:
@@ -694,11 +695,53 @@ def vertex_loewy_lengths(A) -> list[int]:
     return out
 
 
+@dataclass
+class ArrowRep:
+    """The former arrow record of an algebra, which kept an arrow's name,
+    endpoints (as vertex indices) and degree beside the basis index of its
+    representative; `is_new` marked the arrows lifted from the dual part
+    of a trivial extension."""
+
+    name: str
+    source: int
+    target: int
+    basis_index: int
+    degree: int | None = None
+    is_new: bool = False
+
+
+def arrow_records_of_presentation(pres, A) -> list:
+    """The former records of `build_algebra(pres)`, which is A: one per
+    arrow of the presentation, in its order, represented by the arrow's
+    basis path; the degree is the arrow's when the quiver is graded, 1
+    when the relations are homogeneous in path length, and None under a
+    nilpotency bound."""
+    q = pres.quiver
+    by_length = all(len({p.length for _, p in rel.terms}) == 1 for rel in pres.relations)
+    return [ArrowRep(a.name, q.vertex_index[a.source], q.vertex_index[a.target],
+                     A.basis_labels.index(a.name),
+                     a.degree if q.is_graded else (1 if by_length else None))
+            for a in q.arrows]
+
+
+def extension_arrow_records(A, records) -> list:
+    """The former records of `trivial_extension(A)`, from the `records` of
+    A: those of A with `is_new` reset, then one new arrow i -> j per pivot
+    k of the bimodule socle in the block of paths j -> i, ordered by
+    (i, j, k) and represented by the dual d + k of the pivot basis path,
+    of degree s + 1 - deg k when A is graded with top degree s."""
+    d, deg = A.dim, A.degrees
+    new = [ArrowRep(A.basis_labels[k] + "*", A.peirce[k][1], A.peirce[k][0], d + k,
+                    None if deg is None else max(deg) + 1 - deg[k], is_new=True)
+           for k in sorted(socles(A).bimodule.pivots, key=lambda k: A.peirce[k][::-1] + (k,))]
+    return [replace(r, is_new=False) for r in records] + new
+
+
 def new_arrows_by_block_scan(A) -> list:
-    """The former construction of the new arrows of T(A): for every pair
-    of vertices (i, j), the pivots of the bimodule socle restricted to the
-    Peirce block e_i A e_j, each giving an arrow i -> j represented by the
-    dual of its pivot basis path."""
+    """The former construction of the new arrows of T(A), as basis indices
+    of T(A): for every pair of vertices (i, j), the pivots of the bimodule
+    socle restricted to the Peirce block e_i A e_j, each giving an arrow
+    i -> j represented by the dual of its pivot basis path."""
     soc, d = socles(A).bimodule, A.dim
     arrows = []
     for i in range(A.num_vertices):
@@ -707,12 +750,7 @@ def new_arrows_by_block_scan(A) -> list:
                      if (src, tgt) == (j, i)]  # e_i A e_j: paths j -> i
             if not block:
                 continue
-            for pivot in soc.restrict(block).pivots:
-                k = block[pivot]
-                arrows.append(ArrowRep(
-                    A.basis_labels[k] + "*", i, j, d + k,
-                    None if A.degrees is None else max(A.degrees) + 1 - A.degrees[k],
-                    is_new=True))
+            arrows += [d + block[pivot] for pivot in soc.restrict(block).pivots]
     return arrows
 
 
@@ -745,10 +783,10 @@ def phi(tri, path) -> dict:
     T = tri.T
     if not path.arrows:
         return T.idempotent(tri.base.vertex_names.index(path.start))
-    by_name = {rep.name: rep for rep in T.arrows}
+    by_name = {T.basis_labels[g]: g for g in T.arrows}
     out = None
     for a in path.arrows:
-        el = T.basis_element(by_name[a.name].basis_index)
+        el = T.basis_element(by_name[a.name])
         out = el if out is None else T.multiply(el, out)
     return out
 
@@ -1010,9 +1048,9 @@ def relations_adding_every_kernel_vector(tri, cap=None):
                 values = [T.idempotent(v) for v in range(len(layer))]
             elif length <= cap:
                 below, values = values, [None] * len(layer)
-                for rep, (_, right, _) in zip(T.arrows, steps):
+                for g, (_, right, _) in zip(T.arrows, steps):
                     for k, i in right.items():
-                        values[i] = combine(f, ((c, table[l][rep.basis_index])
+                        values[i] = combine(f, ((c, table[l][g])
                                                 for l, c in below[k].items()))
             if 2 <= length <= cap:
                 for vec in slice_kernel_of_paths(f, layer, values):

@@ -54,14 +54,14 @@ def test_criterion_2_selfinjective_instances(algebras, extensions):
         t0 = time.monotonic()
         cert = selfinjectivity(A)
         assert isinstance(cert, SelfinjectivityCertificate), name
-        cycle = find_two_truncated_cycle(tri.T, restrict_to_new=True)
+        cycle = find_two_truncated_cycle(tri.T, among=tri.new_arrows)
         elapsed = time.monotonic() - t0
         assert cycle is not None, name
-        assert all(tri.T.arrows[i].is_new for i in cycle.arrow_indices), name
+        assert all(tri.T.arrows[i] in tri.new_arrows for i in cycle.arrow_indices), name
         assert verify_cycle_certificate(tri.T, cycle), name
         incoming = {}
-        for na in tri.new_arrows:
-            incoming.setdefault(na.target, set()).add(na.source)
+        for src, tgt in (tri.T.peirce[k] for k in tri.new_arrows):
+            incoming.setdefault(tgt, set()).add(src)
         for i in range(A.num_vertices):
             assert i in incoming, (name, i)
             assert cert.permutation[i] in incoming[i], (name, i)

@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 import trivext.algebra
-from trivext.algebra import (AdmissibilityError, AlgebraBuildError, ArrowRep,
-                             FDAlgebra, SelfinjectivityCertificate,
+from trivext.algebra import (AdmissibilityError, AlgebraBuildError, FDAlgebra, SelfinjectivityCertificate,
                              SelfinjectivityRefusal, arrow_layers,
                              build_algebra, is_local, is_selfinjective,
                              left_socle_in_bimodule_socle, loewy_length,
@@ -166,8 +165,8 @@ def test_selfinjectivity_certificate_soundness(algebras):
         for i, j in enumerate(cert.permutation):
             assert soc.right[j].rank == 1
             vec = soc.right[j].rows[0]
-            for rep in A.arrows:
-                assert A.multiply(vec, A.basis_element(rep.basis_index)) == {}
+            for g in A.arrows:
+                assert A.multiply(vec, A.basis_element(g)) == {}
             # simple type S_i: supported in the Peirce block e_j A e_i
             assert {A.peirce[k][0] for k in vec} == {i}
 
@@ -210,8 +209,8 @@ def test_weak_socle_condition(algebras):
 def test_quiver_of_reproduces_presentation(algebras):
     for name, A in algebras.items():
         q, reps = quiver_of(A)
-        declared = {(A.vertex_names[r.source], A.vertex_names[r.target])
-                    for r in A.arrows}
+        declared = {(A.vertex_names[A.peirce[g][0]], A.vertex_names[A.peirce[g][1]])
+                    for g in A.arrows}
         got = {(a.source, a.target) for a in q.arrows}
         assert got == declared, name
         assert len(q.arrows) == len(A.arrows), name
@@ -320,7 +319,7 @@ def test_arrow_walk_multiplies_only_rows_that_meet_the_arrow(algebras, extension
         products.clear()
         walked = arrow_layers(X)[:X.dim]
         assert all(any(vec for _c, vec in terms) for terms in products), X
-        rows = [X.table[rep.basis_index] for rep in X.arrows]
+        rows = [X.table[g] for g in X.arrows]
         meet = sum(any(Tg[k] for k in v) for Tg in rows for L in walked for v in L.rows)
         assert len(products) == meet, X
         computed += len(products)
@@ -386,7 +385,7 @@ def test_non_nilpotent_arrow_ideal_passes_validate_without_radical_chain():
     one = QQ.one()
     A = FDAlgebra(QQ, ["e", "g"], ["v"], [0], [(0, 0), (0, 0)],
                   [[{0: one}, {1: one}], [{1: one}, {1: one}]],
-                  [ArrowRep("g", 0, 0, 1)])
+                  [1])
     A.validate()
     message = "the ideal generated by the arrows is not nilpotent"
     for chain in (radical_chain, radical_chain_by_products):

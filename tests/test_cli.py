@@ -329,9 +329,13 @@ def reports_of(capsys, paths):
 
 
 def seeded_files(tmp_path, count):
-    """`count` seeded presentation files that build, over Q, F_3 and F_5."""
+    """`count` seeded presentation files that build, over Q, F_3 and F_5,
+    from at most 10 presentations per file; fails when they do not give
+    `count`."""
     rng, fields, out = random.Random(2118), ["field Q", "field F 3", "field F 5"], []
-    while len(out) < count:
+    for _ in range(10 * count):
+        if len(out) == count:
+            return out
         pres = random_presentation(rng, rng.random() < 0.5, fields[len(out) % 3],
                                    bound=rng.choice([None, None, 3]))
         try:
@@ -341,7 +345,27 @@ def seeded_files(tmp_path, count):
         f = tmp_path / f"seeded{len(out)}.quiver"
         f.write_text(serialize_presentation(pres))
         out.append(str(f))
+    if len(out) < count:
+        pytest.fail(f"{10 * count} seeded presentations gave {len(out)} files "
+                    f"that build, not {count}")
     return out
+
+
+def test_seeded_files_fail_when_every_build_raises(monkeypatch, tmp_path):
+    # a fault that refuses every algebra ends the search with a failure,
+    # after the bounded number of presentations, instead of a hang
+    tried = 0
+
+    def refuse(pres, **kw):
+        nonlocal tried
+        tried += 1
+        raise AlgebraBuildError("refused")
+
+    monkeypatch.setattr(sys.modules[__name__], "build_algebra", refuse)
+    with pytest.raises(pytest.fail.Exception, match="30 seeded presentations gave 0 files"):
+        seeded_files(tmp_path, 3)
+    assert 0 < tried <= 30
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_writer_matches_json_dumps(capsys, tmp_path):

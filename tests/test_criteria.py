@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from trivext.algebra import ArrowRep, build_algebra
+from trivext.algebra import build_algebra
 from trivext.corpus import load_corpus_algebra
 from trivext.criteria import (CartanShapeError, TruncatedCycleCertificate,
                               _bfs_exact, cartan_criterion,
@@ -43,8 +43,7 @@ def test_zero_composition_graph_nakayama(extensions):
     tri = extensions["nakayama_cycle_2"]
     T = tri.T
     adj = zero_composition_graph(T)
-    names = [rep.name for rep in T.arrows]
-    new_idx = [i for i, rep in enumerate(T.arrows) if rep.is_new]
+    new_idx = [i for i, g in enumerate(T.arrows) if g in tri.new_arrows]
     # products of the two dual-part arrows vanish in both orders
     i, j = new_idx
     assert j in adj[i] and i in adj[j]
@@ -58,8 +57,9 @@ def test_cycle_for_extension_of_ground_field(extensions):
 
 
 def test_cycle_for_nakayama_is_dual_pair(extensions):
-    T = extensions["nakayama_cycle_2"].T
-    cert = find_two_truncated_cycle(T, restrict_to_new=True)
+    tri = extensions["nakayama_cycle_2"]
+    T = tri.T
+    cert = find_two_truncated_cycle(T, among=tri.new_arrows)
     assert cert is not None
     assert cert.length == 2
     assert all(name.endswith("*") for name in cert.arrow_names)
@@ -152,12 +152,12 @@ def _tarjan_scc(nodes, adj):
     return comps
 
 
-def scc_two_truncated_cycle(A, restrict_to_new=False):
+def scc_two_truncated_cycle(A, among=None):
     """Reference: the cycle search that first keeps the nodes of the
     strongly connected components that carry a cycle."""
     full_adj = zero_composition_graph(A)
-    if restrict_to_new:
-        keep = {i for i, rep in enumerate(A.arrows) if rep.is_new}
+    if among is not None:
+        keep = {i for i, g in enumerate(A.arrows) if g in among}
         adj = {i: [j for j in full_adj[i] if j in keep] for i in keep}
         nodes = sorted(keep)
     else:
@@ -178,28 +178,32 @@ def scc_two_truncated_cycle(A, restrict_to_new=False):
     seq = [start]
     for step in range(1, best):
         seq.append(min(w for w in adj[seq[-1]] if w in reach[best - step]))
-    reps = A.arrows
+    names = [A.basis_labels[A.arrows[i]] for i in seq]
     n = len(seq)
     return TruncatedCycleCertificate(
-        arrow_names=[reps[i].name for i in seq],
+        arrow_names=names,
         arrow_indices=list(seq),
-        base_vertex=A.vertex_names[reps[seq[0]].source],
-        evaluations=[(reps[seq[(i + 1) % n]].name, reps[seq[i]].name)
-                     for i in range(n)])
+        base_vertex=A.vertex_names[A.peirce[A.arrows[seq[0]]][0]],
+        evaluations=[(names[(i + 1) % n], names[i]) for i in range(n)])
 
 
 class GraphAlgebra:
     """Arrows whose products are 0 or not as a seeded coin decides: b*a
     vanishes iff (a, b) is in `zero`.  Enough of an algebra for the cycle
-    search, which only reads the table entries of arrow representatives:
-    `table[b][a]` is the product b*a."""
+    search, which only reads the labels, Peirce blocks and table entries
+    of arrow representatives: arrow i is basis element x_i, with seeded
+    endpoints, and `table[b][a]` is the product b*a.  `new` holds a seeded
+    subset of the arrows to search among."""
 
     def __init__(self, rng):
         r = rng.randrange(1, 4)
         self.vertex_names = [str(v) for v in range(r)]
-        self.arrows = [ArrowRep(f"x{i}", rng.randrange(r), rng.randrange(r), i,
-                                is_new=rng.random() < 0.5)
-                       for i in range(rng.randrange(1, 9))]
+        seeded = [(rng.randrange(r), rng.randrange(r), rng.random() < 0.5)
+                  for _ in range(rng.randrange(1, 9))]
+        self.peirce = [(src, tgt) for src, tgt, _new in seeded]
+        self.basis_labels = [f"x{i}" for i in range(len(seeded))]
+        self.arrows = list(range(len(seeded)))
+        self.new = [i for i, (_src, _tgt, new) in enumerate(seeded) if new]
         n, density = len(self.arrows), rng.choice((0.1, 0.3, 0.6))
         self.zero = {(a, b) for a in range(n) for b in range(n)
                      if rng.random() < density}
@@ -209,14 +213,16 @@ class GraphAlgebra:
 
 def test_cycle_search_matches_scc_reference(algebras, extensions):
     rng = random.Random(20260601)
-    cases = [X for name in algebras for X in (algebras[name], extensions[name].T)]
-    cases += [GraphAlgebra(rng) for _ in range(400)]
+    # each algebra with the arrows to search among: none of A's are new
+    cases = [(X, new) for name in algebras for X, new in (
+        (algebras[name], []), (extensions[name].T, extensions[name].new_arrows))]
+    cases += [(X, X.new) for X in (GraphAlgebra(rng) for _ in range(400))]
     outcomes = set()
-    for X in cases:
-        for restrict in (False, True):
-            got = find_two_truncated_cycle(X, restrict_to_new=restrict)
-            assert got == scc_two_truncated_cycle(X, restrict), (X, restrict)
-            outcomes.add((restrict, got is None))
+    for X, new in cases:
+        for among in (None, new):
+            got = find_two_truncated_cycle(X, among=among)
+            assert got == scc_two_truncated_cycle(X, among), (X, among)
+            outcomes.add((among is None, got is None))
     # both outcomes occur with and without the restriction
     assert len(outcomes) == 4
 

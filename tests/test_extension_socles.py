@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 import trivext.algebra
-from trivext.algebra import (ArrowRep, FDAlgebra, build_algebra,
+from trivext.algebra import (FDAlgebra, build_algebra,
                              radical_chain, selfinjectivity, socles)
 from trivext.cli import main
 from trivext.corpus import CORPUS, corpus_text
@@ -99,7 +99,7 @@ def cubic_with_shifted_square():
              [{2: one}, {1: one}, {0: -1, 2: 2}]]
     A = FDAlgebra(field=QQ, labels=["e_v", "x", "w"], vertex_names=["v"],
                   idempotent_indices=[0], peirce=[(0, 0)] * 3, table=table,
-                  arrows=[ArrowRep("x", 0, 0, 1)])
+                  arrows=[1])
     A.validate()
     return A
 
@@ -145,7 +145,8 @@ def test_trivext_runs_no_kernel_for_an_extension(capsys, monkeypatch, tmp_path):
     real = trivext.algebra._annihilator
 
     def spy(A, side):
-        seen.append(any(rep.is_new for rep in A.arrows))
+        # the new arrows of a T(A) are named x* for a basis path x of A
+        seen.append(any(A.basis_labels[g].endswith("*") for g in A.arrows))
         return real(A, side)
 
     monkeypatch.setattr(trivext.algebra, "_annihilator", spy)

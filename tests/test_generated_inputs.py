@@ -1,5 +1,5 @@
-"""The graded Cartan determinant and the quiver of T(A) on the corpus and on
-the inputs the benchmark generates."""
+"""The graded Cartan determinant, the quiver of T(A) and the arrows of A
+and T(A) on the corpus and on the inputs the benchmark generates."""
 
 import sys
 from collections import Counter
@@ -8,13 +8,16 @@ from pathlib import Path
 import pytest
 
 import trivext.criteria as criteria
-from trivext.algebra import build_algebra, quiver_of
+from trivext.algebra import arrows_of, build_algebra, quiver_of
 from trivext.criteria import graded_cartan, hhdim_verdict
 from trivext.dsl import parse_presentation
-from trivext.linalg import IntPolynomial, poly_det
+from trivext.linalg import GF, QQ, IntPolynomial, poly_det
+from trivext.quiver import Arrow
 from trivext.trivial_extension import extended_quiver, trivial_extension
 
-from reference import poly_det_by_polynomial_bareiss
+from reference import (arrow_records_of_presentation, extension_arrow_records,
+                       poly_det_by_polynomial_bareiss)
+from test_placed_rows import seeded_presentations
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import inputs  # noqa: E402
@@ -102,3 +105,52 @@ def test_the_quiver_of_every_extension_builds(workload, extensions):
     for tri, case in built:
         assert len(extended_quiver(tri).arrows) == len(tri.T.arrows), case
         assert len(quiver_of(tri.T)[0].arrows) == len(tri.T.arrows), case
+
+
+def _former_arrows(X, records):
+    """The quiver arrows of X that the former arrow records described."""
+    names = X.vertex_names
+    return [Arrow(r.name, names[r.source], names[r.target], r.degree) for r in records]
+
+
+def _assert_arrows_match_records(X, records, case):
+    """X keeps the basis indices of the records, and reads off its labels,
+    Peirce blocks and degrees the arrows the records described, also as
+    `quiver_of` finds them."""
+    former = _former_arrows(X, records)
+    assert X.arrows == [r.basis_index for r in records], case
+    assert arrows_of(X, X.arrows) == former, case
+    q, reps = quiver_of(X)
+    assert dict(zip(reps, q.arrows)) == dict(zip(X.arrows, former)), case
+
+
+def test_arrows_match_the_former_records():
+    # build_algebra and trivial_extension kept each arrow's name,
+    # endpoints, degree and newness in a record beside its basis index;
+    # they are now read off the basis labels, Peirce blocks and degrees.
+    # On the corpus, its T(A), T(T(A)) of dual_numbers and path_a2, seeded
+    # presentations and the certify and present inputs at seed 17, they
+    # agree with the former records
+    texts = [(name, text, 2 if name in ("dual_numbers", "path_a2") else 1)
+             for name, text in corpus_texts().items()]
+    texts += [(case.id, case.text, 1) for workload in ("certify", "present")
+              for case in inputs.workload_cases(workload, 17, corpus_texts())]
+    cases = [(case, parse_presentation(text), {}, depth) for case, text, depth in texts]
+    cases += [(f"seeded {k}", pres, {"max_weight": 8}, 1)
+              for k, pres in enumerate(seeded_presentations(2606, 24))]
+    kinds, extensions = Counter(), 0
+    for case, pres, kw, depth in cases:
+        X = build_algebra(pres, **kw)
+        records = arrow_records_of_presentation(pres, X)
+        _assert_arrows_match_records(X, records, case)
+        kinds[X.field, X.bound_conditional, X.is_graded] += 1
+        for _ in range(depth):
+            tri = trivial_extension(X)
+            records = extension_arrow_records(X, records)
+            _assert_arrows_match_records(tri.T, records, case)
+            assert tri.new_arrows == [r.basis_index for r in records if r.is_new], case
+            assert list(extended_quiver(tri).arrows) == _former_arrows(tri.T, records), case
+            X, extensions = tri.T, extensions + 1
+    assert {f for f, _, _ in kinds} >= {QQ, GF(3), GF(5)}, kinds
+    assert kinds.keys() >= {(QQ, True, False), (QQ, False, True)}, kinds
+    assert extensions >= 250, extensions

@@ -12,6 +12,7 @@ that do; it is compared with the former add, which kept it exact.
 
 import copy
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -32,10 +33,14 @@ from test_builder import random_presentation
 
 
 def seeded_presentations(seed, count):
-    """`count` seeded presentations that build, over Q, F_3 and F_5 in
-    turn, graded by length, by arrow degrees or under a nilpotency bound."""
+    """`count` seeded presentations that build, with a T(A) of dimension
+    at most 30, over Q, F_3 and F_5 in turn, graded by length, by arrow
+    degrees or under a nilpotency bound, from at most 10 presentations
+    per result; fails when they do not give `count`."""
     rng, fields, out = random.Random(seed), ["field Q", "field F 3", "field F 5"], []
-    while len(out) < count:
+    for _ in range(10 * count):
+        if len(out) == count:
+            return out
         pres = random_presentation(rng, rng.random() < 0.5, fields[len(out) % 3],
                                    bound=rng.choice([None, None, 3]))
         try:
@@ -44,7 +49,26 @@ def seeded_presentations(seed, count):
                 out.append(pres)
         except (AlgebraBuildError, PathBudgetExceeded):
             continue
+    if len(out) < count:
+        pytest.fail(f"{10 * count} seeded presentations gave {len(out)} that build "
+                    f"with a T(A) of dimension <= 30, not {count}")
     return out
+
+
+def test_seeded_presentations_fail_when_every_build_raises(monkeypatch):
+    # a fault that refuses every T(A) ends the search with a failure,
+    # after the bounded number of presentations, instead of a hang
+    tried = 0
+
+    def refuse(A):
+        nonlocal tried
+        tried += 1
+        raise AlgebraBuildError("refused")
+
+    monkeypatch.setattr(sys.modules[__name__], "trivial_extension", refuse)
+    with pytest.raises(pytest.fail.Exception, match="30 seeded presentations gave 0 that"):
+        seeded_presentations(2121, 3)
+    assert 0 < tried <= 30
 
 
 @pytest.fixture(scope="module")

@@ -227,8 +227,9 @@ def _five_quiver():
 
 def test_compose_examples():
     q = _five_quiver()
-    a = Path.of_arrow(q.arrow("alpha"))
-    b = Path.of_arrow(q.arrow("beta"))
+    alpha, beta = q.arrow("alpha"), q.arrow("beta")
+    a = Path(alpha.source, alpha.target, (alpha,))
+    b = Path(beta.source, beta.target, (beta,))
     ba = compose(b, a)
     assert (ba.start, ba.end, ba.length) == ("1", "3", 2)
     assert ba.label() == "beta*alpha"
@@ -242,9 +243,8 @@ def test_compose_examples():
 
 def test_compose_associative_when_defined():
     q = _five_quiver()
-    g = Path.of_arrow(q.arrow("gamma"))
-    d = Path.of_arrow(q.arrow("delta"))
-    e = Path.of_arrow(q.arrow("eps"))
+    g, d, e = (Path(a.source, a.target, (a,))
+               for a in map(q.arrow, ("gamma", "delta", "eps")))
     assert compose(e, compose(d, g)) == compose(compose(e, d), g)
 
 
@@ -338,7 +338,7 @@ def test_path_layer_index_maps():
         assert len(steps) == sum(a.degree <= w for a in q.arrows)
         for a, (v, right, left) in zip([a for a in q.arrows if a.degree <= w], steps):
             assert v == w - a.degree
-            arrow = Path.of_arrow(a)
+            arrow = Path(a.source, a.target, (a,))
             below = [q.path(s, word) for s, word in zip(layers[v][0], layers[v][2])]
             for k, p in enumerate(below):
                 if p.start == a.target:

@@ -10,14 +10,14 @@ from types import ModuleType
 import pytest
 
 import trivext.trivial_extension as trivial_extension_module
-from trivext.algebra import (AlgebraBuildError, FDAlgebra, build_algebra,
+from trivext.algebra import (AlgebraBuildError, FDAlgebra, arrows_of, build_algebra,
                              loewy_length, radical_chain, selfinjectivity,
                              SelfinjectivityCertificate,
                              left_socle_in_bimodule_socle, socles,
                              trace_form_radical)
 from trivext.dsl import RelationExpr, parse_presentation
 from trivext.linalg import QQ, Echelon
-from trivext.quiver import Path, PathBudgetExceeded, compose
+from trivext.quiver import Arrow, Path, PathBudgetExceeded, compose
 from trivext.trivial_extension import (_slice_kernel, check_new_products_vanish,
                                        extended_quiver, relations_up_to,
                                        trivial_extension, validate_extension)
@@ -49,8 +49,8 @@ def test_extension_of_ground_field_is_dual_numbers():
     beta = tri.new_arrows
     assert len(beta) == 1
     b = beta[0]
-    assert (b.source, b.target) == (0, 0)
-    x = T.basis_element(b.basis_index)
+    assert T.peirce[b] == (0, 0)
+    x = T.basis_element(b)
     assert T.multiply(x, x) == {}  # the dual part squares to zero
     # compare with k[x]/(x^2) by matching structure constants on (1, beta)
     dual = build("field Q\nvertices v\narrow x : v -> v\nrelation x*x\n")
@@ -79,18 +79,15 @@ def test_extension_dimensions(algebras):
 
 def test_new_arrows_examples(algebras, extensions):
     k_ext = extensions["semisimple_k"]
-    assert [(n.source, n.target) for n in k_ext.new_arrows] == [(0, 0)]
+    assert [k_ext.T.peirce[n] for n in k_ext.new_arrows] == [(0, 0)]
 
     a2_ext = extensions["path_a2"]
     assert len(a2_ext.new_arrows) == 1
     na = a2_ext.new_arrows[0]
-    A = algebras["path_a2"]
-    assert (A.vertex_names[na.source], A.vertex_names[na.target]) == ("2", "1")
-    assert a2_ext.T.basis_labels[na.basis_index] == "a*"
+    assert arrows_of(a2_ext.T, [na]) == [Arrow("a*", "2", "1", 1)]
 
     nak = extensions["nakayama_cycle_2"]
-    pairs = {(nak.base.vertex_names[n.source], nak.base.vertex_names[n.target])
-             for n in nak.new_arrows}
+    pairs = {(a.source, a.target) for a in arrows_of(nak.T, nak.new_arrows)}
     assert pairs == {("1", "2"), ("2", "1")}
 
 
@@ -112,9 +109,10 @@ def test_new_arrows_match_the_block_scan_reference(algebras, extensions):
         seeded += 1
     several = 0
     for A in inputs:
-        got = trivial_extension(A).new_arrows
+        tri = trivial_extension(A)
+        got = tri.new_arrows
         assert got == new_arrows_by_block_scan(A), A
-        several += A.num_vertices > 1 and len({(n.source, n.target) for n in got}) > 1
+        several += A.num_vertices > 1 and len({tri.T.peirce[g] for g in got}) > 1
     # multi-vertex inputs whose new arrows lie in several blocks occur, so
     # the order of the blocks is tested
     assert several >= 10, several
@@ -130,7 +128,7 @@ def test_new_arrow_images_form_socle_dual_basis(extensions):
         soc = socles(tri.base).bimodule.rows
         assert len(tri.new_arrows) == len(soc), name
         if soc:
-            cols = [[row.get(tri.dual_index(na.basis_index), 0) for row in soc]
+            cols = [[row.get(tri.dual_index(na), 0) for row in soc]
                     for na in tri.new_arrows]
             assert Echelon(tri.T.field, len(soc), cols).rank == len(soc), name
 
@@ -203,9 +201,9 @@ def test_new_arrow_products_lie_in_generated_ideal(extensions):
         news = tri.new_arrows
         for b2 in news:
             for b1 in news:
-                if b1.target != b2.source:
+                if T.peirce[b1][1] != T.peirce[b2][0]:
                     continue
-                x2, x1 = (T.basis_element(b.basis_index) for b in (b2, b1))
+                x2, x1 = (T.basis_element(b) for b in (b2, b1))
                 assert T.multiply(x2, x1) == {}, name
 
 
@@ -517,8 +515,8 @@ def test_nakayama_incoming_new_arrows(algebras, extensions):
         cert = selfinjectivity(A)
         assert isinstance(cert, SelfinjectivityCertificate), name
         incoming = {}
-        for na in tri.new_arrows:
-            incoming.setdefault(na.target, set()).add(na.source)
+        for src, tgt in (tri.T.peirce[k] for k in tri.new_arrows):
+            incoming.setdefault(tgt, set()).add(src)
         for i in range(A.num_vertices):
             assert i in incoming, (name, i)
             assert cert.permutation[i] in incoming[i], (name, i)
@@ -529,7 +527,7 @@ def test_weak_socle_gives_incoming_new_arrows(algebras, extensions):
         if not left_socle_in_bimodule_socle(A):
             continue
         tri = extensions[name]
-        targets = {na.target for na in tri.new_arrows}
+        targets = {tri.T.peirce[k][1] for k in tri.new_arrows}
         assert targets == set(range(A.num_vertices)), name
 
 

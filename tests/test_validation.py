@@ -8,7 +8,8 @@ from itertools import product
 
 import pytest
 
-from trivext.algebra import AlgebraBuildError, ArrowRep, arrow_layers
+from trivext.algebra import AlgebraBuildError, arrow_layers
+from trivext.criteria import find_two_truncated_cycle
 from trivext.linalg import Echelon
 from trivext.trivial_extension import (_is_extension_table, trivial_extension,
                                        validate_extension)
@@ -95,7 +96,7 @@ def test_perturbation_at_non_generator_pair_is_caught(extensions):
     # DA * DA = 0; the generator triples never read that entry directly
     T = extensions["dual_numbers"].T
     e_star = T.basis_labels.index("e_v*")
-    gens = set(T.idempotent_indices) | {rep.basis_index for rep in T.arrows}
+    gens = set(T.idempotent_indices) | set(T.arrows)
     assert e_star not in gens and T.table[e_star][e_star] == {}
     for k in range(T.dim):
         Y = perturbed(T, e_star, e_star, k)
@@ -133,9 +134,27 @@ def test_peirce_check_catches_perturbation(algebras):
     assert not perturbed(A, a, e2, a).check_peirce()
 
 
+def test_an_arrow_edited_into_a_loop_fails_validation(extensions):
+    # an arrow's endpoints are its Peirce block, which validate checks: a
+    # copy of T(path_a2) whose arrow a is edited into a loop is refused.
+    # When a record kept the endpoints beside the block, editing the
+    # record passed validate and the cycle search certified [a]
+    T = copy.copy(extensions["path_a2"].T)
+    a = T.basis_labels.index("a")
+    assert a in T.arrows and find_two_truncated_cycle(T) is None
+    T.peirce = list(T.peirce)
+    T.peirce[a] = (T.peirce[a][0],) * 2
+    assert find_two_truncated_cycle(T).arrow_names == ["a"]
+    with pytest.raises(AlgebraBuildError, match="Peirce"):
+        T.validate()
+    with pytest.raises(AlgebraBuildError, match="Peirce"):
+        validate_extension(extensions["path_a2"].base, T)
+
+
 def test_validate_rejects_arrows_that_do_not_generate(extensions):
-    T = copy.deepcopy(extensions["dual_numbers"].T)
-    T.arrows = [rep for rep in T.arrows if not rep.is_new]
+    tri = extensions["dual_numbers"]
+    T = copy.deepcopy(tri.T)
+    T.arrows = [g for g in T.arrows if g not in tri.new_arrows]
     assert T.check_peirce()
     with pytest.raises(AlgebraBuildError, match="generate") as err:
         T.validate()
@@ -212,7 +231,7 @@ def test_extension_check_rejects_a_basis_element_past_twice_dim_a(algebras, exte
     Z.peirce, Z.degrees = T.peirce + [(0, 0)], T.degrees + [1]
     Z.table = [row + [{}] for row in T.table] + [[{} for _ in range(z + 1)]]
     Z.table[e][z] = Z.table[z][e] = {z: T.field.one()}
-    Z.arrows = T.arrows + [ArrowRep("z", 0, 0, z, 1, is_new=True)]
+    Z.arrows = T.arrows + [z]
     assert accepted(Z) and associative_on_all_triples(Z)
     assert is_extension_table_by_slots(A, Z)
     assert extension_failure(A, Z) == "the table of T(A) is not A ⋉ DA"
