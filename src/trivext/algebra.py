@@ -294,13 +294,17 @@ def ideal_slice(field, width, pieces) -> Echelon:
     pivot and the zeros of the other rows there, and the pieces are
     listed arrow by arrow, whose paths p*a ("a first") are distinct and
     listed arrow-major, so the pushes of all pieces in order are a reduced
-    echelon basis by ascending pivot.  Only the left pushes are added.
+    echelon basis by ascending pivot.  Only the left pushes are added, and
+    only until the slice holds every path: the reduced echelon basis of
+    the whole space is the same whatever else is added.  The later left
+    pushes are still made, so that every row is checked.
     """
     ech = Echelon.of_reduced(field, width, [
         vec for ideal, right, _left in pieces for vec in _pushed_whole(ideal.rows, right)])
     for ideal, _right, left in pieces:
         for vec in _pushed_whole(ideal.rows, left):
-            ech.add(vec)
+            if ech.rank < width:
+                ech.add(vec)
     return ech
 
 

@@ -56,14 +56,15 @@ in every degree the keys of a list are place[i] (j P + l), or
 b_0 P^n + s for the wrap face, with l, s < P = dbar, so their order does
 not depend on the degree or the face.  So the column's smallest key j is
 the least of the faces' first keys, and its entry there is the sum c of
-the first coefficients of the faces that reach j; `_Coboundary.leads`
+the first coefficients of the faces that reach j; `_coboundary_rank`
 reads (j, c) without building the column.  If c != 0 (mod p) and j is
-not yet a pivot, the column needs no reduction: `SparseRank.defer`
-records the pivot at j as the row key of u and raises the rank, and the
-column is built, stored as `add` would have stored it, only when a later
-reduction meets j.  Otherwise (c cancels, or j is a pivot) the column is
-built and added.  The elimination is the one that adds every column,
-deferred: the same pivots, so the same clearing and the same ranks.
+not yet a pivot, the column needs no reduction: the row key of u is
+written into `SparseRank.pivots` as the pivot at j, counted in the rank,
+and the column is built, stored as `add` would have stored it, only when
+a later reduction meets j.  Otherwise (c cancels, or j is a pivot) the
+column is built by `_Coboundary.column` and added.  The elimination is
+the one that adds every column, deferred: the same pivots, so the same
+clearing and the same ranks.
 
 The lead costs O(1) per tuple, not one step per face.  With
 h_i = -(u_0 place_0 + ... + u_{i-1} place_{i-1}), face i < n of u (the
@@ -71,11 +72,16 @@ first face is i = 0) leads at m_i[u_i] + u_i place_i + (P - 1) h_i -
 key(u), m_i[x] the first key of face i's list at x.  Only key(u) depends
 on the suffix, so the least of these values over the prefix faces, with
 its coefficient summed over ties, is carried from each prefix
-u_0 ... u_i to its extensions.  `_BarData.block_trie` enumerates the
-tuples as a trie of Peirce blocks whose walks share the nodes of common
-prefixes, so this is one state per distinct prefix, and each tuple adds
-only its key, the `cleared` test and the wrap face, the one face that
-reads the whole tuple.
+u_0 ... u_i to its extensions, together with the first key and
+coefficient of the wrap face at its head b_0.  `_BarData.block_trie`
+enumerates the tuples as a trie of Peirce blocks whose walks share the
+nodes of common prefixes, so this is one state per distinct prefix.  The
+trie yields its last two levels as one node; under a prefix state, the
+least value of the node's faces at each of its suffixes is a constant of
+the suffix plus (P - 1) h, computed once per node.  So `_coboundary_rank`
+is one loop per degree, and each tuple costs its key, the `cleared`
+test, two comparisons (with the prefix's least value and with the wrap
+face) and then a write into `pivots` or an add.
 
 Columns whose tuples have different total degree (for a graded algebra)
 have disjoint row support, so elimination never mixes degree blocks.
@@ -164,9 +170,13 @@ class _BarData:
 
     def block_trie(self, n: int):
         """The degree-n tuples (b_0, s_1, ..., s_n), s_i slot indices, as a
-        trie of Peirce blocks: yield (depth, members) for each node in
+        trie of Peirce blocks: yield (depth, blocks) for each node in
         depth-first preorder, depth 0 for the heads b_0 of one Peirce block
-        and depth i for the slot block that s_i ranges over.  The tuples
+        and depth i for the slot block that s_i ranges over.  A node above
+        depth n - 1 has blocks = (members,).  A node at depth n - 1 has one
+        child, the block of the last step into the goal vertex, and is
+        yielded with it as one concatenated node, blocks = (members, last);
+        for n = 0 the heads are the leaves, blocks = (heads,).  The tuples
         are the products of the members along each path from depth 0 to
         depth n, grouped by path in lexicographic order of the blocks'
         vertices and lexicographic within a path.  Every node lies on such
@@ -177,22 +187,27 @@ class _BarData:
         for (goal, start), heads in self.heads.items():
             if not walks[start][goal]:
                 continue
-            yield 0, heads
+            if not n:
+                yield 0, (heads,)
+                continue
             # steps[r][w]: the (vertex, block) moves out of w that leave a
             # walk of r - 1 steps to goal
-            steps = [None] + [[[(v, block) for v, block in enumerate(self.blocks[w])
-                                if block and self._walks[r - 1][v][goal]]
-                               for w in range(m)] for r in range(1, n + 1)]
-            stack = [iter(steps[n][start])] if n else []
+            steps = [None, None] + [[[(v, block) for v, block in enumerate(self.blocks[w])
+                                      if block and self._walks[r - 1][v][goal]]
+                                     for w in range(m)] for r in range(2, n + 1)]
+            stack = [iter([(start, heads)])]
             while stack:
                 step = next(stack[-1], None)
                 if step is None:
                     stack.pop()
                     continue
-                depth = len(stack)
-                yield depth, step[1]
-                if depth < n:
-                    stack.append(iter(steps[n - depth][step[0]]))
+                depth = len(stack) - 1
+                v, block = step
+                if depth == n - 1:
+                    yield depth, (block, self.blocks[v][goal])
+                else:
+                    yield depth, (block,)
+                    stack.append(iter(steps[n - depth][v]))
 
     @cached_property
     def integer_tables(self):
@@ -238,7 +253,7 @@ class _BarData:
 
 
 class _Coboundary:
-    """delta_n of one `_BarData`, read a column or a leading entry at a time.
+    """delta_n of one `_BarData`, read a column at a time.
 
     A degree-(n-1) tuple u = (u_0, ..., u_{n-1}) is named by its row key
     -key(u), where key(u) = sum u_i place_i is its number with digits
@@ -294,73 +309,6 @@ class _Coboundary:
             col[k] = col.get(k, 0) + c
         return col
 
-    def leads(self, cleared):
-        """Yield (r, j, c) for the row key r of every degree-(n-1) tuple u
-        not in `cleared`, in the order of `_BarData.block_trie`, without
-        building its column: j is the smallest row key of delta_n(u) and c
-        the sum over the faces of their coefficients at j; (r, None, 0) if
-        the column is empty.  Each face's keys are its sorted list shifted
-        by one constant, and are distinct, so j is the least of the faces'
-        first keys and c the column's entry at j: its leading entry unless
-        c cancels (mod p).
-
-        Face i < n leads at g_i - key(u), g_i a value of the prefix
-        u_0 ... u_i (module docstring), so each prefix of the trie keeps
-        one state (h, g, c): h = -(its key), g the least g_i of its faces
-        and c their coefficients summed over ties at g.  A tuple adds its
-        key, the `cleared` test and the wrap face."""
-        P, n, place = self.P, self.n, self.place
-        q, p0 = P - 1, place[0]
-        # the first key of a face without cofaces: above dbar * key(u) for
-        # every u, so that it never leads
-        big = self.data.d * (P + 1) ** n + 1
-
-        def firsts(faces, i):
-            return [(cof[0][0] + x * place[i], cof[0][1], x * place[i]) if cof
-                    else (big, 0, x * place[i]) for x, cof in enumerate(faces)]
-
-        lead = [firsts(faces, i) for i, faces in enumerate([self.first, *self.mid[1:]])]
-        wrap = [(cof[0][0] + P * b * p0, cof[0][1]) if cof else (big, 0)
-                for b, cof in enumerate(self.wrap)]
-        # states[i]: (h, g, c) of the current prefixes of i entries
-        states = [[(0, big, 0)]]
-        for depth, members in self.data.block_trie(n - 1):
-            faces = lead[depth]
-            if depth < n - 1:
-                out = []
-                for h, g, c in states[depth]:
-                    qh = q * h
-                    for e in members:
-                        G, x, shift = faces[e]
-                        G += qh
-                        out.append((h - shift, G, x) if G < g else
-                                   (h - shift, g, c + x) if G == g else (h - shift, g, c))
-                states[depth + 1:] = [out]
-                continue
-            for h, g, c in states[depth]:
-                qh = q * h
-                for e in members:
-                    G, x, shift = faces[e]
-                    r = h - shift
-                    if r in cleared:
-                        continue
-                    G += qh
-                    if G < g:
-                        j = G
-                    elif G == g:
-                        j, x = g, c + x
-                    else:
-                        j, x = g, c
-                    j += r
-                    W, y = wrap[-r // p0]
-                    W += P * r
-                    if W < j:
-                        j, x = W, y
-                    elif W == j:
-                        x += y
-                    # row keys are <= 0: j > 0 only if every face is empty
-                    yield r, (j if j <= 0 else None), x
-
 
 def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModuleDescriptor:
     data = _BarData(B, variant)
@@ -369,19 +317,103 @@ def chain_module(B: FDAlgebra, n: int, variant: str = "normalized") -> ChainModu
 
 def _coboundary_rank(data: _BarData, n: int, cleared: set) -> tuple[int, set]:
     """rank delta_n and the row keys of its pivots, from the columns of the
-    degree-(n-1) tuples outside `cleared`, the pivot rows of delta_{n-1}.
-    A column whose leading entry is a new pivot is stored as its tuple and
-    built only if a later reduction meets it; the others are built and
-    reduced."""
+    degree-(n-1) tuples outside `cleared`, the pivot rows of delta_{n-1},
+    in one walk of `_BarData.block_trie(n - 1)` (module docstring).  Each
+    tuple's lead (j, c) is the least value of its faces, with the
+    coefficients summed over ties: those of the prefix, carried in a state
+    (h, g, c, w, y) with h = -(the prefix's key), g and c the least value
+    of its faces and its coefficient, w and y the wrap face's first key
+    and coefficient at its head; those of the suffix, read off the node;
+    and the wrap face.  A column whose leading entry is a new pivot is
+    stored as its row key and built only if a later reduction meets it;
+    the others are built and reduced."""
     delta = _Coboundary(data, n)
     p = data.B.field.characteristic
     eng = SparseRank(p, delta.column)
-    pivots = eng.pivots
-    for r, j, c in delta.leads(cleared):
-        if (c % p if p else c) and j not in pivots:
-            eng.defer(j, r)
-        elif j is not None:
-            eng.add(delta.column(r))
+    pivots, add, column = eng.pivots, eng.add, delta.column
+    P, place = delta.P, delta.place
+    q, p0 = P - 1, place[0]
+    # the first key of a face without cofaces: above dbar * key(u) for
+    # every u, so that it never leads
+    big = data.d * (P + 1) ** n + 1
+    # lead[i][x]: (first key of face i at u_i = x, plus x place_i; its
+    # coefficient; x place_i), and wrap[b]: (first key of the wrap face at
+    # u_0 = b, plus P b place_0; its coefficient)
+    lead = [[(cof[0][0] + x * place[i], cof[0][1], x * place[i]) if cof
+             else (big, 0, x * place[i]) for x, cof in enumerate(faces)]
+            for i, faces in enumerate([delta.first, *delta.mid[1:]])]
+    wrap = [(cof[0][0] + P * b * p0, cof[0][1]) if cof else (big, 0)
+            for b, cof in enumerate(delta.wrap)]
+
+    def extend(states, depth, members):
+        """The states of the prefixes one entry longer, each state extended
+        by each member at `depth`; the heads, at depth 0, set the wrap face."""
+        faces = lead[depth]
+        out = []
+        for h, g, c, w, y in states:
+            qh = q * h
+            for e in members:
+                G, x, shift = faces[e]
+                G += qh
+                if not depth:
+                    w, y = wrap[e]
+                out.append((h - shift, G, x, w, y) if G < g else
+                           (h - shift, g, c + x, w, y) if G == g else
+                           (h - shift, g, c, w, y))
+        return out
+
+    # the empty prefix, whose wrap face is empty
+    root = (0, big, 0, big, 0)
+    states = [[root]]
+    deferred, suffixes = 0, {}
+    last = max(n - 2, 0)  # the depth of the concatenated nodes
+    for depth, blocks in data.block_trie(n - 1):
+        if depth < last:
+            states[depth + 1:] = [extend(states[depth], depth, blocks[0])]
+            continue
+        # The tuples under the node are the prefixes of states[depth] times
+        # its suffixes.  Values are compared less r, the tuple's row key:
+        # the wrap face leads at w + P r, that is at w + q r.  A suffix is
+        # (k, G, x, q k): k = -(its key), and G and x the least value of its
+        # faces, and of the wrap face when it holds b_0, and the coefficient
+        # there, from the empty prefix.  Blocks are lists of `data`, so the
+        # same blocks at the same depth have the same suffixes.
+        node = (depth, *map(id, blocks))
+        suffix = suffixes.get(node)
+        if suffix is None:
+            ends = [root]
+            for i, members in enumerate(blocks, depth):
+                ends = extend(ends, i, members)
+            suffix = suffixes[node] = []
+            for k, G, x, w, y in ends:
+                W = w + q * k
+                suffix.append((k, W, y, q * k) if W < G else
+                              (k, G, x + y, q * k) if W == G else (k, G, x, q * k))
+        for h, g, c, w, y in states[depth]:
+            qh = q * h
+            a = w + qh
+            for k, j, x, qk in suffix:
+                r = h + k
+                if r in cleared:
+                    continue
+                j += qh
+                if j > g:
+                    j, x = g, c
+                elif j == g:
+                    x += c
+                W = a + qk
+                if W < j:
+                    j, x = W, y
+                elif W == j:
+                    x += y
+                j += r
+                # row keys are <= 0: j > 0 only if every face is empty
+                if (x % p if p else x) and j not in pivots:
+                    pivots[j] = r
+                    deferred += 1
+                elif j <= 0:
+                    add(column(r))
+    eng.rank += deferred
     return eng.rank, set(pivots)
 
 

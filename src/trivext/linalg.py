@@ -354,10 +354,10 @@ class SparseRank:
     every entry reduced mod p; a pivot not led by 1 raises ValueError.
 
     A caller that knows a column's leading index j and that j is not yet a
-    pivot can `defer` the column instead of adding it: the pivot at j is
-    stored as a cell, any value but None or a dict, from which
-    `build(cell)` makes the column, and the column is built and stored, as
-    `add` would have stored it, the first time a reduction meets j.  A new
+    pivot can defer the column instead of adding it: it writes a cell, any
+    value but None or a dict, into `pivots` at j and counts it in `rank`.
+    `build(cell)` makes the column, which is built and stored, as `add`
+    would have stored it, the first time a reduction meets j.  A new
     leading index needs no reduction, so the pivots and the rank are those
     of adding every column.
     """
@@ -409,11 +409,6 @@ class SparseRank:
                 raise ValueError(f"the column deferred at {j} does not lead there")
             piv = self._store(j, v)
         return piv
-
-    def defer(self, j: int, cell) -> None:
-        """Record the pivot at j, which must be new, as `cell`."""
-        self.pivots[j] = cell
-        self.rank += 1
 
     def add(self, col: dict) -> bool:
         """Insert a column; True iff the rank increased."""

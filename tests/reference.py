@@ -11,7 +11,7 @@ from trivext.algebra import (AdmissibilityError, AlgebraBuildError,
                              SocleData, _pushed, arrow_layers, ideal_slice,
                              loewy_length, radical_chain, socles, span_products)
 from trivext.dsl import RelationExpr
-from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData
+from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData, _Coboundary
 from trivext.linalg import (POLY_ONE, POLY_ZERO, QQ, Echelon, FieldMismatchError,
                             GroundField, IntPolynomial, SparseRank, combine, row_reduce)
 from trivext.quiver import PATH_BUDGET, Path, PathBudgetExceeded
@@ -971,11 +971,11 @@ def tuples_by_nested_walks(data, n: int):
 
 
 def leads_by_faces(delta, cleared):
-    """The former `_Coboundary.leads`: yield (u, j, c) for every
-    degree-(n-1) tuple u of `tuples` whose row key is not in `cleared`,
-    reading the least key of each of its n + 1 faces in turn: j the least
-    of them, c the sum of the coefficients of the faces that reach it,
-    (u, None, 0) if every face is empty."""
+    """The `_Coboundary.leads` before the prefix scan: yield (r, j, c) for
+    the row key r of every degree-(n-1) tuple u of `tuples` not in
+    `cleared`, reading the least key of each of its n + 1 faces in turn: j
+    the least of them, c the sum of the coefficients of the faces that
+    reach it, (r, None, 0) if every face is empty."""
     P, n, place = delta.P, delta.n, delta.place
     none = (None, 0)
     first = [min(cof, default=none) for cof in delta.first]
@@ -1007,7 +1007,85 @@ def leads_by_faces(delta, cleared):
                     j, c = k, x
                 elif k == j:
                     c += x
-        yield u, j, c
+        yield -key, j, c
+
+
+def leads_by_prefix_scan(delta, cleared):
+    """The former `_Coboundary.leads`: yield (r, j, c) for the row key r of
+    every degree-(n-1) tuple u not in `cleared`, in the order of
+    `_BarData.block_trie`, without building its column: j is the smallest
+    row key of delta_n(u) and c the sum over the faces of their
+    coefficients at j; (r, None, 0) if the column is empty.  Each prefix of
+    the trie keeps one state (h, g, c): h = -(its key), g the least value
+    of its faces and c their coefficients summed over ties at g; each
+    tuple adds its key, the `cleared` test and the wrap face.  The trie's
+    concatenated last nodes are walked one block at a time."""
+    P, n, place = delta.P, delta.n, delta.place
+    q, p0 = P - 1, place[0]
+    big = delta.data.d * (P + 1) ** n + 1
+
+    def firsts(faces, i):
+        return [(cof[0][0] + x * place[i], cof[0][1], x * place[i]) if cof
+                else (big, 0, x * place[i]) for x, cof in enumerate(faces)]
+
+    lead = [firsts(faces, i) for i, faces in enumerate([delta.first, *delta.mid[1:]])]
+    wrap = [(cof[0][0] + P * b * p0, cof[0][1]) if cof else (big, 0)
+            for b, cof in enumerate(delta.wrap)]
+    states = [[(0, big, 0)]]
+    for node_depth, blocks in delta.data.block_trie(n - 1):
+        for depth, members in enumerate(blocks, node_depth):
+            faces = lead[depth]
+            if depth < n - 1:
+                out = []
+                for h, g, c in states[depth]:
+                    qh = q * h
+                    for e in members:
+                        G, x, shift = faces[e]
+                        G += qh
+                        out.append((h - shift, G, x) if G < g else
+                                   (h - shift, g, c + x) if G == g else (h - shift, g, c))
+                states[depth + 1:] = [out]
+                continue
+            for h, g, c in states[depth]:
+                qh = q * h
+                for e in members:
+                    G, x, shift = faces[e]
+                    r = h - shift
+                    if r in cleared:
+                        continue
+                    G += qh
+                    if G < g:
+                        j = G
+                    elif G == g:
+                        j, x = g, c + x
+                    else:
+                        j, x = g, c
+                    j += r
+                    W, y = wrap[-r // p0]
+                    W += P * r
+                    if W < j:
+                        j, x = W, y
+                    elif W == j:
+                        x += y
+                    # row keys are <= 0: j > 0 only if every face is empty
+                    yield r, (j if j <= 0 else None), x
+
+
+def coboundary_rank_by_leads(data, n: int, cleared, leads=leads_by_prefix_scan) -> SparseRank:
+    """The former `_coboundary_rank`: delta_n fed to `SparseRank` from a
+    stream of leads (r, j, c) of the tuples outside `cleared`.  A column
+    whose lead is a new pivot is deferred, its row key r stored as the
+    pivot at j; the others are built and added.  The engine is returned."""
+    delta = _Coboundary(data, n)
+    p = data.B.field.characteristic
+    eng = SparseRank(p, delta.column)
+    for r, j, c in leads(delta, cleared):
+        if (c % p if p else c) and j not in eng.pivots:
+            eng.pivots[j] = r
+            eng.rank += 1
+        elif j is not None:
+            eng.add(delta.column(r))
+    return eng
 
 
 def commutator_rank_by_fractions(B) -> int:

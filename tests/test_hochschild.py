@@ -17,8 +17,9 @@ from trivext.trivial_extension import trivial_extension
 
 from reference import (DimensionCapExceeded, ExactMatrix, boundary_hh_dims,
                        boundary_matrix, boundary_rank, boundary_squares_to_zero,
-                       coboundary_rank_by_columns, commutator_rank_by_fractions, key,
-                       leads_by_faces, tuples, tuples_by_nested_walks)
+                       coboundary_rank_by_columns, coboundary_rank_by_leads,
+                       commutator_rank_by_fractions, key, leads_by_faces,
+                       leads_by_prefix_scan, tuples, tuples_by_nested_walks)
 
 
 def build(text, **kw):
@@ -576,9 +577,9 @@ def trie_tuples(data, n):
     """The tuples of `_BarData.block_trie(n)`: the product of the members
     along each path from depth 0 to depth n, in the order of the paths."""
     path = []
-    for depth, members in data.block_trie(n):
-        path[depth:] = [members]
-        if depth == n:
+    for depth, blocks in data.block_trie(n):
+        path[depth:] = blocks
+        if len(path) == n + 1:
             yield from product(*path)
 
 
@@ -607,61 +608,122 @@ def test_tuples_keep_the_order_of_the_nested_walks(algebras, extensions):
     assert compared >= 4 * len(inputs), compared
 
 
-def assert_leads_match_faces(data, N, first=1):
+class RecordedEngines:
+    """`hochschild.SparseRank` replaced by a recorder of the engines that
+    `_coboundary_rank` makes, and `SparseRank.add` by a counter of the
+    adds made on each engine, kept on the engine."""
+
+    def __init__(self, monkeypatch):
+        self.engines = []
+        real_add = SparseRank.add
+
+        def recording(*args):
+            self.engines.append(SparseRank(*args))
+            return self.engines[-1]
+
+        def add(eng, col):
+            eng.adds_recorded = getattr(eng, "adds_recorded", 0) + 1
+            return real_add(eng, col)
+
+        monkeypatch.setattr(hochschild, "SparseRank", recording)
+        monkeypatch.setattr(SparseRank, "add", add)
+
+    @staticmethod
+    def state(eng):
+        """The rank, the pivots in the order they were made, deferred cells
+        and built columns alike, and the number of adds of `eng`."""
+        return eng.rank, list(eng.pivots.items()), getattr(eng, "adds_recorded", 0)
+
+
+def assert_single_pass_matches(data, N, leads, recorded, first=1):
     """Run the clearing of hh_dims(B, N) and compare, for each delta_n with
-    n >= first, the stream of `_Coboundary.leads` with the former scan over
-    every face, under the real cleared set.  Returns the leads compared and
-    the tuples cleared."""
-    leads = skipped = 0
+    n >= first, the engine `_coboundary_rank` leaves with the one the
+    loop driven by the stream `leads` leaves, under the real cleared set.
+    Returns the columns compared (the tuples outside the cleared set), the
+    tuples cleared, and the deferred pivots and the adds made."""
+    columns = skipped = deferred = adds = 0
     cleared = set()
     for n in range(1, N + 2):
         if not (data.chain_dim(n - 1) and data.chain_dim(n)):
             cleared = set()
             continue
+        rank, new_cleared = hochschild._coboundary_rank(data, n, cleared)
         if n >= first:
-            delta = _Coboundary(data, n)
-            got = list(delta.leads(cleared))
-            want = [(-key(data, u), j, c) for u, j, c in leads_by_faces(delta, cleared)]
+            got = recorded.state(recorded.engines[-1])
+            want = recorded.state(coboundary_rank_by_leads(data, n, cleared, leads))
             assert got == want, (data.B, data.dbar == data.d, n)
-            leads += len(got)
-            skipped += data.chain_dim(n - 1) - len(got)
-        _rank, cleared = hochschild._coboundary_rank(data, n, cleared)
-    return leads, skipped
+            assert rank == got[0] and new_cleared == set(dict(got[1])), (data.B, n)
+            columns += data.chain_dim(n - 1) - len(cleared)
+            skipped += len(cleared)
+            adds += got[2]
+            deferred += sum(type(v) is not dict for _j, v in got[1])
+        cleared = new_cleared
+    return columns, skipped, deferred, adds
 
 
-def test_prefix_scan_yields_the_face_by_face_stream(algebras, extensions):
-    # leads carries the least key of the prefix faces down the block trie
-    # and adds only the wrap face per tuple; it yields the former stream,
-    # the same tuples in the same order with the same (j, c), under the
-    # cleared sets hh_dims uses, in both variants over Q, F_3 and F_5.
-    # Not summing ties, leaving the wrap face out, or restarting the prefix
-    # states at every walk of blocks fails here.
+def test_single_pass_matches_the_leads_driven_loop(algebras, extensions, monkeypatch):
+    # _coboundary_rank computes each lead inside its one loop over the
+    # block trie and defers or adds on the spot; the engine it leaves is
+    # the one the former loop over the stream of `_Coboundary.leads`
+    # leaves: the same pivots made in the same order, each still the same
+    # deferred row key or the same built column, the same rank and the
+    # same number of adds, under the cleared sets hh_dims uses, in both
+    # variants over Q, F_3 and F_5.  Not summing ties, leaving the wrap
+    # face out, carrying another head's wrap lead, or deferring a
+    # cancelled lead fails here.
+    recorded = RecordedEngines(monkeypatch)
+    counts = {p: [0, 0, 0, 0] for p in (0, 3, 5)}
+    for B in oracle_inputs(algebras, extensions):
+        for variant in ("normalized", "full"):
+            N = top_degree(B, variant, 2000)
+            if N >= 0:
+                got = assert_single_pass_matches(_BarData(B, variant), N,
+                                                 leads_by_prefix_scan, recorded)
+                counts[B.field.characteristic] = [
+                    a + b for a, b in zip(counts[B.field.characteristic], got)]
+    assert all(columns >= 5_000 and skipped >= 1_000 and deferred >= 1_000 and adds >= 500
+               for columns, skipped, deferred, adds in counts.values()), counts
+
+
+def test_prefix_scan_yields_the_face_by_face_stream(algebras, extensions, monkeypatch):
+    # the single pass carries the least key of the prefix faces down the
+    # block trie and adds only the wrap face per tuple; it makes the
+    # decisions of the loop driven by the former face-by-face stream, the
+    # same tuples in the same order with the same (j, c), so it leaves the
+    # same engine, under the cleared sets hh_dims uses, in both variants
+    # over Q, F_3 and F_5.  Not summing ties, leaving the wrap face out,
+    # or restarting the prefix states at every walk of blocks fails here.
+    recorded = RecordedEngines(monkeypatch)
     counts = {0: [0, 0], 3: [0, 0], 5: [0, 0]}
     for B in oracle_inputs(algebras, extensions):
         for variant in ("normalized", "full"):
             N = top_degree(B, variant, 2000)
             if N >= 0:
-                leads, skipped = assert_leads_match_faces(_BarData(B, variant), N)
+                leads, skipped, _d, _a = assert_single_pass_matches(
+                    _BarData(B, variant), N, leads_by_faces, recorded)
                 counts[B.field.characteristic][0] += leads
                 counts[B.field.characteristic][1] += skipped
     assert all(leads >= 5_000 and skipped >= 1_000 for leads, skipped in counts.values()), \
         counts
     # long walks of one-slot blocks, and a three-vertex cycle
     data = _BarData(extensions["path_a2"].T, "normalized")
-    assert assert_leads_match_faces(data, 14, first=13)[0] >= 50_000
+    assert assert_single_pass_matches(data, 14, leads_by_faces, recorded,
+                                      first=13)[0] >= 50_000
     data = _BarData(extensions["nakayama_cycle_3"].T, "normalized")
-    assert assert_leads_match_faces(data, 8)[0] >= 10_000
+    assert assert_single_pass_matches(data, 8, leads_by_faces, recorded)[0] >= 10_000
 
 
-def test_leading_entry_is_read_without_the_column(algebras, extensions):
+def test_leading_entry_is_read_without_the_column(algebras, extensions, monkeypatch):
     # the lead of every column of delta_n, read off the first entries of
     # the faces' coface lists, against the column built in full: its
     # smallest key and the integer there.  Where the faces' coefficients
     # cancel (mod p) the lead is not the column's leading entry.  Leaving
     # the wrap face out of the scan, or not summing ties across faces,
     # fails here.  The coface lists, sorted once per algebra, are in
-    # ascending order of their keys in every degree and face.
-    checked = cancelled = 0
+    # ascending order of their keys in every degree and face.  Every
+    # column `_coboundary_rank` defers leads, nonzero, at its pivot.
+    recorded = RecordedEngines(monkeypatch)
+    checked = cancelled = deferred = 0
     for B in oracle_inputs(algebras, extensions):
         p = B.field.characteristic
         for variant in ("normalized", "full"):
@@ -670,7 +732,7 @@ def test_leading_entry_is_read_without_the_column(algebras, extensions):
                 delta = _Coboundary(data, n)
                 for faces in (delta.first, *delta.mid[1:], delta.wrap):
                     assert all(cof == sorted(cof) for cof in faces), (B, variant, n)
-                for r, j, c in delta.leads(set()):
+                for r, j, c in leads_by_prefix_scan(delta, set()):
                     col = delta.column(r)
                     if j is None:
                         assert not col, (B, r)
@@ -683,7 +745,16 @@ def test_leading_entry_is_read_without_the_column(algebras, extensions):
                         cancelled += 1
                         assert all(k > j for k in nonzero), (B, variant, r)
                     checked += 1
-    assert checked >= 5000 and cancelled >= 1, (checked, cancelled)
+                if not data.chain_dim(n):
+                    continue
+                hochschild._coboundary_rank(data, n, set())
+                for j, cell in recorded.engines[-1].pivots.items():
+                    if type(cell) is not dict:
+                        col = delta.column(cell)
+                        assert min(k for k, x in col.items() if (x % p if p else x)) == j
+                        deferred += 1
+    assert checked >= 5000 and cancelled >= 1 and deferred >= 1000, \
+        (checked, cancelled, deferred)
 
 
 def test_deferred_pivots_match_every_column_elimination(algebras, extensions,
@@ -693,13 +764,7 @@ def test_deferred_pivots_match_every_column_elimination(algebras, extensions,
     # the same keys, the same clearing and the same normalization.
     # Deferring a cancelled lead, or storing an F_p pivot unscaled, fails
     # here.
-    engines = []
-
-    def recording(*args):
-        engines.append(SparseRank(*args))
-        return engines[-1]
-
-    monkeypatch.setattr(hochschild, "SparseRank", recording)
+    recorded = RecordedEngines(monkeypatch)
     compared = {0: 0, 3: 0, 5: 0}
     for B in oracle_inputs(algebras, extensions):
         for variant in ("normalized", "full"):
@@ -710,7 +775,7 @@ def test_deferred_pivots_match_every_column_elimination(algebras, extensions,
                     cleared = ref_cleared = set()
                     continue
                 rank, cleared = hochschild._coboundary_rank(data, n, cleared)
-                eng = engines[-1]
+                eng = recorded.engines[-1]
                 for j in list(eng.pivots):
                     eng._pivot(j)
                 ref = coboundary_rank_by_columns(data, n, ref_cleared)
@@ -737,45 +802,49 @@ def test_coboundary_work_counts(algebras, extensions, monkeypatch):
                 ranks = sum(boundary_rank(data, n) for n in range(1, N + 2))
                 cases.append((B, variant, N, ranks))
     assert len(cases) >= 40, len(cases)
-    adds, deferred, leads, built, degrees = [], [], [], [], []
-    real_add, real_defer = SparseRank.add, SparseRank.defer
-    real_trie = _BarData.block_trie
-    real_leads, real_column = _Coboundary.leads, _Coboundary.column
+    adds, engines, leads, built, degrees = [], [], [], [], []
+    real_add, real_rank = SparseRank.add, hochschild._coboundary_rank
+    real_trie, real_column = _BarData.block_trie, _Coboundary.column
 
     def add(self, col):
         adds.append(real_add(self, col))
         return adds[-1]
 
-    def defer(self, j, cell):
-        deferred.append(j)
-        return real_defer(self, j, cell)
+    def recording(*args):
+        engines.append(SparseRank(*args))
+        return engines[-1]
 
     def block_trie(self, n):
         degrees.append(n)
         return real_trie(self, n)
 
-    def lead_scan(self, cleared):
-        for lead in real_leads(self, cleared):
-            leads.append(lead[1])
-            yield lead
+    def coboundary_rank(data, n, cleared):
+        # the columns of delta_n: one per degree-(n-1) tuple outside the
+        # pivot rows of delta_{n-1}, all of them row keys of C_{n-1}
+        leads.append(data.chain_dim(n - 1) - len(cleared))
+        return real_rank(data, n, cleared)
 
     def column(self, u):
         built.append(u)
         return real_column(self, u)
 
     monkeypatch.setattr(SparseRank, "add", add)
-    monkeypatch.setattr(SparseRank, "defer", defer)
+    monkeypatch.setattr(hochschild, "SparseRank", recording)
     monkeypatch.setattr(_BarData, "block_trie", block_trie)
-    monkeypatch.setattr(_Coboundary, "leads", lead_scan)
+    monkeypatch.setattr(hochschild, "_coboundary_rank", coboundary_rank)
     monkeypatch.setattr(_Coboundary, "column", column)
     columns = columns_built = 0
     for B, variant, N, ranks in cases:
-        adds.clear(), deferred.clear(), leads.clear(), built.clear(), degrees.clear()
+        adds.clear(), engines.clear(), leads.clear(), built.clear(), degrees.clear()
         dims = hh_dims(B, N, variant, cap=6000).dims
-        assert len(deferred) + sum(adds) == ranks, (B, variant)
-        assert len(adds) - sum(adds) + leads.count(None) == \
-            sum(d for _n, d in dims), (B, variant)
+        # a column is built to be added, or to build a deferred pivot that
+        # a reduction meets; the deferred pivots never met are still cells
+        deferred = len(built) - len(adds) + sum(
+            type(v) is not dict for eng in engines for v in eng.pivots.values())
+        empty = sum(leads) - deferred - len(adds)
+        assert deferred + sum(adds) == ranks, (B, variant)
+        assert len(adds) - sum(adds) + empty == sum(d for _n, d in dims), (B, variant)
         assert max(degrees) == N, (B, variant)
-        columns += len(leads)
+        columns += sum(leads)
         columns_built += len(built)
     assert columns_built < columns / 2, (columns_built, columns)

@@ -94,7 +94,7 @@ def test_sparse_rank_unit_and_scaled_pivots(monkeypatch, normalize_bits):
 @pytest.mark.parametrize("p", [0, 3, 5])
 def test_one_loop_sparse_rank_matches_the_two_loop_one(p):
     # the merged loop of SparseRank.add against the former pair of loops,
-    # fed the same columns and deferrals: leading entries other than +-1,
+    # fed the same columns and deferred pivots: leading entries other than +-1,
     # entries past _NORMALIZE_BITS, dependent columns, and columns deferred
     # at a new leading index and built when a later reduction meets it
     rng = random.Random(2020 + p)
@@ -114,8 +114,9 @@ def test_one_loop_sparse_rank_matches_the_two_loop_one(p):
         for i, col in enumerate(columns):
             lead = min((r for r, x in col.items() if (x % p if p else x)), default=None)
             if lead is not None and lead not in new.pivots and rng.random() < 0.4:
-                new.defer(lead, i)
-                old.defer(lead, i)
+                for eng in (new, old):
+                    eng.pivots[lead] = i
+                    eng.rank += 1
                 deferred += 1
             else:
                 scaled += any(type(v) is dict and abs(v[j]) != 1
@@ -669,12 +670,13 @@ def test_sparse_rank_builds_a_deferred_pivot_as_add_stores_it():
         ref = SparseRank(p)
         ref.add(col)
         eng = SparseRank(p, {("u",): col}.__getitem__)
-        eng.defer(3, ("u",))
+        eng.pivots[3] = ("u",)
+        eng.rank += 1
         assert (eng.rank, eng.pivots) == (1, {3: ("u",)})
         assert not eng.add({3: 2, 5: -3, 8: 1})
         assert eng.pivots == ref.pivots
     eng = SparseRank(0, {("u",): col}.__getitem__)
-    eng.defer(5, ("u",))
+    eng.pivots[5] = ("u",)
     with pytest.raises(ValueError, match="does not lead"):
         eng.add({5: 1})
     eng = SparseRank(5)

@@ -206,6 +206,24 @@ def test_a_row_pushed_in_part_raises(side):
     assert ideal_slice(QQ, 3, [(slice_, {2: 2}, {2: 0})]) == Echelon(QQ, 3, [{0: 1}, {2: 1}])
 
 
+def test_a_full_slice_adds_no_push_but_checks_every_row(monkeypatch):
+    # once the right pushes fill the slice, the left pushes are not added,
+    # as the reduced echelon basis of the whole space is the identity;
+    # each is still made, so a row pushed in part still raises
+    full = Echelon(QQ, 2, [{0: 1}, {1: 1}])
+    rows = Echelon(QQ, 2, [{0: 1, 1: 2}])
+    adds = []
+    real_add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda E, vec: adds.append(vec) or real_add(E, vec))
+    got = ideal_slice(QQ, 2, [(full, {0: 0, 1: 1}, {0: 1, 1: 0}), (rows, {}, {0: 0, 1: 1})])
+    assert (got, adds) == (full, [])
+    with pytest.raises(AlgebraBuildError, match="does and does not extend"):
+        ideal_slice(QQ, 2, [(full, {0: 0, 1: 1}, {}), (rows, {}, {0: 0})])
+    # below full rank the left pushes are added
+    ideal_slice(QQ, 2, [(rows, {}, {0: 1, 1: 0})])
+    assert adds == [{1: 1, 0: 2}]
+
+
 def run_corpus_and_reports(tmp_path, capsys):
     """A corpus run, and the `trivext` and `verdict --extend` reports of
     every corpus file."""
@@ -219,11 +237,11 @@ def run_corpus_and_reports(tmp_path, capsys):
 
 
 def test_placed_echelons_match_elimination_during_a_corpus_run(monkeypatch, tmp_path,
-                                                                capsys):
-    # every Echelon placed by `of_reduced` in a corpus run and in the CLI
-    # reports of every corpus file is re-eliminated from its rows, and each
-    # further add is mirrored on the re-eliminated twin; the two must agree
-    # at every step
+                                                                capsys, inputs):
+    # every Echelon placed by `of_reduced` in a corpus run, in the CLI
+    # reports of every corpus file and in fresh builds of the seeded inputs
+    # is re-eliminated from its rows, and each further add is mirrored on
+    # the re-eliminated twin; the two must agree at every step
     placed_by = Echelon.__dict__["of_reduced"].__func__
     add = Echelon.add
     twins: dict = {}
@@ -250,6 +268,7 @@ def test_placed_echelons_match_elimination_during_a_corpus_run(monkeypatch, tmp_
     monkeypatch.setattr(Echelon, "of_reduced", classmethod(spy_of_reduced))
     monkeypatch.setattr(Echelon, "add", spy_add)
     run_corpus_and_reports(tmp_path, capsys)
+    fresh_algebras(inputs[len(CORPUS):])
     assert counts["placed"] >= 400 and counts["adds"] >= 150, counts
 
 

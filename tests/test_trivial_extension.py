@@ -99,7 +99,9 @@ def test_new_arrows_match_the_block_scan_reference(algebras, extensions):
                for name in ("dual_numbers", "path_a2")]
     rng, fields = random.Random(20151109), ["field Q", "field F 3", "field F 5"]
     seeded = 0
-    while seeded < 24:
+    for _ in range(10 * 24):
+        if seeded == 24:
+            break
         pres = random_presentation(rng, rng.random() < 0.5, fields[seeded % 3],
                                    bound=rng.choice([None, None, 3]))
         try:
@@ -107,6 +109,8 @@ def test_new_arrows_match_the_block_scan_reference(algebras, extensions):
         except (AlgebraBuildError, PathBudgetExceeded):
             continue
         seeded += 1
+    if seeded < 24:
+        pytest.fail(f"{10 * 24} seeded presentations gave {seeded} that build, not 24")
     several = 0
     for A in inputs:
         tri = trivial_extension(A)
@@ -116,6 +120,23 @@ def test_new_arrows_match_the_block_scan_reference(algebras, extensions):
     # multi-vertex inputs whose new arrows lie in several blocks occur, so
     # the order of the blocks is tested
     assert several >= 10, several
+
+
+def test_new_arrows_reference_fails_when_every_build_raises(algebras, extensions,
+                                                           monkeypatch):
+    # a fault that refuses every seeded presentation ends the search with a
+    # failure, after the bounded number of attempts, instead of a hang
+    tried = 0
+
+    def refuse(pres, **kw):
+        nonlocal tried
+        tried += 1
+        raise AlgebraBuildError("refused")
+
+    monkeypatch.setattr(sys.modules[__name__], "build_algebra", refuse)
+    with pytest.raises(pytest.fail.Exception, match="240 seeded presentations gave 0 that"):
+        test_new_arrows_match_the_block_scan_reference(algebras, extensions)
+    assert tried == 240
 
 
 def test_new_arrow_images_form_socle_dual_basis(extensions):
