@@ -24,17 +24,22 @@ PATH_BUDGET paths raises PathBudgetExceeded.
 Radicals, socles, Loewy lengths and the structural predicates (local,
 selfinjective, weak socle condition) are all plain exact linear algebra
 over the ground field; every subspace of an algebra, such as a radical
-power or a socle, is an `Echelon` on its basis coordinates.  One walk,
-`arrow_layers`, multiplies the idempotents by the arrows layer by layer,
-computing g v only when the support of v meets the nonzero columns of
-the arrow's row, and one elimination over its layers, deepest first
-(`layer_sums`), gives both their span and the radical powers.
-`FDAlgebra.validate` checks that the layers span A and then proves
-associativity from arrow triples; T(A) instead has its table read
-against A's (`trivial_extension.validate_extension`), as A ⋉ DA is
-associative once A is.  The table reads of the Peirce, grading and block
-checks, of that table check and of the walk visit the nonzero entries
-only: `nonzero_columns` skips the empty slots of a row.  The socles are
+power or a socle, is an `Echelon` on its basis coordinates.
+`FDAlgebra.validate` proves that the idempotents and arrows generate A
+from table reads, reaching each basis element as the one new term of an
+arrow times a reached one, and then proves associativity from arrow
+triples; T(A) instead has its table read against A's
+(`trivial_extension.validate_extension`), as A ⋉ DA is associative once
+A is.  One walk, `arrow_layers`, multiplies the idempotents by the arrows
+layer by layer, computing g v only when the support of v meets the
+nonzero columns of the arrow's row, and one elimination over its layers,
+deepest first (`layer_sums`), gives both their span and the radical
+powers.  It is derived when the radical chain is first read, or when the
+reads of the generation check do not close, which it then decides; an
+algebra that is only validated walks no layers.  The table reads of the
+Peirce, generation, grading and block checks, of that table check and of
+the walk visit the nonzero entries only: `nonzero_columns` skips the
+empty slots of a row.  The socles are
 two kernels, each the `Echelon` that `row_reduce` returns, and the
 bimodule socle is their intersection, read as a kernel on the left
 kernel's rows and placed without elimination; those of a trivial
@@ -181,9 +186,22 @@ class FDAlgebra:
         return True
 
     def check_generation(self) -> bool:
-        """The idempotents and the arrows generate the algebra: the sum of
-        the arrow layers, the first of the `layer_sums`, is all of it."""
-        return layer_sums(self)[0].rank == self.dim
+        """The idempotents and the arrows generate the algebra: the sum V of
+        the arrow layers, the first of the `layer_sums`, is all of it.
+
+        First a proof from table reads alone (`_generation_by_reads`).  The
+        reached set R starts as the idempotents.  For each reached b_j and
+        each arrow g, T[g][j] is read off the nonzero columns of the arrow
+        rows; when its support has exactly one element b_k outside R, b_k
+        joins R.  This is sound: V is closed under v -> g v, so
+        c b_k = g b_j - (terms in R) lies in V, with c != 0, and by
+        induction R lies in V.  When R ends as the whole basis, V = A.
+        Otherwise the walk decides: V is S_0 of `layer_sums`, which is
+        derived only then.  So the verdict is always that of the walk, and
+        an algebra whose radical chain nobody reads is validated with no
+        elimination.
+        """
+        return _generation_by_reads(self) or layer_sums(self)[0].rank == self.dim
 
     def check_associativity(self) -> bool:
         """(x y) z == x (y z) for all x, y, z, proved from arrow triples.
@@ -257,6 +275,33 @@ def nonzero_columns(row):
     list) of a structure table; the empty slots are skipped in C, with no
     Python step each."""
     return compress(range(len(row)), row)
+
+
+def _generation_by_reads(A: FDAlgebra) -> bool:
+    """True when the table reads of `FDAlgebra.check_generation` reach
+    every basis element from the idempotents; False says nothing."""
+    T, reached = A.table, bytearray(A.dim)
+    products = [[] for _ in T]  # j -> the nonzero T[g][j] over the arrows g
+    for g in A.arrows:
+        Tg = T[g]
+        for j in nonzero_columns(Tg):
+            products[j].append(Tg[j])
+    todo = list(A.idempotent_indices)
+    for e in todo:
+        reached[e] = 1
+    for j in todo:  # grows as the b_k join R
+        for prod in products[j]:
+            new = None
+            for k in prod:
+                if not reached[k]:
+                    if new is not None:
+                        break  # a second term outside R
+                    new = k
+            else:
+                if new is not None:
+                    reached[new] = 1
+                    todo.append(new)
+    return all(reached)
 
 
 def span_products(A: FDAlgebra, left: Echelon, right: Echelon) -> Echelon:
@@ -569,8 +614,9 @@ def layer_sums(A: FDAlgebra) -> list[Echelon]:
     layers L_0, ..., L_m, from one elimination, deepest layer first: S_k is
     the span once the rows of L_m, ..., L_k are added, and each S_k with
     k >= 1 is kept as a copy.  S_0 is the span the idempotents and arrows
-    generate, which `check_generation` reads and `radical_chain` takes as
-    A; the others are the radical powers."""
+    generate, which `radical_chain` takes as A and `check_generation`
+    reads when its table reads do not close; the others are the radical
+    powers."""
     layers = arrow_layers(A)
     span, sums = Echelon(A.field, A.dim), []
     for k in range(len(layers) - 1, -1, -1):

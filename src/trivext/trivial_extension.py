@@ -145,7 +145,9 @@ def validate_extension(A: FDAlgebra, T: FDAlgebra):
     deg b_v = deg b_w + deg b_u, and deg b_w* = s+1-deg b_w is
     deg b_u + deg b_v*; likewise for b_v* b_w.  The Peirce, generation and
     grading checks still run: they read the idempotents, the new arrows
-    and the degrees, which the table check does not.
+    and the degrees, which the table check does not.  Generation is proved
+    from table reads where they close, so T's arrow layers are walked only
+    when its radical chain is read or those reads do not close.
     """
     T._validate(lambda: _is_extension_table(A, T), "the table of T(A) is not A ⋉ DA")
 

@@ -428,6 +428,12 @@ def radical_chain_by_layers(X) -> list:
         for k in range(1, len(layers) + 1)]
 
 
+def generation_by_layer_walk(X) -> bool:
+    """The former `FDAlgebra.check_generation`: the rows of every arrow
+    layer span X."""
+    return Echelon(X.field, X.dim, [v for L in arrow_layers(X) for v in L.rows]).rank == X.dim
+
+
 def arrow_layers_by_every_product(X) -> list:
     """The former `arrow_layers`: every g v over the arrows g and the rows
     v of the last layer is multiplied out over the whole arrow row, the

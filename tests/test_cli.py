@@ -502,7 +502,8 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
     res = json.loads(out)["result"]
     summaries = [res["algebra"], res["extension"]]
     assert all(s["selfinjective"] for s in summaries)
-    # one arrow walk serves validation and the radical chain; the socles
+    # one arrow walk serves the radical chain, and validation adds none,
+    # as it proves generation by table reads; the socles
     # of A take one left and one right kernel, and the bimodule socle is
     # their intersection, not a third kernel over all of A; those of T(A)
     # are read off its construction, with no kernel
@@ -510,6 +511,37 @@ def test_trivext_derives_structure_once_per_algebra(capsys, monkeypatch, tmp_pat
     assert sorted(X.dim for X in layers) == dims
     assert set(layers.values()) == {1}
     assert {X.dim: n for X, n in annihilators.items()} == {res["algebra"]["dimension"]: 2}
+
+
+def test_extended_verdict_walks_no_arrow_layers(capsys, monkeypatch, tmp_path):
+    # verdict --extend validates A and T(A) but reads neither radical
+    # chain, so generation is proved by table reads on every corpus file
+    # and no arrow layers are derived, counted as above
+    layers, checked = Counter(), Counter()
+    arrow_layers = trivext.algebra.arrow_layers
+    check_generation = trivext.algebra.FDAlgebra.check_generation
+
+    def count_layers(A):
+        layers[A] += 1
+        return arrow_layers(A)
+
+    def count_checks(A):
+        checked[A] += 1
+        return check_generation(A)
+
+    monkeypatch.setattr(trivext.algebra, "arrow_layers", count_layers)
+    monkeypatch.setattr(trivext.algebra.FDAlgebra, "check_generation", count_checks)
+    for entry in CORPUS:
+        f = tmp_path / f"{entry.name}.quiver"
+        f.write_text(corpus_text(entry.name))
+        for extra in ([], ["--hh-check", "2"]):
+            checked.clear()
+            code, _out, _ = run(capsys, "verdict", str(f), "--extend", *extra)
+            assert code in (0, 3), (entry.name, extra)
+            # A and T(A) were both validated
+            dims = sorted(X.dim for X in checked)
+            assert len(dims) == 2 and dims[1] == 2 * dims[0], (entry.name, extra)
+            assert not layers, (entry.name, extra)
 
 
 def test_verdict_verifies_the_cycle_once(capsys, monkeypatch, dual_file):

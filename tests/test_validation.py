@@ -8,16 +8,17 @@ from itertools import product
 
 import pytest
 
-from trivext.algebra import AlgebraBuildError, arrow_layers
+from trivext.algebra import AlgebraBuildError, FDAlgebra, _generation_by_reads, arrow_layers
 from trivext.criteria import find_two_truncated_cycle
-from trivext.linalg import Echelon
+from trivext.linalg import QQ, Echelon
 from trivext.trivial_extension import (_is_extension_table, trivial_extension,
                                        validate_extension)
 
 from reference import (arrow_layers_by_every_product, associativity_by_slots,
-                       graded_products_by_slots, is_extension_table_by_slots,
-                       peirce_by_sandwiches, peirce_by_slots)
-from test_algebra import seeded_algebras
+                       generation_by_layer_walk, graded_products_by_slots,
+                       is_extension_table_by_slots, peirce_by_sandwiches,
+                       peirce_by_slots)
+from test_algebra import arrow_prefix_inputs, arrow_prefixes, seeded_algebras
 
 SMALL = ["semisimple_k", "dual_numbers", "local_two_loops", "semisimple_k2",
          "nakayama_cycle_2", "nakayama_cycle_3", "path_a2"]  # dim T(A) <= 16
@@ -52,6 +53,17 @@ def perturbed(X, i, j, k):
     return Y
 
 
+def dropped_entries(X):
+    """((i, j, k), copy of X whose b_i * b_j leaves out its term at b_k)
+    for every nonzero entry of X's table."""
+    for i, j in product(range(X.dim), repeat=2):
+        for k in X.table[i][j]:
+            Y = copy.copy(X)
+            Y.table = [list(row) for row in X.table]
+            Y.table[i][j] = {l: c for l, c in X.table[i][j].items() if l != k}
+            yield (i, j, k), Y
+
+
 def small_algebras(algebras, extensions):
     for name in SMALL:
         yield name, algebras[name]
@@ -82,7 +94,7 @@ def test_validate_agrees_with_references_on_every_perturbation(algebras, extensi
         assert accepted(X) and associative_on_all_triples(X), name
         for i, j, k in product(range(X.dim), repeat=3):
             Y = perturbed(X, i, j, k)
-            want = (peirce_by_sandwiches(Y) and Y.check_generation()
+            want = (peirce_by_sandwiches(Y) and generation_by_layer_walk(Y)
                     and associative_on_all_triples(Y) and Y.check_graded_products())
             assert accepted(Y) == want, (name, i, j, k)
             outcomes.append(want)
@@ -151,6 +163,76 @@ def test_an_arrow_edited_into_a_loop_fails_validation(extensions):
         validate_extension(extensions["path_a2"].base, T)
 
 
+def degree_two_tail(products):
+    """The algebra over Q on e, x, y, p, q with one vertex, arrows x and y,
+    p and q in degree 2, the products of two arrows given as
+    {(i, j): b_i b_j}, and every other product of two radical elements
+    zero."""
+    one = QQ.one()
+    table = [[{} for _ in range(5)] for _ in range(5)]
+    for k in range(5):
+        table[0][k] = table[k][0] = {k: one}
+    for (i, j), prod in products.items():
+        table[i][j] = {k: QQ.coerce(c) for k, c in prod.items()}
+    return FDAlgebra(QQ, ["e", "x", "y", "p", "q"], ["v"], [0], [(0, 0)] * 5,
+                     table, [1, 2], degrees=[0, 1, 1, 2, 2])
+
+
+def two_term_squares():
+    """k<x,y>/(x², y², xyx, yxy) on the degree-2 basis p = yx + xy and
+    q = yx - xy: each product of two arrows has both p and q in its
+    support, so the table reads reach e, x and y only, yet the arrows
+    generate."""
+    return degree_two_tail({(1, 2): {3: (1, 2), 4: (-1, 2)},   # xy = (p - q) / 2
+                            (2, 1): {3: (1, 2), 4: (1, 2)}})   # yx = (p + q) / 2
+
+
+def one_sum_in_degree_two():
+    """x² = yx = p + q, and xy = y² = 0: the arrows generate e, x, y and
+    p + q, not all of it, though a read that took one of p, q from the
+    first product would take the other from the second."""
+    return degree_two_tail({(1, 1): {3: 1, 4: 1}, (2, 1): {3: 1, 4: 1}})
+
+
+def test_generation_by_reads_agrees_with_the_layer_walk(algebras, extensions):
+    # check_generation against the former walk: on the arrow prefixes,
+    # where proper subalgebras make the reads fail and the walk say False;
+    # on every perturbation of the small A and T(A) and every fill of them
+    # with one nonzero entry left out; on an algebra the reads cannot
+    # prove generated; and on one that the arrows do not generate, where
+    # every product of two arrows is a sum of two basis elements.  The
+    # reads close only where the walk says True.
+    # Mutants each fails: no fallback on the walk; a product with two
+    # unreached terms accepted; R seeded with the arrows as well
+    seen = Counter()
+
+    def agree(Y, kind, at):
+        want = generation_by_layer_walk(Y)
+        by_reads = _generation_by_reads(Y)
+        assert Y.check_generation() == want, (kind, at)
+        assert want or not by_reads, (kind, at)
+        seen[kind, want, by_reads] += 1
+
+    for X in arrow_prefix_inputs(algebras, extensions, seeded_algebras()):
+        for n, Y in arrow_prefixes(X):
+            agree(Y, "prefix", (X, n))
+    for name, X in small_algebras(algebras, extensions):
+        for i, j, k in product(range(X.dim), repeat=3):
+            agree(perturbed(X, i, j, k), "perturbed", (name, i, j, k))
+        for at, Y in dropped_entries(X):
+            agree(Y, "dropped", (name, at))
+    X, Y = two_term_squares(), one_sum_in_degree_two()
+    assert accepted(X) and associative_on_all_triples(X)
+    assert associative_on_all_triples(Y) and Y.check_peirce() and Y.check_graded_products()
+    agree(Y, "one sum", Y)
+    agree(X, "two terms", X)
+    assert seen["one sum", False, False] == seen["two terms", True, False] == 1
+    # both verdicts, and the fallback on the walk, occur among the inputs
+    assert seen["prefix", True, True] and seen["prefix", False, False], seen
+    assert seen["prefix", True, False] and seen["perturbed", True, False], seen
+    assert seen["dropped", True, True] and seen["dropped", False, False], seen
+
+
 def test_validate_rejects_arrows_that_do_not_generate(extensions):
     tri = extensions["dual_numbers"]
     T = copy.deepcopy(tri.T)
@@ -203,14 +285,10 @@ def test_extension_check_rejects_every_dropped_entry(extensions):
     messages = Counter()
     for name, tri in extensions.items():
         A, T = tri.base, tri.T
-        for i, j in product(range(T.dim), repeat=2):
-            for k in T.table[i][j]:
-                Y = copy.copy(T)
-                Y.table = [list(row) for row in T.table]
-                Y.table[i][j] = {l: c for l, c in T.table[i][j].items() if l != k}
-                failure = extension_failure(A, Y)
-                assert failure is not None, (name, i, j, k)
-                messages[failure] += 1
+        for at, Y in dropped_entries(T):
+            failure = extension_failure(A, Y)
+            assert failure is not None, (name, at)
+            messages[failure] += 1
     # idempotent and generator entries trip the earlier checks
     assert messages == {"idempotent or Peirce axioms fail": 119,
                         "the idempotents and arrows do not generate the algebra": 15,
