@@ -15,7 +15,7 @@ from .dsl import (DSLError, Presentation, RelationExpr, parse_presentation,
 from .hochschild import HHReport, hh_dims
 from .linalg import (GF, QQ, Echelon, FieldMismatchError, GroundField,
                      IntPolynomial, poly_det, row_reduce)
-from .quiver import Arrow, CompositionError, Path, Quiver, compose, enumerate_paths
+from .quiver import Arrow, CompositionError, Path, Quiver, compose
 # the function `trivial_extension` is not re-exported, so that the attribute
 # `trivext.trivial_extension` stays the module of that name
 from .trivial_extension import (RelationSet, TrivialExtensionData,

@@ -1,21 +1,22 @@
 """Finite dimensional quiver algebras as exact structure constants.
 
 An algebra kQ/I is realized on a basis of path normal forms.  An ideal
-grows by one step, `_pushed`: vectors multiplied by an arrow on either
-side through the index maps of `path_layer`, whose layers are lists of
-arrow-index words; the walks build no `Path`, and `build_algebra` makes
-one only for each basis path.  When the relations are
-homogeneous for some admissible weighting of the arrows (explicit
-degrees, or path length), one walk, `quotient_slices`, grows the path
-layers and pushes the rows of earlier slices into each new one with
-`ideal_slice`, which places the pushes p -> p*a as rows that are already
-reduced and eliminates only the pushes p -> a*p; the walk stops once a
-full window of consecutive slices dies,
-which certifies that every longer path lies in the ideal; the same walk
-extracts the relations of T(A) in `relations_up_to`.  Otherwise an
-explicit nilpotency bound is required: the ideal is closed on one
-`Echelon` over all paths up to the bound, pushing each round only the
-vectors that enlarged it, with the terms past the bound truncated.
+grows by multiplying vectors by an arrow on either side through the
+index maps of `path_layer`, whose layers are lists of arrow-index words;
+the walks build no `Path`, and `build_algebra` makes one only for each
+basis path.  When the relations are homogeneous for the weight the
+quiver gives its arrows (their degrees, or 1 each when untagged), one
+walk, `quotient_slices`, grows the path layers and pushes the rows of
+earlier slices into each new one with `ideal_slice` (`_pushed_whole`),
+which places the pushes p -> p*a as rows that are already reduced and
+eliminates only the pushes p -> a*p; the walk stops once a window of
+consecutive slices as wide as the largest arrow weight dies, which
+certifies that every longer path lies in the ideal.  The same walk, on
+T(A)'s arrows with their degrees left off, extracts the relations of
+T(A) by length in `relations_up_to`.  Otherwise an explicit nilpotency
+bound is required: the ideal is closed on one `Echelon` over all paths
+up to the bound, pushing (`_pushed`) each round only the vectors that
+enlarged it, with the terms past the bound truncated.
 Either builder hands `build_algebra` the coordinate paths and the ideal's
 reduced echelon rows keyed by pivot, from which the basis, the degrees
 and every structure constant are read.  A path layer of more than
@@ -365,8 +366,7 @@ def _pushed_whole(rows, ext):
             yield out
 
 
-def quotient_slices(quiver: Quiver, field: GroundField, window: int,
-                    max_weight: int, by_length: bool = False):
+def quotient_slices(quiver: Quiver, field: GroundField, max_weight: int):
     """Walk kQ modulo a homogeneous two-sided ideal one weight slice at a time.
 
     Yields (w, layer, steps, ideal) for w = 0, 1, ...: the path layer of
@@ -374,12 +374,16 @@ def quotient_slices(quiver: Quiver, field: GroundField, window: int,
     its index maps (see `path_layer`) and the slice of the
     ideal pushed from the earlier slices by `ideal_slice`.  The caller adds
     its weight-w generators to `ideal` before asking for the next slice.
-    The walk stops after `window` consecutive slices that hold every path;
-    when `window` is at least the largest arrow weight, every longer path
-    is then in the ideal.  Only the last `window` slices are kept.  Raises
+    The walk stops after a window of consecutive slices that hold every
+    path, the window being the largest arrow weight (1 on an untagged
+    quiver or one without arrows).  Every longer path is then in the
+    ideal: dropping its arrows one at a time, each of weight at most the
+    window, its weight falls into the window, so it is a multiple of a
+    path there.  Only the last window of slices is kept.  Raises
     AdmissibilityError past `max_weight`, and PathBudgetExceeded (from
     `path_layer`) when a layer outgrows PATH_BUDGET.
     """
+    window = max((a.degree or 1) for a in quiver.arrows) if quiver.arrows else 1
     layers: dict[int, tuple] = {}
     ideals: dict[int, Echelon] = {}
     w = streak = 0
@@ -389,7 +393,7 @@ def quotient_slices(quiver: Quiver, field: GroundField, window: int,
                 f"no window of {window} empty weight slices up to weight "
                 f"{max_weight}; the presentation may not define a finite "
                 "dimensional algebra")
-        layer, steps = path_layer(quiver, layers, w, by_length)
+        layer, steps = path_layer(quiver, layers, w)
         width = len(layer[2])
         ideal = ideal_slice(field, width,
                             [(ideals[v], right, left) for v, right, left in steps])
@@ -410,7 +414,6 @@ def _build_homogeneous(pres: Presentation, max_weight: int):
     a larger weight lies in the ideal.
     """
     q, f = pres.quiver, pres.field
-    window = max((a.degree or 1) for a in q.arrows) if q.arrows else 1
     by_weight: dict[int, list] = {}
     for rel in pres.relations:
         by_weight.setdefault(next(iter(rel.weights())), []).append(rel)
@@ -418,7 +421,7 @@ def _build_homogeneous(pres: Presentation, max_weight: int):
     words: list[tuple] = []
     rows: dict[int, dict] = {}
     for w, (w_starts, _ends, w_words), _steps, ideal in quotient_slices(
-            q, f, window, max_weight):
+            q, f, max_weight):
         if w in by_weight:
             # relation terms have length >= 2, so their words are not empty
             index = {word: k for k, word in enumerate(w_words)}

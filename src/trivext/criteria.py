@@ -30,7 +30,6 @@ class TruncatedCycleCertificate:
     arrow_names: list
     arrow_indices: list
     base_vertex: str
-    evaluations: list  # (later name, earlier name) pairs, products all zero
 
     @property
     def length(self) -> int:
@@ -42,7 +41,8 @@ class TruncatedCycleCertificate:
             "arrows": list(self.arrow_names),
             "base_vertex": self.base_vertex,
             "length": self.length,
-            "zero_products": [{"later": a, "earlier": b} for a, b in self.evaluations],
+            "zero_products": [{"later": a, "earlier": b} for a, b in zip(
+                self.arrow_names[1:] + self.arrow_names[:1], self.arrow_names)],
         }
 
 
@@ -102,8 +102,7 @@ def find_two_truncated_cycle(A: FDAlgebra, among=None):
     cert = TruncatedCycleCertificate(
         arrow_names=names,
         arrow_indices=seq,
-        base_vertex=A.vertex_names[A.peirce[A.arrows[start]][0]],
-        evaluations=list(zip(names[1:] + names[:1], names)))
+        base_vertex=A.vertex_names[A.peirce[A.arrows[start]][0]])
     if not verify_cycle_certificate(A, cert):
         raise RuntimeError("cycle extraction produced a non-composable pair "
                            "or a nonzero product")
@@ -225,22 +224,22 @@ def trivial_extension_determinant_shape(g: GradedCartanData) -> DeterminantShape
     trivial extension with top degree s+1: the degree-0 and top-degree
     components are identity matrices, each entry minus its forced diagonal
     part has zero constant term and degree at most s, and the determinant
-    is monic of degree exactly r(s+1) with constant term 1."""
+    is monic of degree exactly r(s+1) with constant term 1.
+
+    Entry ij minus its forced part is sum_l C^l_ij x^l - d_ij(1 + x^top),
+    where C^l is the degree-l component and d the Kronecker delta.  For
+    top >= 1 its constant term is C^0_ij - d_ij, its x^top coefficient
+    C^top_ij - d_ij and it has no higher term, so the two offset flags read
+    the corners.  For top = 0 the forced part is 2 d_ij, which no degree-0
+    component meets: its diagonal counts the idempotents, one each, as
+    `graded_cartan` checks, so both offset flags are False there."""
     r, top = g.r, g.top_degree
     ident = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    corners = g.components[0] == ident and g.components[top] == ident
-
-    offsets_const = True
-    offsets_deg = True
-    for i in range(r):
-        for j in range(r):
-            p = g.matrix[i][j]
-            if i == j:
-                p = p - IntPolynomial((1,)) - IntPolynomial.x_power(top)
-            if p.constant_term != 0:
-                offsets_const = False
-            if p.degree > top - 1:
-                offsets_deg = False
+    bottom_identity = g.components[0] == ident
+    top_identity = g.components[top] == ident
+    corners = bottom_identity and top_identity
+    offsets_const = top >= 1 and bottom_identity
+    offsets_deg = top >= 1 and top_identity
 
     det = g.determinant
     report = DeterminantShapeReport(

@@ -466,10 +466,6 @@ class IntPolynomial:
                 raise TypeError(f"integer coefficients required, got {c!r}")
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x_power(cls, k: int) -> "IntPolynomial":
-        return cls((0,) * k + (1,))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

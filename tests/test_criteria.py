@@ -7,13 +7,13 @@ import pytest
 
 from trivext.algebra import build_algebra
 from trivext.corpus import load_corpus_algebra
-from trivext.criteria import (CartanShapeError, TruncatedCycleCertificate,
+from trivext.criteria import (CartanShapeError, GradedCartanData, TruncatedCycleCertificate,
                               _bfs_exact, cartan_criterion,
                               find_two_truncated_cycle, graded_cartan,
                               hhdim_verdict, trivial_extension_determinant_shape,
                               verify_cycle_certificate, zero_composition_graph)
 from trivext.dsl import parse_presentation
-from trivext.linalg import IntPolynomial
+from trivext.linalg import IntPolynomial, poly_det
 from trivext.trivial_extension import trivial_extension
 
 from reference import bfs_by_scan
@@ -178,13 +178,10 @@ def scc_two_truncated_cycle(A, among=None):
     seq = [start]
     for step in range(1, best):
         seq.append(min(w for w in adj[seq[-1]] if w in reach[best - step]))
-    names = [A.basis_labels[A.arrows[i]] for i in seq]
-    n = len(seq)
     return TruncatedCycleCertificate(
-        arrow_names=names,
+        arrow_names=[A.basis_labels[A.arrows[i]] for i in seq],
         arrow_indices=list(seq),
-        base_vertex=A.vertex_names[A.peirce[A.arrows[seq[0]]][0]],
-        evaluations=[(names[(i + 1) % n], names[i]) for i in range(n)])
+        base_vertex=A.vertex_names[A.peirce[A.arrows[seq[0]]][0]])
 
 
 class GraphAlgebra:
@@ -222,6 +219,11 @@ def test_cycle_search_matches_scc_reference(algebras, extensions):
         for among in (None, new):
             got = find_two_truncated_cycle(X, among=among)
             assert got == scc_two_truncated_cycle(X, among), (X, among)
+            if got is not None:
+                # each arrow times the one before it, the wrap-around included
+                names, n = got.arrow_names, got.length
+                assert got.to_json()["zero_products"] == [
+                    {"later": names[(i + 1) % n], "earlier": names[i]} for i in range(n)]
             outcomes.add((among is None, got is None))
     # both outcomes occur with and without the restriction
     assert len(outcomes) == 4
@@ -266,7 +268,7 @@ def test_certificate_rejects_tampering(extensions):
     cert = find_two_truncated_cycle(T)
     assert verify_cycle_certificate(T, cert)
     bad = type(cert)(arrow_names=["a", "a"], arrow_indices=[0, 0],
-                     base_vertex="1", evaluations=[])
+                     base_vertex="1")
     assert not verify_cycle_certificate(T, bad)
 
 
@@ -378,6 +380,30 @@ def test_determinant_shape_raises_on_wrong_input(algebras):
     g = graded_cartan(algebras["path_a2"])
     with pytest.raises(CartanShapeError):
         trivial_extension_determinant_shape(g)
+
+
+def test_determinant_shape_offsets_at_top_degree_zero(algebras):
+    # at top degree 0 the forced diagonal part 1 + x^0 is 2, which no
+    # degree-0 component meets, so both offset flags are False and k, whose
+    # corners are identities and whose determinant is 1, still fails
+    with pytest.raises(CartanShapeError, match="offsets_zero_constant_term=False, "
+                                               "offsets_degree_bounded=False"):
+        trivial_extension_determinant_shape(graded_cartan(algebras["semisimple_k"]))
+
+
+def test_determinant_shape_reads_the_top_component(extensions):
+    # one off-diagonal entry of T(path_a2)'s top-degree component raised by
+    # one: that entry minus its forced part then has degree top, past top - 1
+    g = graded_cartan(extensions["path_a2"].T)
+    comps = [[list(row) for row in c] for c in g.components]
+    comps[g.top_degree][0][1] += 1
+    rows = [[IntPolynomial([comps[l][i][j] for l in range(g.top_degree + 1)])
+             for j in range(g.r)] for i in range(g.r)]
+    bad = GradedCartanData(r=g.r, top_degree=g.top_degree, components=comps,
+                           matrix=rows, determinant=poly_det(rows))
+    with pytest.raises(CartanShapeError, match="offsets_zero_constant_term=True, "
+                                               "offsets_degree_bounded=False"):
+        trivial_extension_determinant_shape(bad)
 
 
 # -- the verdict engine --------------------------------------------------------

@@ -227,8 +227,18 @@ def unnamed_definitions(defining: list[Path], reading: list[Path]) -> list[str]:
     return unnamed
 
 
+# definitions that only the package's re-exports name: API for library
+# users, not dead code
+LIBRARY_ONLY = {
+    # the DSL's inverse, which an emitter of T(A) as .quiver text will call
+    "dsl.serialize_presentation",
+}
+
+
 def test_every_definition_is_named():
-    assert unnamed_definitions(PACKAGE, PACKAGE + BENCH) == []
+    # the imports of __init__.py re-export names and do not use them, so
+    # that a definition only they name shows up here
+    assert set(unnamed_definitions(PACKAGE, MODULES + BENCH)) == LIBRARY_ONLY
 
 
 def test_detector_flags_an_unnamed_definition(tmp_path):

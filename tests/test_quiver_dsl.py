@@ -5,10 +5,10 @@ import pytest
 from trivext.dsl import (DSLError, parse_presentation, serialize_presentation)
 from trivext.linalg import GF, QQ
 from trivext.quiver import (Arrow, CompositionError, Path, Quiver, QuiverError,
-                            compose, enumerate_paths, path_layer,
+                            compose, path_layer,
                             PathBudgetExceeded, PATH_BUDGET)
 
-from reference import path_layer_of_paths
+from reference import path_layer_of_paths, paths_up_to_length
 
 FIVE_VERTEX = """
 field Q
@@ -250,13 +250,13 @@ def test_compose_associative_when_defined():
 
 def test_enumerate_paths_examples():
     one = Quiver(["v"], [])
-    assert [p.label() for p in enumerate_paths(one, 3)] == ["e_v"]
+    assert [p.label() for p in paths_up_to_length(one, 3)] == ["e_v"]
 
     loop = Quiver(["v"], [Arrow("x", "v", "v")])
-    assert [p.label() for p in enumerate_paths(loop, 2)] == ["e_v", "x", "x*x"]
+    assert [p.label() for p in paths_up_to_length(loop, 2)] == ["e_v", "x", "x*x"]
 
     five = _five_quiver()
-    paths = enumerate_paths(five, 3)
+    paths = paths_up_to_length(five, 3)
     assert len(paths) == 14
     labels = {p.label() for p in paths}
     assert {"beta*alpha", "delta*gamma", "eps*delta", "eps*delta*gamma"} <= labels
@@ -264,7 +264,7 @@ def test_enumerate_paths_examples():
 
 def test_enumerate_paths_no_duplicates_closed_under_subpaths():
     q = _five_quiver()
-    paths = enumerate_paths(q, 3)
+    paths = paths_up_to_length(q, 3)
     labels = [p.label() for p in paths]
     assert len(labels) == len(set(labels))
     label_set = set(labels)
@@ -281,7 +281,7 @@ def test_enumerate_paths_no_duplicates_closed_under_subpaths():
 
 def test_enumerate_paths_sorted_by_length_then_lex():
     q = Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
-    labels = [p.label() for p in enumerate_paths(q, 2)]
+    labels = [p.label() for p in paths_up_to_length(q, 2)]
     # lexicographic in application order: (), (x), (y), (x,x), (x,y), (y,x),
     # (y,y); labels read function-order, i.e. reversed
     assert labels == ["e_v", "x", "y", "x*x", "y*x", "x*y", "y*y"]
@@ -353,6 +353,9 @@ def test_path_layer_index_maps():
 
 def test_path_layer_budget():
     q = Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
-    assert len(enumerate_paths(q, 14)) == 2 ** 15 - 1   # 16 384 paths of length 14
+    layers = []
+    for w in range(15):
+        layers.append(path_layer(q, layers, w)[0])
+    assert len(layers[14][2]) == 2 ** 14   # 16 384 paths of length 14
     with pytest.raises(PathBudgetExceeded, match=str(PATH_BUDGET)):
-        enumerate_paths(q, 15)
+        path_layer(q, layers, 15)
