@@ -4,8 +4,15 @@ Commands: info, trivext, verdict, cartan, hh, corpus.  Reports go to
 stdout as JSON (or readable text with --pretty) and are byte-identical
 across runs on the same input and options; wall-clock timing is only
 included when --timing is passed.  Exit codes: 0 success/certified,
-2 input error, 3 unknown verdict, 4 resource cap hit.
-"""
+1 corpus failure, 2 input error, 3 unknown verdict, 4 resource cap hit.
+
+Every command runs through one protocol in `main`: it checks the integer
+options, reads and hashes the file and builds A (every command but
+corpus), and calls the command's `cmd_*` function on A.  That function
+returns its result, exit code and error line.  `main` wraps the result in
+the report envelope and prints it, then prints the error line, if any, to
+stderr and returns the code.  An input error or a path budget raised on
+the way prints no report: only its error line, with exit code 2 or 4."""
 
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ from .trivial_extension import (check_new_products_vanish, relations_up_to,
                                 trivial_extension)
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_CAP = 4
@@ -53,13 +61,18 @@ def _tuple_cap() -> int:
     return cap
 
 
-def _cap_error(B: FDAlgebra, report, cap: int) -> None:
-    """The error line of a report the tuple cap truncated: the chain
-    module over the cap, its dimension and the cap."""
+def _hh_under_cap(B: FDAlgebra, n: int, variant: str):
+    """`hh_dims` of B up to degree n under the tuple cap, the cap, and the
+    error line of a report the cap truncated (None if it did not): the
+    chain module over the cap, its dimension and the cap."""
+    cap = _tuple_cap()
+    report = hh_dims(B, n, variant=variant, cap=cap)
     k = report.truncated_at
-    size = chain_module(B, k, report.variant).dimension
-    print(f"error: dim C_{k} = {size} is over the tuple cap {cap} "
-          "(TRIVEXT_DIM_CAP)", file=sys.stderr)
+    if k is None:
+        return report, cap, None
+    size = chain_module(B, k, variant).dimension
+    return report, cap, (f"error: dim C_{k} = {size} is over the tuple cap {cap} "
+                         "(TRIVEXT_DIM_CAP)")
 
 
 def _load(path: str):
@@ -109,7 +122,7 @@ def _algebra_summary(A: FDAlgebra, new=()) -> dict:
     return out
 
 
-def _report(command: str, result: dict, input_digest=None, path=None) -> dict:
+def _report(command: str, result: dict, input_digest, path) -> dict:
     rep = {
         "schema": SCHEMA,
         "tool": {"name": "trivext", "version": __version__},
@@ -197,17 +210,11 @@ def _print_pretty(rep: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {val}")
 
 
-def cmd_info(args) -> int:
-    pres, digest = _load(args.file)
-    A = build_algebra(pres)
-    rep = _report("info", {"algebra": _algebra_summary(A)}, digest, args.file)
-    _emit(rep, args)
-    return EXIT_OK
+def cmd_info(A: FDAlgebra, args):
+    return {"algebra": _algebra_summary(A)}, EXIT_OK, None
 
 
-def cmd_trivext(args) -> int:
-    pres, digest = _load(args.file)
-    A = build_algebra(pres)
+def cmd_trivext(A: FDAlgebra, args):
     if args.graded and not A.is_graded:
         raise AlgebraBuildError("--graded requested but the algebra carries "
                                 "no grading")
@@ -226,14 +233,11 @@ def cmd_trivext(args) -> int:
             "complete": rels.complete,
         },
     }
-    rep = _report("trivext", result, digest, args.file)
-    _emit(rep, args)
-    return EXIT_OK
+    return result, EXIT_OK, None
 
 
-def cmd_verdict(args) -> int:
-    pres, digest = _load(args.file)
-    verdict = hhdim_verdict(build_algebra(pres), extend=args.extend)
+def cmd_verdict(A: FDAlgebra, args):
+    verdict = hhdim_verdict(A, extend=args.extend)
     result = {"verdict": verdict.to_json()}
     if verdict.cycle is not None:
         # find_two_truncated_cycle re-verifies every cycle it returns with
@@ -242,42 +246,29 @@ def cmd_verdict(args) -> int:
     if verdict.cartan is not None:
         result["cartan"] = verdict.cartan.to_json()
     code = EXIT_OK if verdict.is_infinite else EXIT_UNKNOWN
-    if args.hh_check is not None:
-        cap = _tuple_cap()
-        hh = hh_dims(verdict.algebra, args.hh_check, cap=cap)
-        result["hh_check"] = {
-            "dims": hh.dims,
-            "truncated_at": hh.truncated_at,
-            "corroborates_infinite": (hh.corroborates_infinite()
-                                      if verdict.is_infinite else None),
-        }
-    rep = _report("verdict", result, digest, args.file)
-    _emit(rep, args)
-    if args.hh_check is not None and hh.truncated_at is not None:
-        _cap_error(verdict.algebra, hh, cap)
-        return EXIT_CAP
-    return code
+    if args.hh_check is None:
+        return result, code, None
+    hh, _, line = _hh_under_cap(verdict.algebra, args.hh_check, "normalized")
+    result["hh_check"] = {
+        "dims": hh.dims,
+        "truncated_at": hh.truncated_at,
+        "corroborates_infinite": (hh.corroborates_infinite()
+                                  if verdict.is_infinite else None),
+    }
+    return result, code if line is None else EXIT_CAP, line
 
 
-def cmd_cartan(args) -> int:
-    pres, digest = _load(args.file)
-    A = build_algebra(pres)
+def cmd_cartan(A: FDAlgebra, args):
     if not A.is_graded:
         raise AlgebraBuildError("graded Cartan data needs a graded algebra "
                                 "(give arrow degrees or length-homogeneous "
                                 "relations)")
-    g = graded_cartan(A)
-    rep = _report("cartan", {"cartan": g.to_json()}, digest, args.file)
-    _emit(rep, args)
-    return EXIT_OK
+    return {"cartan": graded_cartan(A).to_json()}, EXIT_OK, None
 
 
-def cmd_hh(args) -> int:
-    pres, digest = _load(args.file)
-    A = build_algebra(pres)
-    cap = _tuple_cap()
+def cmd_hh(A: FDAlgebra, args):
     variant = "full" if args.full_bar else "normalized"
-    report = hh_dims(A, args.max, variant=variant, cap=cap)
+    report, cap, line = _hh_under_cap(A, args.max, variant)
     result = {
         "algebra": args.file,
         "variant": report.variant,
@@ -285,23 +276,15 @@ def cmd_hh(args) -> int:
         "truncated_at": report.truncated_at,
         "tuple_cap": cap,
     }
-    rep = _report("hh", result, digest, args.file)
-    _emit(rep, args)
-    if report.truncated_at is not None:
-        _cap_error(A, report, cap)
-        return EXIT_CAP
-    return EXIT_OK
+    return result, EXIT_OK if line is None else EXIT_CAP, line
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(_A, args):
     res = run_corpus()
-    rep = _report("corpus", res)
-    _emit(rep, args)
-    if not res["ok"]:
-        first = next(e["name"] for e in res["entries"] if not e["ok"])
-        print(f"corpus failure in entry {first}", file=sys.stderr)
-        return 1
-    return EXIT_OK
+    if res["ok"]:
+        return res, EXIT_OK, None
+    first = next(e["name"] for e in res["entries"] if not e["ok"])
+    return res, EXIT_FAILED, f"corpus failure in entry {first}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,20 +341,26 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     args._t0 = time.monotonic()
-    for flag, low in MINIMUM.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and value < low:
-            print(f"error: {flag} must be at least {low}, got {value}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+    path = getattr(args, "file", None)
     try:
-        return args.func(args)
+        for flag, low in MINIMUM.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < low:
+                raise DSLError(f"{flag} must be at least {low}, got {value}")
+        A = digest = None
+        if path is not None:
+            pres, digest = _load(path)
+            A = build_algebra(pres)
+        result, code, line = args.func(A, args)
     except (DSLError, AlgebraBuildError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, line = EXIT_INPUT, f"error: {exc}"
     except PathBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        code, line = EXIT_CAP, f"error: {exc}"
+    else:
+        _emit(_report(args.command, result, digest, path), args)
+    if line is not None:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

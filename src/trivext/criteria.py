@@ -28,7 +28,6 @@ class TruncatedCycleCertificate:
     product (later arrow times earlier arrow) evaluating to zero."""
 
     arrow_names: list
-    arrow_indices: list
     base_vertex: str
 
     @property
@@ -101,7 +100,6 @@ def find_two_truncated_cycle(A: FDAlgebra, among=None):
     names = [A.basis_labels[A.arrows[i]] for i in seq]
     cert = TruncatedCycleCertificate(
         arrow_names=names,
-        arrow_indices=seq,
         base_vertex=A.vertex_names[A.peirce[A.arrows[start]][0]])
     if not verify_cycle_certificate(A, cert):
         raise RuntimeError("cycle extraction produced a non-composable pair "
@@ -129,10 +127,11 @@ def _bfs_exact(preds, target):
 def verify_cycle_certificate(A: FDAlgebra, cert: TruncatedCycleCertificate) -> bool:
     """Standalone re-check of a cycle certificate: composability and the
     table entry of each consecutive pair of representatives, with each
-    arrow named by its basis label and its endpoints read off `A.peirce`."""
+    arrow named by its basis label and its endpoints read off `A.peirce`,
+    and the base vertex, which must be the source of the first arrow."""
     by_name = {A.basis_labels[k]: k for k in A.arrows}
     reps = [by_name.get(name) for name in cert.arrow_names]
-    if not reps or None in reps:
+    if not reps or None in reps or A.vertex_names[A.peirce[reps[0]][0]] != cert.base_vertex:
         return False
     return not any(A.peirce[earlier][1] != A.peirce[later][0] or A.table[later][earlier]
                    for earlier, later in zip(reps, reps[1:] + reps[:1]))

@@ -1,5 +1,7 @@
 """The command line surface: reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -301,6 +303,18 @@ def test_hh_command_and_cap(capsys, dual_file, monkeypatch):
     assert json.loads(out)["result"]["truncated_at"] is not None
     assert err == "error: dim C_0 = 2 is over the tuple cap 1 (TRIVEXT_DIM_CAP)\n"
 
+    # the full complex has 2^(k+1) tuples in degree k, so a cap of 3 cuts it
+    # at C_1 and the error line names that full chain module; the
+    # normalized one stays under the same cap
+    monkeypatch.setenv("TRIVEXT_DIM_CAP", "3")
+    code, out, err = run(capsys, "hh", dual_file, "--max", "3", "--full-bar")
+    assert code == 4
+    assert json.loads(out)["result"]["truncated_at"] == 1
+    assert err == "error: dim C_1 = 4 is over the tuple cap 3 (TRIVEXT_DIM_CAP)\n"
+    code, out, err = run(capsys, "hh", dual_file, "--max", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["truncated_at"] is None
+
 
 def test_reports_byte_identical(capsys, dual_file):
     _, out1, _ = run(capsys, "verdict", dual_file, "--extend", "--hh-check", "2")
@@ -428,9 +442,15 @@ def test_corpus_command_reports_failure(capsys, monkeypatch, corpus_result):
     broken = {**corpus_result, "ok": False,
               "entries": [{**corpus_result["entries"][0], "ok": False}]}
     monkeypatch.setattr("trivext.cli.run_corpus", lambda: broken)
-    code, _, err = run(capsys, "corpus")
+    code, out, err = run(capsys, "corpus")
     assert code == 1
-    assert "semisimple_k" in err
+    assert err == "corpus failure in entry semisimple_k\n"
+    assert json.loads(out)["result"]["ok"] is False
+    # the report is printed first, then the error line
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert main(["corpus"]) == 1
+    assert both.getvalue() == out + err
 
 
 TWO_LOOPS = "field Q\nvertices v\narrow x : v -> v\narrow y : v -> v\n"

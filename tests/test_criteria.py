@@ -1,5 +1,6 @@
 """Cycle certificates, graded Cartan tests, and the verdict engine."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -180,7 +181,6 @@ def scc_two_truncated_cycle(A, among=None):
         seq.append(min(w for w in adj[seq[-1]] if w in reach[best - step]))
     return TruncatedCycleCertificate(
         arrow_names=[A.basis_labels[A.arrows[i]] for i in seq],
-        arrow_indices=list(seq),
         base_vertex=A.vertex_names[A.peirce[A.arrows[seq[0]]][0]])
 
 
@@ -267,9 +267,10 @@ def test_certificate_rejects_tampering(extensions):
     T = extensions["nakayama_cycle_2"].T
     cert = find_two_truncated_cycle(T)
     assert verify_cycle_certificate(T, cert)
-    bad = type(cert)(arrow_names=["a", "a"], arrow_indices=[0, 0],
-                     base_vertex="1")
+    bad = type(cert)(arrow_names=["a", "a"], base_vertex="1")
     assert not verify_cycle_certificate(T, bad)
+    # the printed base vertex is checked too: the source of the first arrow
+    assert not verify_cycle_certificate(T, dataclasses.replace(cert, base_vertex="nowhere"))
 
 
 # -- graded Cartan -------------------------------------------------------------
